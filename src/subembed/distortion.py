@@ -41,6 +41,17 @@ class ScaleChoice:
     L: float | None = None
 
 
+def _stack_extremes(mat: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_min, sigma_max) arrays of mat restricted to each basis of a
+    (count, n, k) stack: one product and one batched SVD.
+
+    When m < k each restriction has a kernel, so sigma_min is 0.
+    """
+    s = np.linalg.svd(mat @ bases, compute_uv=False)
+    lo = np.zeros(len(s)) if mat.shape[0] < bases.shape[2] else s[:, -1]
+    return lo, s[:, 0]
+
+
 def subspace_extremes(gamma: RandomMatrix, w: Subspace) -> tuple[float, float]:
     """(sigma_min, sigma_max) of Gamma restricted to W.
 
@@ -49,42 +60,29 @@ def subspace_extremes(gamma: RandomMatrix, w: Subspace) -> tuple[float, float]:
     """
     if w.ambient_dim != gamma.n:
         raise DimensionError(f"subspace ambient dim {w.ambient_dim} != matrix cols {gamma.n}")
-    s = np.linalg.svd(gamma.matrix @ w.basis, compute_uv=False)
-    sigma_max = float(s[0])
-    sigma_min = 0.0 if gamma.m < w.dim else float(s[-1])
-    return sigma_min, sigma_max
-
-
-def _batched_extremes(mat: np.ndarray, bases: np.ndarray) -> list[tuple[float, float]]:
-    # bases: (p, n, k) with a common k; one LAPACK call for all members
-    products = np.einsum("mn,pnk->pmk", mat, bases)
-    s = np.linalg.svd(products, compute_uv=False)
-    m, k = mat.shape[0], bases.shape[2]
-    if m < k:
-        return [(0.0, float(row[0])) for row in s]
-    return [(float(row[-1]), float(row[0])) for row in s]
+    lo, hi = _stack_extremes(gamma.matrix, w.basis[None])
+    return float(lo[0]), float(hi[0])
 
 
 def family_distortion(gamma: RandomMatrix, family: SubspaceFamily) -> DistortionReport:
     """Aggregate subspace extremes over the family.
 
-    achieved_distortion is the smallest D for which some scale L satisfies
-    the two-sided bound on every member; base points are irrelevant since
-    only direction subspaces enter.
+    Each dimension group of the family's stacked bases is certified by one
+    kernel call. achieved_distortion is the smallest D for which some scale
+    L satisfies the two-sided bound on every member; base points are
+    irrelevant since only direction subspaces enter.
     """
     if family.ambient_dim != gamma.n:
         raise DimensionError(f"family ambient dim {family.ambient_dim} != matrix cols {gamma.n}")
-    dims = {member.dim for member in family.members}
-    if len(dims) == 1:
-        bases = np.stack([member.direction.basis for member in family.members])
-        per = _batched_extremes(gamma.matrix, bases)
-    else:
-        per = [subspace_extremes(gamma, member.direction) for member in family.members]
-    family_min = min(lo for lo, _ in per)
-    family_max = max(hi for _, hi in per)
+    lo = np.empty(family.size)
+    hi = np.empty(family.size)
+    for indices, bases in family.stacks:
+        lo[indices], hi[indices] = _stack_extremes(gamma.matrix, bases)
+    family_min = float(lo.min())
+    family_max = float(hi.max())
     achieved = family_max / family_min if family_min > 0.0 else math.inf
     return DistortionReport(
-        per_subspace=tuple(per),
+        per_subspace=tuple(zip(lo.tolist(), hi.tolist())),
         family_sigma_min=family_min,
         family_sigma_max=family_max,
         achieved_distortion=achieved,
@@ -94,12 +92,17 @@ def family_distortion(gamma: RandomMatrix, family: SubspaceFamily) -> Distortion
 def choose_scale(report: DistortionReport, D: float) -> ScaleChoice:
     """Pick the scale L = family_sigma_max when distortion D is achievable.
 
-    Feasibility means family_sigma_max <= D * family_sigma_min; then
-    L/D <= family_sigma_min, so both sides of the bound hold for every
-    member. Any L in [family_sigma_max, D * family_sigma_min] would work;
-    the lower endpoint is used for determinism.
+    Feasibility means family_sigma_min > 0 and family_sigma_max <=
+    D * family_sigma_min; then L/D <= family_sigma_min, so both sides of
+    the bound hold for every member. A map with a kernel on some member
+    (in particular the zero map) is never feasible. Any L in
+    [family_sigma_max, D * family_sigma_min] would work; the lower
+    endpoint is used for determinism.
     """
     if D < 1.0:
         raise InputError("D must be >= 1")
-    feasible = report.family_sigma_max <= D * report.family_sigma_min
+    feasible = (
+        report.family_sigma_min > 0.0
+        and report.family_sigma_max <= D * report.family_sigma_min
+    )
     return ScaleChoice(feasible=feasible, D=float(D), L=report.family_sigma_max if feasible else None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,15 @@ from .seeding import rng_from
 RANK_RTOL = 1e-10
 # tolerance on basis^T basis = I for constructed subspaces
 ORTHO_TOL = 1e-10
+
+
+def _checked(cls, **fields):
+    """An instance of a frozen dataclass whose fields the caller has already
+    validated, built without running __post_init__ again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,49 @@ class SubspaceFamily:
         """Wrap linear subspaces as affine members with zero base points."""
         subspaces = list(subspaces)
         return cls(tuple(AffineSubspace(np.zeros(w.ambient_dim), w) for w in subspaces))
+
+    @classmethod
+    def from_stack(cls, stack) -> "SubspaceFamily":
+        """Linear members from a (p, n, k) stack of orthonormal bases.
+
+        Orthonormality is checked once over the whole stack, with the
+        tolerance and error of Subspace. The members are read-only views
+        into one copy of the stack and share one zero base point, and the
+        stack itself is the family's certification stack.
+        """
+        bases = np.array(stack, dtype=float)
+        if bases.ndim != 3:
+            raise DimensionError("stack must be a 3-d array of bases")
+        p, n, k = bases.shape
+        if p < 1:
+            raise InputError("a family needs at least one member")
+        if not 1 <= k <= n:
+            raise DimensionError(f"need 1 <= k <= n, got k={k}, n={n}")
+        gram = np.swapaxes(bases, 1, 2) @ bases
+        if not np.allclose(gram, np.eye(k), atol=ORTHO_TOL):
+            raise InputError("basis columns are not orthonormal")
+        bases.setflags(write=False)
+        zero = np.zeros(n)
+        zero.setflags(write=False)
+        members = tuple(
+            _checked(AffineSubspace, base_point=zero, direction=_checked(Subspace, basis=basis))
+            for basis in bases
+        )
+        return _checked(cls, members=members, stacks=((np.arange(p), bases),))
+
+    @cached_property
+    def stacks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Members grouped by dimension, ascending: per dimension d, the
+        member indices and their (count, n, d) stack of bases. Built on
+        first use and kept."""
+        dims = np.array([member.dim for member in self.members])
+        out = []
+        for d in np.unique(dims):
+            indices = np.flatnonzero(dims == d)
+            bases = np.stack([self.members[i].direction.basis for i in indices])
+            bases.setflags(write=False)
+            out.append((indices, bases))
+        return tuple(out)
 
     @property
     def ambient_dim(self) -> int:
@@ -357,16 +410,33 @@ def store_family_json(family: SubspaceFamily, path) -> None:
 def load_family_json(path) -> SubspaceFamily:
     """Read a family file; bases are re-orthonormalized on load."""
     with open(path) as fh:
-        payload = json.load(fh)
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
     if not isinstance(payload, dict) or "n" not in payload or "members" not in payload:
         raise InputError("family file must be an object with keys 'n' and 'members'")
-    n = int(payload["n"])
+    if not isinstance(payload["members"], list):
+        raise InputError("family file 'members' must be a list")
+    try:
+        n = int(payload["n"])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"family file 'n' must be an integer: {exc}") from exc
     members = []
     for i, entry in enumerate(payload["members"]):
-        base = np.asarray(entry.get("base", np.zeros(n)), dtype=float)
-        columns = entry["basis_columns"]
-        mat = np.array(columns, dtype=float).T  # stored as a list of columns
-        if mat.shape[0] != n or base.shape[0] != n:
+        if not isinstance(entry, dict) or "basis_columns" not in entry:
+            raise InputError(f"member {i} must be an object with key 'basis_columns'")
+        try:
+            base = np.asarray(entry.get("base", np.zeros(n)), dtype=float)
+            mat = np.array(entry["basis_columns"], dtype=float).T  # stored as a list of columns
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"member {i}: entries must be numbers: {exc}") from exc
+        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(mat))):
+            raise InputError(f"member {i} has non-finite entries")
+        if mat.ndim != 2 or base.ndim != 1 or mat.shape[0] != n or base.shape[0] != n:
             raise DimensionError(f"member {i} does not match ambient dimension {n}")
         members.append(AffineSubspace(base, orthonormalize(mat)))
     return SubspaceFamily(tuple(members))

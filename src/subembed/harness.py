@@ -10,7 +10,6 @@ changing results.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ from .distortion import DistortionReport, ScaleChoice, choose_scale, family_dist
 from .ensembles import EnsembleSpec, RandomMatrix, sample_matrix
 from .errors import InputError
 from .geometry import (
-    Subspace,
     SubspaceFamily,
     grassmann_distance,
     load_family_json,
@@ -93,11 +91,8 @@ class TrialResult:
     feasible: bool
     achieved_distortion: float
     L: float | None
-    wall_time: float
 
     def to_json_dict(self) -> dict:
-        # wall_time is intentionally left out: serialized logs must be
-        # byte-identical across reruns with the same seed
         return {
             "trial_index": self.trial_index,
             "m_used": self.m_used,
@@ -179,7 +174,6 @@ def run_trial(
     config: ExperimentConfig, trial_index: int, _family: SubspaceFamily | None = None
 ) -> TrialResult:
     """Sample a map, certify its distortion over the family, pick the scale."""
-    start = time.perf_counter()
     family = build_family(config, trial_index) if _family is None else _family
     m = config.m
     gamma = sample_matrix(
@@ -193,19 +187,35 @@ def run_trial(
         feasible=scale.feasible,
         achieved_distortion=report.achieved_distortion,
         L=scale.L,
-        wall_time=time.perf_counter() - start,
     )
 
 
-def _family_is_per_trial(config: ExperimentConfig) -> bool:
-    return config.family_kind == "haar_random" and not config.fixed_family
+def _shared_family(config: ExperimentConfig) -> SubspaceFamily | None:
+    """The one family every trial of a run embeds; None in annealed haar
+    mode, where each trial builds its own."""
+    if config.family_kind == "haar_random" and not config.fixed_family:
+        return None
+    return build_family(config, 0)
+
+
+# A pool worker's shared family, keyed by config: built on the worker's
+# first task and kept for its later ones, so each worker process builds it
+# at most once per run. Only worker tasks fill it; the parent never does.
+_worker_families: dict[ExperimentConfig, SubspaceFamily | None] = {}
+
+
+def _worker_family(config: ExperimentConfig) -> SubspaceFamily | None:
+    if config not in _worker_families:
+        _worker_families.clear()
+        _worker_families[config] = _shared_family(config)
+    return _worker_families[config]
 
 
 def run_trials(config: ExperimentConfig, parallelism: int = 1) -> list[TrialResult]:
     """All config.trials trials, optionally across processes; order-stable."""
     indices = range(config.trials)
     if parallelism <= 1:
-        shared = None if _family_is_per_trial(config) else build_family(config, 0)
+        shared = _shared_family(config)
         return [run_trial(config, t, _family=shared) for t in indices]
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         chunk = max(1, config.trials // (parallelism * 4))
@@ -214,12 +224,14 @@ def run_trials(config: ExperimentConfig, parallelism: int = 1) -> list[TrialResu
 
 def _trial_worker(args) -> TrialResult:
     config, trial_index = args
-    return run_trial(config, trial_index)
+    return run_trial(config, trial_index, _family=_worker_family(config))
 
 
-def _sweep_trial(config: ExperimentConfig, m_values, trial_index: int) -> list[tuple[bool, float]]:
+def _sweep_trial(
+    config: ExperimentConfig, m_values, trial_index: int, _family: SubspaceFamily | None = None
+) -> list[tuple[bool, float]]:
     """Outcomes at every m for one trial, reusing one tall sample's prefixes."""
-    family = build_family(config, trial_index)
+    family = build_family(config, trial_index) if _family is None else _family
     m_max = max(m_values)
     gamma_seed = derive_seed(config.seed, _GAMMA_STREAM, trial_index)
     tall = sample_matrix(config.ensemble, m_max, config.n, gamma_seed)
@@ -234,7 +246,7 @@ def _sweep_trial(config: ExperimentConfig, m_values, trial_index: int) -> list[t
 
 def _sweep_worker(args) -> list[tuple[bool, float]]:
     config, m_values, trial_index = args
-    return _sweep_trial(config, m_values, trial_index)
+    return _sweep_trial(config, m_values, trial_index, _family=_worker_family(config))
 
 
 def _pav_nondecreasing(values, weights) -> list[float]:
@@ -272,7 +284,8 @@ def sweep_m(
     if not 0.0 < target_rate < 1.0:
         raise InputError("target_rate must lie in (0, 1)")
     if parallelism <= 1:
-        per_trial = [_sweep_trial(config, m_values, t) for t in range(config.trials)]
+        shared = _shared_family(config)
+        per_trial = [_sweep_trial(config, m_values, t, _family=shared) for t in range(config.trials)]
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             chunk = max(1, config.trials // (parallelism * 4))
@@ -329,21 +342,21 @@ def metric_embed(
         raise InputError("need at least 2 points, given as an N x n array")
     n = pts.shape[1]
     scale_ref = max(1.0, float(np.linalg.norm(pts, axis=1).max()))
-    directions = []
-    skipped = 0
-    for i, j in combinations(range(pts.shape[0]), 2):
-        d = pts[i] - pts[j]
-        norm = float(np.linalg.norm(d))
-        if norm <= 1e-12 * scale_ref:
-            skipped += 1
-            continue
-        directions.append(d / norm)
+    # pairs (i, j), i < j, in the order of combinations(range(N), 2)
+    i, j = np.triu_indices(pts.shape[0], k=1)
+    diffs = pts[i] - pts[j]
+    norms = np.linalg.norm(diffs, axis=1)
+    keep = norms > 1e-12 * scale_ref
+    skipped = int(keep.size - keep.sum())
     if skipped:
         warnings.warn(f"skipped {skipped} duplicate point pair(s)")
-    if not directions:
+        diffs, norms = diffs[keep], norms[keep]
+    if not norms.size:
         raise InputError("all points coincide; nothing to embed")
+    diffs /= norms[:, None]
     # each unit direction is its own orthonormal 1-column basis
-    family = SubspaceFamily.from_subspaces(Subspace(d.reshape(-1, 1)) for d in directions)
+    family = SubspaceFamily.from_stack(diffs[:, :, None])
+    del diffs  # from_stack keeps its own copy
     p = family.size
     m = required_m(1, p, D)
     gamma = sample_matrix(ensemble, m, n, derive_seed(seed, _GAMMA_STREAM))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subembed
 from subembed import EnsembleSpec, sample_matrix
 from subembed.cli import load_matrix_csv, main, store_matrix_csv
 
@@ -117,6 +121,44 @@ def test_verify_infeasible_exit_code(tmp_path, capsys):
     assert summary["feasible"] is False and summary["L"] is None
 
 
+def test_verify_zero_matrix_is_never_feasible(tmp_path, capsys):
+    mat = tmp_path / "zero.csv"
+    mat.write_text("2,2\n0,0\n0,0\n")
+    fam = write_axes_family(tmp_path / "fam.json")
+    code = main([
+        "verify", "--matrix", str(mat), "--family", str(fam), "--D", "8",
+        "--require-feasible",
+    ])
+    assert code == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["feasible"] is False and summary["L"] is None
+    assert summary["family_sigma_max"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ('{"n": 2,\n "members": [}', ["line 2", "column"]),
+        ('{"n": 2, "members": [{"base": [0, 0]}]}', ["member 0", "basis_columns"]),
+        ('{"n": 2, "members": [{"basis_columns": [[1, 0]]}, [[0, 1]]]}', ["member 1", "object"]),
+        ('{"n": 2, "members": [{"basis_columns": [[1, NaN]]}]}', ["member 0", "non-finite"]),
+        ('{"n": 2, "members": [{"base": [0, Infinity], "basis_columns": [[1, 0]]}]}',
+         ["member 0", "non-finite"]),
+    ],
+    ids=["syntax", "missing-basis", "member-not-object", "nan-entry", "infinite-base"],
+)
+def test_malformed_family_file_exits_2(tmp_path, capsys, text, expected):
+    mat = tmp_path / "m.csv"
+    mat.write_text("2,2\n2,0\n0,1\n")
+    fam = tmp_path / "fam.json"
+    fam.write_text(text)
+    assert main(["verify", "--matrix", str(mat), "--family", str(fam), "--D", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for fragment in expected:
+        assert fragment in err
+
+
 def test_verify_report_csv(tmp_path, capsys):
     mat = tmp_path / "m.csv"
     mat.write_text("2,2\n2,0\n0,1\n")
@@ -180,6 +222,20 @@ def test_sweep_csv_output(tmp_path):
     assert lines[0] == "m,trials,successes,success_rate,mean_achieved_distortion"
     assert len(lines) == 6  # header + 4 rows + minimal-m footer
     assert lines[-1].startswith("# minimal_m")
+
+
+def test_sweep_parallel_flag_matches_serial_bytes(tmp_path):
+    for kind in ("k_sparse", "haar_random"):
+        cfg = write_config(tmp_path / f"{kind}.json", family_kind=kind, trials=6)
+        outs = []
+        for par in ("1", "2"):
+            out = tmp_path / f"{kind}-p{par}.csv"
+            assert main([
+                "sweep", "--config", str(cfg), "--m-values", "1,4,8,12",
+                "--parallelism", par, "--output", str(out),
+            ]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------- embed/width
@@ -266,3 +322,14 @@ def test_no_stray_files_written(tmp_path, monkeypatch):
     out = tmp_path / "out.jsonl"
     assert main(["trial", "--config", str(cfg), "--output", str(out)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out.jsonl"]
+
+
+def test_module_runs_as_a_script():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subembed.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "subembed.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: subembed")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subembed import (
     DimensionError,
@@ -11,6 +13,7 @@ from subembed import (
     Subspace,
     SubspaceFamily,
     choose_scale,
+    derive_seed,
     epsilon_net,
     family_distortion,
     random_subspace,
@@ -95,6 +98,31 @@ def test_family_mixed_dimensions_path():
         assert pair == subspace_extremes(gamma, sub)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(5, 9),
+    m=st.integers(1, 7),
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_family_kernel_matches_per_member_svd(n, m, dims, seed):
+    # mixed dimensions in any order, including members with m < k
+    gamma = sample_matrix(EnsembleSpec.gaussian(), m, n, seed)
+    subs = [random_subspace(n, k, derive_seed(seed, i)) for i, k in enumerate(dims)]
+    report = family_distortion(gamma, SubspaceFamily.from_subspaces(subs))
+    assert len(report.per_subspace) == len(subs)
+    for sub, (lo, hi) in zip(subs, report.per_subspace):
+        s = np.linalg.svd(gamma.matrix @ sub.basis, compute_uv=False)
+        assert hi == pytest.approx(s[0], rel=1e-12)
+        if m < sub.dim:
+            assert lo == 0.0
+        else:
+            assert lo == pytest.approx(s[-1], rel=1e-12)
+        assert (lo, hi) == subspace_extremes(gamma, sub)
+    assert report.family_sigma_min == min(lo for lo, _ in report.per_subspace)
+    assert report.family_sigma_max == max(hi for _, hi in report.per_subspace)
+
+
 def test_family_rank_collapse_flag():
     gamma = sample_matrix(EnsembleSpec.gaussian(), 1, 6, 3)  # m < k forces a kernel
     fam = SubspaceFamily.from_subspaces([random_subspace(6, 2, seed=4)])
@@ -117,6 +145,14 @@ def test_choose_scale_examples():
 
     tight = DistortionReport(((1.0, 3.0),), 1.0, 3.0, 3.0)
     assert not choose_scale(tight, 2.0).feasible
+
+    # the zero map satisfies sigma_max <= D * sigma_min, but embeds nothing
+    zero = family_distortion(RandomMatrix(np.zeros((3, 4))), SubspaceFamily.from_subspaces(
+        [random_subspace(4, 2, seed=1)]
+    ))
+    assert zero.family_sigma_max == 0.0 and zero.rank_collapse
+    degenerate = choose_scale(zero, 8.0)
+    assert not degenerate.feasible and degenerate.L is None
     with pytest.raises(InputError):
         choose_scale(report, 0.5)
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subembed import (
     AffineSubspace,
@@ -88,6 +90,75 @@ def test_subspace_rejects_non_orthonormal_basis():
         Subspace(np.array([[1.0], [1.0]]))
     with pytest.raises(DimensionError):
         Subspace(np.ones((2, 3)))
+
+
+def test_stack_constructor_rejects_like_subspace():
+    bad = np.array([[1.0], [1.0]])
+    with pytest.raises(InputError) as per_member:
+        Subspace(bad)
+    with pytest.raises(InputError) as stacked:
+        SubspaceFamily.from_stack(np.stack([np.eye(2)[:, :1], bad]))
+    assert type(stacked.value) is type(per_member.value)
+    assert str(stacked.value) == str(per_member.value)
+    with pytest.raises(DimensionError):
+        SubspaceFamily.from_stack(np.ones((1, 2, 3)))
+    with pytest.raises(DimensionError):
+        SubspaceFamily.from_stack(np.eye(2))
+    with pytest.raises(InputError):
+        SubspaceFamily.from_stack(np.zeros((0, 2, 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.integers(1, 5),
+    k=st.integers(1, 3),
+    noise=st.sampled_from([0.0, 1e-13, 1e-11, 3e-11, 1e-10, 3e-10, 1e-8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_constructor_accepts_what_subspace_accepts(p, k, noise, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((p, 6, k)))
+    stack = q + noise * rng.standard_normal(q.shape)
+
+    def accepted(build):
+        try:
+            build()
+        except InputError:
+            return False
+        return True
+
+    each = all(accepted(lambda b=b: Subspace(b)) for b in stack)
+    assert accepted(lambda: SubspaceFamily.from_stack(stack)) == each
+
+
+def test_stack_constructor_members_are_read_only_views():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 5, 2)))
+    fam = SubspaceFamily.from_stack(q)
+    assert fam.size == 4 and fam.ambient_dim == 5 and fam.max_dim == 2 and fam.is_linear
+    (indices, bases), = fam.stacks
+    assert indices.tolist() == [0, 1, 2, 3] and np.array_equal(bases, q)
+    assert not np.shares_memory(bases, q)  # the caller's array is copied once
+    for member, b in zip(fam.members, q):
+        assert np.array_equal(member.direction.basis, b)
+        assert np.shares_memory(member.direction.basis, bases)
+        assert not member.direction.basis.flags.writeable
+        assert member.base_point is fam.members[0].base_point
+    assert not fam.members[0].base_point.flags.writeable
+    gamma = sample_matrix(EnsembleSpec.gaussian(), 3, 5, 8)
+    per_member = SubspaceFamily.from_subspaces(Subspace(b) for b in q)
+    assert family_distortion(gamma, fam) == family_distortion(gamma, per_member)
+
+
+def test_family_stacks_group_members_by_dimension():
+    dims = [2, 1, 3, 1, 2]
+    fam = SubspaceFamily.from_subspaces(random_subspace(6, k, seed=i) for i, k in enumerate(dims))
+    assert [bases.shape for _, bases in fam.stacks] == [(2, 6, 1), (2, 6, 2), (1, 6, 3)]
+    assert sorted(i for indices, _ in fam.stacks for i in indices.tolist()) == list(range(5))
+    for indices, bases in fam.stacks:
+        for i, b in zip(indices, bases):
+            assert np.array_equal(b, fam.members[i].direction.basis)
+    assert fam.stacks is fam.stacks  # built once and kept
 
 
 # ---------------------------------------------------------------- random/sparse

@@ -140,6 +140,32 @@ def test_trial_results_invariant_under_member_permutation(tmp_path):
 # ---------------------------------------------------------------- sweeps
 
 
+def test_pool_worker_builds_the_shared_family_once(monkeypatch):
+    from subembed import harness
+
+    builds = []
+    real = harness.build_family
+
+    def counted(config, trial_index):
+        builds.append(trial_index)
+        return real(config, trial_index)
+
+    monkeypatch.setattr(harness, "build_family", counted)
+    monkeypatch.setattr(harness, "_worker_families", {})
+    fixed = small_config(trials=3)
+    first = [harness._trial_worker((fixed, t)) for t in range(3)]
+    assert builds == [0]
+    assert first == run_trials(fixed)
+    sweeps = [harness._sweep_worker((fixed, [2, 4], t)) for t in range(3)]
+    assert builds == [0, 0]  # the serial run_trials above built its own
+    assert sweeps == [harness._sweep_trial(fixed, [2, 4], t) for t in range(3)]
+    builds.clear()
+    annealed = small_config(trials=3, fixed_family=False)
+    for t in range(3):
+        harness._trial_worker((annealed, t))
+    assert builds == [0, 1, 2]  # a fresh family per trial
+
+
 def test_sweep_matches_individual_trials():
     cfg = small_config(trials=4, family_kind="k_sparse")
     m_values = [2, 4, 7]
@@ -233,6 +259,20 @@ def test_metric_embed_pair_count_and_m():
     if scale.feasible:
         fam = build_metric_family(pts)
         assert verify_pointwise(gamma, fam, scale.L, 12.01, n_pairs=2000, seed=1) == 0
+
+
+def test_metric_embed_matches_pair_loop_reference():
+    pts = np.random.default_rng(12).standard_normal((20, 7))
+    pts[5] = pts[2]  # one duplicate pair, skipped
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gamma, scale, report = metric_embed(pts, 8.0, GAUSS, seed=5)
+    assert any("skipped 1 duplicate" in str(w.message) for w in caught)
+    reference = family_distortion(gamma, build_metric_family(pts))
+    assert len(report.per_subspace) == len(reference.per_subspace) == 20 * 19 // 2 - 1
+    for (lo, hi), (ref_lo, ref_hi) in zip(report.per_subspace, reference.per_subspace):
+        assert lo == pytest.approx(ref_lo, rel=1e-13)
+        assert hi == pytest.approx(ref_hi, rel=1e-13)
 
 
 def build_metric_family(pts):
