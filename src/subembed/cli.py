@@ -180,15 +180,11 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _default_parallelism() -> int:
-    return os.cpu_count() or 1
-
-
 def _cmd_trial(args) -> int:
     config, parallelism = load_config(args.config)
     if args.parallelism is not None:
         parallelism = args.parallelism
-    results = run_trials(config, parallelism=parallelism or _default_parallelism())
+    results = run_trials(config, parallelism=parallelism or 1)
     text = "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in results)
     _emit(text, args.output)
     return 0
@@ -199,9 +195,7 @@ def _cmd_sweep(args) -> int:
     if args.parallelism is not None:
         parallelism = args.parallelism
     m_values = [int(tok) for tok in args.m_values.split(",") if tok]
-    result = sweep_m(
-        config, m_values, args.target_rate, parallelism=parallelism or _default_parallelism()
-    )
+    result = sweep_m(config, m_values, args.target_rate, parallelism=parallelism or 1)
     lines = ["m,trials,successes,success_rate,mean_achieved_distortion"]
     for e in result.entries:
         lines.append(

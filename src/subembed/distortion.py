@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import RandomMatrix
-from .errors import DimensionError, InputError
+from .errors import DimensionError
 from .geometry import Subspace, SubspaceFamily
+from .stats import check_distortion
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,9 @@ def choose_scale(report: DistortionReport, D: float) -> ScaleChoice:
     the bound hold for every member. A map with a kernel on some member
     (in particular the zero map) is never feasible. Any L in
     [family_sigma_max, D * family_sigma_min] would work; the lower
-    endpoint is used for determinism.
+    endpoint is used for determinism. D must be finite and > 1.
     """
-    if D < 1.0:
-        raise InputError("D must be >= 1")
+    check_distortion(D)
     feasible = (
         report.family_sigma_min > 0.0
         and report.family_sigma_max <= D * report.family_sigma_min

@@ -4,6 +4,11 @@ Three built-in row distributions, each centered and isotropic with a
 subgaussian marginal in every direction: i.i.d. standard Gaussian entries,
 the uniform sphere vector scaled to norm sqrt(n), and i.i.d. entries
 uniform on [-sqrt(3), sqrt(3)].
+
+A matrix is sampled in one vectorized pass over the counter-based uniforms
+of ``seeding.uniforms``: entry (i, j) is a fixed transform of uniforms j
+(Gaussian: the Box-Muller pair holding j) of the stream seeded by
+derive_seed(seed, i). No generator object is built per row.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, ResourceError
-from .seeding import derive_seed, rng_from
+# derive_seed is not called here; it stays importable from this module
+# because perfbench/tracing.py wraps it there, alongside rng_from
+from .seeding import derive_seed, derive_seeds, normalize_seed, rng_from, uniforms  # noqa: F401
 from .stats import concentration_estimate
 
 GAUSSIAN = "gaussian"
@@ -144,21 +151,109 @@ class RandomMatrix:
         return self.matrix.shape[1]
 
 
+# Gaussian entries are built from + - * / and sqrt alone, besides exact
+# operations (frexp, ldexp, floor, fmod, copysign, comparisons). numpy's
+# log/sin/cos kernels differ in the last bits between SIMD dispatch levels,
+# and libm differs between platforms, while these operations are correctly
+# rounded everywhere, so a seed gives the same matrix on every machine.
+# Each series coefficient is an exact rational rounded once by Python's
+# correctly rounded int division.
+_LN2 = 0.6931471805599453
+_SQRT_HALF = math.sqrt(0.5)
+_HALF_PI = math.pi / 2.0
+_SERIES_TERMS = 10
+# (terms, 3, 1, 1), highest degree first: the series of atanh(s)/s in s^2
+# (ten terms for |s| < 0.172), and of cos(t) and sin(t)/t in t^2 (nine terms
+# for |t| <= pi/4, with a leading zero)
+_SERIES = np.array(
+    [
+        [1 / (2 * k + 1) for k in range(_SERIES_TERMS)],
+        [(-1) ** k / math.factorial(2 * k) for k in range(_SERIES_TERMS - 1)] + [0.0],
+        [(-1) ** k / math.factorial(2 * k + 1) for k in range(_SERIES_TERMS - 1)] + [0.0],
+    ]
+).T[::-1, :, None, None].copy()
+
+# sphere rows shorter than this before scaling are redrawn
+_SPHERE_MIN_NORM = 1e-12
+# rows are sampled in blocks of about this many entries to bound scratch memory
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _gaussian_rows(seeds: np.ndarray, n: int, attempt: int = 0) -> np.ndarray:
+    """Box-Muller rows: entries 2k and 2k+1 of row i come from uniforms 2k
+    and 2k+1 of block ``attempt`` of row i's stream, a block of 2*ceil(n/2)
+    uniforms whatever n's parity.
+
+    The radius is sqrt(-2 log(1 - u)): with 1 - u = mant * 2^expo and mant in
+    [sqrt(1/2), sqrt(2)), log(mant) = 2 atanh(s), s = (mant - 1)/(mant + 1).
+    The uniform point on the circle is taken from the second uniform v: its
+    quarter floor(4v) exactly, then t in [-pi/4, pi/4) within the quarter;
+    (cos t, sin t) is swapped on odd quarters and negated on the last two,
+    which covers the circle once.
+    """
+    width = 2 * ((n + 1) // 2)
+    u = uniforms(seeds, width, start=attempt * width)
+    mant, expo = np.frexp(1.0 - u[:, 0::2])
+    low = mant < _SQRT_HALF
+    mant = np.ldexp(mant, low.view(np.int8))
+    expo -= low
+    s = (mant - 1.0) / (mant + 1.0)
+    quarters = 4.0 * u[:, 1::2]
+    q = np.floor(quarters)
+    t = (quarters - q - 0.5) * _HALF_PI
+    args = np.empty((3,) + t.shape)
+    np.multiply(s, s, out=args[0])
+    np.multiply(t, t, out=args[1])
+    args[2] = args[1]
+    series = np.empty_like(args)
+    series[...] = _SERIES[0]
+    for coeff in _SERIES[1:]:
+        series *= args
+        series += coeff
+    radius = np.sqrt(-2.0 * (expo * _LN2 + 2.0 * s * series[0]))
+    radius = np.copysign(radius, 1.5 - q)
+    cos, sin = series[1], t * series[2]
+    odd = np.fmod(q, 2.0) == 1.0
+    rows = np.empty((len(seeds), width))
+    rows[:, 0::2] = radius * np.where(odd, sin, cos)
+    rows[:, 1::2] = radius * np.where(odd, cos, sin)
+    return rows[:, :n]
+
+
+def _sphere_rows(seeds: np.ndarray, n: int) -> np.ndarray:
+    """Gaussian rows scaled to norm sqrt(n). A row whose norm is below
+    _SPHERE_MIN_NORM (a measure-zero event) is redrawn from the next block
+    of its own stream, so it stays a function of its seed alone."""
+    rows = _gaussian_rows(seeds, n)
+    norms = np.linalg.norm(rows, axis=1)
+    attempt = 0
+    while (redo := np.flatnonzero(norms < _SPHERE_MIN_NORM)).size:
+        attempt += 1
+        rows[redo] = _gaussian_rows(seeds[redo], n, attempt)
+        norms[redo] = np.linalg.norm(rows[redo], axis=1)
+    return rows * (math.sqrt(n) / norms)[:, None]
+
+
+def _sample_rows(spec: EnsembleSpec, seeds: np.ndarray, n: int) -> np.ndarray:
+    """One n-dimensional row per uint64 seed; row i depends only on
+    (spec, n, seeds[i]), and its entry j only on (spec, seeds[i], j)
+    (for sphere rows, through the row's norm)."""
+    if spec.kind == GAUSSIAN:
+        return _gaussian_rows(seeds, n)
+    if spec.kind == SPHERE_SCALED:
+        return _sphere_rows(seeds, n)
+    return UNIFORM_HALF_WIDTH * (2.0 * uniforms(seeds, n) - 1.0)
+
+
 def sample_row(spec: EnsembleSpec, n: int, seed: int) -> np.ndarray:
-    """One draw of the ensemble's n-dimensional row, deterministic in (spec, n, seed)."""
+    """One draw of the ensemble's n-dimensional row, deterministic in (spec, n, seed).
+
+    The one-row case of ``sample_matrix``: row i of ``sample_matrix(spec,
+    m, n, seed)`` equals ``sample_row(spec, n, derive_seed(seed, i))``.
+    """
     if n < 1:
         raise DimensionError("n must be >= 1")
-    rng = rng_from(seed)
-    if spec.kind == GAUSSIAN:
-        return rng.standard_normal(n)
-    if spec.kind == SPHERE_SCALED:
-        g = rng.standard_normal(n)
-        norm = np.linalg.norm(g)
-        while norm < 1e-12:
-            g = rng.standard_normal(n)
-            norm = np.linalg.norm(g)
-        return g * (math.sqrt(n) / norm)
-    return rng.uniform(-UNIFORM_HALF_WIDTH, UNIFORM_HALF_WIDTH, n)
+    return _sample_rows(spec, np.array([normalize_seed(seed)], dtype=np.uint64), n)[0]
 
 
 def sample_matrix(
@@ -170,6 +265,8 @@ def sample_matrix(
 ) -> RandomMatrix:
     """m independent rows; row i depends only on (spec, n, derive_seed(seed, i)).
 
+    Entry (i, j) is a fixed transform of the j-th uniforms of the counter
+    stream seeded by derive_seed(seed, i) (see ``seeding.uniforms``).
     Adding rows therefore never changes earlier rows, which lets sweeps over
     m reuse prefixes of one tall sample.
     """
@@ -177,9 +274,11 @@ def sample_matrix(
         raise DimensionError("m and n must be >= 1")
     if m * n > max_elements:
         raise ResourceError(f"m*n = {m * n} exceeds the element budget {max_elements}")
+    seeds = derive_seeds(seed, m)
     rows = np.empty((m, n))
-    for i in range(m):
-        rows[i] = sample_row(spec, n, derive_seed(seed, i))
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, m, step):
+        rows[lo : lo + step] = _sample_rows(spec, seeds[lo : lo + step], n)
     return RandomMatrix(matrix=rows, ensemble=spec, seed=seed)
 
 

@@ -28,7 +28,7 @@ from .geometry import (
     sparse_subspace,
 )
 from .seeding import derive_seed, rng_from
-from .stats import WidthEstimate, gaussian_width_mc, required_m
+from .stats import WidthEstimate, check_distortion, gaussian_width_mc, required_m
 
 FAMILY_KINDS = ("haar_random", "k_sparse", "user_file")
 
@@ -68,8 +68,7 @@ class ExperimentConfig:
             raise InputError("p must be >= 1")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
-        if self.D <= 1.0:
-            raise InputError("D must exceed 1")
+        check_distortion(self.D)
         if self.family_kind not in FAMILY_KINDS:
             raise InputError(f"family_kind must be one of {FAMILY_KINDS}")
         if self.family_kind == "user_file" and not self.family_path:

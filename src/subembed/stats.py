@@ -176,12 +176,22 @@ def width_upper_bound(k: int, p: int, r: float = 0.0, n: int | None = None) -> f
     return 3.0 * (root_ln_p + math.sqrt(k) + r * (root_ln_p + math.sqrt(n - k)))
 
 
+def check_distortion(D: float) -> None:
+    """Raise InputError unless the distortion budget D is finite and > 1.
+
+    The one domain of D for configs, scale choice, the dimension formula
+    and the success bound: D = 1 asks for an isometry, and NaN or infinity
+    would pass silently through the comparisons they feed.
+    """
+    if not (math.isfinite(D) and D > 1.0):
+        raise InputError(f"D must be finite and > 1, got {D}")
+
+
 def required_m(k: int, p: int, D: float) -> int:
     """Target dimension 5(k + ln p / ln D), rounded up to an integer."""
     if k < 1 or p < 1:
         raise InputError("need k >= 1 and p >= 1")
-    if D <= 1.0:
-        raise InputError("D must exceed 1")
+    check_distortion(D)
     value = 5.0 * (k + math.log(p) / math.log(D))
     nearest = round(value)
     # snap values within 1e-9 of an integer so ratios like ln(100)/ln(10)
@@ -193,8 +203,7 @@ def required_m(k: int, p: int, D: float) -> int:
 
 def success_prob_bound(D: float, m: int) -> float:
     """Lower bound 1 - 2 D^(-m/5) on the embedding success probability, clamped to [0, 1]."""
-    if D <= 1.0:
-        raise InputError("D must exceed 1")
+    check_distortion(D)
     if m < 1:
         raise InputError("m must be >= 1")
     return max(0.0, 1.0 - 2.0 * D ** (-m / 5.0))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import subembed
+import subembed.harness
 from subembed import EnsembleSpec, sample_matrix
 from subembed.cli import load_matrix_csv, main, store_matrix_csv
 
@@ -211,6 +212,15 @@ def test_trial_parallel_flag_matches_serial_bytes(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_default_trial_run_starts_no_process_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a default trial run must not start a process pool")
+
+    monkeypatch.setattr(subembed.harness, "ProcessPoolExecutor", no_pool)
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["trial", "--config", str(cfg), "--output", str(tmp_path / "out.jsonl")]) == 0
+
+
 def test_sweep_csv_output(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", family_kind="k_sparse", trials=6)
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -298,6 +308,27 @@ def test_malformed_config_reports_line_and_column(tmp_path, capsys):
     assert main(["trial", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "column" in err
+
+
+@pytest.mark.parametrize("D", ["nan", "inf", "1"])
+def test_distortion_outside_its_domain_exits_2(tmp_path, capsys, D):
+    mat = tmp_path / "m.csv"
+    mat.write_text("2,2\n2,0\n0,1\n")
+    fam = write_axes_family(tmp_path / "fam.json")
+    pts = tmp_path / "pts.csv"
+    store_matrix_csv(np.eye(3), pts)
+    cfg = write_config(tmp_path / "cfg.json", D=float(D))
+    runs = [
+        ["verify", "--matrix", str(mat), "--family", str(fam), "--D", D],
+        ["embed-points", "--points", str(pts), "--D", D, "--ensemble", "gaussian", "--seed", "1"],
+        ["trial", "--config", str(cfg)],
+        ["sweep", "--config", str(cfg), "--m-values", "2,4"],
+    ]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "D must be finite and > 1" in captured.err, argv
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

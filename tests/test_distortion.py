@@ -153,8 +153,9 @@ def test_choose_scale_examples():
     assert zero.family_sigma_max == 0.0 and zero.rank_collapse
     degenerate = choose_scale(zero, 8.0)
     assert not degenerate.feasible and degenerate.L is None
-    with pytest.raises(InputError):
-        choose_scale(report, 0.5)
+    for D in (0.5, 1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            choose_scale(report, D)
 
 
 # ---------------------------------------------------------------- invariances

@@ -1,8 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subembed
 from subembed import (
     ConfigurationError,
     DimensionError,
@@ -13,7 +18,9 @@ from subembed import (
     sample_row,
     theoretical_constants,
 )
+from subembed import ensembles
 from subembed.ensembles import UNIFORM_HALF_WIDTH
+from subembed.seeding import derive_seeds
 from subembed.stats import concentration_estimate, psi2_tail_check
 
 from conftest import ENSEMBLE_KINDS, unit_directions
@@ -71,6 +78,91 @@ def test_matrix_prefix_stability():
     small = sample_matrix(spec, 3, 7, 9).matrix
     tall = sample_matrix(spec, 8, 7, 9).matrix
     assert np.array_equal(tall[:3], small)
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_rows_and_prefixes_agree_for_every_kind(kind, n):
+    spec = EnsembleSpec(kind=kind)
+    tall = sample_matrix(spec, 9, n, -31).matrix
+    for i in range(9):
+        assert np.array_equal(tall[i], sample_row(spec, n, derive_seed(-31, i)))
+    assert np.array_equal(sample_matrix(spec, 4, n, -31).matrix, tall[:4])
+
+
+def test_entries_do_not_depend_on_the_row_length():
+    # entry (i, j) is a function of (derive_seed(seed, i), j); Gaussian
+    # entries come in Box-Muller pairs, so widths are compared at even n
+    for kind, narrow in (("iid_bounded", 3), ("gaussian", 4)):
+        spec = EnsembleSpec(kind=kind)
+        wide = sample_matrix(spec, 5, 10, 8).matrix
+        assert np.array_equal(sample_matrix(spec, 5, narrow, 8).matrix, wide[:, :narrow])
+
+
+def test_sphere_resample_redraws_only_degenerate_rows(monkeypatch):
+    # force the first draw of rows with an even seed to zero; each such row
+    # must come from the next block of its own stream, whatever its batch
+    real = ensembles._gaussian_rows
+
+    def degenerate_first_block(seeds, n, attempt=0):
+        rows = real(seeds, n, attempt)
+        if attempt == 0:
+            rows[seeds % 2 == 0] = 0.0
+        return rows
+
+    monkeypatch.setattr(ensembles, "_gaussian_rows", degenerate_first_block)
+    spec = EnsembleSpec.sphere_scaled()
+    mat = sample_matrix(spec, 8, 5, 31).matrix
+    seeds = derive_seeds(31, 8)
+    assert 0 < int(np.sum(seeds % 2 == 0)) < 8
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(mat[i], sample_row(spec, 5, int(seed)))
+        g = real(seeds[i : i + 1], 5, 1 if seed % 2 == 0 else 0)[0]
+        assert np.allclose(mat[i], g * (math.sqrt(5) / np.linalg.norm(g)), rtol=1e-15, atol=0)
+
+
+# sha256 of sample_matrix(kind, 4, 131, 2024) as little-endian float64 bytes:
+# pins the row streams, which are built from + - * / and sqrt only and so
+# must not change with the platform, numpy version or SIMD dispatch level.
+# Rows of 131 entries run the vector loops, not only their scalar tails, and
+# the sphere norm's pairwise sum past its 128-entry block.
+GOLDEN_DIGESTS = {
+    "gaussian": "ee9555ff22de47a3ccf6bb6abd650253e046a5793e72ea5fa9210a1d9a91ede6",
+    "sphere_scaled": "2db3dd7c636e5343d4879198ec926dd2d7befb7f11a4e2c3ec00ea47995c8a88",
+    "iid_bounded": "b58237603359d4cc4fb0f85a3a81dbb58034582fb29fb23537c47b0ef89dc0ac",
+}
+_DIGEST_SCRIPT = """
+import hashlib, json
+from subembed import EnsembleSpec, sample_matrix
+print(json.dumps({
+    kind: hashlib.sha256(
+        sample_matrix(EnsembleSpec(kind=kind), 4, 131, 2024).matrix.astype("<f8").tobytes()
+    ).hexdigest()
+    for kind in ("gaussian", "sphere_scaled", "iid_bounded")
+}))
+"""
+
+
+def _digests(**env):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subembed.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_golden_matrix_digests():
+    out = _digests()
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == GOLDEN_DIGESTS
+
+
+def test_digests_do_not_depend_on_simd_dispatch():
+    out = _digests(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    if out.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in out.stderr:
+        pytest.skip("numpy rejects these CPU feature names")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == GOLDEN_DIGESTS
 
 
 def test_sphere_matrix_row_norms():

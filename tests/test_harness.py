@@ -43,8 +43,9 @@ def test_config_validation():
         small_config(k=0)
     with pytest.raises(InputError):
         small_config(k=13)
-    with pytest.raises(InputError):
-        small_config(D=1.0)
+    for D in (1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            small_config(D=D)
     with pytest.raises(InputError):
         small_config(trials=0)
     with pytest.raises(InputError):

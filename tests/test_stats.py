@@ -159,16 +159,18 @@ def test_required_m_values():
     assert required_m(10, 100, 10.0) == 60
     assert required_m(1, 1, 2.0) == 5
     assert required_m(4, 16, 8.0) == 27
-    with pytest.raises(InputError):
-        required_m(4, 16, 1.0)
+    for D in (1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            required_m(4, 16, D)
 
 
 def test_success_prob_bound_values():
     assert success_prob_bound(10.0, 60) == pytest.approx(1 - 2e-12, abs=1e-15)
     assert success_prob_bound(2.0, 1) == 0.0
     assert success_prob_bound(8.0, 27) == pytest.approx(0.999973, abs=1e-5)
-    with pytest.raises(InputError):
-        success_prob_bound(0.5, 3)
+    for D in (0.5, 1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            success_prob_bound(D, 3)
 
 
 # ------------------------------------------------- ensemble-level implications
