@@ -25,11 +25,9 @@ from .errors import (
 )
 from .geometry import (
     AffineSubspace,
-    EpsilonNet,
     Subspace,
     SubspaceFamily,
     cross_family,
-    epsilon_net,
     grassmann_distance,
     load_family_json,
     orthonormalize,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -83,7 +84,7 @@ def _emit(text: str, output_path) -> None:
         sys.stdout.write(text)
 
 
-def load_config(path) -> tuple[ExperimentConfig, int | None]:
+def load_config(path) -> tuple[ExperimentConfig, int]:
     """Parse and validate a config JSON file; returns (config, parallelism).
 
     The schema is closed: unknown keys are rejected. SUBEMBED_SEED in the
@@ -125,7 +126,7 @@ def load_config(path) -> tuple[ExperimentConfig, int | None]:
         family_path=payload.get("family_path"),
         fixed_family=bool(payload.get("fixed_family", True)),
     )
-    parallelism = int(payload["parallelism"]) if payload.get("parallelism") is not None else None
+    parallelism = int(payload["parallelism"]) if payload.get("parallelism") is not None else 1
     return config, parallelism
 
 
@@ -139,6 +140,13 @@ def _parse_ensemble_flag(args) -> EnsembleSpec:
     return EnsembleSpec.from_json_dict(payload)
 
 
+def _json_line(payload: dict) -> str:
+    """One JSON object with sorted keys and a newline. RFC 8259 JSON has no
+    Infinity or NaN, so a non-finite float is written as null."""
+    clean = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in payload.items()}
+    return json.dumps(clean, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _summary_json(report: DistortionReport, scale) -> str:
     summary = {
         "family_sigma_min": report.family_sigma_min,
@@ -148,7 +156,7 @@ def _summary_json(report: DistortionReport, scale) -> str:
         "L": scale.L,
         "D": scale.D,
     }
-    return json.dumps(summary, sort_keys=True) + "\n"
+    return _json_line(summary)
 
 
 def _report_csv(report: DistortionReport) -> str:
@@ -184,8 +192,8 @@ def _cmd_trial(args) -> int:
     config, parallelism = load_config(args.config)
     if args.parallelism is not None:
         parallelism = args.parallelism
-    results = run_trials(config, parallelism=parallelism or 1)
-    text = "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in results)
+    results = run_trials(config, parallelism=parallelism)
+    text = "".join(_json_line(r.to_json_dict()) for r in results)
     _emit(text, args.output)
     return 0
 
@@ -195,7 +203,7 @@ def _cmd_sweep(args) -> int:
     if args.parallelism is not None:
         parallelism = args.parallelism
     m_values = [int(tok) for tok in args.m_values.split(",") if tok]
-    result = sweep_m(config, m_values, args.target_rate, parallelism=parallelism or 1)
+    result = sweep_m(config, m_values, args.target_rate, parallelism=parallelism)
     lines = ["m,trials,successes,success_rate,mean_achieved_distortion"]
     for e in result.entries:
         lines.append(
@@ -223,7 +231,7 @@ def _cmd_embed_points(args) -> int:
         "D": scale.D,
         "achieved_distortion": report.achieved_distortion,
     }
-    _emit(json.dumps(summary, sort_keys=True) + "\n", args.summary_out)
+    _emit(_json_line(summary), args.summary_out)
     return 0
 
 
@@ -238,7 +246,7 @@ def _cmd_width(args) -> int:
         "n_draws": estimate.n_draws,
         "upper_bound_formula": width_upper_bound(k, p, 0.0),
     }
-    _emit(json.dumps(out, sort_keys=True) + "\n", args.output)
+    _emit(_json_line(out), args.output)
     return 0
 
 

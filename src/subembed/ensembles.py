@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, ResourceError
+from .geometry import _checked
 # derive_seed is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it there, alongside rng_from
 from .seeding import derive_seed, derive_seeds, normalize_seed, rng_from, uniforms  # noqa: F401
@@ -127,7 +128,9 @@ class EnsembleConstants:
 
 @dataclass(frozen=True)
 class RandomMatrix:
-    """A sampled m x n map together with its generating seed and ensemble."""
+    """A sampled m x n map together with its generating seed and ensemble.
+    The constructor copies and checks its input; ``sample_matrix`` and
+    ``prefix`` skip both and keep their own read-only array."""
 
     matrix: np.ndarray
     ensemble: EnsembleSpec | None = None
@@ -149,6 +152,12 @@ class RandomMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[1]
+
+    def prefix(self, m: int) -> "RandomMatrix":
+        """The map's first m rows: a read-only view of this map's memory."""
+        if not 1 <= m <= self.m:
+            raise DimensionError(f"need 1 <= m <= {self.m}, got m={m}")
+        return _checked(RandomMatrix, matrix=self.matrix[:m], ensemble=self.ensemble, seed=self.seed)
 
 
 # Gaussian entries are built from + - * / and sqrt alone, besides exact
@@ -279,7 +288,8 @@ def sample_matrix(
     step = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, m, step):
         rows[lo : lo + step] = _sample_rows(spec, seeds[lo : lo + step], n)
-    return RandomMatrix(matrix=rows, ensemble=spec, seed=seed)
+    rows.setflags(write=False)
+    return _checked(RandomMatrix, matrix=rows, ensemble=spec, seed=seed)
 
 
 def _empirical_directional_alpha(spec: EnsembleSpec, seed: int) -> float:

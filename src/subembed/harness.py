@@ -13,6 +13,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import combinations, islice
 
 import numpy as np
@@ -169,24 +170,27 @@ def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
     )
 
 
+def _trial_results(
+    config: ExperimentConfig, trial_index: int, family: SubspaceFamily | None, m_values
+) -> list[TrialResult]:
+    """One trial at every m in m_values: one tall map, sampled once, whose
+    row prefixes are certified in turn (rows never depend on m)."""
+    family = build_family(config, trial_index) if family is None else family
+    gamma_seed = derive_seed(config.seed, _GAMMA_STREAM, trial_index)
+    tall = sample_matrix(config.ensemble, max(m_values), config.n, gamma_seed)
+    results = []
+    for m in m_values:
+        report = family_distortion(tall.prefix(m), family)
+        scale = choose_scale(report, config.D)
+        results.append(TrialResult(trial_index, m, scale.feasible, report.achieved_distortion, scale.L))
+    return results
+
+
 def run_trial(
     config: ExperimentConfig, trial_index: int, _family: SubspaceFamily | None = None
 ) -> TrialResult:
     """Sample a map, certify its distortion over the family, pick the scale."""
-    family = build_family(config, trial_index) if _family is None else _family
-    m = config.m
-    gamma = sample_matrix(
-        config.ensemble, m, config.n, derive_seed(config.seed, _GAMMA_STREAM, trial_index)
-    )
-    report = family_distortion(gamma, family)
-    scale = choose_scale(report, config.D)
-    return TrialResult(
-        trial_index=trial_index,
-        m_used=m,
-        feasible=scale.feasible,
-        achieved_distortion=report.achieved_distortion,
-        L=scale.L,
-    )
+    return _trial_results(config, trial_index, _family, (config.m,))[0]
 
 
 def _shared_family(config: ExperimentConfig) -> SubspaceFamily | None:
@@ -197,55 +201,35 @@ def _shared_family(config: ExperimentConfig) -> SubspaceFamily | None:
     return build_family(config, 0)
 
 
-# A pool worker's shared family, keyed by config: built on the worker's
-# first task and kept for its later ones, so each worker process builds it
-# at most once per run. Only worker tasks fill it; the parent never does.
-_worker_families: dict[ExperimentConfig, SubspaceFamily | None] = {}
+# A pool worker's shared family: built on the worker's first task and kept
+# for its later ones, so each worker process builds it at most once per run.
+# Only worker tasks fill the cache; the parent never does.
+_worker_family = lru_cache(maxsize=1)(_shared_family)
 
 
-def _worker_family(config: ExperimentConfig) -> SubspaceFamily | None:
-    if config not in _worker_families:
-        _worker_families.clear()
-        _worker_families[config] = _shared_family(config)
-    return _worker_families[config]
+def _pool_task(task, config: ExperimentConfig, trial_index: int):
+    return task(config, trial_index, _worker_family(config))
+
+
+def _map_trials(task, config: ExperimentConfig, parallelism: int) -> list:
+    """task(config, t, family) for every trial t, in trial order: serially
+    with one shared family, or across min(parallelism, trials) processes."""
+    if parallelism < 1:
+        raise InputError(f"parallelism must be >= 1, got {parallelism}")
+    workers = min(parallelism, config.trials)
+    if workers == 1:
+        shared = _shared_family(config)
+        return [task(config, t, shared) for t in range(config.trials)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, config.trials // (workers * 4))
+        return list(pool.map(partial(_pool_task, task, config), range(config.trials), chunksize=chunk))
 
 
 def run_trials(config: ExperimentConfig, parallelism: int = 1) -> list[TrialResult]:
     """All config.trials trials, optionally across processes; order-stable."""
-    indices = range(config.trials)
-    if parallelism <= 1:
-        shared = _shared_family(config)
-        return [run_trial(config, t, _family=shared) for t in indices]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        chunk = max(1, config.trials // (parallelism * 4))
-        return list(pool.map(_trial_worker, [(config, t) for t in indices], chunksize=chunk))
-
-
-def _trial_worker(args) -> TrialResult:
-    config, trial_index = args
-    return run_trial(config, trial_index, _family=_worker_family(config))
-
-
-def _sweep_trial(
-    config: ExperimentConfig, m_values, trial_index: int, _family: SubspaceFamily | None = None
-) -> list[tuple[bool, float]]:
-    """Outcomes at every m for one trial, reusing one tall sample's prefixes."""
-    family = build_family(config, trial_index) if _family is None else _family
-    m_max = max(m_values)
-    gamma_seed = derive_seed(config.seed, _GAMMA_STREAM, trial_index)
-    tall = sample_matrix(config.ensemble, m_max, config.n, gamma_seed)
-    out = []
-    for m in m_values:
-        gamma = RandomMatrix(tall.matrix[:m], ensemble=config.ensemble, seed=gamma_seed)
-        report = family_distortion(gamma, family)
-        scale = choose_scale(report, config.D)
-        out.append((scale.feasible, report.achieved_distortion))
-    return out
-
-
-def _sweep_worker(args) -> list[tuple[bool, float]]:
-    config, m_values, trial_index = args
-    return _sweep_trial(config, m_values, trial_index, _family=_worker_family(config))
+    # the task is this module's run_trial, looked up at call time, so a
+    # wrapper put on that name (a tracer, say) sees one call per trial
+    return _map_trials(run_trial, config, parallelism)
 
 
 def _pav_nondecreasing(values, weights) -> list[float]:
@@ -275,31 +259,19 @@ def sweep_m(
     mean_achieved_distortion averages the finite achieved values at each m
     (infinite on full rank collapse).
     """
-    m_values = [int(m) for m in m_values]
+    m_values = tuple(int(m) for m in m_values)
     if not m_values:
         raise InputError("m_values must be nonempty")
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise InputError("m_values must be strictly increasing")
     if not 0.0 < target_rate < 1.0:
         raise InputError("target_rate must lie in (0, 1)")
-    if parallelism <= 1:
-        shared = _shared_family(config)
-        per_trial = [_sweep_trial(config, m_values, t, _family=shared) for t in range(config.trials)]
-    else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            chunk = max(1, config.trials // (parallelism * 4))
-            per_trial = list(
-                pool.map(
-                    _sweep_worker,
-                    [(config, m_values, t) for t in range(config.trials)],
-                    chunksize=chunk,
-                )
-            )
+    per_trial = _map_trials(partial(_trial_results, m_values=m_values), config, parallelism)
     entries = []
     for j, m in enumerate(m_values):
-        outcomes = [per_trial[t][j] for t in range(config.trials)]
-        successes = sum(1 for ok, _ in outcomes if ok)
-        finite = [d for _, d in outcomes if math.isfinite(d)]
+        results = [trial[j] for trial in per_trial]
+        successes = sum(r.feasible for r in results)
+        finite = [r.achieved_distortion for r in results if math.isfinite(r.achieved_distortion)]
         mean_achieved = float(np.mean(finite)) if finite else math.inf
         entries.append(
             SweepEntry(

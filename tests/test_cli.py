@@ -28,6 +28,15 @@ def write_config(path, **overrides):
     return path
 
 
+def strict_json(text):
+    """json.loads that rejects Infinity and NaN, as RFC 8259 does."""
+
+    def reject(constant):
+        raise ValueError(f"not valid JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def write_axes_family(path, n=2):
     members = []
     for i in range(2):
@@ -131,9 +140,10 @@ def test_verify_zero_matrix_is_never_feasible(tmp_path, capsys):
         "--require-feasible",
     ])
     assert code == 1
-    summary = json.loads(capsys.readouterr().out)
+    summary = strict_json(capsys.readouterr().out)
     assert summary["feasible"] is False and summary["L"] is None
     assert summary["family_sigma_max"] == 0.0
+    assert summary["achieved_distortion"] is None
 
 
 @pytest.mark.parametrize(
@@ -193,6 +203,18 @@ def test_trial_deterministic_bytes(tmp_path):
     assert set(first) == {"trial_index", "m_used", "feasible", "achieved_distortion", "L"}
 
 
+def test_trial_below_k_writes_valid_json(tmp_path):
+    # m < k collapses every member's rank: the achieved distortion is
+    # infinite, which the trial log writes as null
+    cfg = write_config(tmp_path / "cfg.json", m_override=1, trials=2)
+    out = tmp_path / "r.jsonl"
+    assert main(["trial", "--config", str(cfg), "--output", str(out)]) == 0
+    for line in out.read_text().splitlines():
+        record = strict_json(line)
+        assert record["m_used"] == 1 and record["feasible"] is False
+        assert record["achieved_distortion"] is None and record["L"] is None
+
+
 def test_trial_env_seed_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "cfg.json")
     base, overridden = tmp_path / "base.jsonl", tmp_path / "env.jsonl"
@@ -221,6 +243,34 @@ def test_default_trial_run_starts_no_process_pool(tmp_path, monkeypatch):
     assert main(["trial", "--config", str(cfg), "--output", str(tmp_path / "out.jsonl")]) == 0
 
 
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_parallelism_below_one_exits_2(tmp_path, capsys, parallelism):
+    flag_cfg = write_config(tmp_path / "flag.json")
+    key_cfg = write_config(tmp_path / "key.json", parallelism=parallelism)
+    out = tmp_path / "out"
+    for command in (["trial"], ["sweep", "--m-values", "2,4"]):
+        for argv in (
+            command + ["--config", str(flag_cfg), "--parallelism", str(parallelism)],
+            command + ["--config", str(key_cfg)],
+        ):
+            assert main(argv + ["--output", str(out)]) == 2, argv
+            assert "parallelism must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_single_trial_starts_no_process_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool of one worker must not be started")
+
+    monkeypatch.setattr(subembed.harness, "ProcessPoolExecutor", no_pool)
+    cfg = write_config(tmp_path / "cfg.json", trials=1)
+    out = tmp_path / "out"
+    assert main(["trial", "--config", str(cfg), "--parallelism", "2", "--output", str(out)]) == 0
+    assert main([
+        "sweep", "--config", str(cfg), "--m-values", "2,4", "--parallelism", "2", "--output", str(out),
+    ]) == 0
+
+
 def test_sweep_csv_output(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", family_kind="k_sparse", trials=6)
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -235,11 +285,16 @@ def test_sweep_csv_output(tmp_path):
 
 
 def test_sweep_parallel_flag_matches_serial_bytes(tmp_path):
-    for kind in ("k_sparse", "haar_random"):
-        cfg = write_config(tmp_path / f"{kind}.json", family_kind=kind, trials=6)
+    inputs = {
+        "k_sparse": {"family_kind": "k_sparse"},
+        "haar_random": {"family_kind": "haar_random"},
+        "annealed": {"family_kind": "haar_random", "fixed_family": False},
+    }
+    for name, overrides in inputs.items():
+        cfg = write_config(tmp_path / f"{name}.json", trials=6, **overrides)
         outs = []
         for par in ("1", "2"):
-            out = tmp_path / f"{kind}-p{par}.csv"
+            out = tmp_path / f"{name}-p{par}.csv"
             assert main([
                 "sweep", "--config", str(cfg), "--m-values", "1,4,8,12",
                 "--parallelism", par, "--output", str(out),

@@ -14,7 +14,6 @@ from subembed import (
     SubspaceFamily,
     choose_scale,
     derive_seed,
-    epsilon_net,
     family_distortion,
     random_subspace,
     sample_matrix,
@@ -22,6 +21,8 @@ from subembed import (
     subspace_extremes,
 )
 from subembed.distortion import DistortionReport
+
+from nets import epsilon_net
 
 
 def sampled_range(gamma, subspace, count=100_000, seed=0):

@@ -16,7 +16,6 @@ from subembed import (
     Subspace,
     SubspaceFamily,
     cross_family,
-    epsilon_net,
     family_distortion,
     grassmann_distance,
     load_family_json,
@@ -27,7 +26,8 @@ from subembed import (
     sparse_subspace,
     store_family_json,
 )
-from subembed.geometry import covering_defect
+
+from nets import covering_defect, epsilon_net
 
 SQRT2 = math.sqrt(2.0)
 

@@ -142,6 +142,8 @@ def test_trial_results_invariant_under_member_permutation(tmp_path):
 
 
 def test_pool_worker_builds_the_shared_family_once(monkeypatch):
+    from functools import partial
+
     from subembed import harness
 
     builds = []
@@ -152,19 +154,21 @@ def test_pool_worker_builds_the_shared_family_once(monkeypatch):
         return real(config, trial_index)
 
     monkeypatch.setattr(harness, "build_family", counted)
-    monkeypatch.setattr(harness, "_worker_families", {})
+    harness._worker_family.cache_clear()
     fixed = small_config(trials=3)
-    first = [harness._trial_worker((fixed, t)) for t in range(3)]
+    first = [harness._pool_task(run_trial, fixed, t) for t in range(3)]
     assert builds == [0]
     assert first == run_trials(fixed)
-    sweeps = [harness._sweep_worker((fixed, [2, 4], t)) for t in range(3)]
+    sweep_task = partial(harness._trial_results, m_values=(2, 4))
+    sweeps = [harness._pool_task(sweep_task, fixed, t) for t in range(3)]
     assert builds == [0, 0]  # the serial run_trials above built its own
-    assert sweeps == [harness._sweep_trial(fixed, [2, 4], t) for t in range(3)]
+    assert sweeps == [harness._trial_results(fixed, t, None, (2, 4)) for t in range(3)]
     builds.clear()
     annealed = small_config(trials=3, fixed_family=False)
     for t in range(3):
-        harness._trial_worker((annealed, t))
+        harness._pool_task(run_trial, annealed, t)
     assert builds == [0, 1, 2]  # a fresh family per trial
+    harness._worker_family.cache_clear()
 
 
 def test_sweep_matches_individual_trials():
@@ -173,8 +177,10 @@ def test_sweep_matches_individual_trials():
     sweep = sweep_m(cfg, m_values, 0.5)
     for j, m in enumerate(m_values):
         cfg_m = small_config(trials=4, family_kind="k_sparse", m_override=m)
-        successes = sum(run_trial(cfg_m, t).feasible for t in range(cfg.trials))
-        assert sweep.entries[j].successes == successes
+        trials = [run_trial(cfg_m, t) for t in range(cfg.trials)]
+        assert sweep.entries[j].successes == sum(r.feasible for r in trials)
+        finite = [r.achieved_distortion for r in trials if math.isfinite(r.achieved_distortion)]
+        assert sweep.entries[j].mean_achieved_distortion == (float(np.mean(finite)) if finite else math.inf)
 
 
 def test_sweep_validation_and_smoothing():
@@ -185,6 +191,9 @@ def test_sweep_validation_and_smoothing():
         sweep_m(cfg, [3, 3], 0.5)
     with pytest.raises(InputError):
         sweep_m(cfg, [2, 4], 1.5)
+    for grid in ([0, 2], [-1, 2]):
+        with pytest.raises(InputError, match="m="):
+            sweep_m(cfg, grid, 0.5)
     sweep = sweep_m(cfg, [1, 3, 5, 8, 11], 0.9)
     assert all(a <= b + 1e-12 for a, b in zip(sweep.smoothed_rates, sweep.smoothed_rates[1:]))
 
