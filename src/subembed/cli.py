@@ -26,6 +26,14 @@ from .stats import gaussian_width_mc, width_upper_bound
 
 _CONFIG_REQUIRED = {"n", "k", "p", "D", "ensemble", "family_kind", "trials", "seed"}
 _CONFIG_OPTIONAL = {"family_path", "m_override", "parallelism", "fixed_family"}
+# the JSON type each config value must have; a JSON true/false is not a number
+_CONFIG_TYPES = {
+    **dict.fromkeys(("n", "k", "p", "trials", "seed", "m_override", "parallelism"), (int, "an integer")),
+    "D": ((int, float), "a number"),
+    "fixed_family": (bool, "true or false"),
+    "family_path": (str, "a string"),
+}
+_CONFIG_NULLABLE = {"family_path", "m_override", "parallelism"}  # null means absent
 
 
 def load_matrix_csv(path) -> RandomMatrix:
@@ -106,7 +114,13 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
     missing = _CONFIG_REQUIRED - set(payload)
     if missing:
         raise InputError(f"{path}: missing config keys: {sorted(missing)}")
-    seed = int(payload["seed"])
+    for key, (kind, name) in _CONFIG_TYPES.items():
+        value = payload.get(key)
+        if key not in payload or (value is None and key in _CONFIG_NULLABLE):
+            continue
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+            raise InputError(f"{path}: config key {key!r} must be {name}, got {json.dumps(value)}")
+    seed = payload["seed"]
     env_seed = os.environ.get("SUBEMBED_SEED")
     if env_seed is not None:
         try:
@@ -114,20 +128,19 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
         except ValueError as exc:
             raise InputError(f"SUBEMBED_SEED must be an integer, got {env_seed!r}") from exc
     config = ExperimentConfig(
-        n=int(payload["n"]),
-        k=int(payload["k"]),
-        p=int(payload["p"]),
+        n=payload["n"],
+        k=payload["k"],
+        p=payload["p"],
         D=float(payload["D"]),
         ensemble=EnsembleSpec.from_json_dict(payload["ensemble"]),
         family_kind=str(payload["family_kind"]),
-        trials=int(payload["trials"]),
+        trials=payload["trials"],
         seed=seed,
-        m_override=int(payload["m_override"]) if payload.get("m_override") is not None else None,
+        m_override=payload.get("m_override"),
         family_path=payload.get("family_path"),
-        fixed_family=bool(payload.get("fixed_family", True)),
+        fixed_family=payload.get("fixed_family", True),
     )
-    parallelism = int(payload["parallelism"]) if payload.get("parallelism") is not None else 1
-    return config, parallelism
+    return config, payload["parallelism"] if payload.get("parallelism") is not None else 1
 
 
 def _parse_ensemble_flag(args) -> EnsembleSpec:
@@ -202,7 +215,7 @@ def _cmd_sweep(args) -> int:
     config, parallelism = load_config(args.config)
     if args.parallelism is not None:
         parallelism = args.parallelism
-    m_values = [int(tok) for tok in args.m_values.split(",") if tok]
+    m_values = [tok for tok in args.m_values.split(",") if tok]
     result = sweep_m(config, m_values, args.target_rate, parallelism=parallelism)
     lines = ["m,trials,successes,success_rate,mean_achieved_distortion"]
     for e in result.entries:
@@ -238,13 +251,11 @@ def _cmd_embed_points(args) -> int:
 def _cmd_width(args) -> int:
     family = load_family_json(args.family)
     estimate = gaussian_width_mc(family, args.draws, args.seed)
-    k = family.max_dim
-    p = family.size
     out = {
         "mean": estimate.mean,
         "std_error": estimate.std_error,
         "n_draws": estimate.n_draws,
-        "upper_bound_formula": width_upper_bound(k, p, 0.0),
+        "upper_bound_formula": width_upper_bound(family.max_dim, family.size, 0.0),
     }
     _emit(_json_line(out), args.output)
     return 0

@@ -45,7 +45,6 @@ class EnsembleSpec:
     """Which row distribution to draw, with its admissibility data."""
 
     kind: str
-    entry_distribution: str = "uniform_sqrt3"
     density_bound: float = UNIFORM_DENSITY_BOUND
     entry_psi2: float = UNIFORM_ENTRY_PSI2
 
@@ -53,10 +52,6 @@ class EnsembleSpec:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown ensemble kind {self.kind!r}")
         if self.kind == IID_BOUNDED:
-            if self.entry_distribution != "uniform_sqrt3":
-                raise ConfigurationError(
-                    "only the built-in uniform_sqrt3 entry distribution is supported"
-                )
             if self.density_bound <= 0.0:
                 raise ConfigurationError("density_bound must be positive")
             if self.entry_psi2 <= 0.0:
@@ -96,11 +91,7 @@ class EnsembleSpec:
             kind = SPHERE_SCALED
         if kind not in KINDS:
             raise ConfigurationError(f"ensemble kind must be one of gaussian|sphere|iid_bounded, got {kind!r}")
-        kwargs = {}
-        if "density_bound" in payload:
-            kwargs["density_bound"] = float(payload["density_bound"])
-        if "entry_psi2" in payload:
-            kwargs["entry_psi2"] = float(payload["entry_psi2"])
+        kwargs = {key: float(payload[key]) for key in ("density_bound", "entry_psi2") if key in payload}
         if kind != IID_BOUNDED and kwargs:
             raise ConfigurationError("density_bound/entry_psi2 only apply to iid_bounded")
         return cls(kind=kind, **kwargs)

@@ -25,11 +25,28 @@ ORTHO_TOL = 1e-10
 
 def _checked(cls, **fields):
     """An instance of a frozen dataclass whose fields the caller has already
-    validated, built without running __post_init__ again."""
+    validated, built without running __init__ or __post_init__."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _orthonormal_stack(stack) -> np.ndarray:
+    """A read-only, C-ordered float copy of a (p, n, k) stack of bases,
+    checked for p >= 1, 1 <= k <= n and orthonormal columns with one
+    batched Gram product. Subspace checks its basis as a one-basis stack."""
+    bases = np.array(stack, dtype=float, order="C")
+    if bases.ndim != 3 or len(bases) < 1:
+        raise DimensionError(f"need a nonempty stack of 2-d bases, got shape {bases.shape}")
+    _, n, k = bases.shape
+    if not 1 <= k <= n:
+        raise DimensionError(f"need 1 <= k <= n, got k={k}, n={n}")
+    gram = np.swapaxes(bases, 1, 2) @ bases
+    if not np.allclose(gram, np.eye(k), atol=ORTHO_TOL):
+        raise InputError("basis columns are not orthonormal")
+    bases.setflags(write=False)
+    return bases
 
 
 @dataclass(frozen=True)
@@ -39,17 +56,7 @@ class Subspace:
     basis: np.ndarray  # n x k, orthonormal columns
 
     def __post_init__(self):
-        basis = np.array(self.basis, dtype=float, copy=True)
-        if basis.ndim != 2:
-            raise DimensionError("basis must be a 2-d array")
-        n, k = basis.shape
-        if not 1 <= k <= n:
-            raise DimensionError(f"need 1 <= k <= n, got k={k}, n={n}")
-        gram = basis.T @ basis
-        if not np.allclose(gram, np.eye(k), atol=ORTHO_TOL):
-            raise InputError("basis columns are not orthonormal")
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _orthonormal_stack(np.asarray(self.basis)[None])[0])
 
     @property
     def ambient_dim(self) -> int:
@@ -91,86 +98,93 @@ class AffineSubspace:
         return bool(np.all(self.base_point == 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SubspaceFamily:
-    """A finite family of affine subspaces sharing one ambient space."""
+    """A finite family of affine subspaces sharing one ambient space.
 
-    members: tuple[AffineSubspace, ...]
+    The family is its bases and base points. ``stacks`` holds, per member
+    dimension d in ascending order, the member indices and their read-only
+    (count, n, d) stack of bases; ``base_points`` is the read-only (p, n)
+    array of base points. ``members`` are read-only views into both, built
+    on first use and kept.
+    """
 
-    def __post_init__(self):
-        members = tuple(self.members)
+    stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    base_points: np.ndarray
+
+    def __init__(self, members):
+        members = tuple(members)
         if len(members) < 1:
             raise InputError("a family needs at least one member")
         n = members[0].ambient_dim
         for i, member in enumerate(members):
             if member.ambient_dim != n:
                 raise DimensionError(f"member {i} has ambient dim {member.ambient_dim}, expected {n}")
-        object.__setattr__(self, "members", members)
+        dims = np.array([member.dim for member in members])
+        stacks = []
+        for d in np.unique(dims):
+            indices = np.flatnonzero(dims == d)
+            bases = np.stack([members[i].direction.basis for i in indices])
+            bases.setflags(write=False)
+            stacks.append((indices, bases))
+        base_points = np.stack([member.base_point for member in members])
+        base_points.setflags(write=False)
+        object.__setattr__(self, "stacks", tuple(stacks))
+        object.__setattr__(self, "base_points", base_points)
 
     @classmethod
     def from_subspaces(cls, subspaces) -> "SubspaceFamily":
         """Wrap linear subspaces as affine members with zero base points."""
-        subspaces = list(subspaces)
-        return cls(tuple(AffineSubspace(np.zeros(w.ambient_dim), w) for w in subspaces))
+        return cls(AffineSubspace(np.zeros(w.ambient_dim), w) for w in subspaces)
 
     @classmethod
     def from_stack(cls, stack) -> "SubspaceFamily":
         """Linear members from a (p, n, k) stack of orthonormal bases.
 
         Orthonormality is checked once over the whole stack, with the
-        tolerance and error of Subspace. The members are read-only views
-        into one copy of the stack and share one zero base point, and the
-        stack itself is the family's certification stack.
+        tolerance and error of Subspace. One copy of the stack becomes the
+        family's only stack, and no member object is built until
+        ``members`` is read.
         """
-        bases = np.array(stack, dtype=float)
-        if bases.ndim != 3:
-            raise DimensionError("stack must be a 3-d array of bases")
-        p, n, k = bases.shape
-        if p < 1:
-            raise InputError("a family needs at least one member")
-        if not 1 <= k <= n:
-            raise DimensionError(f"need 1 <= k <= n, got k={k}, n={n}")
-        gram = np.swapaxes(bases, 1, 2) @ bases
-        if not np.allclose(gram, np.eye(k), atol=ORTHO_TOL):
-            raise InputError("basis columns are not orthonormal")
-        bases.setflags(write=False)
-        zero = np.zeros(n)
-        zero.setflags(write=False)
-        members = tuple(
-            _checked(AffineSubspace, base_point=zero, direction=_checked(Subspace, basis=basis))
-            for basis in bases
-        )
-        return _checked(cls, members=members, stacks=((np.arange(p), bases),))
+        bases = _orthonormal_stack(stack)
+        return _linear_family(((np.arange(len(bases)), bases),))
 
     @cached_property
-    def stacks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Members grouped by dimension, ascending: per dimension d, the
-        member indices and their (count, n, d) stack of bases. Built on
-        first use and kept."""
-        dims = np.array([member.dim for member in self.members])
-        out = []
-        for d in np.unique(dims):
-            indices = np.flatnonzero(dims == d)
-            bases = np.stack([self.members[i].direction.basis for i in indices])
-            bases.setflags(write=False)
-            out.append((indices, bases))
-        return tuple(out)
+    def members(self) -> tuple[AffineSubspace, ...]:
+        """Read-only views into the stacks and base points, in member order."""
+        directions = [None] * self.size
+        for indices, bases in self.stacks:
+            for i, basis in zip(indices.tolist(), bases):
+                directions[i] = _checked(Subspace, basis=basis)
+        points = self.base_points
+        if points.strides[0] == 0:  # a linear family: every member shares one zero point
+            points = [points[0]] * self.size
+        return tuple(
+            _checked(AffineSubspace, base_point=b, direction=w) for b, w in zip(points, directions)
+        )
 
     @property
     def ambient_dim(self) -> int:
-        return self.members[0].ambient_dim
+        return self.base_points.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.base_points.shape[0]
 
     @property
     def max_dim(self) -> int:
-        return max(member.dim for member in self.members)
+        return self.stacks[-1][1].shape[2]
 
     @property
     def is_linear(self) -> bool:
-        return all(member.is_linear for member in self.members)
+        return not self.base_points.any()
+
+
+def _linear_family(stacks) -> SubspaceFamily:
+    """The family of the given stacks with every base point at the origin."""
+    p = sum(len(indices) for indices, _ in stacks)
+    zero = np.zeros(stacks[0][1].shape[1])
+    return _checked(SubspaceFamily, stacks=stacks, base_points=np.broadcast_to(zero, (p, zero.size)))
 
 
 def orthonormalize(spanning_vectors: np.ndarray) -> Subspace:
@@ -205,10 +219,7 @@ def sparse_subspace(n: int, support) -> Subspace:
         raise InputError("support indices must be distinct")
     if any(not 0 <= i < n for i in indices):
         raise InputError(f"support indices must lie in [0, {n})")
-    basis = np.zeros((n, len(indices)))
-    for col, i in enumerate(indices):
-        basis[i, col] = 1.0
-    return Subspace(basis)
+    return Subspace(np.eye(n)[:, indices])
 
 
 def grassmann_distance(v: Subspace, w: Subspace) -> float:
@@ -234,37 +245,30 @@ def reduce_affine(family: SubspaceFamily) -> SubspaceFamily:
 
     Distortion of a linear map on differences x - y within a member is
     unchanged, since those differences span exactly the direction space.
+    The reduced family shares the input's stacks.
     """
-    return SubspaceFamily(
-        tuple(
-            AffineSubspace(np.zeros(member.ambient_dim), member.direction)
-            for member in family.members
-        )
-    )
+    return _linear_family(family.stacks)
 
 
 def cross_family(family: SubspaceFamily, cardinality_budget: int = 100_000) -> SubspaceFamily:
     """All pairwise spans span(W_l, W_l') for l <= l', each of dimension <= 2k.
 
     Applying the embedding theorem to this family controls distances between
-    points in *different* members of the original one. Affine members are
-    reduced to their directions first.
+    points in *different* members of the original one. Only the members'
+    directions enter; base points are ignored.
     """
-    reduced = family if family.is_linear else reduce_affine(family)
-    p = reduced.size
+    p = family.size
     count = p * (p + 1) // 2
     if count > cardinality_budget:
         raise ResourceError(f"cross family has {count} members, budget is {cardinality_budget}")
+    directions = [member.direction for member in family.members]
     spans = []
     for l in range(p):
         for lp in range(l, p):
             if l == lp:
-                spans.append(reduced.members[l].direction)
+                spans.append(directions[l])
             else:
-                stacked = np.hstack(
-                    [reduced.members[l].direction.basis, reduced.members[lp].direction.basis]
-                )
-                spans.append(orthonormalize(stacked))
+                spans.append(orthonormalize(np.hstack([directions[l].basis, directions[lp].basis])))
     return SubspaceFamily.from_subspaces(spans)
 
 
@@ -273,13 +277,7 @@ def store_family_json(family: SubspaceFamily, path) -> None:
     payload = {
         "n": family.ambient_dim,
         "members": [
-            {
-                "base": [float(x) for x in member.base_point],
-                "basis_columns": [
-                    [float(x) for x in member.direction.basis[:, j]]
-                    for j in range(member.dim)
-                ],
-            }
+            {"base": member.base_point.tolist(), "basis_columns": member.direction.basis.T.tolist()}
             for member in family.members
         ],
     }
@@ -319,4 +317,6 @@ def load_family_json(path) -> SubspaceFamily:
         if mat.ndim != 2 or base.ndim != 1 or mat.shape[0] != n or base.shape[0] != n:
             raise DimensionError(f"member {i} does not match ambient dimension {n}")
         members.append(AffineSubspace(base, orthonormalize(mat)))
-    return SubspaceFamily(tuple(members))
+    # free the parsed file first, so it is not alive while the family stacks its bases
+    del text, payload
+    return SubspaceFamily(members)

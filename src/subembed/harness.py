@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import combinations, islice
 
@@ -21,12 +21,13 @@ import numpy as np
 from .distortion import DistortionReport, ScaleChoice, choose_scale, family_distortion
 from .ensembles import EnsembleSpec, RandomMatrix, sample_matrix
 from .errors import InputError
+# sparse_subspace is not called here; perfbench/tracing.py wraps it in this module
 from .geometry import (
     SubspaceFamily,
     grassmann_distance,
     load_family_json,
     random_subspace,
-    sparse_subspace,
+    sparse_subspace,  # noqa: F401
 )
 from .seeding import derive_seed, rng_from
 from .stats import WidthEstimate, check_distortion, gaussian_width_mc, required_m
@@ -93,13 +94,7 @@ class TrialResult:
     L: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "m_used": self.m_used,
-            "feasible": self.feasible,
-            "achieved_distortion": self.achieved_distortion,
-            "L": self.L,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -141,9 +136,9 @@ def k_sparse_family(n: int, k: int, p: int) -> SubspaceFamily:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     if p < 1:
         raise InputError("p must be >= 1")
-    count = min(p, math.comb(n, k))
-    supports = islice(combinations(range(n), k), count)
-    return SubspaceFamily.from_subspaces(sparse_subspace(n, s) for s in supports)
+    supports = np.array(list(islice(combinations(range(n), k), min(p, math.comb(n, k)))))
+    # column j of member c's basis is the coordinate vector e_{supports[c, j]}
+    return SubspaceFamily.from_stack(np.eye(n)[supports].transpose(0, 2, 1))
 
 
 def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
@@ -259,7 +254,10 @@ def sweep_m(
     mean_achieved_distortion averages the finite achieved values at each m
     (infinite on full rank collapse).
     """
-    m_values = tuple(int(m) for m in m_values)
+    try:
+        m_values = tuple(int(m) for m in m_values)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"m_values must be integers: {exc}") from exc
     if not m_values:
         raise InputError("m_values must be nonempty")
     if any(b <= a for a, b in zip(m_values, m_values[1:])):

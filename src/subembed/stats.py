@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import SubspaceFamily, reduce_affine
+from .geometry import SubspaceFamily
 from .seeding import rng_from
 
 #: tail checks and Monte Carlo comparisons use this many binomial std errors
@@ -138,19 +138,17 @@ def gaussian_width_mc(family: SubspaceFamily, n_draws: int, seed: int) -> WidthE
     """Monte Carlo Gaussian width of S = union of (W_l intersect S^{n-1}).
 
     The max of <g, x> over unit x in W_l is the projection norm ||P_l g||,
-    so each draw contributes max_l ||B_l^T g||. Affine members are reduced
-    to their directions first.
+    so each draw contributes max_l ||B_l^T g||. Only the members' bases
+    enter; base points are ignored.
     """
     if n_draws < 2:
         raise InputError("n_draws must be >= 2")
-    reduced = family if family.is_linear else reduce_affine(family)
-    n = reduced.ambient_dim
-    rng = rng_from(seed)
     vals = np.full(n_draws, -np.inf)
-    g = rng.standard_normal((n_draws, n))
-    for member in reduced.members:
-        proj = np.linalg.norm(g @ member.direction.basis, axis=1)
-        np.maximum(vals, proj, out=vals)
+    g = rng_from(seed).standard_normal((n_draws, family.ambient_dim))
+    # one member at a time: a whole stack would hold count x n_draws x k products
+    for _, bases in family.stacks:
+        for basis in bases:
+            np.maximum(vals, np.linalg.norm(g @ basis, axis=1), out=vals)
     mean = float(vals.mean())
     std_error = float(vals.std(ddof=1) / math.sqrt(n_draws))
     return WidthEstimate(mean=mean, std_error=std_error, n_draws=n_draws)

@@ -386,6 +386,33 @@ def test_distortion_outside_its_domain_exits_2(tmp_path, capsys, D):
         assert "D must be finite and > 1" in captured.err, argv
 
 
+@pytest.mark.parametrize(
+    "key,value,code",
+    [
+        ("n", "abc", 2),
+        ("seed", "x", 2),
+        ("parallelism", "two", 2),
+        ("D", "eight", 2),
+        ("n", 12.7, 2),
+        ("m_override", 2.5, 2),
+        ("trials", True, 2),
+        ("fixed_family", "false", 2),
+        ("fixed_family", None, 2),
+        ("family_path", 5, 2),
+        ("D", 8, 0),
+        ("m_override", None, 0),
+        ("fixed_family", False, 0),
+    ],
+)
+def test_config_values_must_have_their_json_type(tmp_path, capsys, key, value, code):
+    cfg = write_config(tmp_path / "cfg.json", **{key: value})
+    out = tmp_path / "out.jsonl"
+    assert main(["trial", "--config", str(cfg), "--output", str(out)]) == code
+    if code:
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", typo_key=1)
     assert main(["trial", "--config", str(cfg)]) == 2

@@ -161,6 +161,37 @@ def test_family_stacks_group_members_by_dimension():
     assert fam.stacks is fam.stacks  # built once and kept
 
 
+@pytest.mark.parametrize(
+    "build", ["members", "from_subspaces", "from_stack", "load_family_json", "reduce_affine"]
+)
+def test_members_are_read_only_views_of_the_stacks(tmp_path, build):
+    rng = np.random.default_rng(5)
+    subs = [random_subspace(6, k, seed=i) for i, k in enumerate([2, 1, 2, 3])]
+    affine = SubspaceFamily(tuple(AffineSubspace(rng.standard_normal(6), w) for w in subs))
+    if build == "members":
+        fam = affine
+    elif build == "from_subspaces":
+        fam = SubspaceFamily.from_subspaces(subs)
+    elif build == "from_stack":
+        fam = SubspaceFamily.from_stack(np.stack([subs[0].basis, subs[2].basis]))
+    elif build == "load_family_json":
+        store_family_json(affine, tmp_path / "fam.json")
+        fam = load_family_json(tmp_path / "fam.json")
+    else:
+        fam = reduce_affine(affine)
+    assert "members" not in vars(fam)  # built on first access
+    assert fam.size == len(fam.members) and fam.members is fam.members
+    assert not fam.base_points.flags.writeable
+    for indices, bases in fam.stacks:
+        assert not bases.flags.writeable
+        for i, b in zip(indices, bases):
+            basis = fam.members[i].direction.basis
+            assert np.array_equal(basis, b) and np.shares_memory(basis, b)
+            assert not basis.flags.writeable
+    for member, point in zip(fam.members, fam.base_points):
+        assert np.array_equal(member.base_point, point) and not member.base_point.flags.writeable
+
+
 # ---------------------------------------------------------------- random/sparse
 
 

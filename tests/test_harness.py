@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from subembed import (
     run_trial,
     run_trials,
     sample_matrix,
+    sparse_subspace,
     store_family_json,
     sweep_m,
     verify_pointwise,
@@ -68,6 +70,16 @@ def test_k_sparse_family_caps_at_total_combinations():
     fam = k_sparse_family(20, 2, 500)
     assert fam.size == math.comb(20, 2)
     assert k_sparse_family(20, 2, 5).size == 5
+
+
+@pytest.mark.parametrize("p", [5, math.comb(7, 3), 500])
+def test_k_sparse_family_stack_equals_sparse_subspace_bases(p):
+    fam = k_sparse_family(7, 3, p)
+    assert "members" not in vars(fam)  # no member object is built until .members is read
+    supports = list(islice(combinations(range(7), 3), p))
+    (indices, bases), = fam.stacks
+    assert indices.tolist() == list(range(len(supports)))
+    assert np.array_equal(bases, np.stack([sparse_subspace(7, s).basis for s in supports]))
 
 
 def test_quenched_family_is_trial_independent():
@@ -194,6 +206,8 @@ def test_sweep_validation_and_smoothing():
     for grid in ([0, 2], [-1, 2]):
         with pytest.raises(InputError, match="m="):
             sweep_m(cfg, grid, 0.5)
+    with pytest.raises(InputError, match="integers"):
+        sweep_m(cfg, ["1", "x"], 0.5)  # as the CLI passes --m-values 1,x
     sweep = sweep_m(cfg, [1, 3, 5, 8, 11], 0.9)
     assert all(a <= b + 1e-12 for a, b in zip(sweep.smoothed_rates, sweep.smoothed_rates[1:]))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subembed import (
+    AffineSubspace,
     EnsembleSpec,
     InputError,
     Subspace,
@@ -14,6 +15,7 @@ from subembed import (
     k_sparse_family,
     psi2_estimate,
     psi2_tail_check,
+    reduce_affine,
     required_m,
     sample_matrix,
     small_ball_bound,
@@ -21,7 +23,7 @@ from subembed import (
     width_upper_bound,
 )
 from subembed.geometry import random_subspace
-from subembed.seeding import derive_seed
+from subembed.seeding import derive_seed, rng_from
 
 SQRT3 = math.sqrt(3.0)
 
@@ -130,6 +132,24 @@ def test_width_single_line():
     fam = SubspaceFamily.from_subspaces([Subspace(np.eye(3)[:, :1])])
     est = gaussian_width_mc(fam, 20_000, seed=124)
     assert abs(est.mean - math.sqrt(2 / math.pi)) <= 3 * est.std_error
+
+
+def test_width_reads_bases_only_and_matches_member_loop():
+    rng = np.random.default_rng(8)
+    fam = SubspaceFamily(
+        tuple(
+            AffineSubspace(rng.standard_normal(7), random_subspace(7, k, seed=i))
+            for i, k in enumerate((1, 3, 2, 3))
+        )
+    )
+    assert not fam.is_linear
+    est = gaussian_width_mc(fam, 500, seed=9)
+    assert est == gaussian_width_mc(reduce_affine(fam), 500, seed=9)
+    # reference: the per-member loop in member order, bit for bit
+    g = rng_from(9).standard_normal((500, 7))
+    vals = np.max([np.linalg.norm(g @ m.direction.basis, axis=1) for m in fam.members], axis=0)
+    assert est.mean == float(vals.mean())
+    assert est.std_error == float(vals.std(ddof=1) / math.sqrt(500))
 
 
 def test_width_below_closed_form_bound():
