@@ -120,6 +120,10 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
             continue
         if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
             raise InputError(f"{path}: config key {key!r} must be {name}, got {json.dumps(value)}")
+    try:
+        D = float(payload["D"])
+    except OverflowError as exc:
+        raise InputError(f"{path}: config key 'D' is beyond float range") from exc
     seed = payload["seed"]
     env_seed = os.environ.get("SUBEMBED_SEED")
     if env_seed is not None:
@@ -131,7 +135,7 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
         n=payload["n"],
         k=payload["k"],
         p=payload["p"],
-        D=float(payload["D"]),
+        D=D,
         ensemble=EnsembleSpec.from_json_dict(payload["ensemble"]),
         family_kind=str(payload["family_kind"]),
         trials=payload["trials"],

@@ -13,6 +13,7 @@ derive_seed(seed, i). No generator object is built per row.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,16 @@ UNIFORM_ENTRY_PSI2 = 2.0 * math.sqrt(3.0)  # bounded-variable bound 4^(1/2) * sq
 DEFAULT_MAX_ELEMENTS = 100_000_000
 
 
+def _json_number(value, key: str) -> float:
+    """A JSON number as a float: not a boolean or a string, and within float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"ensemble key {key!r} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigurationError(f"ensemble key {key!r} is beyond float range") from exc
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Which row distribution to draw, with its admissibility data."""
@@ -52,10 +63,11 @@ class EnsembleSpec:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown ensemble kind {self.kind!r}")
         if self.kind == IID_BOUNDED:
-            if self.density_bound <= 0.0:
-                raise ConfigurationError("density_bound must be positive")
-            if self.entry_psi2 <= 0.0:
-                raise ConfigurationError("entry_psi2 must be positive")
+            for key in ("density_bound", "entry_psi2"):
+                value = getattr(self, key)
+                # written so that NaN fails too
+                if not (value > 0.0 and math.isfinite(value)):
+                    raise ConfigurationError(f"{key} must be finite and positive, got {value}")
 
     @classmethod
     def gaussian(cls) -> "EnsembleSpec":
@@ -91,7 +103,7 @@ class EnsembleSpec:
             kind = SPHERE_SCALED
         if kind not in KINDS:
             raise ConfigurationError(f"ensemble kind must be one of gaussian|sphere|iid_bounded, got {kind!r}")
-        kwargs = {key: float(payload[key]) for key in ("density_bound", "entry_psi2") if key in payload}
+        kwargs = {key: _json_number(payload[key], key) for key in ("density_bound", "entry_psi2") if key in payload}
         if kind != IID_BOUNDED and kwargs:
             raise ConfigurationError("density_bound/entry_psi2 only apply to iid_bounded")
         return cls(kind=kind, **kwargs)

@@ -21,6 +21,8 @@ from .seeding import rng_from
 RANK_RTOL = 1e-10
 # tolerance on basis^T basis = I for constructed subspaces
 ORTHO_TOL = 1e-10
+# spanning vectors whose norms are all at most this are numerically zero
+ZERO_NORM = 1e-12
 
 
 def _checked(cls, **fields):
@@ -43,7 +45,8 @@ def _orthonormal_stack(stack) -> np.ndarray:
     if not 1 <= k <= n:
         raise DimensionError(f"need 1 <= k <= n, got k={k}, n={n}")
     gram = np.swapaxes(bases, 1, 2) @ bases
-    if not np.allclose(gram, np.eye(k), atol=ORTHO_TOL):
+    # absolute only: numpy's default rtol would let unit norms drift by 1e-5
+    if not np.allclose(gram, np.eye(k), rtol=0.0, atol=ORTHO_TOL):
         raise InputError("basis columns are not orthonormal")
     bases.setflags(write=False)
     return bases
@@ -120,16 +123,9 @@ class SubspaceFamily:
         for i, member in enumerate(members):
             if member.ambient_dim != n:
                 raise DimensionError(f"member {i} has ambient dim {member.ambient_dim}, expected {n}")
-        dims = np.array([member.dim for member in members])
-        stacks = []
-        for d in np.unique(dims):
-            indices = np.flatnonzero(dims == d)
-            bases = np.stack([members[i].direction.basis for i in indices])
-            bases.setflags(write=False)
-            stacks.append((indices, bases))
         base_points = np.stack([member.base_point for member in members])
         base_points.setflags(write=False)
-        object.__setattr__(self, "stacks", tuple(stacks))
+        object.__setattr__(self, "stacks", _stacks([member.direction.basis for member in members]))
         object.__setattr__(self, "base_points", base_points)
 
     @classmethod
@@ -180,6 +176,14 @@ class SubspaceFamily:
         return not self.base_points.any()
 
 
+def _stacks(bases) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """SubspaceFamily.stacks for the given n x d bases, in member order: per
+    dimension d, ascending, the member indices and their checked stack."""
+    dims = np.array([basis.shape[1] for basis in bases])
+    groups = (np.flatnonzero(dims == d) for d in np.unique(dims))
+    return tuple((indices, _orthonormal_stack([bases[i] for i in indices])) for indices in groups)
+
+
 def _linear_family(stacks) -> SubspaceFamily:
     """The family of the given stacks with every base point at the origin."""
     p = sum(len(indices) for indices, _ in stacks)
@@ -197,11 +201,31 @@ def orthonormalize(spanning_vectors: np.ndarray) -> Subspace:
     if mat.ndim != 2 or mat.shape[1] == 0:
         raise DimensionError("expected an n x j matrix with j >= 1")
     col_norms = np.linalg.norm(mat, axis=0)
-    if not np.any(col_norms > 1e-12):
+    if not np.any(col_norms > ZERO_NORM):
         raise DegenerateInputError("all spanning vectors are numerically zero")
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > RANK_RTOL * s[0]))
     return Subspace(u[:, :rank])
+
+
+def _orthonormal_bases(spans) -> list[np.ndarray]:
+    """orthonormalize(span).basis for each n x j matrix, with one batched SVD
+    per column count j. numpy's batched SVD runs the same LAPACK routine on
+    each matrix, so a full-rank basis is the one orthonormalize returns. A
+    member the rank cutoff would reduce, or whose columns may all be
+    numerically zero, goes through orthonormalize itself, which reduces or
+    rejects it."""
+    bases = [None] * len(spans)
+    widths = np.array([span.shape[1] for span in spans])
+    for j in np.unique(widths):
+        group = np.flatnonzero(widths == j)
+        u, s, _ = np.linalg.svd(np.stack([spans[i] for i in group]), full_matrices=False)
+        # s[0] is at least every column norm and at most sqrt(j) times the largest,
+        # so only members under this line (doubled for rounding) can be all zero
+        full = (s[:, -1] > RANK_RTOL * s[:, 0]) & (s[:, 0] > 2.0 * math.sqrt(j) * ZERO_NORM)
+        for i, basis, ok in zip(group.tolist(), u, full.tolist()):
+            bases[i] = basis if ok else orthonormalize(spans[i]).basis
+    return bases
 
 
 def random_subspace(n: int, k: int, seed: int) -> Subspace:
@@ -286,7 +310,12 @@ def store_family_json(family: SubspaceFamily, path) -> None:
 
 
 def load_family_json(path) -> SubspaceFamily:
-    """Read a family file; bases are re-orthonormalized on load."""
+    """Read a family file; bases are re-orthonormalized on load.
+
+    Every member is validated first; the parsed file is then freed, and the
+    bases are orthonormalized with one batched SVD per column count and
+    stacked, building no member objects.
+    """
     with open(path) as fh:
         text = fh.read()
     try:
@@ -299,24 +328,33 @@ def load_family_json(path) -> SubspaceFamily:
         raise InputError("family file must be an object with keys 'n' and 'members'")
     if not isinstance(payload["members"], list):
         raise InputError("family file 'members' must be a list")
-    try:
-        n = int(payload["n"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"family file 'n' must be an integer: {exc}") from exc
-    members = []
+    n = payload["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError(f"family file 'n' must be an integer >= 1, got {json.dumps(n)}")
+    if not payload["members"]:
+        raise InputError("a family needs at least one member")
+    spans, points = [], []
     for i, entry in enumerate(payload["members"]):
         if not isinstance(entry, dict) or "basis_columns" not in entry:
             raise InputError(f"member {i} must be an object with key 'basis_columns'")
         try:
-            base = np.asarray(entry.get("base", np.zeros(n)), dtype=float)
             mat = np.array(entry["basis_columns"], dtype=float).T  # stored as a list of columns
+            base = np.asarray(entry["base"], dtype=float) if "base" in entry else None
         except (TypeError, ValueError) as exc:
             raise InputError(f"member {i}: entries must be numbers: {exc}") from exc
-        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(mat))):
+        if not np.all(np.isfinite(mat)) or (base is not None and not np.all(np.isfinite(base))):
             raise InputError(f"member {i} has non-finite entries")
-        if mat.ndim != 2 or base.ndim != 1 or mat.shape[0] != n or base.shape[0] != n:
+        if mat.ndim != 2 or mat.shape[0] != n or (base is not None and base.shape != (n,)):
             raise DimensionError(f"member {i} does not match ambient dimension {n}")
-        members.append(AffineSubspace(base, orthonormalize(mat)))
-    # free the parsed file first, so it is not alive while the family stacks its bases
+        spans.append(mat)
+        points.append(base)
+    # free the parsed file first, so it is not alive while the bases are stacked
     del text, payload
-    return SubspaceFamily(members)
+    # an absent base is the origin; n is allocated only once every member has matched it
+    base_points = np.zeros((len(points), n))
+    for i, base in enumerate(points):
+        if base is not None:
+            base_points[i] = base
+    base_points.setflags(write=False)
+    stacks = _stacks(_orthonormal_bases(spans))
+    return _checked(SubspaceFamily, stacks=stacks, base_points=base_points)

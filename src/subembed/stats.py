@@ -18,6 +18,10 @@ from .seeding import rng_from
 
 #: tail checks and Monte Carlo comparisons use this many binomial std errors
 TAIL_SLACK_SE = 3.0
+#: Gaussian-width draws per row block: the (n_draws, n) draws are never held whole
+WIDTH_BLOCK_ROWS = 512
+#: numbers in one column tile of bases, and in its product with a row block
+WIDTH_TILE_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -143,15 +147,45 @@ def gaussian_width_mc(family: SubspaceFamily, n_draws: int, seed: int) -> WidthE
     """
     if n_draws < 2:
         raise InputError("n_draws must be >= 2")
-    vals = np.full(n_draws, -np.inf)
-    g = rng_from(seed).standard_normal((n_draws, family.ambient_dim))
-    # one member at a time: a whole stack would hold count x n_draws x k products
-    for _, bases in family.stacks:
-        for basis in bases:
-            np.maximum(vals, np.linalg.norm(g @ basis, axis=1), out=vals)
+    vals = _width_draws(family, n_draws, seed)
     mean = float(vals.mean())
     std_error = float(vals.std(ddof=1) / math.sqrt(n_draws))
     return WidthEstimate(mean=mean, std_error=std_error, n_draws=n_draws)
+
+
+def _width_draws(family: SubspaceFamily, n_draws: int, seed: int) -> np.ndarray:
+    """max_l ||B_l^T g|| for each of the n_draws rows g of rng_from(seed).
+
+    The rows are drawn in consecutive blocks of one stream, and each stack
+    is read as n x (count*k) column tiles of whole members, so a block costs
+    one wide GEMM per tile. The squares are summed over each member's k
+    columns, as np.linalg.norm sums them, and the largest sum is kept; one
+    sqrt at the end gives the largest norm exactly, since sqrt is monotone
+    and correctly rounded.
+    """
+    n = family.ambient_dim
+    rng = rng_from(seed)
+    vals = np.zeros(n_draws)
+    for start in range(0, n_draws, WIDTH_BLOCK_ROWS):
+        g = rng.standard_normal((min(WIDTH_BLOCK_ROWS, n_draws - start), n))
+        best = vals[start : start + len(g)]
+        for bases in _column_tiles(family):
+            prod = g @ bases.transpose(1, 0, 2).reshape(n, -1)
+            np.square(prod, out=prod)
+            sq_norms = np.add.reduce(prod.reshape(len(g), -1, bases.shape[2]), axis=2)
+            np.maximum(best, sq_norms.max(axis=1), out=best)
+    return np.sqrt(vals, out=vals)
+
+
+def _column_tiles(family: SubspaceFamily):
+    """The (count, n, k) stack slices read as tiles: whole members, at most
+    WIDTH_TILE_ENTRIES numbers in the n x (count*k) tile and in its product
+    with a row block, unless one member alone is larger."""
+    per_column = max(family.ambient_dim, WIDTH_BLOCK_ROWS)
+    for _, bases in family.stacks:
+        step = max(1, WIDTH_TILE_ENTRIES // (per_column * bases.shape[2]))
+        for start in range(0, len(bases), step):
+            yield bases[start : start + step]
 
 
 def width_upper_bound(k: int, p: int, r: float = 0.0, n: int | None = None) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -155,8 +156,17 @@ def test_verify_zero_matrix_is_never_feasible(tmp_path, capsys):
         ('{"n": 2, "members": [{"basis_columns": [[1, NaN]]}]}', ["member 0", "non-finite"]),
         ('{"n": 2, "members": [{"base": [0, Infinity], "basis_columns": [[1, 0]]}]}',
          ["member 0", "non-finite"]),
+        ('{"n": 3.7, "members": [{"basis_columns": [[1, 0, 0]]}]}', ["'n'", "integer"]),
+        ('{"n": true, "members": [{"basis_columns": [[1]]}]}', ["'n'", "integer"]),
+        ('{"n": "4", "members": [{"basis_columns": [[1, 0, 0, 0]]}]}', ["'n'", "integer"]),
+        ('{"n": 0, "members": [{"basis_columns": [[1]]}]}', ["'n'", "integer"]),
+        ('{"n": 1000000000000, "members": [{"basis_columns": [[1, 0]]}]}',
+         ["member 0", "ambient dimension"]),
+        ('{"n": 2, "members": [{"basis_columns": [[1, 0]]}, {"basis_columns": [[0, 0]]}]}',
+         ["numerically zero"]),
     ],
-    ids=["syntax", "missing-basis", "member-not-object", "nan-entry", "infinite-base"],
+    ids=["syntax", "missing-basis", "member-not-object", "nan-entry", "infinite-base",
+         "n-fraction", "n-bool", "n-string", "n-zero", "n-huge", "zero-member"],
 )
 def test_malformed_family_file_exits_2(tmp_path, capsys, text, expected):
     mat = tmp_path / "m.csv"
@@ -399,6 +409,7 @@ def test_distortion_outside_its_domain_exits_2(tmp_path, capsys, D):
         ("fixed_family", "false", 2),
         ("fixed_family", None, 2),
         ("family_path", 5, 2),
+        pytest.param("D", 10**400, 2, id="D-beyond-float-2"),
         ("D", 8, 0),
         ("m_override", None, 0),
         ("fixed_family", False, 0),
@@ -411,6 +422,22 @@ def test_config_values_must_have_their_json_type(tmp_path, capsys, key, value, c
     if code:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value", ["x", True, 10**400, math.nan, math.inf], ids=["string", "bool", "beyond-float", "nan", "inf"]
+)
+@pytest.mark.parametrize("key", ["density_bound", "entry_psi2"])
+def test_ensemble_numbers_must_be_finite_json_numbers(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "cfg.json", ensemble={"kind": "iid_bounded", key: value})
+    out = tmp_path / "out.jsonl"
+    assert main(["trial", "--config", str(cfg), "--output", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+    if isinstance(value, float):
+        flag = "--" + key.replace("_", "-")
+        assert main(["constants", "--ensemble", "iid_bounded", flag, str(value)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -18,7 +18,9 @@ from subembed import (
     cross_family,
     family_distortion,
     grassmann_distance,
+    k_sparse_family,
     load_family_json,
+    metric_embed,
     orthonormalize,
     random_subspace,
     reduce_affine,
@@ -90,6 +92,23 @@ def test_subspace_rejects_non_orthonormal_basis():
         Subspace(np.array([[1.0], [1.0]]))
     with pytest.raises(DimensionError):
         Subspace(np.ones((2, 3)))
+
+
+def test_orthonormality_tolerance_is_absolute():
+    # numpy's default rtol=1e-5 let this basis through, and then the map
+    # diag(1, 8(1 + 2e-6), 1, 1), whose distortion on span(e0, e1) is
+    # 8.000016, certified at 7.999984 as feasible at D = 8
+    drifted = np.eye(4)[:, :2] * np.array([1.0 + 4e-6, 1.0])
+    with pytest.raises(InputError):
+        Subspace(drifted)
+    with pytest.raises(InputError):
+        SubspaceFamily.from_stack(drifted[None])
+    # exact bases are still accepted
+    assert k_sparse_family(9, 3, 84).size == 84
+    assert random_subspace(40, 7, seed=2).dim == 7
+    points = np.random.default_rng(4).standard_normal((30, 16)) * 1e3
+    _, _, report = metric_embed(points, 12.0, EnsembleSpec.gaussian(), seed=3)
+    assert report.family_sigma_max > 0.0
 
 
 def test_stack_constructor_rejects_like_subspace():
@@ -404,6 +423,64 @@ def test_family_json_reorthonormalizes_on_load(tmp_path):
     basis = fam.members[0].direction.basis
     assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
     assert np.allclose(fam.members[0].direction.projector(), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+
+
+def per_member_load(payload):
+    """The reference load: orthonormalize each member on its own, then group
+    the bases by dimension in member order; absent base points are zero."""
+    n = payload["n"]
+    bases = [orthonormalize(np.array(m["basis_columns"], dtype=float).T).basis for m in payload["members"]]
+    dims = np.array([b.shape[1] for b in bases])
+    stacks = []
+    for d in sorted(set(dims.tolist())):
+        indices = np.flatnonzero(dims == d)
+        stacks.append((indices, np.stack([bases[i] for i in indices])))
+    points = np.array([m.get("base", [0.0] * n) for m in payload["members"]], dtype=float)
+    return stacks, points
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_load_matches_per_member_orthonormalize(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = 12
+    widths = rng.permutation([1] * 5 + [2] * 9 + [3] * 8 + [4] * 3 + [5] * 2)
+    members = [
+        {
+            "base": (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)).tolist(),
+            "basis_columns": (rng.standard_normal((j, n)) * 10.0 ** rng.integers(-3, 4)).tolist(),
+        }
+        for j in widths.tolist()
+    ]
+    three = [i for i, j in enumerate(widths) if j == 3]
+    members[three[0]]["basis_columns"][2] = members[three[0]]["basis_columns"][0]  # rank 2
+    members[three[1]]["basis_columns"][1] = [0.0] * n  # a zero column: rank 2
+    one = [i for i, j in enumerate(widths) if j == 1]
+    members[one[0]]["basis_columns"] = [[0.0] * (n - 1) + [1.5e-12]]  # tiny, not zero: kept
+    members[one[1]]["base"] = [-0.0] * n
+    del members[one[2]]["base"]  # absent: the origin
+    payload = {"n": n, "members": members}
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(payload))
+    fam = load_family_json(path)
+    stacks, points = per_member_load(payload)
+    assert [b.shape for _, b in fam.stacks] == [b.shape for _, b in stacks]
+    assert fam.stacks[1][1].shape[0] == 9 + 2  # the two rank-2 members joined the 2-d stack
+    for (indices, bases), (ref_indices, ref_bases) in zip(fam.stacks, stacks):
+        assert np.array_equal(indices, ref_indices)
+        assert bases.tobytes() == ref_bases.tobytes()  # bit for bit
+    assert fam.base_points.tobytes() == points.tobytes()
+    assert fam.members[one[1]].base_point.tobytes() == np.array([-0.0] * n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "columns", [[[0.0, 0.0, 0.0]], [[5e-13, 0.0, 0.0]], [[8e-13, 0.0, 0.0], [0.0, 0.0, 8e-13]]]
+)
+def test_load_rejects_numerically_zero_members(tmp_path, columns):
+    path = tmp_path / "fam.json"
+    members = [{"basis_columns": [[1.0, 0.0, 0.0]]}, {"basis_columns": columns}]
+    path.write_text(json.dumps({"n": 3, "members": members}))
+    with pytest.raises(DegenerateInputError, match="numerically zero"):
+        load_family_json(path)
 
 
 def test_family_validation():

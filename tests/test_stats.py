@@ -22,6 +22,7 @@ from subembed import (
     success_prob_bound,
     width_upper_bound,
 )
+from subembed import stats
 from subembed.geometry import random_subspace
 from subembed.seeding import derive_seed, rng_from
 
@@ -150,6 +151,80 @@ def test_width_reads_bases_only_and_matches_member_loop():
     vals = np.max([np.linalg.norm(g @ m.direction.basis, axis=1) for m in fam.members], axis=0)
     assert est.mean == float(vals.mean())
     assert est.std_error == float(vals.std(ddof=1) / math.sqrt(500))
+
+
+def member_loop_draws(family, n_draws, seed):
+    """The reference: each member's projection norms, one member at a time
+    in member order, maximized per draw; also returns the draws."""
+    g = rng_from(seed).standard_normal((n_draws, family.ambient_dim))
+    return np.max([np.linalg.norm(g @ m.direction.basis, axis=1) for m in family.members], axis=0), g
+
+
+def tiled_family(rng, n, signed_coordinates):
+    """Members of dimension 1, 3 and 9, each stack one member longer than a
+    column tile holds: 3 does not divide the tile's column budget, and 9
+    columns take numpy's pairwise-summation path."""
+    per_tile = {k: stats.WIDTH_TILE_ENTRIES // (max(n, stats.WIDTH_BLOCK_ROWS) * k) for k in (1, 3, 9)}
+    assert per_tile[3] * 3 * max(n, stats.WIDTH_BLOCK_ROWS) != stats.WIDTH_TILE_ENTRIES
+    members = []
+    for k, count in per_tile.items():
+        for _ in range(count + 1):
+            if signed_coordinates:
+                basis = np.zeros((n, k))
+                basis[rng.choice(n, size=k, replace=False), np.arange(k)] = rng.choice([-1.0, 1.0], size=k)
+            else:
+                basis = np.linalg.qr(rng.standard_normal((n, k)))[0]
+            members.append(AffineSubspace(rng.standard_normal(n), Subspace(basis)))
+    members = [members[i] for i in rng.permutation(len(members))]
+    fam = SubspaceFamily(members)
+    assert sum(1 for _ in stats._column_tiles(fam)) == 2 * len(fam.stacks)
+    return fam
+
+
+def test_tiled_width_equals_member_loop_bit_for_bit():
+    # a signed coordinate basis makes every entry of g @ B one term g_i or
+    # -g_i, exact in any summation order, so any BLAS must give the loop's
+    # products; the test then pins the tiling, blocking, sums and maxima
+    n, seed = 40, 21
+    fam = tiled_family(np.random.default_rng(6), n, signed_coordinates=True)
+    n_draws = 2 * stats.WIDTH_BLOCK_ROWS + 77
+    ref, _ = member_loop_draws(fam, n_draws, seed)
+    vals = stats._width_draws(fam, n_draws, seed)
+    assert np.array_equal(vals, ref)
+    est = gaussian_width_mc(fam, n_draws, seed)
+    assert est.mean == float(ref.mean())
+    assert est.std_error == float(ref.std(ddof=1) / math.sqrt(n_draws))
+
+
+def test_tiled_width_matches_member_loop_on_haar_bases():
+    # BLAS may order the n-term dot products of a wide GEMM differently from
+    # those of a narrow one, so each product entry may move by up to
+    # n * eps * ||g|| (unit basis columns); a member norm, by sqrt(k) times that
+    n, seed = 40, 22
+    fam = tiled_family(np.random.default_rng(7), n, signed_coordinates=False)
+    n_draws = 2 * stats.WIDTH_BLOCK_ROWS + 77
+    ref, g = member_loop_draws(fam, n_draws, seed)
+    vals = stats._width_draws(fam, n_draws, seed)
+    tol = math.sqrt(fam.max_dim) * n * np.finfo(float).eps * np.linalg.norm(g, axis=1)
+    assert np.all(np.abs(vals - ref) <= tol)
+
+
+def test_width_draws_come_in_row_blocks_of_one_stream(monkeypatch):
+    shapes = []
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = rng_from(seed)
+
+        def standard_normal(self, shape):
+            shapes.append(shape)
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(stats, "rng_from", Recording)
+    fam = k_sparse_family(6, 2, 15)
+    n_draws = 2 * stats.WIDTH_BLOCK_ROWS + 3
+    stats._width_draws(fam, n_draws, 5)
+    assert shapes == [(stats.WIDTH_BLOCK_ROWS, 6), (stats.WIDTH_BLOCK_ROWS, 6), (3, 6)]
 
 
 def test_width_below_closed_form_bound():
