@@ -24,7 +24,7 @@ from .geometry import _checked
 # derive_seed is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it there, alongside rng_from
 from .seeding import derive_seed, derive_seeds, normalize_seed, rng_from, uniforms  # noqa: F401
-from .stats import concentration_estimate
+from .stats import DEFAULT_MAX_ELEMENTS, concentration_estimate
 
 GAUSSIAN = "gaussian"
 SPHERE_SCALED = "sphere_scaled"
@@ -36,9 +36,6 @@ KINDS = (GAUSSIAN, SPHERE_SCALED, IID_BOUNDED)
 UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 UNIFORM_DENSITY_BOUND = 1.0 / (2.0 * math.sqrt(3.0))
 UNIFORM_ENTRY_PSI2 = 2.0 * math.sqrt(3.0)  # bounded-variable bound 4^(1/2) * sqrt(3)
-
-#: default cap on m*n for sampled matrices (rows x cols)
-DEFAULT_MAX_ELEMENTS = 100_000_000
 
 
 def _json_number(value, key: str) -> float:
@@ -132,8 +129,8 @@ class EnsembleConstants:
 @dataclass(frozen=True)
 class RandomMatrix:
     """A sampled m x n map together with its generating seed and ensemble.
-    The constructor copies and checks its input; ``sample_matrix`` and
-    ``prefix`` skip both and keep their own read-only array."""
+    The constructor copies and checks its input; ``sample_matrix`` skips
+    both and keeps its own read-only array."""
 
     matrix: np.ndarray
     ensemble: EnsembleSpec | None = None
@@ -155,12 +152,6 @@ class RandomMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[1]
-
-    def prefix(self, m: int) -> "RandomMatrix":
-        """The map's first m rows: a read-only view of this map's memory."""
-        if not 1 <= m <= self.m:
-            raise DimensionError(f"need 1 <= m <= {self.m}, got m={m}")
-        return _checked(RandomMatrix, matrix=self.matrix[:m], ensemble=self.ensemble, seed=self.seed)
 
 
 # Gaussian entries are built from + - * / and sqrt alone, besides exact
@@ -187,8 +178,9 @@ _SERIES = np.array(
 
 # sphere rows shorter than this before scaling are redrawn
 _SPHERE_MIN_NORM = 1e-12
-# rows are sampled in blocks of about this many entries to bound scratch memory
-_BLOCK_ELEMENTS = 1 << 16
+# rows are sampled in steps of about this many entries: a Gaussian step
+# needs scratch of 8 to 10 times its output, here about 0.6 MB
+_BLOCK_ELEMENTS = 1 << 13
 
 
 def _gaussian_rows(seeds: np.ndarray, n: int, attempt: int = 0) -> np.ndarray:
@@ -246,15 +238,37 @@ def _sphere_rows(seeds: np.ndarray, n: int) -> np.ndarray:
     return rows * (math.sqrt(n) / norms)[:, None]
 
 
-def _sample_rows(spec: EnsembleSpec, seeds: np.ndarray, n: int) -> np.ndarray:
-    """One n-dimensional row per uint64 seed; row i depends only on
-    (spec, n, seeds[i]), and its entry j only on (spec, seeds[i], j)
-    (for sphere rows, through the row's norm)."""
+def _draw_rows(spec: EnsembleSpec, seeds: np.ndarray, n: int) -> np.ndarray:
     if spec.kind == GAUSSIAN:
         return _gaussian_rows(seeds, n)
     if spec.kind == SPHERE_SCALED:
         return _sphere_rows(seeds, n)
     return UNIFORM_HALF_WIDTH * (2.0 * uniforms(seeds, n) - 1.0)
+
+
+def _sample_rows(spec: EnsembleSpec, seeds: np.ndarray, n: int) -> np.ndarray:
+    """One n-dimensional row per uint64 seed, drawn in steps of about
+    _BLOCK_ELEMENTS entries; row i depends only on (spec, n, seeds[i]), and
+    its entry j only on (spec, seeds[i], j) (for sphere rows, through the
+    row's norm)."""
+    rows = np.empty((len(seeds), n))
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, len(seeds), step):
+        rows[lo : lo + step] = _draw_rows(spec, seeds[lo : lo + step], n)
+    return rows
+
+
+def _sample_maps(
+    spec: EnsembleSpec, seeds: np.ndarray, m: int, n: int, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> np.ndarray:
+    """A (len(seeds), m, n) stack of maps, all rows from one seed derivation
+    and one sampling pass: map t is ``sample_matrix(spec, m, n,
+    seeds[t]).matrix`` bit for bit, whatever the other seeds."""
+    if m < 1 or n < 1:
+        raise DimensionError("m and n must be >= 1")
+    if m * n > max_elements:
+        raise ResourceError(f"m*n = {m * n} exceeds the element budget {max_elements}")
+    return _sample_rows(spec, derive_seeds(seeds, m).reshape(-1), n).reshape(len(seeds), m, n)
 
 
 def sample_row(spec: EnsembleSpec, n: int, seed: int) -> np.ndarray:
@@ -279,18 +293,11 @@ def sample_matrix(
 
     Entry (i, j) is a fixed transform of the j-th uniforms of the counter
     stream seeded by derive_seed(seed, i) (see ``seeding.uniforms``).
-    Adding rows therefore never changes earlier rows, which lets sweeps over
-    m reuse prefixes of one tall sample.
+    Adding rows therefore never changes earlier rows, so a block of trials
+    samples its maps once, with the largest m, and certifies each m on
+    their first m rows.
     """
-    if m < 1 or n < 1:
-        raise DimensionError("m and n must be >= 1")
-    if m * n > max_elements:
-        raise ResourceError(f"m*n = {m * n} exceeds the element budget {max_elements}")
-    seeds = derive_seeds(seed, m)
-    rows = np.empty((m, n))
-    step = max(1, _BLOCK_ELEMENTS // n)
-    for lo in range(0, m, step):
-        rows[lo : lo + step] = _sample_rows(spec, seeds[lo : lo + step], n)
+    rows = _sample_maps(spec, np.array([normalize_seed(seed)], dtype=np.uint64), m, n, max_elements)[0]
     rows.setflags(write=False)
     return _checked(RandomMatrix, matrix=rows, ensemble=spec, seed=seed)
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, islice
 
 import numpy as np
 
-from .distortion import DistortionReport, ScaleChoice, choose_scale, family_distortion
-from .ensembles import EnsembleSpec, RandomMatrix, sample_matrix
+from .distortion import DistortionReport, ScaleChoice, _certify_maps, choose_scale, family_distortion
+from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
 from .errors import InputError
 # sparse_subspace is not called here; perfbench/tracing.py wraps it in this module
 from .geometry import (
@@ -29,7 +29,7 @@ from .geometry import (
     random_subspace,
     sparse_subspace,  # noqa: F401
 )
-from .seeding import derive_seed, rng_from
+from .seeding import derive_seed, derive_seeds, rng_from
 from .stats import WidthEstimate, check_distortion, gaussian_width_mc, required_m
 
 FAMILY_KINDS = ("haar_random", "k_sparse", "user_file")
@@ -40,6 +40,12 @@ _GAMMA_STREAM = 2
 _STUDY_SWEEP_STREAM = 4
 _STUDY_WIDTH_STREAM = 5
 _PAIR_STREAM = 6
+
+# numbers a block of trials holds at once in its maps, and in their products
+# with the family's bases at one m. Blocks are sized from the config alone:
+# building the family in the parent to size them would initialise BLAS
+# before a pool forks, which raised a pooled run's peak memory by a tenth.
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,8 @@ class TrialResult:
     L: float | None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # the fields are immutable scalars, so a shallow copy suffices
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -165,19 +172,39 @@ def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
     )
 
 
-def _trial_results(
-    config: ExperimentConfig, trial_index: int, family: SubspaceFamily | None, m_values
-) -> list[TrialResult]:
-    """One trial at every m in m_values: one tall map, sampled once, whose
-    row prefixes are certified in turn (rows never depend on m)."""
-    family = build_family(config, trial_index) if family is None else family
-    gamma_seed = derive_seed(config.seed, _GAMMA_STREAM, trial_index)
-    tall = sample_matrix(config.ensemble, max(m_values), config.n, gamma_seed)
-    results = []
+def _block_size(config: ExperimentConfig, rows: int) -> int:
+    """Trials per block when each trial samples a map of this many rows:
+    as many as keep its maps and each product with the family's bases (at
+    most p*rows*k numbers a trial) within _BLOCK_ENTRIES, and at least one.
+    Annealed haar trials each embed their own family, so their blocks hold
+    one trial."""
+    if config.family_kind == "haar_random" and not config.fixed_family:
+        return 1
+    return max(1, _BLOCK_ENTRIES // (rows * max(config.n, config.p * config.k)))
+
+
+def _block_results(
+    config: ExperimentConfig, trials: range, family: SubspaceFamily | None, m_values
+) -> list[list[TrialResult]]:
+    """Consecutive trials at every m in m_values: per trial, its results in
+    m_values order.
+
+    Every row seed of the block comes from one vectorized derivation and
+    every map from one sampling pass, with max(m_values) rows (rows never
+    depend on m). Each m is certified for all maps at once, from their
+    first m rows, by one broadcast product and one batched SVD per
+    dimension stack, and each (trial, m) is decided by choose_scale's rule.
+    The results are bit for bit those of each trial run alone. With family
+    None, the block embeds the family of its first trial, which is every
+    trial's unless the run is annealed haar, whose blocks hold one trial.
+    """
+    family = build_family(config, trials[0]) if family is None else family
+    seeds = derive_seeds(derive_seed(config.seed, _GAMMA_STREAM), len(trials), start=trials.start)
+    maps = _sample_maps(config.ensemble, seeds, max(m_values), config.n)
+    results: list[list[TrialResult]] = [[] for _ in trials]
     for m in m_values:
-        report = family_distortion(tall.prefix(m), family)
-        scale = choose_scale(report, config.D)
-        results.append(TrialResult(trial_index, m, scale.feasible, report.achieved_distortion, scale.L))
+        for out, t, (achieved, scale) in zip(results, trials, _certify_maps(maps[:, :m], family, config.D)):
+            out.append(TrialResult(t, m, scale.feasible, achieved, scale.L))
     return results
 
 
@@ -185,7 +212,7 @@ def run_trial(
     config: ExperimentConfig, trial_index: int, _family: SubspaceFamily | None = None
 ) -> TrialResult:
     """Sample a map, certify its distortion over the family, pick the scale."""
-    return _trial_results(config, trial_index, _family, (config.m,))[0]
+    return _block_results(config, range(trial_index, trial_index + 1), _family, (config.m,))[0][0]
 
 
 def _shared_family(config: ExperimentConfig) -> SubspaceFamily | None:
@@ -202,29 +229,31 @@ def _shared_family(config: ExperimentConfig) -> SubspaceFamily | None:
 _worker_family = lru_cache(maxsize=1)(_shared_family)
 
 
-def _pool_task(task, config: ExperimentConfig, trial_index: int):
-    return task(config, trial_index, _worker_family(config))
+def _pool_task(config: ExperimentConfig, m_values, trials: range) -> list[list[TrialResult]]:
+    return _block_results(config, trials, _worker_family(config), m_values)
 
 
-def _map_trials(task, config: ExperimentConfig, parallelism: int) -> list:
-    """task(config, t, family) for every trial t, in trial order: serially
-    with one shared family, or across min(parallelism, trials) processes."""
+def _map_trials(config: ExperimentConfig, m_values, parallelism: int) -> list[list[TrialResult]]:
+    """Every trial's results at each m in m_values, in trial order, run in
+    blocks of consecutive trials: serially with one shared family, or across
+    min(parallelism, trials) processes, with at least one block each."""
     if parallelism < 1:
         raise InputError(f"parallelism must be >= 1, got {parallelism}")
     workers = min(parallelism, config.trials)
+    size = min(_block_size(config, max(m_values)), -(-config.trials // workers))
+    blocks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
     if workers == 1:
         shared = _shared_family(config)
-        return [task(config, t, shared) for t in range(config.trials)]
+        return [trial for block in blocks for trial in _block_results(config, block, shared, m_values)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, config.trials // (workers * 4))
-        return list(pool.map(partial(_pool_task, task, config), range(config.trials), chunksize=chunk))
+        chunk = max(1, len(blocks) // (workers * 4))
+        per_block = pool.map(partial(_pool_task, config, m_values), blocks, chunksize=chunk)
+        return [trial for block in per_block for trial in block]
 
 
 def run_trials(config: ExperimentConfig, parallelism: int = 1) -> list[TrialResult]:
     """All config.trials trials, optionally across processes; order-stable."""
-    # the task is this module's run_trial, looked up at call time, so a
-    # wrapper put on that name (a tracer, say) sees one call per trial
-    return _map_trials(run_trial, config, parallelism)
+    return [trial[0] for trial in _map_trials(config, (config.m,), parallelism)]
 
 
 def _pav_nondecreasing(values, weights) -> list[float]:
@@ -262,9 +291,11 @@ def sweep_m(
         raise InputError("m_values must be nonempty")
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise InputError("m_values must be strictly increasing")
+    if m_values[0] < 1:
+        raise InputError(f"every m must be >= 1, got m={m_values[0]}")
     if not 0.0 < target_rate < 1.0:
         raise InputError("target_rate must lie in (0, 1)")
-    per_trial = _map_trials(partial(_trial_results, m_values=m_values), config, parallelism)
+    per_trial = _map_trials(config, m_values, parallelism)
     entries = []
     for j, m in enumerate(m_values):
         results = [trial[j] for trial in per_trial]

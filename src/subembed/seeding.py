@@ -64,13 +64,16 @@ def derive_seed(seed: int, *path: int) -> int:
     return out
 
 
-def derive_seeds(seed: int, count: int) -> np.ndarray:
-    """``derive_seed(seed, i)`` for i in range(count), as a uint64 array.
+def derive_seeds(seed, count: int, start: int = 0) -> np.ndarray:
+    """``derive_seed(seed, i)`` for i in range(start, start + count), as uint64.
 
-    Equal to the scalar version bit for bit.
+    ``seed`` is one parent seed, giving a (count,) array, or a uint64 array
+    of parent seeds, giving ``seed.shape + (count,)``: the children of each
+    parent along the last axis. Equal to the scalar version bit for bit.
     """
-    head = np.array(_splitmix64(normalize_seed(seed)), dtype=np.uint64)
-    return _splitmix64_array(head ^ _splitmix64_array(np.arange(count, dtype=np.uint64)))
+    parents = seed if isinstance(seed, np.ndarray) else np.array(normalize_seed(seed), dtype=np.uint64)
+    head = _splitmix64_array(parents.astype(np.uint64, copy=False))[..., None]
+    return _splitmix64_array(head ^ _splitmix64_array(np.arange(start, start + count, dtype=np.uint64)))
 
 
 def uniforms(seeds: np.ndarray, count: int, start: int = 0) -> np.ndarray:

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .geometry import SubspaceFamily
 from .seeding import rng_from
 
+#: default cap on the numbers a sampled array holds: a matrix's m*n entries,
+#: or the Gaussian width's draws
+DEFAULT_MAX_ELEMENTS = 100_000_000
 #: tail checks and Monte Carlo comparisons use this many binomial std errors
 TAIL_SLACK_SE = 3.0
 #: Gaussian-width draws per row block: the (n_draws, n) draws are never held whole
@@ -143,10 +146,13 @@ def gaussian_width_mc(family: SubspaceFamily, n_draws: int, seed: int) -> WidthE
 
     The max of <g, x> over unit x in W_l is the projection norm ||P_l g||,
     so each draw contributes max_l ||B_l^T g||. Only the members' bases
-    enter; base points are ignored.
+    enter; base points are ignored. The n_draws values are held at once, so
+    more than DEFAULT_MAX_ELEMENTS draws raise ResourceError.
     """
     if n_draws < 2:
         raise InputError("n_draws must be >= 2")
+    if n_draws > DEFAULT_MAX_ELEMENTS:
+        raise ResourceError(f"n_draws = {n_draws} exceeds the element budget {DEFAULT_MAX_ELEMENTS}")
     vals = _width_draws(family, n_draws, seed)
     mean = float(vals.mean())
     std_error = float(vals.std(ddof=1) / math.sqrt(n_draws))

@@ -236,12 +236,30 @@ def test_trial_env_seed_override(tmp_path, monkeypatch):
     assert main(["trial", "--config", str(cfg), "--output", str(overridden)]) == 2
 
 
-def test_trial_parallel_flag_matches_serial_bytes(tmp_path):
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools started."""
+    started = []
+    real = subembed.harness.ProcessPoolExecutor
+
+    class CountedPool(real):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(subembed.harness, "ProcessPoolExecutor", CountedPool)
+    return started
+
+
+def test_trial_parallel_flag_matches_serial_bytes(tmp_path, pools):
     cfg = write_config(tmp_path / "cfg.json", trials=6)
-    serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-    assert main(["trial", "--config", str(cfg), "--parallelism", "1", "--output", str(serial)]) == 0
-    assert main(["trial", "--config", str(cfg), "--parallelism", "2", "--output", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+    logs = []
+    for par in ("1", "2", "3"):
+        out = tmp_path / f"p{par}.jsonl"
+        assert main(["trial", "--config", str(cfg), "--parallelism", par, "--output", str(out)]) == 0
+        logs.append(out.read_bytes())
+    assert logs[0] == logs[1] == logs[2]
+    assert pools == [2, 3]
 
 
 def test_default_trial_run_starts_no_process_pool(tmp_path, monkeypatch):
@@ -266,6 +284,21 @@ def test_parallelism_below_one_exits_2(tmp_path, capsys, parallelism):
             assert main(argv + ["--output", str(out)]) == 2, argv
             assert "parallelism must be >= 1" in capsys.readouterr().err
             assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "width"])
+def test_requests_beyond_the_element_budget_exit_2(tmp_path, capsys, command):
+    # sweep: one map of m*n = 1.2e10 entries; width: 10^12 draws held at once
+    argv = {
+        "sweep": ["sweep", "--config", str(write_config(tmp_path / "cfg.json")), "--m-values", "4,1000000000"],
+        "width": ["width", "--family", str(write_axes_family(tmp_path / "fam.json")),
+                  "--draws", "1000000000000", "--seed", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds the element budget" in err
+    assert not out.exists()
 
 
 def test_single_trial_starts_no_process_pool(tmp_path, monkeypatch):
@@ -294,7 +327,7 @@ def test_sweep_csv_output(tmp_path):
     assert lines[-1].startswith("# minimal_m")
 
 
-def test_sweep_parallel_flag_matches_serial_bytes(tmp_path):
+def test_sweep_parallel_flag_matches_serial_bytes(tmp_path, pools):
     inputs = {
         "k_sparse": {"family_kind": "k_sparse"},
         "haar_random": {"family_kind": "haar_random"},
@@ -303,14 +336,15 @@ def test_sweep_parallel_flag_matches_serial_bytes(tmp_path):
     for name, overrides in inputs.items():
         cfg = write_config(tmp_path / f"{name}.json", trials=6, **overrides)
         outs = []
-        for par in ("1", "2"):
+        for par in ("1", "2", "3"):
             out = tmp_path / f"{name}-p{par}.csv"
             assert main([
                 "sweep", "--config", str(cfg), "--m-values", "1,4,8,12",
                 "--parallelism", par, "--output", str(out),
             ]) == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
+    assert pools == [2, 3, 2, 3, 2, 3]
 
 
 # ---------------------------------------------------------------- embed/width

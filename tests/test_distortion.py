@@ -20,7 +20,7 @@ from subembed import (
     sparse_subspace,
     subspace_extremes,
 )
-from subembed.distortion import DistortionReport
+from subembed.distortion import DistortionReport, _certify_maps, _family_extremes
 
 from nets import epsilon_net
 
@@ -122,6 +122,32 @@ def test_family_kernel_matches_per_member_svd(n, m, dims, seed):
         assert (lo, hi) == subspace_extremes(gamma, sub)
     assert report.family_sigma_min == min(lo for lo, _ in report.per_subspace)
     assert report.family_sigma_max == max(hi for _, hi in report.per_subspace)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(4, 9),
+    m=st.integers(1, 7),
+    maps=st.integers(1, 6),
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_of_maps_certifies_like_each_map_alone(n, m, maps, dims, seed):
+    # one broadcast product and batched SVD per stack give each map's
+    # extremes bit for bit, mixed dimensions and m < k included
+    gammas = [sample_matrix(EnsembleSpec.gaussian(), m, n, derive_seed(seed, t)) for t in range(maps)]
+    subs = [random_subspace(n, k, derive_seed(seed, 99, i)) for i, k in enumerate(dims)]
+    lo, hi = _family_extremes(np.stack([g.matrix for g in gammas]), SubspaceFamily.from_subspaces(subs))
+    assert lo.shape == hi.shape == (maps, len(dims))
+    for t, gamma in enumerate(gammas):
+        for i, sub in enumerate(subs):
+            s = np.linalg.svd(gamma.matrix @ sub.basis, compute_uv=False)
+            assert (lo[t, i], hi[t, i]) == (0.0 if m < sub.dim else s[-1], s[0])
+    # each map's outcome is the one family_distortion and choose_scale give it alone
+    fam = SubspaceFamily.from_subspaces(subs)
+    outcomes = _certify_maps(np.stack([g.matrix for g in gammas]), fam, 3.0)
+    reports = [family_distortion(gamma, fam) for gamma in gammas]
+    assert outcomes == [(r.achieved_distortion, choose_scale(r, 3.0)) for r in reports]
 
 
 def test_family_rank_collapse_flag():

@@ -277,21 +277,19 @@ def test_random_matrix_rejects_non_finite():
         RandomMatrix(np.ones(3))
 
 
-def test_outside_input_is_copied_and_sampled_maps_are_not_copied_again():
+def test_outside_input_is_copied_and_sampled_maps_are_not_copied_again(monkeypatch):
     from subembed import RandomMatrix
 
     rows = np.ones((2, 3))
     outside = RandomMatrix(rows)
     assert not np.shares_memory(outside.matrix, rows)
     assert not outside.matrix.flags.writeable
+    # sampling skips the constructor's copy and checks
+    monkeypatch.setattr(RandomMatrix, "__post_init__", lambda self: pytest.fail("sampled map copied"))
     tall = sample_matrix(EnsembleSpec.gaussian(), 6, 4, 17)
     assert not tall.matrix.flags.writeable
-    prefix = tall.prefix(3)
-    assert np.shares_memory(prefix.matrix, tall.matrix)
-    assert not prefix.matrix.flags.writeable
-    assert np.array_equal(prefix.matrix, sample_matrix(EnsembleSpec.gaussian(), 3, 4, 17).matrix)
-    assert (prefix.ensemble, prefix.seed) == (tall.ensemble, tall.seed)
-    assert tall.prefix(6).m == 6
-    for m in (0, -1, 7):
-        with pytest.raises(DimensionError):
-            tall.prefix(m)
+    # so a row slice is a read-only view of the sampled memory
+    head = tall.matrix[:3]
+    assert np.shares_memory(head, tall.matrix)
+    assert not head.flags.writeable
+    assert np.array_equal(head, sample_matrix(EnsembleSpec.gaussian(), 3, 4, 17).matrix)

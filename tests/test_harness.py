@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 from subembed import (
+    AffineSubspace,
     EnsembleSpec,
     ExperimentConfig,
     InputError,
+    SubspaceFamily,
+    TrialResult,
     build_family,
+    choose_scale,
     derive_seed,
     family_distortion,
     gaussian_width_mc,
     k_sparse_family,
     lower_bound_study,
     metric_embed,
+    random_subspace,
     required_m,
     run_trial,
     run_trials,
@@ -154,8 +159,6 @@ def test_trial_results_invariant_under_member_permutation(tmp_path):
 
 
 def test_pool_worker_builds_the_shared_family_once(monkeypatch):
-    from functools import partial
-
     from subembed import harness
 
     builds = []
@@ -168,19 +171,66 @@ def test_pool_worker_builds_the_shared_family_once(monkeypatch):
     monkeypatch.setattr(harness, "build_family", counted)
     harness._worker_family.cache_clear()
     fixed = small_config(trials=3)
-    first = [harness._pool_task(run_trial, fixed, t) for t in range(3)]
+    first = [harness._pool_task(fixed, (fixed.m,), range(t, t + 1)) for t in range(3)]
     assert builds == [0]
-    assert first == run_trials(fixed)
-    sweep_task = partial(harness._trial_results, m_values=(2, 4))
-    sweeps = [harness._pool_task(sweep_task, fixed, t) for t in range(3)]
+    assert [block[0][0] for block in first] == run_trials(fixed)
+    sweeps = [harness._pool_task(fixed, (2, 4), block) for block in (range(0, 2), range(2, 3))]
     assert builds == [0, 0]  # the serial run_trials above built its own
-    assert sweeps == [harness._trial_results(fixed, t, None, (2, 4)) for t in range(3)]
+    assert [trial for block in sweeps for trial in block] == [
+        harness._block_results(fixed, range(t, t + 1), None, (2, 4))[0] for t in range(3)
+    ]
     builds.clear()
     annealed = small_config(trials=3, fixed_family=False)
     for t in range(3):
-        harness._pool_task(run_trial, annealed, t)
+        harness._pool_task(annealed, (annealed.m,), range(t, t + 1))
     assert builds == [0, 1, 2]  # a fresh family per trial
     harness._worker_family.cache_clear()
+
+
+def reference_trial(config, t, m_values):
+    """One trial run alone: its own family, one sample_matrix per m, then
+    family_distortion and choose_scale."""
+    family = build_family(config, t)
+    out = []
+    for m in m_values:
+        gamma = sample_matrix(config.ensemble, m, config.n, derive_seed(config.seed, 2, t))
+        report = family_distortion(gamma, family)
+        scale = choose_scale(report, config.D)
+        out.append(TrialResult(t, m, scale.feasible, report.achieved_distortion, scale.L))
+    return out
+
+
+def mixed_dimension_file(path, n=9, dims=(2, 1, 3, 1, 2)):
+    members = [
+        AffineSubspace(np.random.default_rng(i).standard_normal(n), random_subspace(n, d, derive_seed(70, i)))
+        for i, d in enumerate(dims)
+    ]
+    store_family_json(SubspaceFamily(members), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3, 7])
+@pytest.mark.parametrize("kind", ["gaussian", "sphere_scaled", "iid_bounded"])
+@pytest.mark.parametrize("family", ["fixed", "annealed", "user_file"])
+def test_block_core_equals_trials_run_alone(monkeypatch, tmp_path, per_block, kind, family):
+    from subembed import harness
+
+    overrides = {
+        "fixed": {},
+        "annealed": {"fixed_family": False},
+        "user_file": {"family_kind": "user_file", "family_path": mixed_dimension_file(tmp_path / "f.json"), "n": 9},
+    }[family]
+    cfg = small_config(ensemble=EnsembleSpec(kind=kind), trials=7, k=3, p=5, **overrides)
+    m_values = (1, 2, 5, 9)  # m < k at the first two
+    # a budget that holds per_block trials of these sizes
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", per_block * 9 * max(cfg.n, cfg.p * cfg.k))
+    expected_size = 1 if family == "annealed" else per_block
+    assert harness._block_size(cfg, max(m_values)) == expected_size
+    expected = [reference_trial(cfg, t, m_values) for t in range(cfg.trials)]
+    assert harness._map_trials(cfg, m_values, 1) == expected
+    alone = [reference_trial(cfg, t, (cfg.m,))[0] for t in range(cfg.trials)]
+    assert run_trials(cfg) == alone
+    assert [run_trial(cfg, t) for t in range(cfg.trials)] == alone  # the block of one
 
 
 def test_sweep_matches_individual_trials():

@@ -60,6 +60,27 @@ def test_derive_seeds_at_large_indices(seed, data):
         assert int(seeds[i]) == derive_seed(seed, i)
 
 
+@settings(max_examples=60, deadline=None)
+@given(parents=st.lists(U64, max_size=6), count=st.integers(0, 40), start=st.integers(0, 1 << 40))
+def test_derive_seeds_of_a_parent_array_equals_scalar_derivation(parents, count, start):
+    seeds = derive_seeds(np.array(parents, dtype=np.uint64), count, start=start)
+    assert seeds.dtype == np.uint64 and seeds.shape == (len(parents), count)
+    for row, parent in zip(seeds, parents):
+        assert [int(s) for s in row] == [derive_seed(parent, start + i) for i in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, start=st.integers(0, 1 << 40), count=st.integers(1, 30))
+def test_trial_row_seeds_from_one_derivation(seed, start, count):
+    # the harness derives a block's trial seeds, then all their row seeds, at once
+    trial_seeds = derive_seeds(derive_seed(seed, 2), count, start=start)
+    assert [int(s) for s in trial_seeds] == [derive_seed(seed, 2, start + t) for t in range(count)]
+    rows = derive_seeds(trial_seeds, 3)
+    assert [[int(s) for s in r] for r in rows] == [
+        [derive_seed(seed, 2, start + t, i) for i in range(3)] for t in range(count)
+    ]
+
+
 @given(values=st.lists(U64, min_size=1, max_size=50))
 def test_array_mixer_matches_scalar_mixer_on_all_of_u64(values):
     # derive_seed mixes every index through this mixer, so this covers

@@ -7,6 +7,7 @@ from subembed import (
     AffineSubspace,
     EnsembleSpec,
     InputError,
+    ResourceError,
     Subspace,
     SubspaceFamily,
     concentration_estimate,
@@ -133,6 +134,13 @@ def test_width_single_line():
     fam = SubspaceFamily.from_subspaces([Subspace(np.eye(3)[:, :1])])
     est = gaussian_width_mc(fam, 20_000, seed=124)
     assert abs(est.mean - math.sqrt(2 / math.pi)) <= 3 * est.std_error
+
+
+def test_width_draw_budget():
+    # the draws are held at once, so their count is checked before any is made
+    fam = SubspaceFamily.from_subspaces([Subspace(np.eye(3)[:, :1])])
+    with pytest.raises(ResourceError, match=f"element budget {stats.DEFAULT_MAX_ELEMENTS}"):
+        gaussian_width_mc(fam, stats.DEFAULT_MAX_ELEMENTS + 1, seed=1)
 
 
 def test_width_reads_bases_only_and_matches_member_loop():
