@@ -10,6 +10,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import numpy as np
 
 from .distortion import DistortionReport, choose_scale, family_distortion
 from .ensembles import EnsembleSpec, RandomMatrix, sample_matrix, theoretical_constants
-from .errors import InputError, SubembedError
+from .errors import InputError, SubembedError, read_text
 from .geometry import load_family_json
 from .harness import ExperimentConfig, metric_embed, run_trials, sweep_m
 from .stats import gaussian_width_mc, width_upper_bound
@@ -38,8 +39,7 @@ _CONFIG_NULLABLE = {"family_path", "m_override", "parallelism"}  # null means ab
 
 def load_matrix_csv(path) -> RandomMatrix:
     """Read the matrix CSV format: header line "m,n", then row-major rows."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    lines = [line.strip() for line in read_text(path).split("\n") if line.strip()]
     if not lines:
         raise InputError(f"{path}: empty matrix file")
     header = lines[0].split(",")
@@ -79,10 +79,18 @@ def store_matrix_csv(matrix, path) -> None:
 
 
 def _atomic_write(path, text: str) -> None:
+    """Write through a temporary file beside path; on any failure the
+    temporary file is removed, and an OSError is reported against path."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def _emit(text: str, output_path) -> None:
@@ -98,8 +106,7 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
     The schema is closed: unknown keys are rejected. SUBEMBED_SEED in the
     environment overrides the config seed.
     """
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -354,6 +361,12 @@ def dispatch(argv) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: file not found: {exc.filename}\n")
+        return 2
+    except OSError as exc:
+        # a directory or an unreadable file where an input file was named
+        if exc.filename is None:
+            raise
+        sys.stderr.write(f"error: {exc.filename}: {exc.strerror}\n")
         return 2
     except SubembedError as exc:
         sys.stderr.write(f"error: {exc}\n")

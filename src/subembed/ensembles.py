@@ -271,17 +271,6 @@ def _sample_maps(
     return _sample_rows(spec, derive_seeds(seeds, m).reshape(-1), n).reshape(len(seeds), m, n)
 
 
-def sample_row(spec: EnsembleSpec, n: int, seed: int) -> np.ndarray:
-    """One draw of the ensemble's n-dimensional row, deterministic in (spec, n, seed).
-
-    The one-row case of ``sample_matrix``: row i of ``sample_matrix(spec,
-    m, n, seed)`` equals ``sample_row(spec, n, derive_seed(seed, i))``.
-    """
-    if n < 1:
-        raise DimensionError("n must be >= 1")
-    return _sample_rows(spec, np.array([normalize_seed(seed)], dtype=np.uint64), n)[0]
-
-
 def sample_matrix(
     spec: EnsembleSpec,
     m: int,

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the reader of input
+files that maps text which is not UTF-8 onto it."""
 
 
 class SubembedError(Exception):
@@ -23,3 +24,16 @@ class DimensionError(InputError):
 
 class ResourceError(SubembedError):
     """A size or cardinality budget would be exceeded."""
+
+
+def read_text(path) -> str:
+    """The text of an input file, decoded as UTF-8.
+
+    Bytes that do not decode raise InputError naming the path; a path that
+    cannot be opened raises the OSError, whose filename the CLI reports.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

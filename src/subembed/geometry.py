@@ -1,8 +1,8 @@
-"""Subspaces, affine subspace families, Grassmann separation, family files.
+"""Subspaces, affine subspace families, family files.
 
-Subspaces are stored as n x k matrices with orthonormal columns; all
-geometric quantities (projections, principal angles, restricted singular
-values elsewhere in the package) are computed from that representation.
+Subspaces are stored as n x k matrices with orthonormal columns; the
+restricted singular values elsewhere in the package are computed from that
+representation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InputError, ResourceError
+from .errors import DegenerateInputError, DimensionError, InputError, read_text
 from .seeding import rng_from
 
 # numerical-rank cutoff relative to the largest singular value
@@ -69,10 +69,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        """The n x n orthogonal projector onto the subspace."""
-        return self.basis @ self.basis.T
-
 
 @dataclass(frozen=True)
 class AffineSubspace:
@@ -95,10 +91,6 @@ class AffineSubspace:
     @property
     def dim(self) -> int:
         return self.direction.dim
-
-    @property
-    def is_linear(self) -> bool:
-        return bool(np.all(self.base_point == 0.0))
 
 
 @dataclass(frozen=True, init=False)
@@ -171,16 +163,13 @@ class SubspaceFamily:
     def max_dim(self) -> int:
         return self.stacks[-1][1].shape[2]
 
-    @property
-    def is_linear(self) -> bool:
-        return not self.base_points.any()
-
 
 def _stacks(bases) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """SubspaceFamily.stacks for the given n x d bases, in member order: per
     dimension d, ascending, the member indices and their checked stack."""
     dims = np.array([basis.shape[1] for basis in bases])
-    groups = (np.flatnonzero(dims == d) for d in np.unique(dims))
+    # not np.unique, which imports numpy.ma on numpy 2
+    groups = (np.flatnonzero(dims == d) for d in sorted(set(dims.tolist())))
     return tuple((indices, _orthonormal_stack([bases[i] for i in indices])) for indices in groups)
 
 
@@ -217,7 +206,7 @@ def _orthonormal_bases(spans) -> list[np.ndarray]:
     rejects it."""
     bases = [None] * len(spans)
     widths = np.array([span.shape[1] for span in spans])
-    for j in np.unique(widths):
+    for j in sorted(set(widths.tolist())):
         group = np.flatnonzero(widths == j)
         u, s, _ = np.linalg.svd(np.stack([spans[i] for i in group]), full_matrices=False)
         # s[0] is at least every column norm and at most sqrt(j) times the largest,
@@ -246,56 +235,6 @@ def sparse_subspace(n: int, support) -> Subspace:
     return Subspace(np.eye(n)[:, indices])
 
 
-def grassmann_distance(v: Subspace, w: Subspace) -> float:
-    """max over unit x in V of the distance to the unit sphere of W.
-
-    Equals sqrt(2 - 2*cos(theta)) = 2*sin(theta/2) for the largest
-    principal angle theta of V against W (theta = pi/2 when dim V exceeds
-    dim W). Computed from sin(theta), the top singular value of the
-    W-orthogonal part of V's basis, which stays accurate for nearly
-    contained subspaces. Asymmetric when the dimensions differ: the
-    maximum runs over the first argument.
-    """
-    if v.ambient_dim != w.ambient_dim:
-        raise DimensionError("subspaces live in different ambient spaces")
-    residual = v.basis - w.basis @ (w.basis.T @ v.basis)
-    sines = np.linalg.svd(residual, compute_uv=False)
-    sine = min(1.0, float(sines[0]))
-    return 2.0 * math.sin(0.5 * math.asin(sine))
-
-
-def reduce_affine(family: SubspaceFamily) -> SubspaceFamily:
-    """Drop base points, keeping each member's direction subspace.
-
-    Distortion of a linear map on differences x - y within a member is
-    unchanged, since those differences span exactly the direction space.
-    The reduced family shares the input's stacks.
-    """
-    return _linear_family(family.stacks)
-
-
-def cross_family(family: SubspaceFamily, cardinality_budget: int = 100_000) -> SubspaceFamily:
-    """All pairwise spans span(W_l, W_l') for l <= l', each of dimension <= 2k.
-
-    Applying the embedding theorem to this family controls distances between
-    points in *different* members of the original one. Only the members'
-    directions enter; base points are ignored.
-    """
-    p = family.size
-    count = p * (p + 1) // 2
-    if count > cardinality_budget:
-        raise ResourceError(f"cross family has {count} members, budget is {cardinality_budget}")
-    directions = [member.direction for member in family.members]
-    spans = []
-    for l in range(p):
-        for lp in range(l, p):
-            if l == lp:
-                spans.append(directions[l])
-            else:
-                spans.append(orthonormalize(np.hstack([directions[l].basis, directions[lp].basis])))
-    return SubspaceFamily.from_subspaces(spans)
-
-
 def store_family_json(family: SubspaceFamily, path) -> None:
     """Write the family file format: {"n": ..., "members": [{"base", "basis_columns"}]}."""
     payload = {
@@ -316,8 +255,7 @@ def load_family_json(path) -> SubspaceFamily:
     bases are orthonormalized with one batched SVD per column count and
     stacked, building no member objects.
     """
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

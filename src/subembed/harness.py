@@ -1,5 +1,5 @@
 """Experiment harness: embedding trials, phase-transition sweeps over m,
-n-point metric embeddings, and the tightness/lower-bound study.
+and n-point metric embeddings.
 
 Every trial is a pure function of (config, trial_index): the family, the
 sampled map and all Monte Carlo draws derive their seeds from the single
@@ -10,8 +10,8 @@ changing results.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, islice
@@ -21,25 +21,20 @@ import numpy as np
 from .distortion import DistortionReport, ScaleChoice, _certify_maps, choose_scale, family_distortion
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
 from .errors import InputError
-# sparse_subspace is not called here; perfbench/tracing.py wraps it in this module
-from .geometry import (
-    SubspaceFamily,
-    grassmann_distance,
-    load_family_json,
-    random_subspace,
-    sparse_subspace,  # noqa: F401
-)
-from .seeding import derive_seed, derive_seeds, rng_from
-from .stats import WidthEstimate, check_distortion, gaussian_width_mc, required_m
+from .geometry import SubspaceFamily, load_family_json, random_subspace
+from .seeding import derive_seed, derive_seeds
+from .stats import check_distortion, required_m
+
+# not called here; perfbench/tracing.py wraps these names in this module
+from .geometry import sparse_subspace  # noqa: F401
+from .seeding import rng_from  # noqa: F401
+from .stats import gaussian_width_mc  # noqa: F401
 
 FAMILY_KINDS = ("haar_random", "k_sparse", "user_file")
 
 # seed-stream labels; distinct first path components keep streams disjoint
 _FAMILY_STREAM = 1
 _GAMMA_STREAM = 2
-_STUDY_SWEEP_STREAM = 4
-_STUDY_WIDTH_STREAM = 5
-_PAIR_STREAM = 6
 
 # numbers a block of trials holds at once in its maps, and in their products
 # with the family's bases at one m. Blocks are sized from the config alone:
@@ -121,15 +116,6 @@ class SweepResult:
     target_rate: float
     smoothed_rates: tuple[float, ...]
     minimal_m: int | None
-
-
-@dataclass(frozen=True)
-class LowerBoundRow:
-    requested_p: int
-    family_size: int
-    minimal_m: int | None
-    width: WidthEstimate
-    sweep: SweepResult
 
 
 def k_sparse_family(n: int, k: int, p: int) -> SubspaceFamily:
@@ -229,6 +215,18 @@ def _shared_family(config: ExperimentConfig) -> SubspaceFamily | None:
 _worker_family = lru_cache(maxsize=1)(_shared_family)
 
 
+def __getattr__(name):
+    # ProcessPoolExecutor is imported on first use: concurrent.futures.process
+    # loads multiprocessing, which only pooled runs need. It is bound into the
+    # module globals, where a test or a tracer may replace it.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _pool_task(config: ExperimentConfig, m_values, trials: range) -> list[list[TrialResult]]:
     return _block_results(config, trials, _worker_family(config), m_values)
 
@@ -245,7 +243,8 @@ def _map_trials(config: ExperimentConfig, m_values, parallelism: int) -> list[li
     if workers == 1:
         shared = _shared_family(config)
         return [trial for block in blocks for trial in _block_results(config, block, shared, m_values)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # looked up on the module, so that the first pool imports the class
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(blocks) // (workers * 4))
         per_block = pool.map(partial(_pool_task, config, m_values), blocks, chunksize=chunk)
         return [trial for block in per_block for trial in block]
@@ -364,94 +363,3 @@ def metric_embed(
     scale = choose_scale(report, D)
     return gamma, scale, report
 
-
-def verify_pointwise(
-    gamma: RandomMatrix,
-    family: SubspaceFamily,
-    L: float,
-    D: float,
-    n_pairs: int = 10_000,
-    seed: int = 0,
-    rel_slack: float = 1e-9,
-) -> int:
-    """Count violations of (L/D)||x-y|| <= ||Gamma(x-y)|| <= L||x-y|| over
-    random pairs x, y drawn inside random members.
-
-    Within a member, x - y lies in the direction subspace, so base points
-    never enter. rel_slack absorbs floating-point rounding at the singular
-    extremes; certification makes the mathematical inequality exact.
-    """
-    rng = rng_from(seed, _PAIR_STREAM)
-    member_idx = rng.integers(0, family.size, n_pairs)
-    violations = 0
-    for l in range(family.size):
-        count = int(np.sum(member_idx == l))
-        if count == 0:
-            continue
-        basis = family.members[l].direction.basis
-        k = basis.shape[1]
-        coeffs = rng.standard_normal((count, k)) - rng.standard_normal((count, k))
-        diffs = coeffs @ basis.T
-        norms = np.linalg.norm(diffs, axis=1)
-        keep = norms > 0.0
-        mapped = np.linalg.norm(gamma.matrix @ diffs[keep].T, axis=0)
-        lower = (L / D) * norms[keep] * (1.0 - rel_slack)
-        upper = L * norms[keep] * (1.0 + rel_slack)
-        violations += int(np.sum((mapped < lower) | (mapped > upper)))
-    return violations
-
-
-def lower_bound_study(
-    n: int,
-    k: int,
-    D: float,
-    delta: float,
-    p_values,
-    ensemble: EnsembleSpec,
-    seed: int,
-    trials: int = 40,
-    target_rate: float = 0.9,
-    m_values=None,
-    width_draws: int = 4000,
-    parallelism: int = 1,
-) -> list[LowerBoundRow]:
-    """Measured minimal m and Gaussian width across family sizes p.
-
-    Families are k-sparse coordinate subspaces, whose pairwise Grassmann
-    separation is checked against delta before use (any offending pair is
-    reported). Minimal m comes from sweep_m at target_rate; width from
-    gaussian_width_mc. Minimal m is expected to grow with p and k, and to
-    shrink as D grows.
-    """
-    rows = []
-    for idx, p in enumerate(p_values):
-        family = k_sparse_family(n, k, int(p))
-        for i, j in combinations(range(family.size), 2):
-            sep = grassmann_distance(family.members[i].direction, family.members[j].direction)
-            if sep < delta - 1e-12:
-                raise InputError(
-                    f"members {i} and {j} have Grassmann separation {sep:.6f} < delta={delta}"
-                )
-        config = ExperimentConfig(
-            n=n,
-            k=k,
-            p=family.size,
-            D=D,
-            ensemble=ensemble,
-            family_kind="k_sparse",
-            trials=trials,
-            seed=derive_seed(seed, _STUDY_SWEEP_STREAM, idx),
-        )
-        grid = m_values if m_values is not None else range(max(1, k - 1), config.m + 1)
-        sweep = sweep_m(config, list(grid), target_rate, parallelism=parallelism)
-        width = gaussian_width_mc(family, width_draws, derive_seed(seed, _STUDY_WIDTH_STREAM, idx))
-        rows.append(
-            LowerBoundRow(
-                requested_p=int(p),
-                family_size=family.size,
-                minimal_m=sweep.minimal_m,
-                width=width,
-                sweep=sweep,
-            )
-        )
-    return rows

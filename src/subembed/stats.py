@@ -1,8 +1,8 @@
 """Estimators and closed-form bounds used throughout the package.
 
-Covers empirical psi_2 (subgaussian) norms, epsilon-concentration,
-small-ball probabilities, Monte Carlo Gaussian width, the embedding
-dimension formula and its success-probability bound.
+Covers empirical epsilon-concentration, Monte Carlo Gaussian width, the
+width bound, the embedding dimension formula and its success-probability
+bound.
 """
 
 from __future__ import annotations
@@ -19,21 +19,10 @@ from .seeding import rng_from
 #: default cap on the numbers a sampled array holds: a matrix's m*n entries,
 #: or the Gaussian width's draws
 DEFAULT_MAX_ELEMENTS = 100_000_000
-#: tail checks and Monte Carlo comparisons use this many binomial std errors
-TAIL_SLACK_SE = 3.0
 #: Gaussian-width draws per row block: the (n_draws, n) draws are never held whole
 WIDTH_BLOCK_ROWS = 512
 #: numbers in one column tile of bases, and in its product with a row block
 WIDTH_TILE_ENTRIES = 1 << 18
-
-
-@dataclass(frozen=True)
-class Psi2Estimate:
-    """Empirical psi_2 norm: smallest C with mean exp(X^2/C^2) <= 2."""
-
-    value: float
-    sample_count: int
-    method: str = "bisection_on_empirical_mgf"
 
 
 @dataclass(frozen=True)
@@ -54,39 +43,6 @@ class WidthEstimate:
     n_draws: int
 
 
-def psi2_estimate(samples, rel_tol: float = 1e-4) -> Psi2Estimate:
-    """Estimate the psi_2 norm of a sample by bisection on the empirical MGF.
-
-    Samples are normalized by their max absolute value so the result scales
-    exactly with the data under power-of-two rescaling. The bracket
-    [max|X|/sqrt(ln(2N)), 10*max|X|] always straddles the empirical root.
-    """
-    x = np.asarray(samples, dtype=float).reshape(-1)
-    if x.size == 0:
-        raise InputError("psi2_estimate needs a non-empty sample")
-    peak = float(np.abs(x).max())
-    if peak == 0.0:
-        return Psi2Estimate(value=0.0, sample_count=x.size)
-    y2 = np.square(x / peak)
-
-    def excess(c: float) -> float:
-        return float(np.mean(np.exp(y2 / (c * c)))) - 2.0
-
-    lo = 1.0 / math.sqrt(math.log(2.0 * x.size))
-    hi = 10.0
-    while excess(lo) < 0.0:
-        lo *= 0.5
-    while excess(hi) > 0.0:
-        hi *= 2.0
-    while hi - lo > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return Psi2Estimate(value=peak * (0.5 * (lo + hi)), sample_count=x.size)
-
-
 def concentration_estimate(samples, epsilon: float) -> ConcentrationEstimate:
     """Exact sliding-window maximum of P(|X - L| < eps) over all centers L."""
     if epsilon <= 0.0:
@@ -99,46 +55,6 @@ def concentration_estimate(samples, epsilon: float) -> ConcentrationEstimate:
     return ConcentrationEstimate(
         epsilon=float(epsilon), value=float(counts.max()) / x.size, sample_count=x.size
     )
-
-
-def small_ball_bound(alpha: float, m: int, lam: float) -> float:
-    """Bound on P(sum_i X_i^2 <= lam*m) for m entries with densities <= alpha.
-
-    Returns min(1, (6*alpha)^m * lam^(m/2)).
-    """
-    if alpha <= 0.0 or lam <= 0.0:
-        raise InputError("alpha and lam must be positive")
-    if m < 1:
-        raise InputError("m must be >= 1")
-    try:
-        direct = (6.0 * alpha) ** m * lam ** (0.5 * m)
-    except OverflowError:
-        direct = math.nan
-    if math.isfinite(direct):
-        return min(1.0, direct)
-    # extreme magnitudes: evaluate in log space instead
-    log_val = m * math.log(6.0 * alpha) + 0.5 * m * math.log(lam)
-    return min(1.0, math.exp(min(700.0, log_val)))
-
-
-def psi2_tail_check(samples, beta: float, ts=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0)) -> bool:
-    """Whether empirical tails obey P(|X| > t) <= 2 exp(-t^2/beta^2).
-
-    Checked at each t with TAIL_SLACK_SE binomial standard errors of slack.
-    """
-    if beta <= 0.0:
-        raise InputError("beta must be positive")
-    x = np.abs(np.asarray(samples, dtype=float).reshape(-1))
-    if x.size == 0:
-        raise InputError("psi2_tail_check needs a non-empty sample")
-    n = x.size
-    for t in ts:
-        p_hat = float(np.mean(x > t))
-        bound = 2.0 * math.exp(-(t * t) / (beta * beta))
-        slack = TAIL_SLACK_SE * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
-        if p_hat > bound + slack:
-            return False
-    return True
 
 
 def gaussian_width_mc(family: SubspaceFamily, n_draws: int, seed: int) -> WidthEstimate:

@@ -1,0 +1,306 @@
+"""Test oracles: checks of the certificate, geometric helpers the proofs use,
+and the paper's lemma and tightness checks. The library never calls them."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import combinations
+
+import numpy as np
+
+from subembed import (
+    DimensionError,
+    EnsembleSpec,
+    ExperimentConfig,
+    InputError,
+    RandomMatrix,
+    ResourceError,
+    Subspace,
+    SubspaceFamily,
+    SweepResult,
+    WidthEstimate,
+    gaussian_width_mc,
+    k_sparse_family,
+    orthonormalize,
+    sweep_m,
+)
+from subembed.ensembles import _sample_rows
+from subembed.geometry import _linear_family
+from subembed.seeding import derive_seed, normalize_seed, rng_from
+
+# seed-stream labels, disjoint from the library's (1: families, 2: maps)
+_STUDY_SWEEP_STREAM = 4
+_STUDY_WIDTH_STREAM = 5
+_PAIR_STREAM = 6
+
+#: tail checks use this many binomial std errors of slack
+TAIL_SLACK_SE = 3.0
+
+
+# ---------------------------------------------------------------- geometry
+
+
+def projector(subspace: Subspace) -> np.ndarray:
+    """The n x n orthogonal projector onto the subspace."""
+    return subspace.basis @ subspace.basis.T
+
+
+def is_linear(affine) -> bool:
+    """Whether a member (AffineSubspace) or every member of a family passes
+    through the origin."""
+    points = affine.base_points if isinstance(affine, SubspaceFamily) else affine.base_point
+    return not np.any(points)
+
+
+def grassmann_distance(v: Subspace, w: Subspace) -> float:
+    """max over unit x in V of the distance to the unit sphere of W.
+
+    Equals sqrt(2 - 2*cos(theta)) = 2*sin(theta/2) for the largest
+    principal angle theta of V against W (theta = pi/2 when dim V exceeds
+    dim W). Computed from sin(theta), the top singular value of the
+    W-orthogonal part of V's basis, which stays accurate for nearly
+    contained subspaces. Asymmetric when the dimensions differ: the
+    maximum runs over the first argument.
+    """
+    if v.ambient_dim != w.ambient_dim:
+        raise DimensionError("subspaces live in different ambient spaces")
+    residual = v.basis - w.basis @ (w.basis.T @ v.basis)
+    sines = np.linalg.svd(residual, compute_uv=False)
+    sine = min(1.0, float(sines[0]))
+    return 2.0 * math.sin(0.5 * math.asin(sine))
+
+
+def reduce_affine(family: SubspaceFamily) -> SubspaceFamily:
+    """Drop base points, keeping each member's direction subspace.
+
+    Distortion of a linear map on differences x - y within a member is
+    unchanged, since those differences span exactly the direction space.
+    The reduced family shares the input's stacks.
+    """
+    return _linear_family(family.stacks)
+
+
+def cross_family(family: SubspaceFamily, cardinality_budget: int = 100_000) -> SubspaceFamily:
+    """All pairwise spans span(W_l, W_l') for l <= l', each of dimension <= 2k.
+
+    Applying the embedding theorem to this family controls distances between
+    points in *different* members of the original one. Only the members'
+    directions enter; base points are ignored.
+    """
+    p = family.size
+    count = p * (p + 1) // 2
+    if count > cardinality_budget:
+        raise ResourceError(f"cross family has {count} members, budget is {cardinality_budget}")
+    directions = [member.direction for member in family.members]
+    spans = []
+    for l in range(p):
+        for lp in range(l, p):
+            if l == lp:
+                spans.append(directions[l])
+            else:
+                spans.append(orthonormalize(np.hstack([directions[l].basis, directions[lp].basis])))
+    return SubspaceFamily.from_subspaces(spans)
+
+
+# ---------------------------------------------------------------- sampling
+
+
+def sample_row(spec: EnsembleSpec, n: int, seed: int) -> np.ndarray:
+    """One draw of the ensemble's n-dimensional row, deterministic in (spec, n, seed).
+
+    The one-row case of ``sample_matrix``: row i of ``sample_matrix(spec,
+    m, n, seed)`` equals ``sample_row(spec, n, derive_seed(seed, i))``.
+    """
+    if n < 1:
+        raise DimensionError("n must be >= 1")
+    return _sample_rows(spec, np.array([normalize_seed(seed)], dtype=np.uint64), n)[0]
+
+
+# ---------------------------------------------------------------- certificate
+
+
+def verify_pointwise(
+    gamma: RandomMatrix,
+    family: SubspaceFamily,
+    L: float,
+    D: float,
+    n_pairs: int = 10_000,
+    seed: int = 0,
+    rel_slack: float = 1e-9,
+) -> int:
+    """Count violations of (L/D)||x-y|| <= ||Gamma(x-y)|| <= L||x-y|| over
+    random pairs x, y drawn inside random members.
+
+    Within a member, x - y lies in the direction subspace, so base points
+    never enter. rel_slack absorbs floating-point rounding at the singular
+    extremes; certification makes the mathematical inequality exact.
+    """
+    rng = rng_from(seed, _PAIR_STREAM)
+    member_idx = rng.integers(0, family.size, n_pairs)
+    violations = 0
+    for l in range(family.size):
+        count = int(np.sum(member_idx == l))
+        if count == 0:
+            continue
+        basis = family.members[l].direction.basis
+        k = basis.shape[1]
+        coeffs = rng.standard_normal((count, k)) - rng.standard_normal((count, k))
+        diffs = coeffs @ basis.T
+        norms = np.linalg.norm(diffs, axis=1)
+        keep = norms > 0.0
+        mapped = np.linalg.norm(gamma.matrix @ diffs[keep].T, axis=0)
+        lower = (L / D) * norms[keep] * (1.0 - rel_slack)
+        upper = L * norms[keep] * (1.0 + rel_slack)
+        violations += int(np.sum((mapped < lower) | (mapped > upper)))
+    return violations
+
+
+# ---------------------------------------------------------------- paper lemmas
+
+
+@dataclass(frozen=True)
+class Psi2Estimate:
+    """Empirical psi_2 norm: smallest C with mean exp(X^2/C^2) <= 2."""
+
+    value: float
+    sample_count: int
+    method: str = "bisection_on_empirical_mgf"
+
+
+def psi2_estimate(samples, rel_tol: float = 1e-4) -> Psi2Estimate:
+    """Estimate the psi_2 norm of a sample by bisection on the empirical MGF.
+
+    Samples are normalized by their max absolute value so the result scales
+    exactly with the data under power-of-two rescaling. The bracket
+    [max|X|/sqrt(ln(2N)), 10*max|X|] always straddles the empirical root.
+    """
+    x = np.asarray(samples, dtype=float).reshape(-1)
+    if x.size == 0:
+        raise InputError("psi2_estimate needs a non-empty sample")
+    peak = float(np.abs(x).max())
+    if peak == 0.0:
+        return Psi2Estimate(value=0.0, sample_count=x.size)
+    y2 = np.square(x / peak)
+
+    def excess(c: float) -> float:
+        return float(np.mean(np.exp(y2 / (c * c)))) - 2.0
+
+    lo = 1.0 / math.sqrt(math.log(2.0 * x.size))
+    hi = 10.0
+    while excess(lo) < 0.0:
+        lo *= 0.5
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    while hi - lo > rel_tol * lo:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return Psi2Estimate(value=peak * (0.5 * (lo + hi)), sample_count=x.size)
+
+
+def small_ball_bound(alpha: float, m: int, lam: float) -> float:
+    """Bound on P(sum_i X_i^2 <= lam*m) for m entries with densities <= alpha.
+
+    Returns min(1, (6*alpha)^m * lam^(m/2)).
+    """
+    if alpha <= 0.0 or lam <= 0.0:
+        raise InputError("alpha and lam must be positive")
+    if m < 1:
+        raise InputError("m must be >= 1")
+    try:
+        direct = (6.0 * alpha) ** m * lam ** (0.5 * m)
+    except OverflowError:
+        direct = math.nan
+    if math.isfinite(direct):
+        return min(1.0, direct)
+    # extreme magnitudes: evaluate in log space instead
+    log_val = m * math.log(6.0 * alpha) + 0.5 * m * math.log(lam)
+    return min(1.0, math.exp(min(700.0, log_val)))
+
+
+def psi2_tail_check(samples, beta: float, ts=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0)) -> bool:
+    """Whether empirical tails obey P(|X| > t) <= 2 exp(-t^2/beta^2).
+
+    Checked at each t with TAIL_SLACK_SE binomial standard errors of slack.
+    """
+    if beta <= 0.0:
+        raise InputError("beta must be positive")
+    x = np.abs(np.asarray(samples, dtype=float).reshape(-1))
+    if x.size == 0:
+        raise InputError("psi2_tail_check needs a non-empty sample")
+    n = x.size
+    for t in ts:
+        p_hat = float(np.mean(x > t))
+        bound = 2.0 * math.exp(-(t * t) / (beta * beta))
+        slack = TAIL_SLACK_SE * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+        if p_hat > bound + slack:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class LowerBoundRow:
+    requested_p: int
+    family_size: int
+    minimal_m: int | None
+    width: WidthEstimate
+    sweep: SweepResult
+
+
+def lower_bound_study(
+    n: int,
+    k: int,
+    D: float,
+    delta: float,
+    p_values,
+    ensemble: EnsembleSpec,
+    seed: int,
+    trials: int = 40,
+    target_rate: float = 0.9,
+    m_values=None,
+    width_draws: int = 4000,
+    parallelism: int = 1,
+) -> list[LowerBoundRow]:
+    """Measured minimal m and Gaussian width across family sizes p.
+
+    Families are k-sparse coordinate subspaces, whose pairwise Grassmann
+    separation is checked against delta before use (any offending pair is
+    reported). Minimal m comes from sweep_m at target_rate; width from
+    gaussian_width_mc. Minimal m is expected to grow with p and k, and to
+    shrink as D grows.
+    """
+    rows = []
+    for idx, p in enumerate(p_values):
+        family = k_sparse_family(n, k, int(p))
+        for i, j in combinations(range(family.size), 2):
+            sep = grassmann_distance(family.members[i].direction, family.members[j].direction)
+            if sep < delta - 1e-12:
+                raise InputError(
+                    f"members {i} and {j} have Grassmann separation {sep:.6f} < delta={delta}"
+                )
+        config = ExperimentConfig(
+            n=n,
+            k=k,
+            p=family.size,
+            D=D,
+            ensemble=ensemble,
+            family_kind="k_sparse",
+            trials=trials,
+            seed=derive_seed(seed, _STUDY_SWEEP_STREAM, idx),
+        )
+        grid = m_values if m_values is not None else range(max(1, k - 1), config.m + 1)
+        sweep = sweep_m(config, list(grid), target_rate, parallelism=parallelism)
+        width = gaussian_width_mc(family, width_draws, derive_seed(seed, _STUDY_WIDTH_STREAM, idx))
+        rows.append(
+            LowerBoundRow(
+                requested_p=int(p),
+                family_size=family.size,
+                minimal_m=sweep.minimal_m,
+                width=width,
+                sweep=sweep,
+            )
+        )
+    return rows

@@ -15,26 +15,23 @@ from subembed import (
     Subspace,
     SubspaceFamily,
     concentration_estimate,
-    cross_family,
     derive_seed,
     family_distortion,
     gaussian_width_mc,
     k_sparse_family,
     metric_embed,
-    psi2_estimate,
     random_subspace,
-    reduce_affine,
     required_m,
     run_trials,
     sample_matrix,
-    small_ball_bound,
     subspace_extremes,
     sweep_m,
-    verify_pointwise,
     width_upper_bound,
 )
 from subembed.cli import main
 from subembed.geometry import AffineSubspace
+
+from oracles import cross_family, psi2_estimate, reduce_affine, small_ball_bound, verify_pointwise
 
 ALL_KINDS = ("gaussian", "sphere_scaled", "iid_bounded")
 SQRT3 = math.sqrt(3.0)

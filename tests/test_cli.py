@@ -251,6 +251,62 @@ def pools(monkeypatch):
     return started
 
 
+def test_pool_class_is_the_standard_one():
+    import concurrent.futures
+
+    assert subembed.harness.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+
+
+def _run_python(code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subembed.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_process_pool():
+    loaded = _run_python(
+        "import json, sys, subembed.cli; "
+        "print(json.dumps([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]))"
+    )
+    assert loaded == []
+
+
+def test_family_file_commands_and_haar_builds_do_not_load_numpy_ma(tmp_path):
+    from subembed import SubspaceFamily, random_subspace, store_family_json
+
+    fam = tmp_path / "fam.json"
+    # mixed member dimensions: the grouping by dimension runs on more than one group
+    members = (random_subspace(6, k, s) for s, k in enumerate([2, 1, 3, 1]))
+    store_family_json(SubspaceFamily.from_subspaces(members), fam)
+    mat = tmp_path / "m.csv"
+    store_matrix_csv(sample_matrix(EnsembleSpec.gaussian(), 5, 6, 3), mat)
+    code = f"""
+import json, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print(json.dumps("numpy loads numpy.ma itself"))
+    raise SystemExit(0)
+from subembed import EnsembleSpec, ExperimentConfig, build_family
+from subembed.cli import main
+loaded = []
+for argv in (["verify", "--matrix", {str(mat)!r}, "--family", {str(fam)!r}, "--D", "50",
+              "--summary-out", {str(tmp_path / "s.json")!r}],
+             ["width", "--family", {str(fam)!r}, "--seed", "1", "--draws", "50",
+              "--output", {str(tmp_path / "w.json")!r}]):
+    assert main(argv) == 0
+    loaded.append("numpy.ma" in sys.modules)
+build_family(ExperimentConfig(n=6, k=2, p=5, D=4.0, ensemble=EnsembleSpec.gaussian()), 0)
+loaded.append("numpy.ma" in sys.modules)
+print(json.dumps(loaded))
+"""
+    loaded = _run_python(code)
+    if isinstance(loaded, str):
+        pytest.skip(loaded)
+    assert loaded == [False, False, False]
+
+
 def test_trial_parallel_flag_matches_serial_bytes(tmp_path, pools):
     cfg = write_config(tmp_path / "cfg.json", trials=6)
     logs = []
@@ -478,6 +534,43 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", typo_key=1)
     assert main(["trial", "--config", str(cfg)]) == 2
     assert "typo_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["family-dir", "config-dir", "matrix-dir", "family-utf16", "config-utf16", "matrix-utf16",
+     "output-dir", "output-missing-dir", "summary-out-dir"],
+)
+def test_unusable_paths_exit_2(tmp_path, capsys, case):
+    mat = tmp_path / "m.csv"
+    mat.write_text("2,2\n2,0\n0,1\n")
+    fam = write_axes_family(tmp_path / "fam.json")
+    cfg = write_config(tmp_path / "cfg.json")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    utf16 = tmp_path / "utf16"
+    utf16.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    missing = tmp_path / "no" / "x.csv"
+    gen = ["gen-matrix", "--ensemble", "gaussian", "--m", "2", "--n", "2", "--seed", "1", "--output"]
+    argv, named = {
+        "family-dir": (["verify", "--matrix", str(mat), "--family", str(folder), "--D", "2"], folder),
+        "config-dir": (["trial", "--config", str(folder)], folder),
+        "matrix-dir": (["verify", "--matrix", str(folder), "--family", str(fam), "--D", "2"], folder),
+        "family-utf16": (["width", "--family", str(utf16), "--seed", "1"], utf16),
+        "config-utf16": (["sweep", "--config", str(utf16), "--m-values", "2"], utf16),
+        "matrix-utf16": (["verify", "--matrix", str(utf16), "--family", str(fam), "--D", "2"], utf16),
+        "output-dir": (gen + [str(folder)], folder),
+        "output-missing-dir": (gen + [str(missing)], missing),
+        "summary-out-dir": (["verify", "--matrix", str(mat), "--family", str(fam), "--D", "2",
+                             "--summary-out", str(folder)], folder),
+    }[case]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
+    assert ".tmp." not in err
+    # no temporary file is left beside the output
+    assert sorted(tmp_path.iterdir()) == before and list(folder.iterdir()) == []
 
 
 def test_missing_files_exit_2(tmp_path, capsys):

@@ -15,15 +15,15 @@ from subembed import (
     ResourceError,
     derive_seed,
     sample_matrix,
-    sample_row,
     theoretical_constants,
 )
 from subembed import ensembles
 from subembed.ensembles import UNIFORM_HALF_WIDTH
 from subembed.seeding import derive_seeds
-from subembed.stats import concentration_estimate, psi2_tail_check
+from subembed.stats import concentration_estimate
 
 from conftest import ENSEMBLE_KINDS, unit_directions
+from oracles import psi2_tail_check, sample_row
 
 SQRT3 = math.sqrt(3.0)
 

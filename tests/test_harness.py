@@ -18,7 +18,6 @@ from subembed import (
     family_distortion,
     gaussian_width_mc,
     k_sparse_family,
-    lower_bound_study,
     metric_embed,
     random_subspace,
     required_m,
@@ -28,8 +27,9 @@ from subembed import (
     sparse_subspace,
     store_family_json,
     sweep_m,
-    verify_pointwise,
 )
+
+from oracles import lower_bound_study, verify_pointwise
 
 GAUSS = EnsembleSpec.gaussian()
 
