@@ -49,16 +49,20 @@ def load_matrix_csv(path) -> RandomMatrix:
         m, n = int(header[0]), int(header[1])
     except ValueError as exc:
         raise InputError(f"{path}: non-integer header: {exc}") from exc
+    if m < 1 or n < 1:
+        raise InputError(f"{path}: header needs m >= 1 and n >= 1, got {m},{n}")
     body = lines[1:]
     if len(body) != m:
         raise InputError(f"{path}: header says {m} rows, body has {len(body)}")
+    # every shape check comes before the allocation, whose size the header sets
+    for i, line in enumerate(body):
+        fields = line.count(",") + 1
+        if fields != n:
+            raise InputError(f"{path}: row {i} has {fields} fields, expected {n}")
     rows = np.empty((m, n))
     for i, line in enumerate(body):
-        fields = line.split(",")
-        if len(fields) != n:
-            raise InputError(f"{path}: row {i} has {len(fields)} fields, expected {n}")
         try:
-            rows[i] = [float(f) for f in fields]
+            rows[i] = [float(f) for f in line.split(",")]
         except ValueError as exc:
             raise InputError(f"{path}: row {i}: {exc}") from exc
     return RandomMatrix(matrix=rows)

@@ -51,9 +51,79 @@ def _stack_extremes(maps: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np
     pair's own shape, so a pair's extremes are bit for bit the same in any
     stack. When m < k each restriction has a kernel, so sigma_min is 0.
     """
-    s = np.linalg.svd(maps[:, None] @ bases[None], compute_uv=False)
-    lo = np.zeros(s.shape[:2]) if maps.shape[1] < bases.shape[2] else s[..., -1]
+    return _svd_extremes(maps[:, None] @ bases[None])
+
+
+def _svd_extremes(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_min and sigma_max of each m x k matrix of a stack of products,
+    one LAPACK SVD per matrix; sigma_min is 0 when m < k."""
+    s = np.linalg.svd(products, compute_uv=False)
+    m, k = products.shape[-2:]
+    lo = np.zeros(s.shape[:-1]) if m < k else s[..., -1]
     return lo, s[..., 0]
+
+
+# The screen's slack on a squared singular value. The Gram G and the SVD read
+# the same computed product P (m x k), so with sigma_max = ||P||_2 each
+# eigenvalue of G = fl(P^T P) lies within (m*k + 3*c(k)) * eps * sigma_max^2
+# of the square of the SVD's matching value:
+# - G's accumulation adds at most m*k*eps*sigma_max^2: its entries are dot
+#   products of length m of columns with norms at most sigma_max (the same
+#   bound holds for fl(P P^T), used when m < k);
+# - eigvalsh is backward stable, to c(k)*eps*||G||;
+# - the SVD's values lie within c(k)*eps*sigma_max of P's, 2*c(k)*eps*
+#   sigma_max^2 once squared (Weyl; LAPACK Users' Guide, "Error bounds for
+#   the singular value decomposition").
+# LAPACK's c(k) grows modestly with k. Taking c(k) <= k and m*k <= 2^20
+# (_SCREEN_MAX_MK), the sum is at most 2^22 * eps = 2^-30 sigma_max^2, and
+# _SCREEN_TAU = 2^-26 (about 6.7e7 eps) leaves a factor of 16 for LAPACK's
+# constants and the rounding of the comparisons; larger products are not
+# screened. _SCREEN_FLOOR covers, with room, the absolute error of a Gram
+# whose entries underflow to subnormal numbers (at most m*k * 2^-1074).
+_SCREEN_TAU = 2.0**-26
+_SCREEN_MAX_MK = 1 << 20
+_SCREEN_FLOOR = 2.0**-1000
+
+
+def _screened_extremes(maps: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T,) arrays of each map's minimum sigma_min and maximum sigma_max over
+    a (count, n, k) stack of bases, bit for bit the min and max of
+    ``_stack_extremes(maps, bases)`` along its members.
+
+    The Gram of each product only chooses which pairs get the exact SVD; it
+    never decides a value. Its eigenvalues bound each pair's squared
+    singular values to within the slack above, so a pair whose interval
+    cannot reach its map's smallest upper bound on sigma_min^2 (or largest
+    lower bound on sigma_max^2) holds neither extreme, and only the other
+    pairs are gathered and run through the SVD. numpy runs one LAPACK SVD
+    per matrix, so a gathered pair's values are those of the whole stack.
+    Every pair is kept when m*k is beyond the slack's range or a Gram or
+    eigenvalue is not finite. When m < k, sigma_min is 0 and only sigma_max
+    is screened, from the m x m Gram P P^T, whose largest eigenvalue is the
+    same and which is no larger than the products.
+    """
+    products = maps[:, None] @ bases[None]
+    m, k = products.shape[-2:]
+    transposed = np.swapaxes(products, -1, -2)
+    # an overflowing Gram is caught below, and the SVD path warns on its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = transposed @ products if m >= k else products @ transposed
+    eig = np.linalg.eigvalsh(gram) if m * k <= _SCREEN_MAX_MK and np.isfinite(gram).all() else None
+    if eig is None or not np.isfinite(eig).all():
+        lo, hi = _svd_extremes(products)
+        return lo.min(axis=1), hi.max(axis=1)
+    top = eig[..., -1]
+    slack = _SCREEN_TAU * np.abs(top) + _SCREEN_FLOOR
+    keep = top + slack >= (top - slack).max(axis=1, keepdims=True)
+    if m >= k:
+        bottom = eig[..., 0]
+        keep |= bottom - slack <= (bottom + slack).min(axis=1, keepdims=True)
+    # row-major order: each map's pairs are consecutive, and every map keeps
+    # at least the pair with the largest lower bound on sigma_max^2
+    rows, cols = np.nonzero(keep)
+    lo, hi = _svd_extremes(products[rows, cols])
+    starts = np.searchsorted(rows, np.arange(len(maps)))
+    return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
 
 
 def _family_extremes(maps: np.ndarray, family: SubspaceFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -83,8 +153,12 @@ def _certify_maps(maps: np.ndarray, family: SubspaceFamily, D: float) -> list[tu
     stack over the family, bit for bit what ``family_distortion`` and
     ``choose_scale`` give for that map alone, without building the
     per-member extremes into a report. D already checked."""
-    lo, hi = _family_extremes(maps, family)
-    extremes = zip(lo.min(axis=1).tolist(), hi.max(axis=1).tolist())
+    lo = np.full(len(maps), np.inf)
+    hi = np.full(len(maps), -np.inf)
+    for _, bases in family.stacks:
+        stack_lo, stack_hi = _screened_extremes(maps, bases)
+        lo, hi = np.minimum(lo, stack_lo), np.maximum(hi, stack_hi)
+    extremes = zip(lo.tolist(), hi.tolist())
     return [(_achieved(sigma_min, sigma_max), _scale(sigma_min, sigma_max, D)) for sigma_min, sigma_max in extremes]
 
 

@@ -178,8 +178,10 @@ def _block_results(
     Every row seed of the block comes from one vectorized derivation and
     every map from one sampling pass, with max(m_values) rows (rows never
     depend on m). Each m is certified for all maps at once, from their
-    first m rows, by one broadcast product and one batched SVD per
-    dimension stack, and each (trial, m) is decided by choose_scale's rule.
+    first m rows, by one broadcast product per dimension stack whose Gram
+    screen sends only the pairs that can hold a map's extremes through the
+    SVD (``_certify_maps``), and each (trial, m) is decided by
+    choose_scale's rule.
     The results are bit for bit those of each trial run alone. With family
     None, the block embeds the family of its first trial, which is every
     trial's unless the run is annealed haar, whose blocks hold one trial.

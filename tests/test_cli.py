@@ -80,6 +80,30 @@ def test_matrix_csv_errors(tmp_path, capsys):
     assert "3 rows" in err and "2" in err
 
 
+@pytest.mark.parametrize(
+    "command,text,expected",
+    [
+        ("verify", "1,-1\n1,2\n", "m >= 1 and n >= 1"),
+        ("verify", "0,2\n", "m >= 1 and n >= 1"),
+        ("embed-points", "1,10000000000000\n1,2,3\n", "row 0 has 3 fields, expected 10000000000000"),
+        ("embed-points", "2,-3\n1,2\n3,4\n", "m >= 1 and n >= 1"),
+    ],
+    ids=["verify-negative-n", "verify-zero-m", "embed-huge-n", "embed-negative-n"],
+)
+def test_malformed_matrix_header_exits_2(tmp_path, capsys, command, text, expected):
+    # the header sets the allocation's size, so it is checked before anything is allocated
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    argv = {
+        "verify": ["verify", "--matrix", str(path), "--family", "x", "--D", "2"],
+        "embed-points": ["embed-points", "--points", str(path), "--D", "8", "--ensemble", "gaussian",
+                         "--seed", "1"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
+
+
 # ---------------------------------------------------------------- gen-matrix
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,12 +16,20 @@ from subembed import (
     choose_scale,
     derive_seed,
     family_distortion,
+    k_sparse_family,
     random_subspace,
     sample_matrix,
     sparse_subspace,
     subspace_extremes,
 )
-from subembed.distortion import DistortionReport, _certify_maps, _family_extremes
+import subembed.distortion as distortion
+from subembed.distortion import (
+    DistortionReport,
+    _certify_maps,
+    _family_extremes,
+    _screened_extremes,
+    _stack_extremes,
+)
 
 from nets import epsilon_net
 
@@ -148,6 +157,203 @@ def test_block_of_maps_certifies_like_each_map_alone(n, m, maps, dims, seed):
     outcomes = _certify_maps(np.stack([g.matrix for g in gammas]), fam, 3.0)
     reports = [family_distortion(gamma, fam) for gamma in gammas]
     assert outcomes == [(r.achieved_distortion, choose_scale(r, 3.0)) for r in reports]
+
+
+# ---------------------------------------------------------------- Gram screen
+
+
+def assert_screen_is_exact(maps, family, D=3.0):
+    # per stack, the screened extremes are the min and max of every pair's;
+    # per map, _certify_maps gives what family_distortion and choose_scale do
+    for _, bases in family.stacks:
+        lo, hi = _stack_extremes(maps, bases)
+        screened_lo, screened_hi = _screened_extremes(maps, bases)
+        assert np.array_equal(screened_lo, lo.min(axis=1))
+        assert np.array_equal(screened_hi, hi.max(axis=1))
+    reports = [family_distortion(RandomMatrix(gamma), family) for gamma in maps]
+    assert _certify_maps(maps, family, D) == [(r.achieved_distortion, choose_scale(r, D)) for r in reports]
+
+
+def gathered_pairs(monkeypatch):
+    """Count the (map, member) pairs that reach the SVD."""
+    counts = []
+    svd_extremes = distortion._svd_extremes
+
+    def counting(products):
+        counts.append(math.prod(products.shape[:-2]))
+        return svd_extremes(products)
+
+    monkeypatch.setattr(distortion, "_svd_extremes", counting)
+    return counts
+
+
+def coordinate_family(n, dims=(1, 2)):
+    """Every coordinate subspace of the given dimensions: a mixed family."""
+    return SubspaceFamily.from_subspaces(
+        [sparse_subspace(n, support) for k in dims for support in combinations(range(n), k)]
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 10),
+    m=st.integers(1, 9),
+    maps=st.integers(1, 5),
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+    repeats=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screen_matches_full_reduction(n, m, maps, dims, repeats, seed):
+    # random maps on mixed-dimension families, m < k included; repeated
+    # members tie exactly, so their pairs share every interval
+    gammas = np.stack(
+        [sample_matrix(EnsembleSpec.gaussian(), m, n, derive_seed(seed, t)).matrix for t in range(maps)]
+    )
+    subs = [random_subspace(n, min(k, n), derive_seed(seed, 99, i)) for i, k in enumerate(dims)]
+    assert_screen_is_exact(gammas, SubspaceFamily.from_subspaces(subs + subs[:repeats]))
+
+
+def test_screen_every_member_tied(monkeypatch):
+    # an isometry on coordinate subspaces: every singular value is 1, so every
+    # pair's interval reaches both extremes and every pair is a candidate
+    family = k_sparse_family(6, 2, 15)
+    maps = np.stack([np.eye(8, 6), np.eye(8, 6)[::-1], 2.0 * np.eye(8, 6)])
+    counts = gathered_pairs(monkeypatch)
+    assert_screen_is_exact(maps, family)
+    assert counts[0] == len(maps) * family.size
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["rank-deficient", "scales-2^200", "subnormal-gram", "gram-overflow", "eigenvalue-overflow", "zero-map"],
+)
+def test_screen_adversarial_cases(case):
+    rng = np.random.default_rng(17)
+    n = 6
+    family = coordinate_family(n, dims=(1, 2, 3))
+    gaussian = rng.standard_normal((7, n))
+    if case == "rank-deficient":
+        # zero columns give members a kernel; a rank-one map gives all but
+        # the one-dimensional members one
+        killed = gaussian.copy()
+        killed[:, :2] = 0.0
+        rank_one = np.outer(rng.standard_normal(7), rng.standard_normal(n))
+        maps = np.stack([killed, rank_one, gaussian])
+    elif case == "scales-2^200":
+        # members of one map whose scales differ by 2^400, and maps 2^400 apart
+        spread = gaussian * 2.0 ** np.array([-200, -120, -40, 40, 120, 200])
+        maps = np.stack([spread, spread[:, ::-1], gaussian * 2.0**200, gaussian * 2.0**-200])
+    elif case == "subnormal-gram":
+        # products near 2^-530: the Gram's entries fall to subnormal numbers
+        maps = np.stack([gaussian * 2.0**-530, gaussian * 2.0 ** np.array([-530, -537, -540, 0, -535, -600])])
+    elif case == "gram-overflow":
+        # the Gram of 2^600-sized products overflows, and every pair is kept
+        maps = np.stack([gaussian * 2.0**600, gaussian])
+    elif case == "eigenvalue-overflow":
+        # m = 2 < k = 3: members holding e0 have the finite Gram P P^T, about
+        # [[a, a], [a, a]] with a = 1e308, whose eigenvalue 2a overflows
+        wide = gaussian[:2].copy()
+        wide[:, 0] = math.sqrt(1e308)
+        maps = np.stack([wide, gaussian[:2]])
+    else:
+        maps = np.stack([np.zeros((7, n)), gaussian])
+    assert_screen_is_exact(maps, family)
+
+
+def test_screen_subnormal_gram_keeps_the_smaller_pair():
+    # in units u = 2^-537, e0's squared norm is 1.1 u^2 and e1's 1.4 u^2, but
+    # each square rounds to a whole subnormal u^2, so e0's Gram reads 2 u^2
+    # and e1's 1 u^2: only the absolute floor of the slack keeps e0
+    u = 2.0**-537
+    gamma = np.array([[math.sqrt(0.55) * u, math.sqrt(1.4) * u, 1.0], [math.sqrt(0.55) * u, 0.0, 0.5]])
+    family = coordinate_family(3, dims=(1,))
+    _, bases = family.stacks[0]
+    assert (np.swapaxes(gamma @ bases, 1, 2) @ (gamma @ bases))[:2, 0, 0].tolist() == [2 * u * u, u * u]
+    assert_screen_is_exact(gamma[None], family)
+    assert family_distortion(RandomMatrix(gamma), family).family_sigma_min < math.sqrt(1.2) * u
+
+
+def test_screen_gram_overflow_keeps_every_pair(monkeypatch):
+    family = coordinate_family(5)
+    maps = np.stack([np.random.default_rng(3).standard_normal((6, 5)) * 2.0**600])
+    counts = gathered_pairs(monkeypatch)
+    _certify_maps(maps, family, 3.0)
+    assert counts == [5, 10]
+
+
+def test_screen_runs_the_svd_on_few_pairs(monkeypatch):
+    # random maps have no near ties, so each map keeps about one pair per extreme
+    family = k_sparse_family(32, 2, 496)
+    maps = np.stack([sample_matrix(EnsembleSpec.gaussian(), 12, 32, 40 + t).matrix for t in range(3)])
+    counts = gathered_pairs(monkeypatch)
+    _certify_maps(maps, family, 8.0)
+    assert sum(counts) <= 4 * len(maps)
+
+
+@pytest.mark.parametrize("m,k", [(7, 3), (2, 5), (40, 8), (1, 1)])
+def test_screen_gathered_svd_rows_are_the_whole_stacks(m, k):
+    # the assumption the screen rests on: numpy's SVD of a gathered subset of
+    # a stack equals those rows of the SVD of the whole stack, bit for bit
+    rng = np.random.default_rng(m * 100 + k)
+    maps = rng.standard_normal((3, m, 12))
+    bases = np.stack([np.linalg.qr(rng.standard_normal((12, k)))[0] for _ in range(50)])
+    products = maps[:, None] @ bases[None]
+    whole = np.linalg.svd(products, compute_uv=False)
+    rows, cols = np.nonzero(rng.random(products.shape[:2]) < 0.2)
+    assert np.array_equal(np.linalg.svd(products[rows, cols], compute_uv=False), whole[rows, cols])
+    assert np.array_equal(np.linalg.svd(products[2:, 7:8], compute_uv=False), whole[2:, 7:8])
+
+
+# ---------------------------------------------------------------- certificate boundary
+
+
+def ulps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+@pytest.mark.parametrize("D", [8.0, 3.0, 1.5, 1.0000001])
+@pytest.mark.parametrize("steps", [-2, -1, 0, 1, 2])
+def test_boundary_diagonal_maps_at_D_and_nearby_ulps(D, steps):
+    # a diagonal map with entries from 1 to exactly D +- steps ULPs, on every
+    # coordinate subspace of dimension 1 and 2: its restrictions are
+    # diagonal, their singular values exact, and the certificate must read
+    # feasible exactly when the distortion is at most D
+    achieved = ulps_from(D, steps)
+    n = 5
+    diagonal = np.zeros((n + 2, n))
+    diagonal[np.arange(n), np.arange(n)] = np.linspace(1.0, achieved, n)[[3, 0, 4, 1, 2]]
+    maps = np.stack([diagonal, -diagonal[::-1]])
+    family = coordinate_family(n)
+    report = family_distortion(RandomMatrix(diagonal), family)
+    assert (report.family_sigma_min, report.family_sigma_max) == (1.0, achieved)
+    assert report.achieved_distortion == achieved
+    scale = choose_scale(report, D)
+    assert scale.feasible is (steps <= 0)
+    assert scale.L == (achieved if steps <= 0 else None)
+    assert _certify_maps(maps, family, D) == [(achieved, scale)] * 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    j=st.integers(-60, 60),
+    m=st.integers(1, 8),
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    D=st.sampled_from([1.5, 3.0, 8.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_boundary_scaling_by_power_of_two_scales_L_exactly(j, m, dims, D, seed):
+    maps = np.stack([sample_matrix(EnsembleSpec.gaussian(), m, 8, derive_seed(seed, t)).matrix for t in range(3)])
+    family = SubspaceFamily.from_subspaces(
+        [random_subspace(8, k, derive_seed(seed, 7, i)) for i, k in enumerate(dims)]
+    )
+    base = _certify_maps(maps, family, D)
+    scaled = _certify_maps(maps * 2.0**j, family, D)
+    for (achieved, scale), (scaled_achieved, scaled_scale) in zip(base, scaled):
+        assert scaled_achieved == achieved
+        assert scaled_scale.feasible == scale.feasible
+        assert scaled_scale.L == (None if scale.L is None else scale.L * 2.0**j)
 
 
 def test_family_rank_collapse_flag():
