@@ -68,8 +68,7 @@ def _svd_extremes(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # eigenvalue of G = fl(P^T P) lies within (m*k + 3*c(k)) * eps * sigma_max^2
 # of the square of the SVD's matching value:
 # - G's accumulation adds at most m*k*eps*sigma_max^2: its entries are dot
-#   products of length m of columns with norms at most sigma_max (the same
-#   bound holds for fl(P P^T), used when m < k);
+#   products of length m of columns with norms at most sigma_max;
 # - eigvalsh is backward stable, to c(k)*eps*||G||;
 # - the SVD's values lie within c(k)*eps*sigma_max of P's, 2*c(k)*eps*
 #   sigma_max^2 once squared (Weyl; LAPACK Users' Guide, "Error bounds for
@@ -85,42 +84,51 @@ _SCREEN_MAX_MK = 1 << 20
 _SCREEN_FLOOR = 2.0**-1000
 
 
-def _screened_extremes(maps: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T,) arrays of each map's minimum sigma_min and maximum sigma_max over
-    a (count, n, k) stack of bases, bit for bit the min and max of
-    ``_stack_extremes(maps, bases)`` along its members.
+def _candidates(products: np.ndarray) -> np.ndarray:
+    """(T, count) mask of the pairs of a stack of products whose Gram
+    eigenvalue interval can reach their map's family minimum of sigma_min
+    or maximum of sigma_max; every pair when m*k is beyond the slack's range
+    or a Gram entry or eigenvalue is not finite.
 
-    The Gram of each product only chooses which pairs get the exact SVD; it
-    never decides a value. Its eigenvalues bound each pair's squared
-    singular values to within the slack above, so a pair whose interval
-    cannot reach its map's smallest upper bound on sigma_min^2 (or largest
-    lower bound on sigma_max^2) holds neither extreme, and only the other
-    pairs are gathered and run through the SVD. numpy runs one LAPACK SVD
-    per matrix, so a gathered pair's values are those of the whole stack.
-    Every pair is kept when m*k is beyond the slack's range or a Gram or
-    eigenvalue is not finite. When m < k, sigma_min is 0 and only sigma_max
-    is screened, from the m x m Gram P P^T, whose largest eigenvalue is the
-    same and which is no larger than the products.
+    The Gram P^T P has P's squared singular values as its eigenvalues, so a
+    pair whose interval cannot reach its map's smallest upper bound on
+    sigma_min^2 (or largest lower bound on sigma_max^2) holds neither
+    extreme. When m < k, sigma_min is 0 and only sigma_max is screened.
     """
-    products = maps[:, None] @ bases[None]
     m, k = products.shape[-2:]
-    transposed = np.swapaxes(products, -1, -2)
-    # an overflowing Gram is caught below, and the SVD path warns on its own
+    every = np.ones(products.shape[:2], dtype=bool)
+    if m * k > _SCREEN_MAX_MK:
+        return every
+    # an overflowing Gram keeps every pair, and the SVD path warns on its own
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = transposed @ products if m >= k else products @ transposed
-    eig = np.linalg.eigvalsh(gram) if m * k <= _SCREEN_MAX_MK and np.isfinite(gram).all() else None
-    if eig is None or not np.isfinite(eig).all():
-        lo, hi = _svd_extremes(products)
-        return lo.min(axis=1), hi.max(axis=1)
+        gram = np.swapaxes(products, -1, -2) @ products
+    if not np.isfinite(gram).all():
+        return every
+    eig = np.linalg.eigvalsh(gram)
+    if not np.isfinite(eig).all():
+        return every
     top = eig[..., -1]
     slack = _SCREEN_TAU * np.abs(top) + _SCREEN_FLOOR
     keep = top + slack >= (top - slack).max(axis=1, keepdims=True)
     if m >= k:
         bottom = eig[..., 0]
         keep |= bottom - slack <= (bottom + slack).min(axis=1, keepdims=True)
+    return keep
+
+
+def _screened_extremes(maps: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T,) arrays of each map's minimum sigma_min and maximum sigma_max over
+    a (count, n, k) stack of bases, bit for bit the min and max of
+    ``_stack_extremes(maps, bases)`` along its members.
+
+    The Gram of each product only chooses which pairs get the exact SVD
+    (``_candidates``); it never decides a value. numpy runs one LAPACK SVD
+    per matrix, so a gathered pair's values are those of the whole stack.
+    """
+    products = maps[:, None] @ bases[None]
     # row-major order: each map's pairs are consecutive, and every map keeps
     # at least the pair with the largest lower bound on sigma_max^2
-    rows, cols = np.nonzero(keep)
+    rows, cols = np.nonzero(_candidates(products))
     lo, hi = _svd_extremes(products[rows, cols])
     starts = np.searchsorted(rows, np.arange(len(maps)))
     return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)

@@ -187,6 +187,13 @@ def gathered_pairs(monkeypatch):
     return counts
 
 
+def overflowing_twin_columns(gamma):
+    """gamma with columns 0 and 1 equal, each of squared norm 1e308."""
+    twin = gamma.copy()
+    twin[:, :2] = math.sqrt(1e308 / len(twin))
+    return twin
+
+
 def coordinate_family(n, dims=(1, 2)):
     """Every coordinate subspace of the given dimensions: a mixed family."""
     return SubspaceFamily.from_subspaces(
@@ -225,7 +232,15 @@ def test_screen_every_member_tied(monkeypatch):
 
 @pytest.mark.parametrize(
     "case",
-    ["rank-deficient", "scales-2^200", "subnormal-gram", "gram-overflow", "eigenvalue-overflow", "zero-map"],
+    [
+        "rank-deficient",
+        "scales-2^200",
+        "subnormal-gram",
+        "gram-overflow",
+        "eigenvalue-overflow",
+        "eigenvalue-overflow-wide",
+        "zero-map",
+    ],
 )
 def test_screen_adversarial_cases(case):
     rng = np.random.default_rng(17)
@@ -250,11 +265,13 @@ def test_screen_adversarial_cases(case):
         # the Gram of 2^600-sized products overflows, and every pair is kept
         maps = np.stack([gaussian * 2.0**600, gaussian])
     elif case == "eigenvalue-overflow":
-        # m = 2 < k = 3: members holding e0 have the finite Gram P P^T, about
-        # [[a, a], [a, a]] with a = 1e308, whose eigenvalue 2a overflows
-        wide = gaussian[:2].copy()
-        wide[:, 0] = math.sqrt(1e308)
-        maps = np.stack([wide, gaussian[:2]])
+        # equal columns e0, e1 of squared norm a = 1e308: members holding both
+        # have a finite Gram with the block [[a, a], [a, a]], whose
+        # eigenvalue 2a overflows
+        maps = np.stack([overflowing_twin_columns(gaussian), gaussian])
+    elif case == "eigenvalue-overflow-wide":
+        # the same with m = 1 < k, where only sigma_max is screened
+        maps = np.stack([overflowing_twin_columns(gaussian[:1]), gaussian[:1]])
     else:
         maps = np.stack([np.zeros((7, n)), gaussian])
     assert_screen_is_exact(maps, family)
@@ -276,6 +293,27 @@ def test_screen_subnormal_gram_keeps_the_smaller_pair():
 def test_screen_gram_overflow_keeps_every_pair(monkeypatch):
     family = coordinate_family(5)
     maps = np.stack([np.random.default_rng(3).standard_normal((6, 5)) * 2.0**600])
+    counts = gathered_pairs(monkeypatch)
+    _certify_maps(maps, family, 3.0)
+    assert counts == [5, 10]
+
+
+def test_screen_eigenvalue_overflow_keeps_every_pair_of_its_stack(monkeypatch):
+    # the one-dimensional stack is screened; the two-dimensional one holds
+    # {e0, e1}, whose finite Gram has an overflowing eigenvalue
+    family = coordinate_family(5)
+    gamma = overflowing_twin_columns(np.random.default_rng(3).standard_normal((6, 5)))
+    counts = gathered_pairs(monkeypatch)
+    _certify_maps(gamma[None], family, 3.0)
+    assert counts[0] < 5 and counts[1] == 10
+
+
+def test_screen_keeps_every_pair_beyond_its_size_range(monkeypatch):
+    # products larger than the slack's range are not screened
+    family = coordinate_family(5)
+    maps = np.stack([np.random.default_rng(3).standard_normal((6, 5))])
+    monkeypatch.setattr(distortion, "_SCREEN_MAX_MK", 5)
+    assert_screen_is_exact(maps, family)
     counts = gathered_pairs(monkeypatch)
     _certify_maps(maps, family, 3.0)
     assert counts == [5, 10]
