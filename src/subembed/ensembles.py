@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, ResourceError
+from .errors import ConfigurationError, DimensionError
 from .geometry import _checked
 # derive_seed is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it there, alongside rng_from
 from .seeding import derive_seed, derive_seeds, normalize_seed, rng_from, uniforms  # noqa: F401
-from .stats import DEFAULT_MAX_ELEMENTS, concentration_estimate
+from .stats import _check_budget, concentration_estimate
 
 GAUSSIAN = "gaussian"
 SPHERE_SCALED = "sphere_scaled"
@@ -258,26 +258,17 @@ def _sample_rows(spec: EnsembleSpec, seeds: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
-def _sample_maps(
-    spec: EnsembleSpec, seeds: np.ndarray, m: int, n: int, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> np.ndarray:
+def _sample_maps(spec: EnsembleSpec, seeds: np.ndarray, m: int, n: int) -> np.ndarray:
     """A (len(seeds), m, n) stack of maps, all rows from one seed derivation
     and one sampling pass: map t is ``sample_matrix(spec, m, n,
     seeds[t]).matrix`` bit for bit, whatever the other seeds."""
     if m < 1 or n < 1:
         raise DimensionError("m and n must be >= 1")
-    if m * n > max_elements:
-        raise ResourceError(f"m*n = {m * n} exceeds the element budget {max_elements}")
+    _check_budget("m*n", m * n)
     return _sample_rows(spec, derive_seeds(seeds, m).reshape(-1), n).reshape(len(seeds), m, n)
 
 
-def sample_matrix(
-    spec: EnsembleSpec,
-    m: int,
-    n: int,
-    seed: int,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> RandomMatrix:
+def sample_matrix(spec: EnsembleSpec, m: int, n: int, seed: int) -> RandomMatrix:
     """m independent rows; row i depends only on (spec, n, derive_seed(seed, i)).
 
     Entry (i, j) is a fixed transform of the j-th uniforms of the counter
@@ -286,7 +277,7 @@ def sample_matrix(
     samples its maps once, with the largest m, and certifies each m on
     their first m rows.
     """
-    rows = _sample_maps(spec, np.array([normalize_seed(seed)], dtype=np.uint64), m, n, max_elements)[0]
+    rows = _sample_maps(spec, np.array([normalize_seed(seed)], dtype=np.uint64), m, n)[0]
     rows.setflags(write=False)
     return _checked(RandomMatrix, matrix=rows, ensemble=spec, seed=seed)
 

@@ -23,6 +23,8 @@ RANK_RTOL = 1e-10
 ORTHO_TOL = 1e-10
 # spanning vectors whose norms are all at most this are numerically zero
 ZERO_NORM = 1e-12
+# numbers of spans per batched SVD when orthonormalizing a family's members
+_SVD_CHUNK = 1 << 20
 
 
 def _checked(cls, **fields):
@@ -34,11 +36,10 @@ def _checked(cls, **fields):
     return obj
 
 
-def _orthonormal_stack(stack) -> np.ndarray:
-    """A read-only, C-ordered float copy of a (p, n, k) stack of bases,
+def _check_stack(bases: np.ndarray) -> np.ndarray:
+    """The given (p, n, k) float stack of bases, made read-only in place,
     checked for p >= 1, 1 <= k <= n and orthonormal columns with one
     batched Gram product. Subspace checks its basis as a one-basis stack."""
-    bases = np.array(stack, dtype=float, order="C")
     if bases.ndim != 3 or len(bases) < 1:
         raise DimensionError(f"need a nonempty stack of 2-d bases, got shape {bases.shape}")
     _, n, k = bases.shape
@@ -59,7 +60,7 @@ class Subspace:
     basis: np.ndarray  # n x k, orthonormal columns
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _orthonormal_stack(np.asarray(self.basis)[None])[0])
+        object.__setattr__(self, "basis", _check_stack(np.array([self.basis], dtype=float))[0])
 
     @property
     def ambient_dim(self) -> int:
@@ -109,21 +110,13 @@ class SubspaceFamily:
 
     def __init__(self, members):
         members = tuple(members)
-        if len(members) < 1:
-            raise InputError("a family needs at least one member")
-        n = members[0].ambient_dim
-        for i, member in enumerate(members):
-            if member.ambient_dim != n:
-                raise DimensionError(f"member {i} has ambient dim {member.ambient_dim}, expected {n}")
-        base_points = np.stack([member.base_point for member in members])
-        base_points.setflags(write=False)
-        object.__setattr__(self, "stacks", _stacks([member.direction.basis for member in members]))
-        object.__setattr__(self, "base_points", base_points)
+        stacks = _stacks([member.direction.basis for member in members])
+        _family(stacks, np.stack([member.base_point for member in members]), into=self)
 
     @classmethod
     def from_subspaces(cls, subspaces) -> "SubspaceFamily":
-        """Wrap linear subspaces as affine members with zero base points."""
-        return cls(AffineSubspace(np.zeros(w.ambient_dim), w) for w in subspaces)
+        """Linear subspaces as members whose base points are all the origin."""
+        return _family(_stacks([w.basis for w in subspaces]))
 
     @classmethod
     def from_stack(cls, stack) -> "SubspaceFamily":
@@ -134,8 +127,8 @@ class SubspaceFamily:
         family's only stack, and no member object is built until
         ``members`` is read.
         """
-        bases = _orthonormal_stack(stack)
-        return _linear_family(((np.arange(len(bases)), bases),))
+        bases = np.array(stack, dtype=float, order="C", ndmin=1)  # a scalar fails the shape check
+        return _family(((np.arange(len(bases)), bases),))
 
     @cached_property
     def members(self) -> tuple[AffineSubspace, ...]:
@@ -164,20 +157,41 @@ class SubspaceFamily:
         return self.stacks[-1][1].shape[2]
 
 
+def _family(stacks, base_points=None, into=None) -> SubspaceFamily:
+    """The family that owns the given arrays, built without copying them.
+
+    ``stacks`` are SubspaceFamily.stacks: per dimension d, ascending, the
+    member indices and a C-ordered float (count, n, d) stack of bases, each
+    checked here once. ``base_points`` is the (p, n) array of base points,
+    or None for a linear family, whose members all share one zero point.
+    Both become read-only. ``into`` is the family whose fields are set:
+    SubspaceFamily.__init__ passes itself, and every other build gets a
+    new object.
+    """
+    stacks = tuple((indices, _check_stack(bases)) for indices, bases in stacks)
+    if base_points is None:
+        n = stacks[0][1].shape[1]
+        base_points = np.broadcast_to(np.zeros(n), (sum(len(indices) for indices, _ in stacks), n))
+    base_points.setflags(write=False)
+    family = object.__new__(SubspaceFamily) if into is None else into
+    object.__setattr__(family, "stacks", stacks)
+    object.__setattr__(family, "base_points", base_points)
+    return family
+
+
 def _stacks(bases) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """SubspaceFamily.stacks for the given n x d bases, in member order: per
-    dimension d, ascending, the member indices and their checked stack."""
-    dims = np.array([basis.shape[1] for basis in bases])
+    """Per dimension d, ascending, the indices of the given n x d matrices
+    and a new C-ordered stack of them: a family's stacks when the matrices
+    are its members' bases, in member order. All must share one n."""
+    if len(bases) < 1:
+        raise InputError("a family needs at least one member")
+    ambient, dims = np.array([basis.shape for basis in bases]).T
+    bad = np.flatnonzero(ambient != ambient[0])
+    if bad.size:
+        raise DimensionError(f"member {bad[0]} has ambient dim {ambient[bad[0]]}, expected {ambient[0]}")
     # not np.unique, which imports numpy.ma on numpy 2
     groups = (np.flatnonzero(dims == d) for d in sorted(set(dims.tolist())))
-    return tuple((indices, _orthonormal_stack([bases[i] for i in indices])) for indices in groups)
-
-
-def _linear_family(stacks) -> SubspaceFamily:
-    """The family of the given stacks with every base point at the origin."""
-    p = sum(len(indices) for indices, _ in stacks)
-    zero = np.zeros(stacks[0][1].shape[1])
-    return _checked(SubspaceFamily, stacks=stacks, base_points=np.broadcast_to(zero, (p, zero.size)))
+    return tuple((indices, np.array([bases[i] for i in indices], dtype=float)) for indices in groups)
 
 
 def orthonormalize(spanning_vectors: np.ndarray) -> Subspace:
@@ -197,24 +211,37 @@ def orthonormalize(spanning_vectors: np.ndarray) -> Subspace:
     return Subspace(u[:, :rank])
 
 
-def _orthonormal_bases(spans) -> list[np.ndarray]:
-    """orthonormalize(span).basis for each n x j matrix, with one batched SVD
-    per column count j. numpy's batched SVD runs the same LAPACK routine on
-    each matrix, so a full-rank basis is the one orthonormalize returns. A
-    member the rank cutoff would reduce, or whose columns may all be
-    numerically zero, goes through orthonormalize itself, which reduces or
-    rejects it."""
-    bases = [None] * len(spans)
-    widths = np.array([span.shape[1] for span in spans])
-    for j in sorted(set(widths.tolist())):
-        group = np.flatnonzero(widths == j)
-        u, s, _ = np.linalg.svd(np.stack([spans[i] for i in group]), full_matrices=False)
-        # s[0] is at least every column norm and at most sqrt(j) times the largest,
-        # so only members under this line (doubled for rounding) can be all zero
-        full = (s[:, -1] > RANK_RTOL * s[:, 0]) & (s[:, 0] > 2.0 * math.sqrt(j) * ZERO_NORM)
-        for i, basis, ok in zip(group.tolist(), u, full.tolist()):
-            bases[i] = basis if ok else orthonormalize(spans[i]).basis
-    return bases
+def _orthonormal_stacks(groups) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The stacks of orthonormalize(span).basis for every member, from the
+    (indices, spans) groups ``_stacks`` gives for the members' n x j spans.
+    Each group's (count, n, j) array is overwritten with its bases.
+
+    numpy's batched SVD runs the same LAPACK routine on each matrix, so a
+    full-rank basis is the one orthonormalize returns. The SVDs run over
+    chunks of _SVD_CHUNK numbers, each U written back over its own spans,
+    so only one chunk's U is held besides the groups. A member the rank
+    cutoff would reduce, whose columns may all be numerically zero, or with
+    more columns than rows goes through orthonormalize itself, which reduces
+    or rejects it, and the members are then regrouped by dimension.
+    """
+    reduced = {}
+    for indices, spans in groups:
+        _, n, j = spans.shape
+        step = max(1, _SVD_CHUNK // (n * j))
+        for lo in range(0, len(spans), step):
+            chunk = spans[lo : lo + step]
+            u, s, _ = np.linalg.svd(chunk, full_matrices=False)
+            # s[0] is at least every column norm and at most sqrt(j) times the largest,
+            # so only members under this line (doubled for rounding) can be all zero;
+            # with more columns than rows, U is n x n, narrower than the spans
+            full = (s[:, -1] > RANK_RTOL * s[:, 0]) & (s[:, 0] > 2.0 * math.sqrt(j) * ZERO_NORM) & (j <= n)
+            for c in np.flatnonzero(~full).tolist():
+                reduced[int(indices[lo + c])] = orthonormalize(chunk[c]).basis
+            chunk[..., : u.shape[2]] = u
+    if not reduced:
+        return tuple(groups)
+    bases = {i: reduced.get(i, basis) for indices, stack in groups for i, basis in zip(indices.tolist(), stack)}
+    return _stacks([bases[i] for i in range(len(bases))])
 
 
 def random_subspace(n: int, k: int, seed: int) -> Subspace:
@@ -251,9 +278,9 @@ def store_family_json(family: SubspaceFamily, path) -> None:
 def load_family_json(path) -> SubspaceFamily:
     """Read a family file; bases are re-orthonormalized on load.
 
-    Every member is validated first; the parsed file is then freed, and the
-    bases are orthonormalized with one batched SVD per column count and
-    stacked, building no member objects.
+    Every member is validated first; the parsed file is then freed, the
+    spans are stacked per column count, and the stacks are orthonormalized
+    in place with batched SVDs, building no member objects.
     """
     text = read_text(path)
     try:
@@ -269,8 +296,6 @@ def load_family_json(path) -> SubspaceFamily:
     n = payload["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"family file 'n' must be an integer >= 1, got {json.dumps(n)}")
-    if not payload["members"]:
-        raise InputError("a family needs at least one member")
     spans, points = [], []
     for i, entry in enumerate(payload["members"]):
         if not isinstance(entry, dict) or "basis_columns" not in entry:
@@ -289,10 +314,7 @@ def load_family_json(path) -> SubspaceFamily:
     # free the parsed file first, so it is not alive while the bases are stacked
     del text, payload
     # an absent base is the origin; n is allocated only once every member has matched it
-    base_points = np.zeros((len(points), n))
-    for i, base in enumerate(points):
-        if base is not None:
-            base_points[i] = base
-    base_points.setflags(write=False)
-    stacks = _stacks(_orthonormal_bases(spans))
-    return _checked(SubspaceFamily, stacks=stacks, base_points=base_points)
+    base_points = np.array([np.zeros(n) if base is None else base for base in points])
+    groups = _stacks(spans)
+    del spans  # the groups now hold the only copy
+    return _family(_orthonormal_stacks(groups), base_points)

@@ -21,13 +21,12 @@ import numpy as np
 from .distortion import DistortionReport, ScaleChoice, _certify_maps, choose_scale, family_distortion
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
 from .errors import InputError
-from .geometry import SubspaceFamily, load_family_json, random_subspace
-from .seeding import derive_seed, derive_seeds
-from .stats import check_distortion, required_m
+from .geometry import SubspaceFamily, _family, _orthonormal_stacks, load_family_json
+from .seeding import derive_seed, derive_seeds, rng_from
+from .stats import _check_budget, check_distortion, required_m
 
 # not called here; perfbench/tracing.py wraps these names in this module
-from .geometry import sparse_subspace  # noqa: F401
-from .seeding import rng_from  # noqa: F401
+from .geometry import random_subspace, sparse_subspace  # noqa: F401
 from .stats import gaussian_width_mc  # noqa: F401
 
 FAMILY_KINDS = ("haar_random", "k_sparse", "user_file")
@@ -129,9 +128,13 @@ def k_sparse_family(n: int, k: int, p: int) -> SubspaceFamily:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     if p < 1:
         raise InputError("p must be >= 1")
-    supports = np.array(list(islice(combinations(range(n), k), min(p, math.comb(n, k)))))
+    p = min(p, math.comb(n, k))
+    _check_budget("p*n*k", p * n * k)
+    supports = np.array(list(islice(combinations(range(n), k), p)))
     # column j of member c's basis is the coordinate vector e_{supports[c, j]}
-    return SubspaceFamily.from_stack(np.eye(n)[supports].transpose(0, 2, 1))
+    bases = np.zeros((p, n, k))
+    bases[np.arange(p)[:, None], supports, np.arange(k)] = 1.0
+    return _family(((np.arange(p), bases),))
 
 
 def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
@@ -153,9 +156,12 @@ def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
         fam_seed = derive_seed(config.seed, _FAMILY_STREAM)
     else:
         fam_seed = derive_seed(config.seed, _FAMILY_STREAM, trial_index)
-    return SubspaceFamily.from_subspaces(
-        random_subspace(config.n, config.k, derive_seed(fam_seed, l)) for l in range(config.p)
-    )
+    # member l is random_subspace(n, k, derive_seed(fam_seed, l)), orthonormalized in one batch
+    _check_budget("p*n*k", config.p * config.n * config.k)
+    draws = np.empty((config.p, config.n, config.k))
+    for l, draw in enumerate(draws):
+        rng_from(derive_seed(fam_seed, l)).standard_normal(out=draw)
+    return _family(_orthonormal_stacks(((np.arange(config.p), draws),)))
 
 
 def _block_size(config: ExperimentConfig, rows: int) -> int:
@@ -196,11 +202,9 @@ def _block_results(
     return results
 
 
-def run_trial(
-    config: ExperimentConfig, trial_index: int, _family: SubspaceFamily | None = None
-) -> TrialResult:
+def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """Sample a map, certify its distortion over the family, pick the scale."""
-    return _block_results(config, range(trial_index, trial_index + 1), _family, (config.m,))[0][0]
+    return _block_results(config, range(trial_index, trial_index + 1), None, (config.m,))[0][0]
 
 
 def _shared_family(config: ExperimentConfig) -> SubspaceFamily | None:
@@ -342,6 +346,7 @@ def metric_embed(
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise InputError("need at least 2 points, given as an N x n array")
     n = pts.shape[1]
+    _check_budget("N(N-1)/2*n", pts.shape[0] * (pts.shape[0] - 1) // 2 * n)
     scale_ref = max(1.0, float(np.linalg.norm(pts, axis=1).max()))
     # pairs (i, j), i < j, in the order of combinations(range(N), 2)
     i, j = np.triu_indices(pts.shape[0], k=1)
@@ -356,10 +361,8 @@ def metric_embed(
         raise InputError("all points coincide; nothing to embed")
     diffs /= norms[:, None]
     # each unit direction is its own orthonormal 1-column basis
-    family = SubspaceFamily.from_stack(diffs[:, :, None])
-    del diffs  # from_stack keeps its own copy
-    p = family.size
-    m = required_m(1, p, D)
+    family = _family(((np.arange(len(diffs)), diffs[:, :, None]),))
+    m = required_m(1, family.size, D)
     gamma = sample_matrix(ensemble, m, n, derive_seed(seed, _GAMMA_STREAM))
     report = family_distortion(gamma, family)
     scale = choose_scale(report, D)

@@ -16,13 +16,20 @@ from .errors import InputError, ResourceError
 from .geometry import SubspaceFamily
 from .seeding import rng_from
 
-#: default cap on the numbers a sampled array holds: a matrix's m*n entries,
-#: or the Gaussian width's draws
+#: default cap on the numbers a sampled or built array holds: a matrix's m*n
+#: entries, the Gaussian width's draws, or a built family's bases
 DEFAULT_MAX_ELEMENTS = 100_000_000
 #: Gaussian-width draws per row block: the (n_draws, n) draws are never held whole
 WIDTH_BLOCK_ROWS = 512
 #: numbers in one column tile of bases, and in its product with a row block
 WIDTH_TILE_ENTRIES = 1 << 18
+
+
+def _check_budget(what: str, count: int) -> None:
+    """Raise ResourceError if an array of ``count`` numbers, ``what`` naming
+    the product, would exceed DEFAULT_MAX_ELEMENTS; called before allocating it."""
+    if count > DEFAULT_MAX_ELEMENTS:
+        raise ResourceError(f"{what} = {count} exceeds the element budget {DEFAULT_MAX_ELEMENTS}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,7 @@ def gaussian_width_mc(family: SubspaceFamily, n_draws: int, seed: int) -> WidthE
     """
     if n_draws < 2:
         raise InputError("n_draws must be >= 2")
-    if n_draws > DEFAULT_MAX_ELEMENTS:
-        raise ResourceError(f"n_draws = {n_draws} exceeds the element budget {DEFAULT_MAX_ELEMENTS}")
+    _check_budget("n_draws", n_draws)
     vals = _width_draws(family, n_draws, seed)
     mean = float(vals.mean())
     std_error = float(vals.std(ddof=1) / math.sqrt(n_draws))

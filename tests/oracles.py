@@ -23,10 +23,12 @@ from subembed import (
     gaussian_width_mc,
     k_sparse_family,
     orthonormalize,
+    random_subspace,
     sweep_m,
 )
 from subembed.ensembles import _sample_rows
-from subembed.geometry import _linear_family
+from subembed.geometry import _family
+from subembed.harness import _FAMILY_STREAM
 from subembed.seeding import derive_seed, normalize_seed, rng_from
 
 # seed-stream labels, disjoint from the library's (1: families, 2: maps)
@@ -78,7 +80,19 @@ def reduce_affine(family: SubspaceFamily) -> SubspaceFamily:
     unchanged, since those differences span exactly the direction space.
     The reduced family shares the input's stacks.
     """
-    return _linear_family(family.stacks)
+    return _family(family.stacks)
+
+
+def per_member_haar_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
+    """The haar_random family of a trial, built one member at a time: member
+    l is random_subspace(n, k, derive_seed(fam_seed, l)), from the family
+    seed build_family derives for the trial. build_family orthonormalizes
+    the same draws in one batch and must match this bit for bit."""
+    path = (_FAMILY_STREAM,) if config.fixed_family else (_FAMILY_STREAM, trial_index)
+    fam_seed = derive_seed(config.seed, *path)
+    return SubspaceFamily.from_subspaces(
+        random_subspace(config.n, config.k, derive_seed(fam_seed, l)) for l in range(config.p)
+    )
 
 
 def cross_family(family: SubspaceFamily, cardinality_budget: int = 100_000) -> SubspaceFamily:

@@ -366,16 +366,25 @@ def test_parallelism_below_one_exits_2(tmp_path, capsys, parallelism):
             assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["sweep", "width"])
+@pytest.mark.parametrize("command", ["sweep", "width", "haar", "k_sparse", "embed-points"])
 def test_requests_beyond_the_element_budget_exit_2(tmp_path, capsys, command):
-    # sweep: one map of m*n = 1.2e10 entries; width: 10^12 draws held at once
+    # sweep: one map of m*n = 1.2e10 entries; width: 10^12 draws held at once;
+    # haar and k_sparse: families of p*n*k = 8e12 and 2e12 numbers;
+    # embed-points: 14143 points in R^1 give N(N-1)/2*n = 100005153 differences
+    if command == "embed-points":
+        (tmp_path / "pts.csv").write_text("14143,1\n" + "".join(f"{i}\n" for i in range(14143)))
     argv = {
         "sweep": ["sweep", "--config", str(write_config(tmp_path / "cfg.json")), "--m-values", "4,1000000000"],
         "width": ["width", "--family", str(write_axes_family(tmp_path / "fam.json")),
                   "--draws", "1000000000000", "--seed", "1"],
+        "haar": ["trial", "--config", str(write_config(tmp_path / "haar.json", n=10**12))],
+        "k_sparse": ["trial", "--config", str(write_config(
+            tmp_path / "sparse.json", family_kind="k_sparse", n=10**12, k=1, p=2))],
+        "embed-points": ["embed-points", "--points", str(tmp_path / "pts.csv"), "--D", "6.0",
+                         "--ensemble", "gaussian", "--seed", "3"],
     }[command]
     out = tmp_path / "out"
-    assert main(argv + ["--output", str(out)]) == 2
+    assert main(argv + ["--summary-out" if command == "embed-points" else "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds the element budget" in err
     assert not out.exists()

@@ -20,7 +20,7 @@ from subembed import (
 from subembed import ensembles
 from subembed.ensembles import UNIFORM_HALF_WIDTH
 from subembed.seeding import derive_seeds
-from subembed.stats import concentration_estimate
+from subembed.stats import DEFAULT_MAX_ELEMENTS, concentration_estimate
 
 from conftest import ENSEMBLE_KINDS, unit_directions
 from oracles import psi2_tail_check, sample_row
@@ -179,8 +179,9 @@ def test_matrix_determinism_bit_identical():
 
 
 def test_matrix_element_budget():
-    with pytest.raises(ResourceError):
-        sample_matrix(EnsembleSpec.gaussian(), 20, 20, 0, max_elements=100)
+    # one entry over the budget, refused before anything is allocated
+    with pytest.raises(ResourceError, match=f"element budget {DEFAULT_MAX_ELEMENTS}"):
+        sample_matrix(EnsembleSpec.gaussian(), DEFAULT_MAX_ELEMENTS + 1, 1, 0)
     with pytest.raises(DimensionError):
         sample_matrix(EnsembleSpec.gaussian(), 0, 3, 0)
 

@@ -456,6 +456,8 @@ def test_batched_load_matches_per_member_orthonormalize(tmp_path, seed):
     members[one[0]]["basis_columns"] = [[0.0] * (n - 1) + [1.5e-12]]  # tiny, not zero: kept
     members[one[1]]["base"] = [-0.0] * n
     del members[one[2]]["base"]  # absent: the origin
+    # more spanning vectors than n: orthonormalized to a basis of all of R^n
+    members.append({"basis_columns": rng.standard_normal((n + 1, n)).tolist()})
     payload = {"n": n, "members": members}
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(payload))
@@ -463,6 +465,7 @@ def test_batched_load_matches_per_member_orthonormalize(tmp_path, seed):
     stacks, points = per_member_load(payload)
     assert [b.shape for _, b in fam.stacks] == [b.shape for _, b in stacks]
     assert fam.stacks[1][1].shape[0] == 9 + 2  # the two rank-2 members joined the 2-d stack
+    assert fam.stacks[-1][1].shape == (1, n, n)
     for (indices, bases), (ref_indices, ref_bases) in zip(fam.stacks, stacks):
         assert np.array_equal(indices, ref_indices)
         assert bases.tobytes() == ref_bases.tobytes()  # bit for bit

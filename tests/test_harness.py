@@ -29,7 +29,7 @@ from subembed import (
     sweep_m,
 )
 
-from oracles import lower_bound_study, verify_pointwise
+from oracles import lower_bound_study, per_member_haar_family, verify_pointwise
 
 GAUSS = EnsembleSpec.gaussian()
 
@@ -85,6 +85,35 @@ def test_k_sparse_family_stack_equals_sparse_subspace_bases(p):
     (indices, bases), = fam.stacks
     assert indices.tolist() == list(range(len(supports)))
     assert np.array_equal(bases, np.stack([sparse_subspace(7, s).basis for s in supports]))
+
+
+def test_k_sparse_family_in_a_large_ambient_space():
+    # 3.2 MB of bases; cutting them from an n x n identity would take 298 GiB
+    cfg = small_config(family_kind="k_sparse", n=200_000, k=1, p=2, trials=1)
+    (indices, bases), = build_family(cfg, 0).stacks
+    assert indices.tolist() == [0, 1] and bases.shape == (2, 200_000, 1)
+    assert np.flatnonzero(bases).tolist() == [0, 200_001] and bases.sum() == 2.0
+    assert run_trial(cfg, 0).m_used == cfg.m
+
+
+# (1024, 8, 300) spans three batched-SVD chunks
+@pytest.mark.parametrize("n, k, p", [(12, 2, 4), (9, 9, 3), (64, 4, 16), (256, 8, 200), (1024, 8, 300)])
+@pytest.mark.parametrize("fixed", [True, False])
+def test_haar_build_matches_per_member_reference(n, k, p, fixed):
+    cfg = small_config(n=n, k=k, p=p, fixed_family=fixed)
+    for t in (0, 2):
+        fam, ref = build_family(cfg, t), per_member_haar_family(cfg, t)
+        assert len(fam.stacks) == len(ref.stacks) == 1
+        (indices, bases), (ref_indices, ref_bases) = fam.stacks[0], ref.stacks[0]
+        assert np.array_equal(indices, ref_indices) and np.array_equal(bases, ref_bases)
+
+
+@pytest.mark.parametrize("fixed", [True, False])
+def test_haar_family_file_matches_per_member_reference(tmp_path, fixed):
+    cfg = small_config(n=64, k=4, p=16, fixed_family=fixed)
+    store_family_json(build_family(cfg, 1), tmp_path / "fam.json")
+    store_family_json(per_member_haar_family(cfg, 1), tmp_path / "ref.json")
+    assert (tmp_path / "fam.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_quenched_family_is_trial_independent():
