@@ -6,7 +6,7 @@ formula, success-probability bound and Monte Carlo statistical machinery
 around them.
 """
 
-from .distortion import DistortionReport, ScaleChoice, choose_scale, family_distortion, subspace_extremes
+from .distortion import DistortionReport, ScaleChoice, choose_scale, family_distortion
 from .ensembles import (
     EnsembleConstants,
     EnsembleSpec,

@@ -247,17 +247,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_embed_points(args) -> int:
     points = load_matrix_csv(args.points).matrix
     spec = _parse_ensemble_flag(args)
-    gamma, scale, report = metric_embed(points, args.D, spec, args.seed)
+    gamma, p, achieved, scale = metric_embed(points, args.D, spec, args.seed)
     if args.matrix_out:
         store_matrix_csv(gamma, args.matrix_out)
     summary = {
         "n_points": points.shape[0],
-        "p": len(report.per_subspace),
+        "p": p,
         "m": gamma.m,
         "feasible": scale.feasible,
         "L": scale.L,
         "D": scale.D,
-        "achieved_distortion": report.achieved_distortion,
+        "achieved_distortion": achieved,
     }
     _emit(_json_line(summary), args.summary_out)
     return 0

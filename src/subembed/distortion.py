@@ -15,8 +15,8 @@ import numpy as np
 
 from .ensembles import RandomMatrix
 from .errors import DimensionError
-from .geometry import Subspace, SubspaceFamily
-from .stats import check_distortion
+from .geometry import SubspaceFamily
+from .stats import _check_budget, check_distortion
 
 
 @dataclass(frozen=True)
@@ -42,16 +42,12 @@ class ScaleChoice:
     L: float | None = None
 
 
-def _stack_extremes(maps: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T, count) arrays of sigma_min and sigma_max: each map of a (T, m, n)
-    stack restricted to each basis of a (count, n, k) stack, from one
-    broadcast product and one batched SVD.
-
-    numpy runs one GEMM and one LAPACK SVD per (map, basis) pair, of the
-    pair's own shape, so a pair's extremes are bit for bit the same in any
-    stack. When m < k each restriction has a kernel, so sigma_min is 0.
-    """
-    return _svd_extremes(maps[:, None] @ bases[None])
+def _products(maps: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The (T, count, m, k) products of each map of a (T, m, n) stack with
+    each basis of a (count, n, k) stack, checked against the element budget
+    before they are formed."""
+    _check_budget("T*count*m*k", len(maps) * len(bases) * maps.shape[1] * bases.shape[2])
+    return maps[:, None] @ bases[None]
 
 
 def _svd_extremes(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,28 +115,37 @@ def _candidates(products: np.ndarray) -> np.ndarray:
 def _screened_extremes(maps: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T,) arrays of each map's minimum sigma_min and maximum sigma_max over
     a (count, n, k) stack of bases, bit for bit the min and max of
-    ``_stack_extremes(maps, bases)`` along its members.
+    ``_svd_extremes(_products(maps, bases))`` along its members.
 
     The Gram of each product only chooses which pairs get the exact SVD
     (``_candidates``); it never decides a value. numpy runs one LAPACK SVD
     per matrix, so a gathered pair's values are those of the whole stack.
     """
-    products = maps[:, None] @ bases[None]
+    products = _products(maps, bases)
+    keep = _candidates(products)
     # row-major order: each map's pairs are consecutive, and every map keeps
     # at least the pair with the largest lower bound on sigma_max^2
-    rows, cols = np.nonzero(_candidates(products))
-    lo, hi = _svd_extremes(products[rows, cols])
+    rows, cols = np.nonzero(keep)
+    # every pair kept (alike members, say points on a line): a view, not a copy
+    gathered = products.reshape(-1, *products.shape[2:]) if keep.all() else products[rows, cols]
+    lo, hi = _svd_extremes(gathered)
     starts = np.searchsorted(rows, np.arange(len(maps)))
     return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
 
 
 def _family_extremes(maps: np.ndarray, family: SubspaceFamily) -> tuple[np.ndarray, np.ndarray]:
-    """(T, p) arrays of each map's per-member extremes over the family: one
-    ``_stack_extremes`` call per dimension group of its stacked bases."""
+    """(T, p) arrays of each map's sigma_min and sigma_max on every member of
+    the family: per dimension group of its stacked bases, one broadcast
+    product and one batched SVD.
+
+    numpy runs one GEMM and one LAPACK SVD per (map, basis) pair, of the
+    pair's own shape, so a pair's extremes are bit for bit the same in any
+    stack. When m < k each restriction has a kernel, so sigma_min is 0.
+    """
     lo = np.empty((len(maps), family.size))
     hi = np.empty_like(lo)
     for indices, bases in family.stacks:
-        lo[:, indices], hi[:, indices] = _stack_extremes(maps, bases)
+        lo[:, indices], hi[:, indices] = _svd_extremes(_products(maps, bases))
     return lo, hi
 
 
@@ -168,18 +173,6 @@ def _certify_maps(maps: np.ndarray, family: SubspaceFamily, D: float) -> list[tu
         lo, hi = np.minimum(lo, stack_lo), np.maximum(hi, stack_hi)
     extremes = zip(lo.tolist(), hi.tolist())
     return [(_achieved(sigma_min, sigma_max), _scale(sigma_min, sigma_max, D)) for sigma_min, sigma_max in extremes]
-
-
-def subspace_extremes(gamma: RandomMatrix, w: Subspace) -> tuple[float, float]:
-    """(sigma_min, sigma_max) of Gamma restricted to W.
-
-    These equal min/max of ||Gamma x|| over unit x in W. When m < dim(W)
-    the restriction has a kernel, so sigma_min is 0.
-    """
-    if w.ambient_dim != gamma.n:
-        raise DimensionError(f"subspace ambient dim {w.ambient_dim} != matrix cols {gamma.n}")
-    lo, hi = _stack_extremes(gamma.matrix[None], w.basis[None])
-    return float(lo[0, 0]), float(hi[0, 0])
 
 
 def family_distortion(gamma: RandomMatrix, family: SubspaceFamily) -> DistortionReport:

@@ -259,7 +259,9 @@ def sparse_subspace(n: int, support) -> Subspace:
         raise InputError("support indices must be distinct")
     if any(not 0 <= i < n for i in indices):
         raise InputError(f"support indices must lie in [0, {n})")
-    return Subspace(np.eye(n)[:, indices])
+    basis = np.zeros((n, len(indices)))
+    basis[indices, np.arange(len(indices))] = 1.0
+    return Subspace(basis)
 
 
 def store_family_json(family: SubspaceFamily, path) -> None:

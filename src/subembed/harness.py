@@ -18,7 +18,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .distortion import DistortionReport, ScaleChoice, _certify_maps, choose_scale, family_distortion
+from .distortion import ScaleChoice, _certify_maps
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
 from .errors import InputError
 from .geometry import SubspaceFamily, _family, _orthonormal_stacks, load_family_json
@@ -26,6 +26,7 @@ from .seeding import derive_seed, derive_seeds, rng_from
 from .stats import _check_budget, check_distortion, required_m
 
 # not called here; perfbench/tracing.py wraps these names in this module
+from .distortion import choose_scale, family_distortion  # noqa: F401
 from .geometry import random_subspace, sparse_subspace  # noqa: F401
 from .stats import gaussian_width_mc  # noqa: F401
 
@@ -128,6 +129,8 @@ def k_sparse_family(n: int, k: int, p: int) -> SubspaceFamily:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     if p < 1:
         raise InputError("p must be >= 1")
+    # each member holds n*k numbers; checked first, so math.comb stays small
+    _check_budget("n*k", n * k)
     p = min(p, math.comb(n, k))
     _check_budget("p*n*k", p * n * k)
     supports = np.array(list(islice(combinations(range(n), k), p)))
@@ -334,13 +337,14 @@ def sweep_m(
 
 def metric_embed(
     points, D: float, ensemble: EnsembleSpec, seed: int
-) -> tuple[RandomMatrix, ScaleChoice, DistortionReport]:
+) -> tuple[RandomMatrix, int, float, ScaleChoice]:
     """Embed an N-point set with pairwise distances distorted by at most D.
 
-    Builds the N(N-1)/2 one-dimensional direction subspaces span{x_i - x_j},
-    targets m = required_m(1, p, D) dimensions, and certifies the result;
-    when feasible, every pairwise distance is preserved up to the factor D
-    at scale L. Duplicate points are skipped with a warning.
+    Certifies a map to m = required_m(1, p, D) dimensions on the p <= N(N-1)/2
+    directions span{x_i - x_j} with ``_certify_maps``, and returns the map,
+    p, its achieved distortion and the scale choice; when feasible, every
+    pairwise distance is preserved up to the factor D at scale L. Duplicate
+    points are skipped with a warning.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -364,7 +368,6 @@ def metric_embed(
     family = _family(((np.arange(len(diffs)), diffs[:, :, None]),))
     m = required_m(1, family.size, D)
     gamma = sample_matrix(ensemble, m, n, derive_seed(seed, _GAMMA_STREAM))
-    report = family_distortion(gamma, family)
-    scale = choose_scale(report, D)
-    return gamma, scale, report
+    [(achieved, scale)] = _certify_maps(gamma.matrix[None], family, D)
+    return gamma, family.size, achieved, scale
 

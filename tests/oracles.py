@@ -26,6 +26,7 @@ from subembed import (
     random_subspace,
     sweep_m,
 )
+from subembed.distortion import _svd_extremes
 from subembed.ensembles import _sample_rows
 from subembed.geometry import _family
 from subembed.harness import _FAMILY_STREAM
@@ -83,6 +84,19 @@ def reduce_affine(family: SubspaceFamily) -> SubspaceFamily:
     return _family(family.stacks)
 
 
+def build_metric_family(points) -> SubspaceFamily:
+    """The direction family metric_embed certifies, built one pair at a time:
+    span{x_i - x_j} for i < j in combinations order, duplicates skipped."""
+    dirs = []
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d = points[i] - points[j]
+            norm = np.linalg.norm(d)
+            if norm > 1e-12:
+                dirs.append(Subspace((d / norm).reshape(-1, 1)))
+    return SubspaceFamily.from_subspaces(dirs)
+
+
 def per_member_haar_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
     """The haar_random family of a trial, built one member at a time: member
     l is random_subspace(n, k, derive_seed(fam_seed, l)), from the family
@@ -132,6 +146,20 @@ def sample_row(spec: EnsembleSpec, n: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- certificate
+
+
+def subspace_extremes(gamma: RandomMatrix, w: Subspace) -> tuple[float, float]:
+    """(sigma_min, sigma_max) of Gamma restricted to W, from the library's
+    broadcast product and SVD on a one-map, one-basis stack, so bit for bit
+    the member's entry in family_distortion's report.
+
+    These equal min/max of ||Gamma x|| over unit x in W. When m < dim(W)
+    the restriction has a kernel, so sigma_min is 0.
+    """
+    if w.ambient_dim != gamma.n:
+        raise DimensionError(f"subspace ambient dim {w.ambient_dim} != matrix cols {gamma.n}")
+    lo, hi = _svd_extremes(gamma.matrix[None, None] @ w.basis[None, None])
+    return float(lo[0, 0]), float(hi[0, 0])
 
 
 def verify_pointwise(

@@ -24,14 +24,21 @@ from subembed import (
     required_m,
     run_trials,
     sample_matrix,
-    subspace_extremes,
     sweep_m,
     width_upper_bound,
 )
 from subembed.cli import main
 from subembed.geometry import AffineSubspace
 
-from oracles import cross_family, psi2_estimate, reduce_affine, small_ball_bound, verify_pointwise
+from oracles import (
+    build_metric_family,
+    cross_family,
+    psi2_estimate,
+    reduce_affine,
+    small_ball_bound,
+    subspace_extremes,
+    verify_pointwise,
+)
 
 ALL_KINDS = ("gaussian", "sphere_scaled", "iid_bounded")
 SQRT3 = math.sqrt(3.0)
@@ -174,28 +181,17 @@ def test_criterion_6_energy_lower_bound():
     )
 
 
-def _metric_direction_family(points):
-    dirs = []
-    for i in range(points.shape[0]):
-        for j in range(i + 1, points.shape[0]):
-            d = points[i] - points[j]
-            norm = np.linalg.norm(d)
-            if norm > 1e-12:
-                dirs.append(Subspace((d / norm).reshape(-1, 1)))
-    return SubspaceFamily.from_subspaces(dirs)
-
-
 def test_criterion_7_metric_embedding():
     spec = EnsembleSpec.gaussian()
     feasible = 0
     total_violations = 0
     for s in range(100):
         points = np.random.default_rng(1000 + s).standard_normal((32, 64))
-        gamma, scale, report = metric_embed(points, 12.01, spec, seed=s)
-        assert gamma.m == 18
+        gamma, p, _, scale = metric_embed(points, 12.01, spec, seed=s)
+        assert gamma.m == 18 and p == 496
         if scale.feasible:
             feasible += 1
-            family = _metric_direction_family(points)
+            family = build_metric_family(points)
             total_violations += verify_pointwise(
                 gamma, family, scale.L, 12.01, n_pairs=10_000, seed=s
             )

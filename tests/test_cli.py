@@ -9,7 +9,8 @@ import pytest
 
 import subembed
 import subembed.harness
-from subembed import EnsembleSpec, sample_matrix
+import subembed.stats
+from subembed import EnsembleSpec, k_sparse_family, sample_matrix, store_family_json
 from subembed.cli import load_matrix_csv, main, store_matrix_csv
 
 
@@ -387,6 +388,33 @@ def test_requests_beyond_the_element_budget_exit_2(tmp_path, capsys, command):
     assert main(argv + ["--summary-out" if command == "embed-points" else "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds the element budget" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trial", "verify", "embed-points"])
+def test_certification_products_beyond_the_element_budget_exit_2(tmp_path, capsys, monkeypatch, command):
+    # under a budget of 10^5 numbers the maps, families and differences fit,
+    # but their (maps, members, m, k) products do not: 28 * 2000 * 2 = 112000
+    # numbers for trial and verify, 19900 pairs * m = 33 for embed-points
+    monkeypatch.setattr(subembed.stats, "DEFAULT_MAX_ELEMENTS", 10**5)
+    if command == "verify":
+        store_matrix_csv(np.ones((2000, 8)), tmp_path / "gamma.csv")
+        store_family_json(k_sparse_family(8, 2, 28), tmp_path / "fam.json")
+    if command == "embed-points":
+        (tmp_path / "pts.csv").write_text("200,1\n" + "".join(f"{i}\n" for i in range(200)))
+    argv = {
+        "trial": ["trial", "--config", str(write_config(
+            tmp_path / "cfg.json", family_kind="k_sparse", n=8, k=2, p=28, m_override=2000))],
+        "verify": ["verify", "--matrix", str(tmp_path / "gamma.csv"), "--family", str(tmp_path / "fam.json"),
+                   "--D", "4.0"],
+        "embed-points": ["embed-points", "--points", str(tmp_path / "pts.csv"), "--D", "6.0",
+                         "--ensemble", "gaussian", "--seed", "3"],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--output" if command == "trial" else "--summary-out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: T*count*m*k = ") and "exceeds the element budget 100000" in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

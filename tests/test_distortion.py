@@ -20,7 +20,6 @@ from subembed import (
     random_subspace,
     sample_matrix,
     sparse_subspace,
-    subspace_extremes,
 )
 import subembed.distortion as distortion
 from subembed.distortion import (
@@ -28,10 +27,11 @@ from subembed.distortion import (
     _certify_maps,
     _family_extremes,
     _screened_extremes,
-    _stack_extremes,
+    _svd_extremes,
 )
 
 from nets import epsilon_net
+from oracles import subspace_extremes
 
 
 def sampled_range(gamma, subspace, count=100_000, seed=0):
@@ -166,7 +166,7 @@ def assert_screen_is_exact(maps, family, D=3.0):
     # per stack, the screened extremes are the min and max of every pair's;
     # per map, _certify_maps gives what family_distortion and choose_scale do
     for _, bases in family.stacks:
-        lo, hi = _stack_extremes(maps, bases)
+        lo, hi = _svd_extremes(maps[:, None] @ bases[None])
         screened_lo, screened_hi = _screened_extremes(maps, bases)
         assert np.array_equal(screened_lo, lo.min(axis=1))
         assert np.array_equal(screened_hi, hi.max(axis=1))

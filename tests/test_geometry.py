@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from subembed import (
 )
 
 from nets import covering_defect, epsilon_net
-from oracles import cross_family, grassmann_distance, is_linear, projector, reduce_affine
+from oracles import build_metric_family, cross_family, grassmann_distance, is_linear, projector, reduce_affine
 
 SQRT2 = math.sqrt(2.0)
 
@@ -105,8 +106,11 @@ def test_orthonormality_tolerance_is_absolute():
     assert k_sparse_family(9, 3, 84).size == 84
     assert random_subspace(40, 7, seed=2).dim == 7
     points = np.random.default_rng(4).standard_normal((30, 16)) * 1e3
-    _, _, report = metric_embed(points, 12.0, EnsembleSpec.gaussian(), seed=3)
-    assert report.family_sigma_max > 0.0
+    gamma, p, achieved, _ = metric_embed(points, 12.0, EnsembleSpec.gaussian(), seed=3)
+    reference = family_distortion(gamma, build_metric_family(points))
+    assert p == len(reference.per_subspace) == 30 * 29 // 2
+    assert reference.family_sigma_max > 0.0
+    assert achieved == pytest.approx(reference.achieved_distortion, rel=1e-12)
 
 
 def test_stack_constructor_rejects_like_subspace():
@@ -239,6 +243,19 @@ def test_sparse_subspace_basics():
         sparse_subspace(4, (1, 1))
     with pytest.raises(InputError):
         sparse_subspace(4, (0, 4))
+
+
+def test_sparse_subspace_allocates_only_its_columns():
+    # a 2-column basis in R^5000 holds 80 kB; cutting it from an n x n
+    # identity peaked at 200 MB
+    tracemalloc.start()
+    try:
+        sub = sparse_subspace(5000, (3, 4999))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sub.basis.shape == (5000, 2) and np.flatnonzero(sub.basis).tolist() == [6, 9999]
 
 
 # ---------------------------------------------------------------- grassmann

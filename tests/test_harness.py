@@ -1,15 +1,19 @@
 import math
 import warnings
 from itertools import combinations, islice
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subembed import (
     AffineSubspace,
     EnsembleSpec,
     ExperimentConfig,
     InputError,
+    ResourceError,
     SubspaceFamily,
     TrialResult,
     build_family,
@@ -28,8 +32,9 @@ from subembed import (
     store_family_json,
     sweep_m,
 )
+import subembed.harness as harness
 
-from oracles import lower_bound_study, per_member_haar_family, verify_pointwise
+from oracles import build_metric_family, lower_bound_study, per_member_haar_family, verify_pointwise
 
 GAUSS = EnsembleSpec.gaussian()
 
@@ -94,6 +99,16 @@ def test_k_sparse_family_in_a_large_ambient_space():
     assert indices.tolist() == [0, 1] and bases.shape == (2, 200_000, 1)
     assert np.flatnonzero(bases).tolist() == [0, 200_001] and bases.sum() == 2.0
     assert run_trial(cfg, 0).m_used == cfg.m
+
+
+def test_k_sparse_member_beyond_the_budget_is_refused_before_counting(monkeypatch):
+    # each member holds n*k numbers; C(2*10^6, 10^6) alone took 26.6 s to compute
+    def no_comb(*args):
+        raise AssertionError("math.comb ran on an oversized request")
+
+    monkeypatch.setattr(math, "comb", no_comb)
+    with pytest.raises(ResourceError, match=r"n\*k = 2000000000000 exceeds the element budget"):
+        k_sparse_family(2 * 10**6, 10**6, 5)
 
 
 # (1024, 8, 300) spans three batched-SVD chunks
@@ -188,8 +203,6 @@ def test_trial_results_invariant_under_member_permutation(tmp_path):
 
 
 def test_pool_worker_builds_the_shared_family_once(monkeypatch):
-    from subembed import harness
-
     builds = []
     real = harness.build_family
 
@@ -338,26 +351,26 @@ def test_sweep_minimal_m_grows_when_D_shrinks():
 
 def test_metric_embed_two_points():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
-    gamma, scale, report = metric_embed(pts, 2.0, GAUSS, seed=4)
-    assert len(report.per_subspace) == 1
+    gamma, p, achieved, scale = metric_embed(pts, 2.0, GAUSS, seed=4)
+    assert p == 1
     assert gamma.m == 5  # required_m(1, 1, D) = 5
     assert scale.feasible
-    assert report.achieved_distortion == 1.0  # single direction: smin == smax
+    assert achieved == 1.0  # single direction: smin == smax
 
 
 def test_metric_embed_duplicate_points_warn():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        gamma, scale, report = metric_embed(pts, 3.0, GAUSS, seed=4)
+        gamma, p, achieved, scale = metric_embed(pts, 3.0, GAUSS, seed=4)
     assert any("duplicate" in str(w.message) for w in caught)
-    assert len(report.per_subspace) == 2  # one of the three pairs is degenerate
+    assert p == 2  # one of the three pairs is degenerate
 
 
 def test_metric_embed_pair_count_and_m():
     pts = np.random.default_rng(11).standard_normal((32, 24))
-    gamma, scale, report = metric_embed(pts, 12.01, GAUSS, seed=7)
-    assert len(report.per_subspace) == 32 * 31 // 2 == 496
+    gamma, p, achieved, scale = metric_embed(pts, 12.01, GAUSS, seed=7)
+    assert p == 32 * 31 // 2 == 496
     assert gamma.m == 18
     if scale.feasible:
         fam = build_metric_family(pts)
@@ -369,26 +382,45 @@ def test_metric_embed_matches_pair_loop_reference():
     pts[5] = pts[2]  # one duplicate pair, skipped
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        gamma, scale, report = metric_embed(pts, 8.0, GAUSS, seed=5)
+        gamma, p, achieved, scale = metric_embed(pts, 8.0, GAUSS, seed=5)
     assert any("skipped 1 duplicate" in str(w.message) for w in caught)
     reference = family_distortion(gamma, build_metric_family(pts))
-    assert len(report.per_subspace) == len(reference.per_subspace) == 20 * 19 // 2 - 1
-    for (lo, hi), (ref_lo, ref_hi) in zip(report.per_subspace, reference.per_subspace):
-        assert lo == pytest.approx(ref_lo, rel=1e-13)
-        assert hi == pytest.approx(ref_hi, rel=1e-13)
+    assert p == len(reference.per_subspace) == 20 * 19 // 2 - 1
+    # the pair loop normalizes each difference alone, so bits may differ
+    assert achieved == pytest.approx(reference.achieved_distortion, rel=1e-12)
+    assert scale.feasible == choose_scale(reference, 8.0).feasible
+    if scale.feasible:
+        assert scale.L == pytest.approx(reference.family_sigma_max, rel=1e-13)
 
 
-def build_metric_family(pts):
-    from subembed import Subspace, SubspaceFamily
-
-    dirs = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = pts[i] - pts[j]
-            norm = np.linalg.norm(d)
-            if norm > 1e-12:
-                dirs.append(Subspace((d / norm).reshape(-1, 1)))
-    return SubspaceFamily.from_subspaces(dirs)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    count=st.integers(2, 12),
+    n=st.integers(1, 24),
+    repeats=st.integers(0, 3),
+    offset=st.sampled_from([0.0, 1e-13, 1e-11, 1e-8]),
+    size=st.sampled_from([1e-6, 1.0, 1e6, 1e100]),
+    D=st.sampled_from([1.5, 3.0, 8.0, 12.01]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_metric_embed_certifies_like_family_distortion(count, n, repeats, offset, size, D, seed):
+    # the screened _certify_maps decides as family_distortion and choose_scale
+    # on the same pair family, bit for bit: duplicate and nearly coincident
+    # points (offset relative to the set's size), n below and above m, and
+    # scaled point sets
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((count, n)) * size
+    for r in range(min(repeats, count - 2)):
+        pts[count - 1 - r] = pts[0] + offset * size * rng.standard_normal(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with mock.patch.object(harness, "_certify_maps", wraps=harness._certify_maps) as spy:
+            gamma, p, achieved, scale = metric_embed(pts, D, GAUSS, seed=seed)
+    (maps, family, _), _ = spy.call_args
+    assert p == family.size and gamma.m == required_m(1, p, D)
+    report = family_distortion(gamma, family)
+    assert achieved == report.achieved_distortion
+    assert scale == choose_scale(report, D)
 
 
 # ---------------------------------------------------------------- pointwise
