@@ -16,7 +16,7 @@ import numpy as np
 from .ensembles import RandomMatrix
 from .errors import DimensionError
 from .geometry import SubspaceFamily
-from .stats import _check_budget, check_distortion
+from .stats import _check_budget, _column_tiles, check_distortion
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,14 @@ def _products(maps: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return maps[:, None] @ bases[None]
 
 
+def _check_products(maps: int, m: int, family: SubspaceFamily) -> None:
+    """Raise ResourceError if certifying this many maps of m rows over the
+    family would form, for some dimension stack, more products than the
+    element budget allows; ``_certify_maps`` never holds more per stack."""
+    for _, bases in family.stacks:
+        _check_budget("T*count*m*k", maps * len(bases) * m * bases.shape[2])
+
+
 def _svd_extremes(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigma_min and sigma_max of each m x k matrix of a stack of products,
     one LAPACK SVD per matrix; sigma_min is 0 when m < k."""
@@ -59,78 +67,200 @@ def _svd_extremes(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, s[..., 0]
 
 
-# The screen's slack on a squared singular value. The Gram G and the SVD read
-# the same computed product P (m x k), so with sigma_max = ||P||_2 each
-# eigenvalue of G = fl(P^T P) lies within (m*k + 3*c(k)) * eps * sigma_max^2
-# of the square of the SVD's matching value:
-# - G's accumulation adds at most m*k*eps*sigma_max^2: its entries are dot
-#   products of length m of columns with norms at most sigma_max;
-# - eigvalsh is backward stable, to c(k)*eps*||G||;
-# - the SVD's values lie within c(k)*eps*sigma_max of P's, 2*c(k)*eps*
-#   sigma_max^2 once squared (Weyl; LAPACK Users' Guide, "Error bounds for
-#   the singular value decomposition").
-# LAPACK's c(k) grows modestly with k. Taking c(k) <= k and m*k <= 2^20
-# (_SCREEN_MAX_MK), the sum is at most 2^22 * eps = 2^-30 sigma_max^2, and
-# _SCREEN_TAU = 2^-26 (about 6.7e7 eps) leaves a factor of 16 for LAPACK's
-# constants and the rounding of the comparisons; larger products are not
-# screened. _SCREEN_FLOOR covers, with room, the absolute error of a Gram
-# whose entries underflow to subnormal numbers (at most m*k * 2^-1074).
+# The screen's slack on a squared singular value. The screen reads a wide
+# product P' = fl(Gamma_m W), one GEMM of a map's first m rows with a column
+# tile W of bases; the SVD reads each kept pair's own product P = fl(Gamma_m B).
+# BLAS may order their n-term dot products differently, so P' and P differ.
+# With sigma' a singular value of P' and sigma the SVD's matching value of P,
+# each eigenvalue of the screen's Gram G' lies within
+#   slack = r + delta*(2*sqrt(|lambda_max| + r) + delta),  r = tau*|lambda_max| + floor,
+# of sigma^2, lambda_max being G''s largest computed eigenvalue:
+# - tau*|lambda_max| bounds the Gram's own errors. G' is grown along the
+#   grid, G'_m = G'_prev + D^T D with D the rows new at m, so it sums m row
+#   terms in at most m + s roundings (s the grid values up to m), and its
+#   accumulation adds at most (m + s)*k*eps*sigma'^2: its entries are dot
+#   products of columns with norms at most sigma'. eigvalsh is backward
+#   stable, to c(k)*eps*||G'||; the closed forms used for k <= 2 err by at
+#   most 3*eps*lambda_max (k = 1 is exact). The SVD's values lie within
+#   c(k)*eps*sigma of P's, 2*c(k)*eps*sigma^2 once squared (Weyl; LAPACK
+#   Users' Guide, "Error bounds for the singular value decomposition").
+#   LAPACK's c(k) grows modestly with k. Taking c(k) <= k and (m + s)*k <=
+#   2^20 (_SCREEN_MAX_MK), the sum is at most 2^22 * eps = 2^-30 sigma^2, and
+#   _SCREEN_TAU = 2^-26 (about 6.7e7 eps) leaves a factor of 16 for LAPACK's
+#   constants, the rounding of the comparisons and the gap between sigma and
+#   sigma'; larger grids are not screened.
+# - the floor, _SCREEN_FLOOR, covers with room the absolute error of a Gram
+#   whose entries underflow to subnormal numbers (at most m*k * 2^-1074).
+# - delta bounds ||P' - P||_F. Each product errs entrywise by at most
+#   gamma_n |gamma_r|.|b_i| (Higham, Accuracy and Stability of Numerical
+#   Algorithms, ch. 3) plus n * 2^-1075 from underflow. By Minkowski, column
+#   i of P' - P then has norm at most 2*n*eps*c.|b_i| + n*sqrt(m)*2^-1074,
+#   with c the map's column norms over its first m rows, and summing over
+#   the k columns gives delta = 2*n*eps*c.|B|1 + k*n*sqrt(m)*2^-1074 per pair.
+#   (2*n*eps is twice the 2*gamma_n the two products need, and c is summed
+#   from squares with m * 2^-1074 added for squares lost to underflow.) As
+#   c.|b_i| <= ||Gamma_m||_F, delta is at most 2*n*eps*k*||Gamma_m||_F plus
+#   the underflow term, but it stays small for a member that a large column
+#   of the map does not touch. Weyl gives |sigma - sigma'| <= delta, so
+#   |sigma^2 - sigma'^2| <= delta*(2*sigma' + delta), and sigma'^2 <=
+#   |lambda_max| + r.
 _SCREEN_TAU = 2.0**-26
 _SCREEN_MAX_MK = 1 << 20
 _SCREEN_FLOOR = 2.0**-1000
+_EPS = float(np.finfo(float).eps)
+_TINY = 2.0**-1074
 
 
-def _candidates(products: np.ndarray) -> np.ndarray:
-    """(T, count) mask of the pairs of a stack of products whose Gram
-    eigenvalue interval can reach their map's family minimum of sigma_min
-    or maximum of sigma_max; every pair when m*k is beyond the slack's range
-    or a Gram entry or eigenvalue is not finite.
+def _gram_extremes(wide: np.ndarray, m_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The smallest and largest eigenvalue of each (map, member) pair's Gram
+    at each m of the strictly increasing grid, as two (s, T, c) arrays, from
+    a (T, M, c, k) wide product; and an (s,) mask of the m at which every
+    Gram and eigenvalue is finite (a non-finite Gram reads 0).
 
-    The Gram P^T P has P's squared singular values as its eigenvalues, so a
-    pair whose interval cannot reach its map's smallest upper bound on
-    sigma_min^2 (or largest lower bound on sigma_max^2) holds neither
-    extreme. When m < k, sigma_min is 0 and only sigma_max is screened.
+    Each m's Grams are the last m's grown by the Grams of the rows between
+    them. For k <= 2 a Gram is held as its entries and solved in closed
+    form, since a GEMM and a LAPACK call per pair cost more than the
+    arithmetic at that size; beyond, as a k x k matrix from one small GEMM
+    per pair, solved by eigvalsh.
     """
-    m, k = products.shape[-2:]
-    every = np.ones(products.shape[:2], dtype=bool)
-    if m * k > _SCREEN_MAX_MK:
-        return every
-    # an overflowing Gram keeps every pair, and the SVD path warns on its own
+    T, _, c, k = wide.shape
+    if k <= 2:
+        entries = [(i, j) for i in range(k) for j in range(i, k)]
+        grams = np.empty((len(m_values), len(entries), T, c))
+
+        def rows_gram(lo, hi, out):
+            for entry, (i, j) in zip(out, entries):
+                np.einsum("tdc,tdc->tc", wide[:, lo:hi, :, i], wide[:, lo:hi, :, j], out=entry)
+
+    else:
+        pairs = wide.transpose(0, 2, 1, 3)
+        grams = np.empty((len(m_values), T, c, k, k))
+
+        def rows_gram(lo, hi, out):
+            block = pairs[:, :, lo:hi]
+            np.matmul(np.swapaxes(block, -1, -2), block, out=out)
+
+    for g, m in enumerate(m_values):
+        rows_gram(m_values[g - 1] if g else 0, m, grams[g])
+        if g:
+            grams[g] += grams[g - 1]
+    finite = np.isfinite(grams.reshape(len(m_values), -1)).all(axis=1)
+    grams[~finite] = 0.0
+    if k == 1:
+        bottom = top = grams[:, 0]
+    elif k == 2:
+        a, b, d = grams[:, 0], grams[:, 1], grams[:, 2]
+        mid = 0.5 * (a + d)
+        radius = np.hypot(0.5 * (a - d), b)
+        bottom, top = mid - radius, mid + radius
+    else:
+        eig = np.linalg.eigvalsh(grams)
+        bottom, top = eig[..., 0], eig[..., -1]
+    finite &= np.isfinite(bottom).all(axis=(1, 2)) & np.isfinite(top).all(axis=(1, 2))
+    return bottom, top, finite
+
+
+def _tile_bounds(maps: np.ndarray, tile: np.ndarray, norms: np.ndarray, m_values, out: np.ndarray) -> np.ndarray:
+    """Write into out, a (3, s, T, c) array, the smallest and largest Gram
+    eigenvalue and the slack of each pair of a (T, M, n) block of maps and a
+    (c, n, k) tile of bases at each m of the grid, from one wide GEMM; return
+    the (s,) mask of ``_gram_extremes``. norms holds 2*n*eps times each map
+    column's norm over its first m rows, (s*T, n)."""
+    (T, M, n), (c, _, k) = maps.shape, tile.shape
+    # the n x (c*k) tile, copied as its transpose so each member's block stays
+    # local; for k = 1 it is a read-only view of the stack
+    cols = np.ascontiguousarray(tile.transpose(0, 2, 1)).reshape(c * k, n)
+    wide = (maps.reshape(T * M, n) @ cols.T).reshape(T, M, c, k)
+    cols = np.abs(cols, out=cols if cols.flags.writeable else None)
+    # delta = 2*n*eps*c.|B|1 + k*n*sqrt(m)*2^-1074 per pair, (s, T, c)
+    delta = (norms @ cols.T).reshape(-1, T, c, k).sum(axis=3)
+    delta += (k * n * _TINY) * np.sqrt(m_values)[:, None, None]
+    del cols  # before the Grams are formed, to lower the peak
+    bottom, top, finite = _gram_extremes(wide, m_values)
+    relative = _SCREEN_TAU * np.abs(top) + _SCREEN_FLOOR
+    out[0], out[1] = bottom, top
+    out[2] = relative + delta * (2.0 * np.sqrt(np.abs(top) + relative) + delta)
+    return finite
+
+
+def _screen_bounds(maps: np.ndarray, family: SubspaceFamily, m_values) -> list[np.ndarray]:
+    """Per dimension stack, a (3, s, T, count) array of each (map, member)
+    pair's smallest and largest Gram eigenvalue and its slack at each m of
+    the grid, from one wide GEMM per column tile of the stack.
+
+    A stack's slack is infinite at an m where (m + s)*k is beyond the
+    slack's range, or where one of its Gram entries or eigenvalues is not
+    finite; its eigenvalues there read 0, so every pair of it is kept and
+    none bounds another.
+    """
+    maps = np.ascontiguousarray(maps)
+    T, M, n = maps.shape
+    m_values = np.asarray(m_values)
+    bounds = [np.empty((3, len(m_values), T, len(bases))) for _, bases in family.stacks]
+    steps = np.arange(1, len(m_values) + 1)
+    beyond = [(m_values + steps) * bases.shape[2] > _SCREEN_MAX_MK for _, bases in family.stacks]
+    # 2*n*eps times each map column's norm over its first m rows, (s*T, n),
+    # summed in units of 2^e > max |entry| so that no square overflows
+    e = np.frexp(max(maps.max(), -maps.min()))[1]
+    scaled = np.ldexp(maps, -e)
+    starts = np.concatenate(([0], m_values[:-1]))
+    squares = np.add.reduceat(np.square(scaled, out=scaled), starts, axis=1).cumsum(axis=1)
+    squares += m_values[:, None] * _TINY
+    norms = np.ldexp(2.0 * n * _EPS, e) * np.sqrt(squares.transpose(1, 0, 2).reshape(-1, n))
+    # an overflowing Gram or slack keeps every pair, and the SVD path warns on its own
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.swapaxes(products, -1, -2) @ products
-    if not np.isfinite(gram).all():
-        return every
-    eig = np.linalg.eigvalsh(gram)
-    if not np.isfinite(eig).all():
-        return every
-    top = eig[..., -1]
-    slack = _SCREEN_TAU * np.abs(top) + _SCREEN_FLOOR
-    keep = top + slack >= (top - slack).max(axis=1, keepdims=True)
-    if m >= k:
-        bottom = eig[..., 0]
-        keep |= bottom - slack <= (bottom + slack).min(axis=1, keepdims=True)
-    return keep
+        # a tile's transposed copy and its wide product: n + T*M numbers a column
+        for g, start, tile in _column_tiles(family, n + T * M):
+            beyond[g] |= ~_tile_bounds(maps, tile, norms, m_values, bounds[g][..., start : start + len(tile)])
+    for bound, flagged in zip(bounds, beyond):
+        bound[:2, flagged] = 0.0
+        bound[2, flagged] = np.inf
+    return bounds
 
 
-def _screened_extremes(maps: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T,) arrays of each map's minimum sigma_min and maximum sigma_max over
-    a (count, n, k) stack of bases, bit for bit the min and max of
-    ``_svd_extremes(_products(maps, bases))`` along its members.
-
-    The Gram of each product only chooses which pairs get the exact SVD
-    (``_candidates``); it never decides a value. numpy runs one LAPACK SVD
-    per matrix, so a gathered pair's values are those of the whole stack.
-    """
-    products = _products(maps, bases)
-    keep = _candidates(products)
-    # row-major order: each map's pairs are consecutive, and every map keeps
-    # at least the pair with the largest lower bound on sigma_max^2
+def _kept_products(maps: np.ndarray, bases: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The exact products of the kept (map, basis) pairs of a (T, count)
+    mask, in row-major order: each pair's own GEMM, or, when gathering the
+    operands would take more numbers than the whole product (every pair kept,
+    say), slices of ``_products``."""
     rows, cols = np.nonzero(keep)
+    (T, m, n), (count, _, k) = maps.shape, bases.shape
+    if len(rows) * (m * n + n * k) <= T * count * m * k:
+        return maps[rows] @ bases[cols]
+    products = _products(maps, bases)
     # every pair kept (alike members, say points on a line): a view, not a copy
-    gathered = products.reshape(-1, *products.shape[2:]) if keep.all() else products[rows, cols]
-    lo, hi = _svd_extremes(gathered)
-    starts = np.searchsorted(rows, np.arange(len(maps)))
-    return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+    return products.reshape(-1, m, k) if keep.all() else products[rows, cols]
+
+
+def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[np.ndarray, np.ndarray]:
+    """(s, T) arrays of each map's family minimum of sigma_min and maximum of
+    sigma_max at each m of the strictly increasing grid, from its first m
+    rows: bit for bit the min and max of ``_family_extremes`` of those rows.
+
+    The Grams of the wide products (``_screen_bounds``) only choose which
+    pairs get the exact product and SVD: those whose interval can reach
+    their map's family extreme. They never decide a value. numpy runs one
+    GEMM and one LAPACK SVD per matrix, of the pair's own shape, so a
+    gathered pair's values are those of the whole stack. When m is below
+    the family's largest dimension, sigma_min is 0 and only the maximum is
+    screened.
+    """
+    bounds = _screen_bounds(maps, family, m_values)
+    floor = np.max([(top - slack).max(axis=2) for _, top, slack in bounds], axis=0)
+    ceiling = np.min([(bottom + slack).min(axis=2) for bottom, _, slack in bounds], axis=0)
+    lo = np.where(np.asarray(m_values)[:, None] < family.max_dim, 0.0, np.full_like(floor, np.inf))
+    hi = np.full_like(floor, -np.inf)
+    for j, m in enumerate(m_values):
+        for (_, bases), (bottom, top, slack) in zip(family.stacks, bounds):
+            keep = top[j] + slack[j] >= floor[j, :, None]
+            if m >= family.max_dim:
+                keep |= bottom[j] - slack[j] <= ceiling[j, :, None]
+            if keep.any():
+                pair_lo, pair_hi = _svd_extremes(_kept_products(maps[:, :m], bases, keep))
+                rows = np.nonzero(keep)[0]
+                np.minimum.at(lo[j], rows, pair_lo)
+                np.maximum.at(hi[j], rows, pair_hi)
+    return lo, hi
 
 
 def _family_extremes(maps: np.ndarray, family: SubspaceFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -161,18 +291,23 @@ def _scale(sigma_min: float, sigma_max: float, D: float) -> ScaleChoice:
     return ScaleChoice(feasible=feasible, D=float(D), L=sigma_max if feasible else None)
 
 
-def _certify_maps(maps: np.ndarray, family: SubspaceFamily, D: float) -> list[tuple[float, ScaleChoice]]:
-    """(achieved_distortion, choose_scale at D) for each map of a (T, m, n)
-    stack over the family, bit for bit what ``family_distortion`` and
-    ``choose_scale`` give for that map alone, without building the
-    per-member extremes into a report. D already checked."""
-    lo = np.full(len(maps), np.inf)
-    hi = np.full(len(maps), -np.inf)
-    for _, bases in family.stacks:
-        stack_lo, stack_hi = _screened_extremes(maps, bases)
-        lo, hi = np.minimum(lo, stack_lo), np.maximum(hi, stack_hi)
-    extremes = zip(lo.tolist(), hi.tolist())
-    return [(_achieved(sigma_min, sigma_max), _scale(sigma_min, sigma_max, D)) for sigma_min, sigma_max in extremes]
+def _certify_maps(
+    maps: np.ndarray, family: SubspaceFamily, D: float, m_values=None
+) -> list[list[tuple[float, ScaleChoice]]]:
+    """Per m of the strictly increasing m_values (default: the maps' row
+    count), (achieved_distortion, choose_scale at D) for each map of a
+    (T, M, n) stack over the family, from its first m rows: bit for bit what
+    ``family_distortion`` and ``choose_scale`` give for that map alone,
+    without building the per-member extremes into a report. D already
+    checked; more products per stack than the element budget allows raise
+    ResourceError before any is formed."""
+    m_values = (maps.shape[1],) if m_values is None else tuple(m_values)
+    _check_products(len(maps), m_values[-1], family)
+    lo, hi = _grid_extremes(maps[:, : m_values[-1]], family, m_values)
+    return [
+        [(_achieved(sigma_min, sigma_max), _scale(sigma_min, sigma_max, D)) for sigma_min, sigma_max in zip(*at_m)]
+        for at_m in zip(lo.tolist(), hi.tolist())
+    ]
 
 
 def family_distortion(gamma: RandomMatrix, family: SubspaceFamily) -> DistortionReport:

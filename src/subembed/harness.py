@@ -18,7 +18,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .distortion import ScaleChoice, _certify_maps
+from .distortion import ScaleChoice, _certify_maps, _check_products
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
 from .errors import InputError
 from .geometry import SubspaceFamily, _family, _orthonormal_stacks, load_family_json
@@ -36,10 +36,13 @@ FAMILY_KINDS = ("haar_random", "k_sparse", "user_file")
 _FAMILY_STREAM = 1
 _GAMMA_STREAM = 2
 
-# numbers a block of trials holds at once in its maps, and in their products
-# with the family's bases at one m. Blocks are sized from the config alone:
-# building the family in the parent to size them would initialise BLAS
-# before a pool forks, which raised a pooled run's peak memory by a tenth.
+# numbers a block of trials holds at once in its maps, and in the exact
+# products of one m when the certification keeps every pair; the screen's
+# eigenvalue bounds over a grid of s values of m hold 3*s*p numbers a trial,
+# at most 3/k of the products at the largest m. Blocks are sized from the
+# config alone: building the family in the parent to size them would
+# initialise BLAS before a pool forks, which raised a pooled run's peak
+# memory by a tenth.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -169,10 +172,10 @@ def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
 
 def _block_size(config: ExperimentConfig, rows: int) -> int:
     """Trials per block when each trial samples a map of this many rows:
-    as many as keep its maps and each product with the family's bases (at
-    most p*rows*k numbers a trial) within _BLOCK_ENTRIES, and at least one.
-    Annealed haar trials each embed their own family, so their blocks hold
-    one trial."""
+    as many as keep its maps and its products at one m with the family's
+    bases (at most p*rows*k numbers a trial) within _BLOCK_ENTRIES, and at
+    least one. Annealed haar trials each embed their own family, so their
+    blocks hold one trial."""
     if config.family_kind == "haar_random" and not config.fixed_family:
         return 1
     return max(1, _BLOCK_ENTRIES // (rows * max(config.n, config.p * config.k)))
@@ -181,28 +184,31 @@ def _block_size(config: ExperimentConfig, rows: int) -> int:
 def _block_results(
     config: ExperimentConfig, trials: range, family: SubspaceFamily | None, m_values
 ) -> list[list[TrialResult]]:
-    """Consecutive trials at every m in m_values: per trial, its results in
-    m_values order.
+    """Consecutive trials at every m of the strictly increasing m_values:
+    per trial, its results in m_values order.
 
     Every row seed of the block comes from one vectorized derivation and
     every map from one sampling pass, with max(m_values) rows (rows never
-    depend on m). Each m is certified for all maps at once, from their
-    first m rows, by one broadcast product per dimension stack whose Gram
-    screen sends only the pairs that can hold a map's extremes through the
-    SVD (``_certify_maps``), and each (trial, m) is decided by
-    choose_scale's rule.
-    The results are bit for bit those of each trial run alone. With family
-    None, the block embeds the family of its first trial, which is every
-    trial's unless the run is annealed haar, whose blocks hold one trial.
+    depend on m). ``_certify_maps`` then certifies all maps over the whole
+    grid at once: one wide GEMM per column tile of each dimension stack,
+    Grams grown along the grid by each m's new rows, and exact products and
+    SVDs only for the pairs that can hold a map's family extremes at that m.
+    Each (trial, m) is decided by choose_scale's rule. The results are bit
+    for bit those of each trial run alone at each m. The certification's
+    products are checked against the element budget before any map is
+    sampled. With family None, the block embeds the family of its first
+    trial, which is every trial's unless the run is annealed haar, whose
+    blocks hold one trial.
     """
     family = build_family(config, trials[0]) if family is None else family
+    _check_products(len(trials), max(m_values), family)
     seeds = derive_seeds(derive_seed(config.seed, _GAMMA_STREAM), len(trials), start=trials.start)
     maps = _sample_maps(config.ensemble, seeds, max(m_values), config.n)
-    results: list[list[TrialResult]] = [[] for _ in trials]
-    for m in m_values:
-        for out, t, (achieved, scale) in zip(results, trials, _certify_maps(maps[:, :m], family, config.D)):
-            out.append(TrialResult(t, m, scale.feasible, achieved, scale.L))
-    return results
+    per_m = _certify_maps(maps, family, config.D, m_values)
+    return [
+        [TrialResult(t, m, scale.feasible, achieved, scale.L) for m, (achieved, scale) in zip(m_values, outcomes)]
+        for t, outcomes in zip(trials, zip(*per_m))
+    ]
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
@@ -368,6 +374,6 @@ def metric_embed(
     family = _family(((np.arange(len(diffs)), diffs[:, :, None]),))
     m = required_m(1, family.size, D)
     gamma = sample_matrix(ensemble, m, n, derive_seed(seed, _GAMMA_STREAM))
-    [(achieved, scale)] = _certify_maps(gamma.matrix[None], family, D)
+    [[(achieved, scale)]] = _certify_maps(gamma.matrix[None], family, D)
     return gamma, family.size, achieved, scale
 

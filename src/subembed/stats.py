@@ -21,7 +21,8 @@ from .seeding import rng_from
 DEFAULT_MAX_ELEMENTS = 100_000_000
 #: Gaussian-width draws per row block: the (n_draws, n) draws are never held whole
 WIDTH_BLOCK_ROWS = 512
-#: numbers in one column tile of bases, and in its product with a row block
+#: numbers in one column tile of bases, and in its product with a row block;
+#: certification holds a tile's copy and its product within it together
 WIDTH_TILE_ENTRIES = 1 << 18
 
 
@@ -97,7 +98,7 @@ def _width_draws(family: SubspaceFamily, n_draws: int, seed: int) -> np.ndarray:
     for start in range(0, n_draws, WIDTH_BLOCK_ROWS):
         g = rng.standard_normal((min(WIDTH_BLOCK_ROWS, n_draws - start), n))
         best = vals[start : start + len(g)]
-        for bases in _column_tiles(family):
+        for _, _, bases in _column_tiles(family):
             prod = g @ bases.transpose(1, 0, 2).reshape(n, -1)
             np.square(prod, out=prod)
             sq_norms = np.add.reduce(prod.reshape(len(g), -1, bases.shape[2]), axis=2)
@@ -105,15 +106,19 @@ def _width_draws(family: SubspaceFamily, n_draws: int, seed: int) -> np.ndarray:
     return np.sqrt(vals, out=vals)
 
 
-def _column_tiles(family: SubspaceFamily):
-    """The (count, n, k) stack slices read as tiles: whole members, at most
-    WIDTH_TILE_ENTRIES numbers in the n x (count*k) tile and in its product
-    with a row block, unless one member alone is larger."""
-    per_column = max(family.ambient_dim, WIDTH_BLOCK_ROWS)
-    for _, bases in family.stacks:
+def _column_tiles(family: SubspaceFamily, per_column: int | None = None):
+    """(stack position, first member, slice) for the (count, n, k) stack
+    slices read as tiles of whole members: at most WIDTH_TILE_ENTRIES //
+    per_column columns of the n x (count*k) bases a tile, unless one member
+    alone has more. per_column is the numbers one column costs; by default
+    max(n, WIDTH_BLOCK_ROWS), which keeps a tile and its product with a block
+    of draws each within WIDTH_TILE_ENTRIES."""
+    if per_column is None:
+        per_column = max(family.ambient_dim, WIDTH_BLOCK_ROWS)
+    for g, (_, bases) in enumerate(family.stacks):
         step = max(1, WIDTH_TILE_ENTRIES // (per_column * bases.shape[2]))
         for start in range(0, len(bases), step):
-            yield bases[start : start + step]
+            yield g, start, bases[start : start + step]
 
 
 def width_upper_bound(k: int, p: int, r: float = 0.0, n: int | None = None) -> float:

@@ -418,6 +418,35 @@ def test_certification_products_beyond_the_element_budget_exit_2(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,budget",
+    [("trial", 10**5), ("sweep", 10**5), ("trial-paper-sized", None)],
+)
+def test_certification_budget_is_checked_before_any_map_is_sampled(tmp_path, capsys, monkeypatch, command, budget):
+    # the block's products are known from the config, so an oversized one is
+    # refused before its maps are drawn: 28 * 2000 * 2 = 112000 numbers under
+    # a budget of 10^5, and the k_sparse n=64, k=2, p=2016 config with
+    # m_override 250000 (2016 * 250000 * 2 ~ 1e9 numbers, a 128 MB map)
+    # under the default one
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("maps sampled before the budget check")
+
+    monkeypatch.setattr(subembed.harness, "_sample_maps", no_sampling)
+    if budget is not None:
+        monkeypatch.setattr(subembed.stats, "DEFAULT_MAX_ELEMENTS", budget)
+    sizes = {"n": 64, "k": 2, "p": 2016, "m_override": 250000} if budget is None else {
+        "n": 8, "k": 2, "p": 28, "m_override": 2000}
+    cfg = write_config(tmp_path / "cfg.json", family_kind="k_sparse", **sizes)
+    argv = ["sweep", "--config", str(cfg), "--m-values", "4,2000"] if command == "sweep" else [
+        "trial", "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: T*count*m*k = ") and "exceeds the element budget" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_single_trial_starts_no_process_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool of one worker must not be started")

@@ -22,11 +22,12 @@ from subembed import (
     sparse_subspace,
 )
 import subembed.distortion as distortion
+import subembed.stats as stats
 from subembed.distortion import (
     DistortionReport,
     _certify_maps,
     _family_extremes,
-    _screened_extremes,
+    _grid_extremes,
     _svd_extremes,
 )
 
@@ -154,7 +155,7 @@ def test_block_of_maps_certifies_like_each_map_alone(n, m, maps, dims, seed):
             assert (lo[t, i], hi[t, i]) == (0.0 if m < sub.dim else s[-1], s[0])
     # each map's outcome is the one family_distortion and choose_scale give it alone
     fam = SubspaceFamily.from_subspaces(subs)
-    outcomes = _certify_maps(np.stack([g.matrix for g in gammas]), fam, 3.0)
+    [outcomes] = _certify_maps(np.stack([g.matrix for g in gammas]), fam, 3.0)
     reports = [family_distortion(gamma, fam) for gamma in gammas]
     assert outcomes == [(r.achieved_distortion, choose_scale(r, 3.0)) for r in reports]
 
@@ -163,15 +164,18 @@ def test_block_of_maps_certifies_like_each_map_alone(n, m, maps, dims, seed):
 
 
 def assert_screen_is_exact(maps, family, D=3.0):
-    # per stack, the screened extremes are the min and max of every pair's;
-    # per map, _certify_maps gives what family_distortion and choose_scale do
-    for _, bases in family.stacks:
-        lo, hi = _svd_extremes(maps[:, None] @ bases[None])
-        screened_lo, screened_hi = _screened_extremes(maps, bases)
-        assert np.array_equal(screened_lo, lo.min(axis=1))
-        assert np.array_equal(screened_hi, hi.max(axis=1))
+    # per map, _certify_maps gives what family_distortion and choose_scale
+    # do; at every m from 1 to the maps' rows, screened as one grid, each
+    # map's extremes are the min and max of every pair's
+    outcomes = _certify_maps(maps, family, D)
     reports = [family_distortion(RandomMatrix(gamma), family) for gamma in maps]
-    assert _certify_maps(maps, family, D) == [(r.achieved_distortion, choose_scale(r, D)) for r in reports]
+    assert outcomes == [[(r.achieved_distortion, choose_scale(r, D)) for r in reports]]
+    grid = range(1, maps.shape[1] + 1)
+    screened_lo, screened_hi = _grid_extremes(maps, family, grid)
+    for j, m in enumerate(grid):
+        lo, hi = _family_extremes(maps[:, :m], family)
+        assert np.array_equal(screened_lo[j], lo.min(axis=1))
+        assert np.array_equal(screened_hi[j], hi.max(axis=1))
 
 
 def gathered_pairs(monkeypatch):
@@ -342,6 +346,177 @@ def test_screen_gathered_svd_rows_are_the_whole_stacks(m, k):
     assert np.array_equal(np.linalg.svd(products[2:, 7:8], compute_uv=False), whole[2:, 7:8])
 
 
+# ---------------------------------------------------------------- wide screen over a grid
+
+
+@pytest.mark.parametrize(
+    "n,dims,m",
+    [(12, (1,), 5), (12, (2,), 7), (256, (8,), 40), (12, (5,), 3), (12, (1, 3, 2), 4)],
+    ids=["k=1", "k=2", "n=256-k=8", "m<k", "mixed"],
+)
+def test_wide_screen_gathered_products_are_the_broadcast_products(n, dims, m):
+    # the assumption the exact products of the gathered pairs rest on: numpy
+    # runs one GEMM of the pair's own shape per matrix, so a pair's gathered
+    # map rows times its basis is, bit for bit, its product in the broadcast
+    # stack, matrix-vector shapes (k = 1) and m < k included
+    rng = np.random.default_rng(n * 100 + m)
+    maps = rng.standard_normal((3, m + 4, n))
+    family = SubspaceFamily.from_subspaces(
+        [random_subspace(n, k, derive_seed(m, i)) for i, k in enumerate(dims * 7)]
+    )
+    for _, bases in family.stacks:
+        whole = maps[:, :m][:, None] @ bases[None]
+        keep = rng.random(whole.shape[:2]) < 0.3
+        rows, cols = np.nonzero(keep)
+        assert np.array_equal(maps[rows, :m] @ bases[cols], whole[rows, cols])
+        assert np.array_equal(distortion._kept_products(maps[:, :m], bases, keep), whole[rows, cols])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 10),
+    maps=st.integers(1, 4),
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=10),
+    repeats=st.integers(0, 3),
+    grid=st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True).map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_certification_matches_each_m_alone(n, maps, dims, repeats, grid, seed):
+    # one wide product per tile and Grams grown along the grid decide, at
+    # every m, what family_distortion and choose_scale decide for each map's
+    # first m rows alone: grids that start below k, repeated members (exact
+    # ties), mixed dimensions and blocks of several maps
+    gammas = np.stack(
+        [sample_matrix(EnsembleSpec.gaussian(), grid[-1], n, derive_seed(seed, t)).matrix for t in range(maps)]
+    )
+    subs = [random_subspace(n, min(k, n), derive_seed(seed, 99, i)) for i, k in enumerate(dims)]
+    family = SubspaceFamily.from_subspaces(subs + subs[:repeats])
+    outcomes = _certify_maps(gammas, family, 3.0, grid)
+    assert len(outcomes) == len(grid)
+    for m, at_m in zip(grid, outcomes):
+        reports = [family_distortion(RandomMatrix(gamma[:m]), family) for gamma in gammas]
+        assert at_m == [(r.achieved_distortion, choose_scale(r, 3.0)) for r in reports]
+
+
+def test_grid_screen_across_column_tiles(monkeypatch):
+    # tiles of one to three members: each stack's bounds are assembled from
+    # several wide products, and a stack's guard spans all of its tiles
+    rng = np.random.default_rng(41)
+    n, maps = 9, rng.standard_normal((3, 7, 9))
+    family = coordinate_family(n, dims=(1, 2, 3))
+    monkeypatch.setattr(stats, "WIDTH_TILE_ENTRIES", 3 * (n + 3 * 7) * 3)
+    assert sum(1 for _ in stats._column_tiles(family, n + 3 * 7)) > 3 * len(family.stacks)
+    assert_screen_is_exact(maps, family)
+    assert_screen_is_exact(np.stack([overflowing_twin_columns(maps[0]), maps[1]]), family)
+
+
+def kernel_directions(gamma, count, rng, tilt):
+    """count unit vectors near gamma's kernel: random kernel directions
+    tilted by tilt[i] towards gamma's top right singular vector."""
+    _, _, vt = np.linalg.svd(gamma)
+    mixed = rng.standard_normal((count, len(vt) - len(gamma))) @ vt[len(gamma) :]
+    mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
+    tilted = np.sqrt(1.0 - tilt[:, None] ** 2) * mixed + tilt[:, None] * vt[0]
+    return tilted / np.linalg.norm(tilted, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cancellation-large-n", "tied-large-n", "scales-2^200-large-n", "subnormal-large-n", "column-squares-overflow"],
+)
+def test_wide_screen_adversarial_cases(case):
+    # where the wide and the per-pair products differ most: long dot
+    # products (n = 300) that cancel to nearly nothing for members near the
+    # map's kernel, exact ties, scales 2^400 apart and subnormal Grams; and a
+    # map column whose squares overflow, beside a stack that never touches
+    # it; at every m of the grid 1..m the extremes are exact
+    rng = np.random.default_rng(23)
+    n = 300
+    gamma = rng.standard_normal((6, n))
+    if case == "column-squares-overflow":
+        family = SubspaceFamily.from_subspaces(
+            [sparse_subspace(5, (0,)), sparse_subspace(5, (4,))]
+            + [sparse_subspace(5, support) for support in combinations(range(1, 5), 2)]
+        )
+        huge = np.random.default_rng(4).standard_normal((3, 6, 5))
+        huge[0, :, 0], huge[1, :, 0], huge[2, :, 1] = 1e160, -1e300, 1e200
+        for one in huge:
+            assert_screen_is_exact(one[None], family)
+        maps = huge
+    elif case == "cancellation-large-n":
+        # one-dimensional members whose images are 1e-16 to 1e-12 of the map,
+        # and two-dimensional members holding one of them
+        ones = kernel_directions(gamma, 40, rng, 10.0 ** rng.uniform(-16, -12, 40))
+        twos = [np.stack([ones[i], rng.standard_normal(n)], axis=1) for i in range(0, 40, 4)]
+        family = SubspaceFamily.from_subspaces(
+            [Subspace(d[:, None]) for d in ones] + [Subspace(np.linalg.qr(t)[0]) for t in twos]
+        )
+        maps = np.stack([gamma, -0.5 * gamma])
+    elif case == "tied-large-n":
+        # an isometry on the first six coordinates and zero beyond: every
+        # coordinate member of those reads 1, every other 0
+        family = coordinate_family(n, dims=(1,))
+        maps = np.stack([np.eye(6, n), 3.0 * np.eye(6, n)[::-1]])
+    elif case == "scales-2^200-large-n":
+        scales = 2.0 ** np.repeat(np.array([-200, -100, 0, 100, 200]), n // 5)
+        family = SubspaceFamily.from_subspaces([random_subspace(n, k, 70 + i) for i, k in enumerate((1, 2, 1, 3) * 4)])
+        maps = np.stack([gamma * scales, gamma * scales[::-1]])
+    else:
+        family = SubspaceFamily.from_subspaces([random_subspace(n, k, 90 + i) for i, k in enumerate((1, 2) * 8)])
+        maps = np.stack([gamma * 2.0**-530, gamma * 2.0**-537])
+    assert_screen_is_exact(maps, family)
+
+
+def test_wide_screen_slack_covers_the_wide_product_error(monkeypatch):
+    # the wide product may differ from a pair's own product by up to
+    # 2*gamma_n |gamma_r|.|b_i| an entry. Moving each entry of a basis by n*eps/2
+    # of its magnitude stays within that, with the GEMM's own rounding; here
+    # the move is aimed so that the member in the map's kernel, which holds
+    # sigma_min, looks larger than a second member does. Without the slack's
+    # delta term the screen would drop the member and get sigma_min wrong.
+    rng = np.random.default_rng(29)
+    n, eps = 256, np.finfo(float).eps
+    gamma = rng.standard_normal((6, n))
+    _, sv, vt = np.linalg.svd(gamma)
+    kernel = vt[6:8]
+    aim = 0.5 * n * eps * np.abs(kernel[0]) * np.sign(vt[0])
+    seen = np.linalg.norm(gamma @ (kernel[0] + aim))
+    # the second member's image is half of what the screen sees of the first
+    tilt = 0.5 * seen / sv[0]
+    second = np.sqrt(1.0 - tilt**2) * kernel[1] + tilt * vt[0]
+    others = np.linalg.qr(rng.standard_normal((n, 6)))[0].T
+    family = SubspaceFamily.from_stack(np.concatenate([kernel[:1], second[None], others])[:, :, None])
+    shift = np.zeros((family.size, n, 1))
+    shift[0, :, 0] = aim
+    real = distortion._column_tiles
+
+    def moved(family, per_column=None):
+        for g, start, tile in real(family, per_column):
+            yield g, start, tile + shift[start : start + len(tile)]
+
+    monkeypatch.setattr(distortion, "_column_tiles", moved)
+    exact = family_distortion(RandomMatrix(gamma), family)
+    assert exact.family_sigma_min == exact.per_subspace[0][0]
+    assert seen > 1.5 * exact.per_subspace[1][0] > 1.5 * exact.per_subspace[0][0]
+    assert_screen_is_exact(gamma[None], family)
+
+
+def test_grid_screen_counts_its_growth_steps_in_the_size_range(monkeypatch):
+    # a Gram grown over s values of the grid rounds in up to m + s steps, so
+    # its range is (m + s)*k <= _SCREEN_MAX_MK: on the grid (2, 4, 6), m*k
+    # stays within a range of 7, but (6 + 3)*1 does not, and the last m
+    # keeps every pair
+    family = coordinate_family(5, dims=(1,))
+    maps = np.random.default_rng(3).standard_normal((1, 6, 5))
+    monkeypatch.setattr(distortion, "_SCREEN_MAX_MK", 7)
+    counts = gathered_pairs(monkeypatch)
+    outcomes = _certify_maps(maps, family, 3.0, (2, 4, 6))
+    assert counts[0] < 5 and counts[1] < 5 and counts[2:] == [5]
+    assert outcomes[2] == [
+        (r.achieved_distortion, choose_scale(r, 3.0)) for r in [family_distortion(RandomMatrix(maps[0]), family)]
+    ]
+
+
 # ---------------------------------------------------------------- certificate boundary
 
 
@@ -370,7 +545,7 @@ def test_boundary_diagonal_maps_at_D_and_nearby_ulps(D, steps):
     scale = choose_scale(report, D)
     assert scale.feasible is (steps <= 0)
     assert scale.L == (achieved if steps <= 0 else None)
-    assert _certify_maps(maps, family, D) == [(achieved, scale)] * 2
+    assert _certify_maps(maps, family, D) == [[(achieved, scale)] * 2]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -386,8 +561,8 @@ def test_boundary_scaling_by_power_of_two_scales_L_exactly(j, m, dims, D, seed):
     family = SubspaceFamily.from_subspaces(
         [random_subspace(8, k, derive_seed(seed, 7, i)) for i, k in enumerate(dims)]
     )
-    base = _certify_maps(maps, family, D)
-    scaled = _certify_maps(maps * 2.0**j, family, D)
+    [base] = _certify_maps(maps, family, D)
+    [scaled] = _certify_maps(maps * 2.0**j, family, D)
     for (achieved, scale), (scaled_achieved, scaled_scale) in zip(base, scaled):
         assert scaled_achieved == achieved
         assert scaled_scale.feasible == scale.feasible

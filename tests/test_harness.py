@@ -287,6 +287,26 @@ def test_sweep_matches_individual_trials():
         assert sweep.entries[j].mean_achieved_distortion == (float(np.mean(finite)) if finite else math.inf)
 
 
+def test_sweep_certifies_each_block_once_over_its_whole_grid(monkeypatch):
+    # a block's maps are sampled once with max(m) rows and handed, with the
+    # whole grid, to one _certify_maps call: blocks of 2, 2 and 1 trials
+    cfg = small_config(trials=5, family_kind="k_sparse")
+    m_values = (2, 4, 7)
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 2 * 7 * max(cfg.n, cfg.p * cfg.k))
+    calls = []
+    real = harness._certify_maps
+
+    def recorded(maps, family, D, grid=None):
+        calls.append((maps.shape, grid))
+        return real(maps, family, D, grid)
+
+    monkeypatch.setattr(harness, "_certify_maps", recorded)
+    sweep = sweep_m(cfg, m_values, 0.5)
+    assert calls == [((2, 7, cfg.n), m_values), ((2, 7, cfg.n), m_values), ((1, 7, cfg.n), m_values)]
+    monkeypatch.setattr(harness, "_certify_maps", real)
+    assert sweep == sweep_m(cfg, m_values, 0.5)
+
+
 def test_sweep_validation_and_smoothing():
     cfg = small_config(trials=4)
     with pytest.raises(InputError):
