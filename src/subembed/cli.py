@@ -218,8 +218,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_trial(args) -> int:
     config, parallelism = load_config(args.config)
-    if args.parallelism is not None:
-        parallelism = args.parallelism
+    parallelism = parallelism if args.parallelism is None else args.parallelism
     results = run_trials(config, parallelism=parallelism)
     text = "".join(_json_line(r.to_json_dict()) for r in results)
     _emit(text, args.output)
@@ -228,9 +227,11 @@ def _cmd_trial(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config, parallelism = load_config(args.config)
-    if args.parallelism is not None:
-        parallelism = args.parallelism
-    m_values = [tok for tok in args.m_values.split(",") if tok]
+    parallelism = parallelism if args.parallelism is None else args.parallelism
+    try:
+        m_values = [int(tok) for tok in args.m_values.split(",") if tok]
+    except ValueError as exc:
+        raise InputError(f"m_values must be integers: {exc}") from exc
     result = sweep_m(config, m_values, args.target_rate, parallelism=parallelism)
     lines = ["m,trials,successes,success_rate,mean_achieved_distortion"]
     for e in result.entries:

@@ -4,16 +4,19 @@ and n-point metric embeddings.
 Every trial is a pure function of (config, trial_index): the family, the
 sampled map and all Monte Carlo draws derive their seeds from the single
 config seed, so trials can run in any order or in parallel without
-changing results.
+changing results. One executor, ``_trial_range``, runs every range of
+consecutive trials with one family build: a serial run is one range, a
+pooled run one range per worker process, and ``run_trial`` a range of one.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations, islice
 
 import numpy as np
@@ -174,18 +177,15 @@ def _block_size(config: ExperimentConfig, rows: int) -> int:
     """Trials per block when each trial samples a map of this many rows:
     as many as keep its maps and its products at one m with the family's
     bases (at most p*rows*k numbers a trial) within _BLOCK_ENTRIES, and at
-    least one. Annealed haar trials each embed their own family, so their
-    blocks hold one trial."""
-    if config.family_kind == "haar_random" and not config.fixed_family:
-        return 1
+    least one."""
     return max(1, _BLOCK_ENTRIES // (rows * max(config.n, config.p * config.k)))
 
 
 def _block_results(
-    config: ExperimentConfig, trials: range, family: SubspaceFamily | None, m_values
+    config: ExperimentConfig, trials: range, family: SubspaceFamily, m_values
 ) -> list[list[TrialResult]]:
-    """Consecutive trials at every m of the strictly increasing m_values:
-    per trial, its results in m_values order.
+    """Consecutive trials embedding one family at every m of the strictly
+    increasing m_values: per trial, its results in m_values order.
 
     Every row seed of the block comes from one vectorized derivation and
     every map from one sampling pass, with max(m_values) rows (rows never
@@ -196,11 +196,8 @@ def _block_results(
     Each (trial, m) is decided by choose_scale's rule. The results are bit
     for bit those of each trial run alone at each m. The certification's
     products are checked against the element budget before any map is
-    sampled. With family None, the block embeds the family of its first
-    trial, which is every trial's unless the run is annealed haar, whose
-    blocks hold one trial.
+    sampled.
     """
-    family = build_family(config, trials[0]) if family is None else family
     _check_products(len(trials), max(m_values), family)
     seeds = derive_seeds(derive_seed(config.seed, _GAMMA_STREAM), len(trials), start=trials.start)
     maps = _sample_maps(config.ensemble, seeds, max(m_values), config.n)
@@ -211,23 +208,25 @@ def _block_results(
     ]
 
 
+def _trial_range(config: ExperimentConfig, m_values, trials: range) -> list[list[TrialResult]]:
+    """The results of a nonempty range of consecutive trials at every m of
+    m_values, in trial order. The range's one family is built once and its
+    trials certified in blocks of _block_size; annealed haar trials each
+    embed their own family, so each is built and certified alone."""
+    if config.family_kind == "haar_random" and not config.fixed_family:
+        return [_block_results(config, range(t, t + 1), build_family(config, t), m_values)[0] for t in trials]
+    family = build_family(config, trials.start)
+    size = _block_size(config, max(m_values))
+    return [
+        trial
+        for lo in range(trials.start, trials.stop, size)
+        for trial in _block_results(config, range(lo, min(lo + size, trials.stop)), family, m_values)
+    ]
+
+
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """Sample a map, certify its distortion over the family, pick the scale."""
-    return _block_results(config, range(trial_index, trial_index + 1), None, (config.m,))[0][0]
-
-
-def _shared_family(config: ExperimentConfig) -> SubspaceFamily | None:
-    """The one family every trial of a run embeds; None in annealed haar
-    mode, where each trial builds its own."""
-    if config.family_kind == "haar_random" and not config.fixed_family:
-        return None
-    return build_family(config, 0)
-
-
-# A pool worker's shared family: built on the worker's first task and kept
-# for its later ones, so each worker process builds it at most once per run.
-# Only worker tasks fill the cache; the parent never does.
-_worker_family = lru_cache(maxsize=1)(_shared_family)
+    return _trial_range(config, (config.m,), range(trial_index, trial_index + 1))[0][0]
 
 
 def __getattr__(name):
@@ -242,27 +241,28 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _pool_task(config: ExperimentConfig, m_values, trials: range) -> list[list[TrialResult]]:
-    return _block_results(config, trials, _worker_family(config), m_values)
+def _integer(value, message: str) -> int:
+    # int() would take a float or a bool silently: 2.9 as 2, True as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{message}, got {value!r}")
+    return int(value)
 
 
 def _map_trials(config: ExperimentConfig, m_values, parallelism: int) -> list[list[TrialResult]]:
-    """Every trial's results at each m in m_values, in trial order, run in
-    blocks of consecutive trials: serially with one shared family, or across
-    min(parallelism, trials) processes, with at least one block each."""
+    """Every trial's results at each m in m_values, in trial order: one
+    range of all trials when serial, or min(parallelism, trials)
+    consecutive ranges of near-equal length, one per worker process."""
+    parallelism = _integer(parallelism, "parallelism must be an integer")
     if parallelism < 1:
         raise InputError(f"parallelism must be >= 1, got {parallelism}")
     workers = min(parallelism, config.trials)
-    size = min(_block_size(config, max(m_values)), -(-config.trials // workers))
-    blocks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
     if workers == 1:
-        shared = _shared_family(config)
-        return [trial for block in blocks for trial in _block_results(config, block, shared, m_values)]
+        return _trial_range(config, m_values, range(config.trials))
+    ranges = [range(w * config.trials // workers, (w + 1) * config.trials // workers) for w in range(workers)]
     # looked up on the module, so that the first pool imports the class
     with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(blocks) // (workers * 4))
-        per_block = pool.map(partial(_pool_task, config, m_values), blocks, chunksize=chunk)
-        return [trial for block in per_block for trial in block]
+        per_range = pool.map(partial(_trial_range, config, m_values), ranges)
+        return [trial for results in per_range for trial in results]
 
 
 def run_trials(config: ExperimentConfig, parallelism: int = 1) -> list[TrialResult]:
@@ -298,8 +298,8 @@ def sweep_m(
     (infinite on full rank collapse).
     """
     try:
-        m_values = tuple(int(m) for m in m_values)
-    except (TypeError, ValueError) as exc:
+        m_values = tuple(_integer(m, "m_values must be integers") for m in m_values)
+    except TypeError as exc:
         raise InputError(f"m_values must be integers: {exc}") from exc
     if not m_values:
         raise InputError("m_values must be nonempty")
@@ -316,29 +316,24 @@ def sweep_m(
         successes = sum(r.feasible for r in results)
         finite = [r.achieved_distortion for r in results if math.isfinite(r.achieved_distortion)]
         mean_achieved = float(np.mean(finite)) if finite else math.inf
-        entries.append(
-            SweepEntry(
-                m=m,
-                trials=config.trials,
-                successes=successes,
-                success_rate=successes / config.trials,
-                mean_achieved_distortion=mean_achieved,
-            )
-        )
-    smoothed = _pav_nondecreasing(
-        [e.success_rate for e in entries], [float(e.trials) for e in entries]
-    )
-    minimal_m = None
-    for entry, rate in zip(entries, smoothed):
-        if rate >= target_rate - 1e-12:
-            minimal_m = entry.m
-            break
-    return SweepResult(
-        entries=tuple(entries),
-        target_rate=float(target_rate),
-        smoothed_rates=tuple(smoothed),
-        minimal_m=minimal_m,
-    )
+        entries.append(SweepEntry(m, config.trials, successes, successes / config.trials, mean_achieved))
+    smoothed = _pav_nondecreasing([e.success_rate for e in entries], [float(e.trials) for e in entries])
+    minimal_m = next((e.m for e, rate in zip(entries, smoothed) if rate >= target_rate - 1e-12), None)
+    return SweepResult(tuple(entries), float(target_rate), tuple(smoothed), minimal_m)
+
+
+def _row_norms(rows: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.norm of each row. Rows whose squares overflow are normed
+    again in units of a power of two near their largest entry, which scales
+    exactly; the other norms keep their bits."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+        big = np.isinf(norms)
+        exps = np.frexp(np.abs(rows[big]).max(axis=1, initial=0.0))[1]
+        norms[big] = np.ldexp(np.linalg.norm(np.ldexp(rows[big], -exps[:, None]), axis=1), exps)
+    if np.isinf(norms).any():
+        raise InputError(f"{what} exceeds the float64 range")
+    return norms
 
 
 def metric_embed(
@@ -357,11 +352,12 @@ def metric_embed(
         raise InputError("need at least 2 points, given as an N x n array")
     n = pts.shape[1]
     _check_budget("N(N-1)/2*n", pts.shape[0] * (pts.shape[0] - 1) // 2 * n)
-    scale_ref = max(1.0, float(np.linalg.norm(pts, axis=1).max()))
+    scale_ref = max(1.0, float(_row_norms(pts, "a point's norm").max()))
     # pairs (i, j), i < j, in the order of combinations(range(N), 2)
     i, j = np.triu_indices(pts.shape[0], k=1)
-    diffs = pts[i] - pts[j]
-    norms = np.linalg.norm(diffs, axis=1)
+    with np.errstate(over="ignore"):
+        diffs = pts[i] - pts[j]
+    norms = _row_norms(diffs, "a distance between two points")
     keep = norms > 1e-12 * scale_ref
     skipped = int(keep.size - keep.sum())
     if skipped:

@@ -473,6 +473,16 @@ def test_sweep_csv_output(tmp_path):
     assert lines[-1].startswith("# minimal_m")
 
 
+@pytest.mark.parametrize("grid, token", [("1,x", "x"), ("2.5,4", "2.5"), ("2,4.0", "4.0")])
+def test_sweep_m_values_must_be_integer_tokens(tmp_path, capsys, grid, token):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--m-values", grid, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: m_values must be integers: invalid literal for int() with base 10: '{token}'\n"
+    assert not out.exists()
+
+
 def test_sweep_parallel_flag_matches_serial_bytes(tmp_path, pools):
     inputs = {
         "k_sparse": {"family_kind": "k_sparse"},
@@ -513,6 +523,55 @@ def test_embed_points_outputs(tmp_path, capsys):
     gamma = load_matrix_csv(mat_out)
     assert gamma.m == summary["m"] and gamma.n == 10
     capsys.readouterr()
+
+
+def _embed(tmp_path, points, tag):
+    pts_path = tmp_path / f"{tag}.csv"
+    store_matrix_csv(np.asarray(points, dtype=float), pts_path)
+    outs = tmp_path / f"{tag}-gamma.csv", tmp_path / f"{tag}-summary.json"
+    code = main([
+        "embed-points", "--points", str(pts_path), "--D", "6.0", "--ensemble", "gaussian", "--seed", "3",
+        "--matrix-out", str(outs[0]), "--summary-out", str(outs[1]),
+    ])
+    return code, outs
+
+
+def test_embed_points_far_apart_points_are_distinct(tmp_path, capsys):
+    # the squares of these coordinates overflow, their distance does not
+    code, (_, summary) = _embed(tmp_path, [[1e200, 0.0], [-1e200, 0.0]], "far")
+    assert code == 0
+    payload = json.loads(summary.read_text())
+    assert payload["p"] == 1 and payload["feasible"] and payload["achieved_distortion"] == 1.0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "points, what",
+    [
+        ([[1.7e308, 0.0], [-1.7e308, 0.0]], "a distance between two points"),
+        ([[1.7e308, 1.7e308], [1.7e308, 0.0]], "a point's norm"),
+    ],
+)
+def test_embed_points_beyond_the_float_range_exit_2(tmp_path, capsys, points, what):
+    code, outs = _embed(tmp_path, points, "huge")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {what} exceeds the float64 range\n"
+    assert not any(out.exists() for out in outs)
+
+
+def test_embed_points_norms_keep_their_bits_below_overflow(tmp_path, monkeypatch):
+    # ordinary inputs give the bytes of plain np.linalg.norm row norms
+    rng = np.random.default_rng(0)
+    inputs = {"plain": rng.standard_normal((8, 10)), "large": 1e150 * rng.standard_normal((6, 3))}
+    for tag, points in inputs.items():
+        code, outs = _embed(tmp_path, points, tag)
+        assert code == 0
+        written = [out.read_bytes() for out in outs]
+        with monkeypatch.context() as patched:
+            patched.setattr(subembed.harness, "_row_norms", lambda rows, what: np.linalg.norm(rows, axis=1))
+            code, outs = _embed(tmp_path, points, tag + "-plain")
+        assert code == 0
+        assert [out.read_bytes() for out in outs] == written
 
 
 def test_width_subcommand(tmp_path, capsys):

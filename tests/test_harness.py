@@ -202,7 +202,7 @@ def test_trial_results_invariant_under_member_permutation(tmp_path):
 # ---------------------------------------------------------------- sweeps
 
 
-def test_pool_worker_builds_the_shared_family_once(monkeypatch):
+def test_trial_range_builds_a_fixed_family_once_per_range(monkeypatch):
     builds = []
     real = harness.build_family
 
@@ -211,22 +211,23 @@ def test_pool_worker_builds_the_shared_family_once(monkeypatch):
         return real(config, trial_index)
 
     monkeypatch.setattr(harness, "build_family", counted)
-    harness._worker_family.cache_clear()
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 1)  # blocks of one trial
     fixed = small_config(trials=3)
-    first = [harness._pool_task(fixed, (fixed.m,), range(t, t + 1)) for t in range(3)]
-    assert builds == [0]
-    assert [block[0][0] for block in first] == run_trials(fixed)
-    sweeps = [harness._pool_task(fixed, (2, 4), block) for block in (range(0, 2), range(2, 3))]
-    assert builds == [0, 0]  # the serial run_trials above built its own
+    first = harness._trial_range(fixed, (fixed.m,), range(3))
+    assert builds == [0]  # one build for the range's three blocks
+    assert [trial[0] for trial in first] == run_trials(fixed)
+    sweeps = [harness._trial_range(fixed, (2, 4), block) for block in (range(0, 2), range(2, 3))]
+    assert builds == [0, 0, 0, 2]  # the serial run_trials above built its own
     assert [trial for block in sweeps for trial in block] == [
-        harness._block_results(fixed, range(t, t + 1), None, (2, 4))[0] for t in range(3)
+        harness._block_results(fixed, range(t, t + 1), real(fixed, t), (2, 4))[0] for t in range(3)
     ]
     builds.clear()
     annealed = small_config(trials=3, fixed_family=False)
-    for t in range(3):
-        harness._pool_task(annealed, (annealed.m,), range(t, t + 1))
+    results = harness._trial_range(annealed, (annealed.m,), range(3))
     assert builds == [0, 1, 2]  # a fresh family per trial
-    harness._worker_family.cache_clear()
+    assert results == [
+        harness._block_results(annealed, range(t, t + 1), real(annealed, t), (annealed.m,))[0] for t in range(3)
+    ]
 
 
 def reference_trial(config, t, m_values):
@@ -266,13 +267,23 @@ def test_block_core_equals_trials_run_alone(monkeypatch, tmp_path, per_block, ki
     m_values = (1, 2, 5, 9)  # m < k at the first two
     # a budget that holds per_block trials of these sizes
     monkeypatch.setattr(harness, "_BLOCK_ENTRIES", per_block * 9 * max(cfg.n, cfg.p * cfg.k))
-    expected_size = 1 if family == "annealed" else per_block
-    assert harness._block_size(cfg, max(m_values)) == expected_size
+    assert harness._block_size(cfg, max(m_values)) == per_block
+    certified = []
+    real = harness._certify_maps
+
+    def recorded(maps, family, D, grid=None):
+        certified.append(len(maps))
+        return real(maps, family, D, grid)
+
+    monkeypatch.setattr(harness, "_certify_maps", recorded)
     expected = [reference_trial(cfg, t, m_values) for t in range(cfg.trials)]
     assert harness._map_trials(cfg, m_values, 1) == expected
+    # annealed runs pass _certify_maps one map at a time, since each trial embeds its own family
+    size = 1 if family == "annealed" else per_block
+    assert certified == [min(size, cfg.trials - lo) for lo in range(0, cfg.trials, size)]
     alone = [reference_trial(cfg, t, (cfg.m,))[0] for t in range(cfg.trials)]
     assert run_trials(cfg) == alone
-    assert [run_trial(cfg, t) for t in range(cfg.trials)] == alone  # the block of one
+    assert [run_trial(cfg, t) for t in range(cfg.trials)] == alone  # the range of one
 
 
 def test_sweep_matches_individual_trials():
@@ -319,9 +330,51 @@ def test_sweep_validation_and_smoothing():
         with pytest.raises(InputError, match="m="):
             sweep_m(cfg, grid, 0.5)
     with pytest.raises(InputError, match="integers"):
-        sweep_m(cfg, ["1", "x"], 0.5)  # as the CLI passes --m-values 1,x
+        sweep_m(cfg, ["1", "x"], 0.5)  # strings are refused, numeric or not
     sweep = sweep_m(cfg, [1, 3, 5, 8, 11], 0.9)
     assert all(a <= b + 1e-12 for a, b in zip(sweep.smoothed_rates, sweep.smoothed_rates[1:]))
+
+
+def test_m_values_and_parallelism_must_be_integers(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a refused parallelism must not start a process pool")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    cfg = small_config(trials=4)
+    # int() would run 2.9 and 4.5 as m=2, 4, and True as m=1
+    for grid in ([2.9, 4.5], [2.0, 4], [True, 4], [2, np.float64(4)]):
+        with pytest.raises(InputError, match="m_values must be integers"):
+            sweep_m(cfg, grid, 0.5)
+    for parallelism in (2.5, 2.0, True, "2"):
+        with pytest.raises(InputError, match="parallelism must be an integer"):
+            run_trials(cfg, parallelism=parallelism)
+        with pytest.raises(InputError, match="parallelism must be an integer"):
+            sweep_m(cfg, [2, 4], 0.5, parallelism=parallelism)
+    assert sweep_m(cfg, [np.int64(2), 4], 0.5, parallelism=np.int64(1)) == sweep_m(cfg, [2, 4], 0.5)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_parallel_runs_match_serial_under_start_method(monkeypatch, method):
+    import multiprocessing
+
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    context = multiprocessing.get_context(method)
+    started = []
+
+    class ContextPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, mp_context=context, **kwargs)
+
+    configs = [small_config(trials=5), small_config(trials=5, fixed_family=False)]
+    sweep_config = small_config(trials=5, family_kind="k_sparse")
+    serial = [repr(run_trials(cfg)) for cfg in configs] + [repr(sweep_m(sweep_config, [1, 3, 8], 0.5))]
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", ContextPool)
+    pooled = [repr(run_trials(cfg, parallelism=2)) for cfg in configs]
+    pooled.append(repr(sweep_m(sweep_config, [1, 3, 8], 0.5, parallelism=3)))
+    assert pooled == serial
+    assert started == [2, 2, 3]
 
 
 def test_sweep_rank_deficiency_below_k():
