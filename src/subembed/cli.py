@@ -159,13 +159,7 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
 
 
 def _parse_ensemble_flag(args) -> EnsembleSpec:
-    payload = {"kind": args.ensemble}
-    if args.ensemble == "iid_bounded":
-        if getattr(args, "density_bound", None) is not None:
-            payload["density_bound"] = args.density_bound
-        if getattr(args, "entry_psi2", None) is not None:
-            payload["entry_psi2"] = args.entry_psi2
-    return EnsembleSpec.from_json_dict(payload)
+    return EnsembleSpec.from_json_dict({"kind": args.ensemble})
 
 
 def _json_line(payload: dict) -> str:
@@ -286,11 +280,7 @@ def _cmd_constants(args) -> int:
 
 
 def _add_ensemble_flags(sub) -> None:
-    sub.add_argument(
-        "--ensemble", required=True, choices=["gaussian", "sphere", "iid_bounded"]
-    )
-    sub.add_argument("--density-bound", dest="density_bound", type=float, default=None)
-    sub.add_argument("--entry-psi2", dest="entry_psi2", type=float, default=None)
+    sub.add_argument("--ensemble", required=True, choices=["gaussian", "sphere", "iid_bounded"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,6 @@ derive_seed(seed, i). No generator object is built per row.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,40 +30,21 @@ SPHERE_SCALED = "sphere_scaled"
 IID_BOUNDED = "iid_bounded"
 KINDS = (GAUSSIAN, SPHERE_SCALED, IID_BOUNDED)
 
-# the built-in bounded-entry distribution: uniform on [-sqrt(3), sqrt(3)],
+# the one bounded-entry distribution sampled: uniform on [-sqrt(3), sqrt(3)],
 # i.e. mean 0, variance 1, density 1/(2*sqrt(3))
 UNIFORM_HALF_WIDTH = math.sqrt(3.0)
-UNIFORM_DENSITY_BOUND = 1.0 / (2.0 * math.sqrt(3.0))
 UNIFORM_ENTRY_PSI2 = 2.0 * math.sqrt(3.0)  # bounded-variable bound 4^(1/2) * sqrt(3)
-
-
-def _json_number(value, key: str) -> float:
-    """A JSON number as a float: not a boolean or a string, and within float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"ensemble key {key!r} must be a number, got {json.dumps(value)}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ConfigurationError(f"ensemble key {key!r} is beyond float range") from exc
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Which row distribution to draw, with its admissibility data."""
+    """Which row distribution to draw."""
 
     kind: str
-    density_bound: float = UNIFORM_DENSITY_BOUND
-    entry_psi2: float = UNIFORM_ENTRY_PSI2
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown ensemble kind {self.kind!r}")
-        if self.kind == IID_BOUNDED:
-            for key in ("density_bound", "entry_psi2"):
-                value = getattr(self, key)
-                # written so that NaN fails too
-                if not (value > 0.0 and math.isfinite(value)):
-                    raise ConfigurationError(f"{key} must be finite and positive, got {value}")
 
     @classmethod
     def gaussian(cls) -> "EnsembleSpec":
@@ -78,21 +58,11 @@ class EnsembleSpec:
     def iid_bounded(cls) -> "EnsembleSpec":
         return cls(kind=IID_BOUNDED)
 
-    def to_json_dict(self) -> dict:
-        if self.kind == IID_BOUNDED:
-            return {
-                "kind": "iid_bounded",
-                "density_bound": self.density_bound,
-                "entry_psi2": self.entry_psi2,
-            }
-        return {"kind": "sphere" if self.kind == SPHERE_SCALED else self.kind}
-
     @classmethod
     def from_json_dict(cls, payload: dict) -> "EnsembleSpec":
         if not isinstance(payload, dict):
             raise ConfigurationError("ensemble descriptor must be an object")
-        allowed = {"kind", "density_bound", "entry_psi2"}
-        unknown = set(payload) - allowed
+        unknown = set(payload) - {"kind"}
         if unknown:
             raise ConfigurationError(f"unknown ensemble keys: {sorted(unknown)}")
         kind = payload.get("kind")
@@ -100,10 +70,7 @@ class EnsembleSpec:
             kind = SPHERE_SCALED
         if kind not in KINDS:
             raise ConfigurationError(f"ensemble kind must be one of gaussian|sphere|iid_bounded, got {kind!r}")
-        kwargs = {key: _json_number(payload[key], key) for key in ("density_bound", "entry_psi2") if key in payload}
-        if kind != IID_BOUNDED and kwargs:
-            raise ConfigurationError("density_bound/entry_psi2 only apply to iid_bounded")
-        return cls(kind=kind, **kwargs)
+        return cls(kind=kind)
 
 
 @dataclass(frozen=True)
@@ -128,13 +95,10 @@ class EnsembleConstants:
 
 @dataclass(frozen=True)
 class RandomMatrix:
-    """A sampled m x n map together with its generating seed and ensemble.
-    The constructor copies and checks its input; ``sample_matrix`` skips
-    both and keeps its own read-only array."""
+    """An m x n map. The constructor copies and checks its input;
+    ``sample_matrix`` skips both and keeps its own read-only array."""
 
     matrix: np.ndarray
-    ensemble: EnsembleSpec | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=float, copy=True)
@@ -279,10 +243,10 @@ def sample_matrix(spec: EnsembleSpec, m: int, n: int, seed: int) -> RandomMatrix
     """
     rows = _sample_maps(spec, np.array([normalize_seed(seed)], dtype=np.uint64), m, n)[0]
     rows.setflags(write=False)
-    return _checked(RandomMatrix, matrix=rows, ensemble=spec, seed=seed)
+    return _checked(RandomMatrix, matrix=rows)
 
 
-def _empirical_directional_alpha(spec: EnsembleSpec, seed: int) -> float:
+def _empirical_directional_alpha(seed: int) -> float:
     """Worst observed concentration ratio C_eps(<X, a>)/eps over sampled directions.
 
     Used where the composite concentration constant has no numeric closed
@@ -312,9 +276,10 @@ def theoretical_constants(spec: EnsembleSpec, seed: int = 0) -> EnsembleConstant
     """The ensemble's (alpha, beta), closed-form where available.
 
     gaussian: alpha = sqrt(2/pi), beta = sqrt(8/3). sphere_scaled:
-    alpha = 2, beta = 4. iid_bounded: beta = 4 * entry_psi2 in closed form;
-    alpha is an empirical directional estimate (see
-    _empirical_directional_alpha), reported with source "empirical".
+    alpha = 2, beta = 4. iid_bounded: beta = 4 * UNIFORM_ENTRY_PSI2, from the
+    psi_2 bound of its uniform entries, in closed form; alpha is an empirical
+    directional estimate (see _empirical_directional_alpha), reported with
+    source "empirical".
     """
     if spec.kind == GAUSSIAN:
         return EnsembleConstants(
@@ -326,8 +291,8 @@ def theoretical_constants(spec: EnsembleSpec, seed: int = 0) -> EnsembleConstant
     if spec.kind == SPHERE_SCALED:
         return EnsembleConstants(alpha=2.0, beta=4.0, alpha_source="closed_form", beta_source="closed_form")
     return EnsembleConstants(
-        alpha=_empirical_directional_alpha(spec, seed),
-        beta=4.0 * spec.entry_psi2,
+        alpha=_empirical_directional_alpha(seed),
+        beta=4.0 * UNIFORM_ENTRY_PSI2,
         alpha_source="empirical",
         beta_source="closed_form",
     )

@@ -108,10 +108,8 @@ class SubspaceFamily:
     stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
     base_points: np.ndarray
 
-    def __init__(self, members):
-        members = tuple(members)
-        stacks = _stacks([member.direction.basis for member in members])
-        _family(stacks, np.stack([member.base_point for member in members]), into=self)
+    def __init__(self):
+        raise TypeError("build a family with from_stack, from_subspaces or load_family_json")
 
     @classmethod
     def from_subspaces(cls, subspaces) -> "SubspaceFamily":
@@ -157,26 +155,21 @@ class SubspaceFamily:
         return self.stacks[-1][1].shape[2]
 
 
-def _family(stacks, base_points=None, into=None) -> SubspaceFamily:
+def _family(stacks, base_points=None) -> SubspaceFamily:
     """The family that owns the given arrays, built without copying them.
 
     ``stacks`` are SubspaceFamily.stacks: per dimension d, ascending, the
     member indices and a C-ordered float (count, n, d) stack of bases, each
     checked here once. ``base_points`` is the (p, n) array of base points,
     or None for a linear family, whose members all share one zero point.
-    Both become read-only. ``into`` is the family whose fields are set:
-    SubspaceFamily.__init__ passes itself, and every other build gets a
-    new object.
+    Both become read-only.
     """
     stacks = tuple((indices, _check_stack(bases)) for indices, bases in stacks)
     if base_points is None:
         n = stacks[0][1].shape[1]
         base_points = np.broadcast_to(np.zeros(n), (sum(len(indices) for indices, _ in stacks), n))
     base_points.setflags(write=False)
-    family = object.__new__(SubspaceFamily) if into is None else into
-    object.__setattr__(family, "stacks", stacks)
-    object.__setattr__(family, "base_points", base_points)
-    return family
+    return _checked(SubspaceFamily, stacks=stacks, base_points=base_points)
 
 
 def _stacks(bases) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -194,8 +187,8 @@ def _stacks(bases) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple((indices, np.array([bases[i] for i in indices], dtype=float)) for indices in groups)
 
 
-def orthonormalize(spanning_vectors: np.ndarray) -> Subspace:
-    """Orthonormal basis for the numerical column span of the input.
+def orthonormalize(spanning_vectors: np.ndarray) -> np.ndarray:
+    """An n x r orthonormal basis of the numerical column span of the input.
 
     Singular values below RANK_RTOL times the largest are treated as zero,
     so rank-deficient inputs come back with their numerical rank.
@@ -208,11 +201,11 @@ def orthonormalize(spanning_vectors: np.ndarray) -> Subspace:
         raise DegenerateInputError("all spanning vectors are numerically zero")
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > RANK_RTOL * s[0]))
-    return Subspace(u[:, :rank])
+    return u[:, :rank]
 
 
 def _orthonormal_stacks(groups) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The stacks of orthonormalize(span).basis for every member, from the
+    """The stacks of orthonormalize(span) for every member, from the
     (indices, spans) groups ``_stacks`` gives for the members' n x j spans.
     Each group's (count, n, j) array is overwritten with its bases.
 
@@ -236,7 +229,7 @@ def _orthonormal_stacks(groups) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
             # with more columns than rows, U is n x n, narrower than the spans
             full = (s[:, -1] > RANK_RTOL * s[:, 0]) & (s[:, 0] > 2.0 * math.sqrt(j) * ZERO_NORM) & (j <= n)
             for c in np.flatnonzero(~full).tolist():
-                reduced[int(indices[lo + c])] = orthonormalize(chunk[c]).basis
+                reduced[int(indices[lo + c])] = orthonormalize(chunk[c])
             chunk[..., : u.shape[2]] = u
     if not reduced:
         return tuple(groups)
@@ -249,7 +242,7 @@ def random_subspace(n: int, k: int, seed: int) -> Subspace:
     if not 1 <= k <= n:
         raise DimensionError(f"need 1 <= k <= n, got k={k}, n={n}")
     gauss = rng_from(seed).standard_normal((n, k))
-    return orthonormalize(gauss)
+    return Subspace(orthonormalize(gauss))
 
 
 def sparse_subspace(n: int, support) -> Subspace:
@@ -266,12 +259,13 @@ def sparse_subspace(n: int, support) -> Subspace:
 
 def store_family_json(family: SubspaceFamily, path) -> None:
     """Write the family file format: {"n": ..., "members": [{"base", "basis_columns"}]}."""
+    columns = [None] * family.size
+    for indices, bases in family.stacks:
+        for i, basis_columns in zip(indices.tolist(), np.swapaxes(bases, 1, 2).tolist()):
+            columns[i] = basis_columns
     payload = {
         "n": family.ambient_dim,
-        "members": [
-            {"base": member.base_point.tolist(), "basis_columns": member.direction.basis.T.tolist()}
-            for member in family.members
-        ],
+        "members": [{"base": b, "basis_columns": c} for b, c in zip(family.base_points.tolist(), columns)],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)

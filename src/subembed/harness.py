@@ -49,6 +49,13 @@ _GAMMA_STREAM = 2
 _BLOCK_ENTRIES = 1 << 15
 
 
+def _integer(value, message: str) -> int:
+    # int() would take a float or a bool silently: 2.9 as 2, True as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{message}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs of one experiment: geometry sizes, ensemble, trial count, seed.
@@ -71,6 +78,11 @@ class ExperimentConfig:
     fixed_family: bool = True
 
     def __post_init__(self):
+        integers = ("n", "k", "p", "trials", "seed") + (() if self.m_override is None else ("m_override",))
+        for name in integers:
+            object.__setattr__(self, name, _integer(getattr(self, name), f"{name} must be an integer"))
+        if not isinstance(self.fixed_family, bool):
+            raise InputError(f"fixed_family must be true or false, got {self.fixed_family!r}")
         if not 1 <= self.k <= self.n:
             raise InputError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.p < 1:
@@ -241,13 +253,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _integer(value, message: str) -> int:
-    # int() would take a float or a bool silently: 2.9 as 2, True as 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InputError(f"{message}, got {value!r}")
-    return int(value)
-
-
 def _map_trials(config: ExperimentConfig, m_values, parallelism: int) -> list[list[TrialResult]]:
     """Every trial's results at each m in m_values, in trial order: one
     range of all trials when serial, or min(parallelism, trials)
@@ -350,6 +355,8 @@ def metric_embed(
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise InputError("need at least 2 points, given as an N x n array")
+    if not np.isfinite(pts).all():
+        raise InputError("points must be finite")
     n = pts.shape[1]
     _check_budget("N(N-1)/2*n", pts.shape[0] * (pts.shape[0] - 1) // 2 * n)
     scale_ref = max(1.0, float(_row_norms(pts, "a point's norm").max()))

@@ -28,7 +28,7 @@ from subembed import (
 )
 from subembed.distortion import _svd_extremes
 from subembed.ensembles import _sample_rows
-from subembed.geometry import _family
+from subembed.geometry import _family, _stacks
 from subembed.harness import _FAMILY_STREAM
 from subembed.seeding import derive_seed, normalize_seed, rng_from
 
@@ -72,6 +72,13 @@ def grassmann_distance(v: Subspace, w: Subspace) -> float:
     sines = np.linalg.svd(residual, compute_uv=False)
     sine = min(1.0, float(sines[0]))
     return 2.0 * math.sin(0.5 * math.asin(sine))
+
+
+def affine_family(members) -> SubspaceFamily:
+    """The family of the given AffineSubspace members, in order: their bases
+    copied into one stack per dimension, their base points into one array."""
+    members = tuple(members)
+    return _family(_stacks([m.direction.basis for m in members]), np.stack([m.base_point for m in members]))
 
 
 def reduce_affine(family: SubspaceFamily) -> SubspaceFamily:
@@ -127,7 +134,7 @@ def cross_family(family: SubspaceFamily, cardinality_budget: int = 100_000) -> S
             if l == lp:
                 spans.append(directions[l])
             else:
-                spans.append(orthonormalize(np.hstack([directions[l].basis, directions[lp].basis])))
+                spans.append(Subspace(orthonormalize(np.hstack([directions[l].basis, directions[lp].basis]))))
     return SubspaceFamily.from_subspaces(spans)
 
 

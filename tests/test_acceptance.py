@@ -31,6 +31,7 @@ from subembed.cli import main
 from subembed.geometry import AffineSubspace
 
 from oracles import (
+    affine_family,
     build_metric_family,
     cross_family,
     psi2_estimate,
@@ -236,7 +237,7 @@ def test_criterion_9_affine_and_cross_reductions():
         AffineSubspace(rng.standard_normal(12), random_subspace(12, 3, derive_seed(600, i)))
         for i in range(5)
     )
-    family = SubspaceFamily(members)
+    family = affine_family(members)
     gamma = sample_matrix(EnsembleSpec.gaussian(), 9, 12, 17)
     direct = family_distortion(gamma, family)
     reduced = family_distortion(gamma, reduce_affine(family))

@@ -668,15 +668,22 @@ def test_config_values_must_have_their_json_type(tmp_path, capsys, key, value, c
 )
 @pytest.mark.parametrize("key", ["density_bound", "entry_psi2"])
 def test_ensemble_numbers_must_be_finite_json_numbers(tmp_path, capsys, key, value):
+    # the ensembles take no numbers: the one bounded law sampled is fixed, so
+    # a config that still names a former setting is refused whatever its value
     cfg = write_config(tmp_path / "cfg.json", ensemble={"kind": "iid_bounded", key: value})
     out = tmp_path / "out.jsonl"
     assert main(["trial", "--config", str(cfg), "--output", str(out)]) == 2
-    assert key in capsys.readouterr().err
+    assert f"unknown ensemble keys: [{key!r}]" in capsys.readouterr().err
     assert not out.exists()
     if isinstance(value, float):
         flag = "--" + key.replace("_", "-")
-        assert main(["constants", "--ensemble", "iid_bounded", flag, str(value)]) == 2
-        assert key in capsys.readouterr().err
+        for argv in (
+            ["constants", "--ensemble", "iid_bounded"],
+            ["gen-matrix", "--ensemble", "iid_bounded", "--m", "2", "--n", "3", "--seed", "1"],
+            ["embed-points", "--points", str(out), "--D", "8", "--ensemble", "iid_bounded", "--seed", "1"],
+        ):
+            assert main([*argv, flag, str(value)]) == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -18,7 +18,7 @@ from subembed import (
     theoretical_constants,
 )
 from subembed import ensembles
-from subembed.ensembles import UNIFORM_HALF_WIDTH
+from subembed.ensembles import UNIFORM_ENTRY_PSI2, UNIFORM_HALF_WIDTH
 from subembed.seeding import derive_seeds
 from subembed.stats import DEFAULT_MAX_ELEMENTS, concentration_estimate
 
@@ -31,20 +31,24 @@ SQRT3 = math.sqrt(3.0)
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
         EnsembleSpec(kind="cauchy")
-    with pytest.raises(ConfigurationError):
-        EnsembleSpec(kind="iid_bounded", density_bound=-1.0)
-    with pytest.raises(ConfigurationError):
-        EnsembleSpec(kind="iid_bounded", entry_psi2=0.0)
+    # the one bounded law sampled has no settings to pass
+    with pytest.raises(TypeError):
+        EnsembleSpec(kind="iid_bounded", density_bound=0.5)
 
 
 def test_spec_json_round_trip():
-    for spec in (EnsembleSpec.gaussian(), EnsembleSpec.sphere_scaled(), EnsembleSpec.iid_bounded()):
-        assert EnsembleSpec.from_json_dict(spec.to_json_dict()) == spec
+    for name, spec in (
+        ("gaussian", EnsembleSpec.gaussian()),
+        ("sphere", EnsembleSpec.sphere_scaled()),
+        ("iid_bounded", EnsembleSpec.iid_bounded()),
+    ):
+        assert EnsembleSpec.from_json_dict({"kind": name}) == spec
     assert EnsembleSpec.from_json_dict({"kind": "sphere"}).kind == "sphere_scaled"
     with pytest.raises(ConfigurationError):
         EnsembleSpec.from_json_dict({"kind": "gaussian", "weird": 1})
-    with pytest.raises(ConfigurationError):
-        EnsembleSpec.from_json_dict({"kind": "gaussian", "density_bound": 0.5})
+    for kind in ("gaussian", "iid_bounded"):
+        with pytest.raises(ConfigurationError, match=r"unknown ensemble keys: \['density_bound'\]"):
+            EnsembleSpec.from_json_dict({"kind": kind, "density_bound": 0.5})
 
 
 @pytest.mark.parametrize("seed", [0, 1, 987654321, -5])
@@ -206,7 +210,7 @@ def test_theoretical_constants_closed_forms():
     assert (s.alpha, s.beta) == (2.0, 4.0)
 
     u = theoretical_constants(EnsembleSpec.iid_bounded())
-    assert u.beta == pytest.approx(8 * SQRT3, abs=1e-12)  # 4 * entry_psi2
+    assert u.beta == pytest.approx(8 * SQRT3, abs=1e-12)  # 4 * UNIFORM_ENTRY_PSI2
     assert u.beta_source == "closed_form"
     assert u.alpha_source == "empirical"
     assert 3 / 8 <= u.alpha <= 1.5
@@ -250,9 +254,7 @@ def test_concentration_bounded_by_alpha(concentration_rows):
 
 def test_iid_entries_use_declared_half_width():
     assert UNIFORM_HALF_WIDTH == pytest.approx(SQRT3)
-    spec = EnsembleSpec.iid_bounded()
-    assert spec.density_bound == pytest.approx(1 / (2 * SQRT3))
-    assert spec.entry_psi2 == pytest.approx(2 * SQRT3)
+    assert UNIFORM_ENTRY_PSI2 == pytest.approx(2 * SQRT3)
 
 
 def test_constants_floor_invariants_enforced():
@@ -262,9 +264,6 @@ def test_constants_floor_invariants_enforced():
         EnsembleConstants(alpha=0.2, beta=2.0, alpha_source="closed_form", beta_source="closed_form")
     with pytest.raises(ConfigurationError):
         EnsembleConstants(alpha=1.0, beta=0.9, alpha_source="closed_form", beta_source="closed_form")
-    # an entry psi2 small enough to push beta = 4*entry_psi2 below 1 is caught
-    with pytest.raises(ConfigurationError):
-        theoretical_constants(EnsembleSpec(kind="iid_bounded", entry_psi2=0.2))
 
 
 def test_random_matrix_rejects_non_finite():

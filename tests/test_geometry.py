@@ -28,7 +28,15 @@ from subembed import (
 )
 
 from nets import covering_defect, epsilon_net
-from oracles import build_metric_family, cross_family, grassmann_distance, is_linear, projector, reduce_affine
+from oracles import (
+    affine_family,
+    build_metric_family,
+    cross_family,
+    grassmann_distance,
+    is_linear,
+    projector,
+    reduce_affine,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -55,14 +63,14 @@ def test_orthonormalize_scaled_axes():
     mat = np.zeros((3, 2))
     mat[0, 0] = 2.0
     mat[1, 1] = 3.0
-    sub = orthonormalize(mat)
+    sub = Subspace(orthonormalize(mat))
     assert sub.dim == 2
     assert np.allclose(projector(sub), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_orthonormalize_duplicate_columns_reduce_rank():
     mat = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-    sub = orthonormalize(mat)
+    sub = Subspace(orthonormalize(mat))
     assert sub.dim == 1
     assert np.allclose(projector(sub), np.diag([1.0, 0.0, 0.0]), atol=1e-12)
 
@@ -70,7 +78,7 @@ def test_orthonormalize_duplicate_columns_reduce_rank():
 def test_orthonormalize_matches_independent_projector_oracle():
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((8, 3))
-    sub = orthonormalize(mat)
+    sub = Subspace(orthonormalize(mat))
     # independent re-orthonormalization pass: double Gram-Schmidt via QR
     q, _ = np.linalg.qr(mat)
     q, _ = np.linalg.qr(q)
@@ -81,8 +89,8 @@ def test_orthonormalize_degenerate_and_idempotent():
     with pytest.raises(DegenerateInputError):
         orthonormalize(np.zeros((4, 2)))
     rng = np.random.default_rng(4)
-    sub = orthonormalize(rng.standard_normal((6, 2)))
-    again = orthonormalize(sub.basis)
+    sub = Subspace(orthonormalize(rng.standard_normal((6, 2))))
+    again = Subspace(orthonormalize(sub.basis))
     assert np.allclose(projector(sub), projector(again), atol=1e-10)
 
 
@@ -188,7 +196,7 @@ def test_family_stacks_group_members_by_dimension():
 def test_members_are_read_only_views_of_the_stacks(tmp_path, build):
     rng = np.random.default_rng(5)
     subs = [random_subspace(6, k, seed=i) for i, k in enumerate([2, 1, 2, 3])]
-    affine = SubspaceFamily(tuple(AffineSubspace(rng.standard_normal(6), w) for w in subs))
+    affine = affine_family(tuple(AffineSubspace(rng.standard_normal(6), w) for w in subs))
     if build == "members":
         fam = affine
     elif build == "from_subspaces":
@@ -359,7 +367,7 @@ def test_net_budget_and_validation():
 def test_reduce_affine_examples():
     e1 = sparse_subspace(3, (0,))
     affine = AffineSubspace(np.array([2.0, -1.0, 0.5]), e1)
-    fam = SubspaceFamily((affine,))
+    fam = affine_family((affine,))
     red = reduce_affine(fam)
     assert is_linear(red.members[0])
     assert np.allclose(projector(red.members[0].direction), projector(e1))
@@ -374,7 +382,7 @@ def test_reduce_affine_preserves_distortion_exactly():
         AffineSubspace(rng.standard_normal(10), random_subspace(10, 2, seed=100 + i))
         for i in range(4)
     ]
-    fam = SubspaceFamily(tuple(members))
+    fam = affine_family(tuple(members))
     gamma = sample_matrix(EnsembleSpec.gaussian(), 6, 10, 17)
     a = family_distortion(gamma, fam)
     b = family_distortion(gamma, reduce_affine(fam))
@@ -411,8 +419,24 @@ def test_cross_family_dims_and_count_on_random_input():
         cross_family(fam, cardinality_budget=3)
 
 
+@pytest.mark.parametrize("build", ["affine_mixed", "linear", "k_sparse"])
+def test_store_family_json_matches_the_member_writer(tmp_path, build):
+    # the reference writes member by member, in member order, from the views
+    rng = np.random.default_rng(6)
+    subs = [random_subspace(7, k, seed=i) for i, k in enumerate([2, 1, 3, 1, 2])]
+    if build == "affine_mixed":
+        fam = affine_family(AffineSubspace(rng.standard_normal(7), w) for w in subs)
+    elif build == "linear":
+        fam = SubspaceFamily.from_stack(np.stack([w.basis for w in subs if w.dim == 2]))
+    else:
+        fam = k_sparse_family(6, 2, 9)
+    members = [{"base": m.base_point.tolist(), "basis_columns": m.direction.basis.T.tolist()} for m in fam.members]
+    store_family_json(fam, tmp_path / "fam.json")
+    assert (tmp_path / "fam.json").read_text() == json.dumps({"n": fam.ambient_dim, "members": members})
+
+
 def test_family_json_round_trip(tmp_path):
-    fam = SubspaceFamily(
+    fam = affine_family(
         (
             AffineSubspace(np.array([1.0, 2.0, 0.0, 0.0]), sparse_subspace(4, (0, 2))),
             AffineSubspace(np.zeros(4), random_subspace(4, 1, seed=3)),
@@ -444,7 +468,7 @@ def per_member_load(payload):
     """The reference load: orthonormalize each member on its own, then group
     the bases by dimension in member order; absent base points are zero."""
     n = payload["n"]
-    bases = [orthonormalize(np.array(m["basis_columns"], dtype=float).T).basis for m in payload["members"]]
+    bases = [orthonormalize(np.array(m["basis_columns"], dtype=float).T) for m in payload["members"]]
     dims = np.array([b.shape[1] for b in bases])
     stacks = []
     for d in sorted(set(dims.tolist())):
@@ -503,6 +527,9 @@ def test_load_rejects_numerically_zero_members(tmp_path, columns):
 
 def test_family_validation():
     with pytest.raises(InputError):
-        SubspaceFamily(())
+        affine_family(())
+    # no public constructor: a family is built from stacks, subspaces or a file
+    with pytest.raises(TypeError):
+        SubspaceFamily()
     with pytest.raises(DimensionError):
         SubspaceFamily.from_subspaces([sparse_subspace(3, (0,)), sparse_subspace(4, (0,))])

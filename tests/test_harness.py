@@ -14,7 +14,6 @@ from subembed import (
     ExperimentConfig,
     InputError,
     ResourceError,
-    SubspaceFamily,
     TrialResult,
     build_family,
     choose_scale,
@@ -34,7 +33,7 @@ from subembed import (
 )
 import subembed.harness as harness
 
-from oracles import build_metric_family, lower_bound_study, per_member_haar_family, verify_pointwise
+from oracles import affine_family, build_metric_family, lower_bound_study, per_member_haar_family, verify_pointwise
 
 GAUSS = EnsembleSpec.gaussian()
 
@@ -66,6 +65,21 @@ def test_config_validation():
         small_config(family_kind="user_file")  # needs family_path
     with pytest.raises(InputError):
         small_config(m_override=0)
+
+
+def test_config_fields_must_have_their_types():
+    # a float would run as its floor (seed 1.5 as seed 1) or end in a bare TypeError
+    for key, value in (("m_override", 2.5), ("n", 12.5), ("trials", 2.5), ("seed", 1.5), ("p", True)):
+        with pytest.raises(InputError, match=f"{key} must be an integer, got {value!r}"):
+            small_config(**{key: value})
+    with pytest.raises(InputError, match="fixed_family must be true or false, got 'false'"):
+        small_config(fixed_family="false")
+    # numpy integers pass, and run as the equal Python ints
+    sizes = dict(n=12, k=2, p=4, trials=3, seed=99, m_override=5)
+    cfg = small_config(**{key: np.int64(value) for key, value in sizes.items()})
+    assert cfg == small_config(**sizes)
+    assert all(type(getattr(cfg, key)) is int for key in sizes)
+    assert run_trials(cfg) == run_trials(small_config(**sizes))
 
 
 def test_config_m_property():
@@ -190,7 +204,7 @@ def test_run_trials_parallel_matches_serial():
 
 def test_trial_results_invariant_under_member_permutation(tmp_path):
     fam = k_sparse_family(8, 2, 4)
-    permuted = type(fam)(tuple(fam.members[i] for i in (2, 0, 3, 1)))
+    permuted = affine_family(fam.members[i] for i in (2, 0, 3, 1))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     store_family_json(fam, p1)
     store_family_json(permuted, p2)
@@ -248,7 +262,7 @@ def mixed_dimension_file(path, n=9, dims=(2, 1, 3, 1, 2)):
         AffineSubspace(np.random.default_rng(i).standard_normal(n), random_subspace(n, d, derive_seed(70, i)))
         for i, d in enumerate(dims)
     ]
-    store_family_json(SubspaceFamily(members), path)
+    store_family_json(affine_family(members), path)
     return str(path)
 
 
@@ -438,6 +452,16 @@ def test_metric_embed_duplicate_points_warn():
         gamma, p, achieved, scale = metric_embed(pts, 3.0, GAUSS, seed=4)
     assert any("duplicate" in str(w.message) for w in caught)
     assert p == 2  # one of the three pairs is degenerate
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_metric_embed_refuses_non_finite_points(bad):
+    # a NaN point once passed as a duplicate of every other point
+    pts = np.array([[bad, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="points must be finite"):
+            metric_embed(pts, 8.0, GAUSS, seed=1)
 
 
 def test_metric_embed_pair_count_and_m():

@@ -23,7 +23,7 @@ from subembed import stats
 from subembed.geometry import random_subspace
 from subembed.seeding import derive_seed, rng_from
 
-from oracles import is_linear, psi2_estimate, psi2_tail_check, reduce_affine, small_ball_bound
+from oracles import affine_family, is_linear, psi2_estimate, psi2_tail_check, reduce_affine, small_ball_bound
 
 SQRT3 = math.sqrt(3.0)
 
@@ -143,7 +143,7 @@ def test_width_draw_budget():
 
 def test_width_reads_bases_only_and_matches_member_loop():
     rng = np.random.default_rng(8)
-    fam = SubspaceFamily(
+    fam = affine_family(
         tuple(
             AffineSubspace(rng.standard_normal(7), random_subspace(7, k, seed=i))
             for i, k in enumerate((1, 3, 2, 3))
@@ -182,7 +182,7 @@ def tiled_family(rng, n, signed_coordinates):
                 basis = np.linalg.qr(rng.standard_normal((n, k)))[0]
             members.append(AffineSubspace(rng.standard_normal(n), Subspace(basis)))
     members = [members[i] for i in rng.permutation(len(members))]
-    fam = SubspaceFamily(members)
+    fam = affine_family(members)
     assert sum(1 for _ in stats._column_tiles(fam)) == 2 * len(fam.stacks)
     return fam
 
