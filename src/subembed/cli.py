@@ -65,6 +65,9 @@ def load_matrix_csv(path) -> RandomMatrix:
             rows[i] = [float(f) for f in line.split(",")]
         except ValueError as exc:
             raise InputError(f"{path}: row {i}: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise InputError(f"{path}: row {bad[0]}: entries must be finite")
     return RandomMatrix(matrix=rows)
 
 

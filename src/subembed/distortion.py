@@ -111,6 +111,55 @@ _EPS = float(np.finfo(float).eps)
 _TINY = 2.0**-1074
 
 
+# The point-pair screen's slack (harness.metric_embed). The N points are
+# scaled by 2^-e, 2^e above their largest entry, and centred: v_i are the
+# centred rows, each entry at most 2 in magnitude, r_i = ||v_i||, and w is a
+# pair's true scaled difference x_i - x_j. The screen reads the squared
+# distance d2 = g_i + g_j - 2 G_ij from the Gram G of the v_i (g_i = G_ii),
+# and the squared image distance e2 = h_i + h_j - 2 H_ij from the Gram H of
+# the images Y = fl(V Gamma^T). The exact kernel forms the pair's difference,
+# its _row_norms norm nu, the unit vector, its product with Gamma and the SVD
+# of that m x 1 column. With u = eps/2, gamma_n = n*u/(1 - n*u) and
+# F = ||Gamma||_F (Higham, Accuracy and Stability of Numerical Algorithms,
+# ch. 3, for the sums and products):
+# - the Gram's cancellation: each entry of G errs by at most gamma_n
+#   |v_i|.|v_j|, and the two additions of d2 by 2u(g_i + g_j + 2|G_ij|). The
+#   centring rounds each entry of v_i by u, which moves ||v_i - v_j|| off ||w||
+#   by at most u(r_i + r_j) and the squared distance by 3u(r_i + r_j)^2. So
+#   d2 lies within (n + 12)*eps*(g_i + g_j) of ||w||^2, and e2 within
+#   (m + 4)*eps*(h_i + h_j) of ||Y_i - Y_j||^2.
+# - the image GEMM's rounding: Y_i errs from Gamma v_i by gamma_n |Gamma||v_i|,
+#   and Gamma moves the centring's error by at most F*u*(r_i + r_j), so
+#   ||Y_i - Y_j|| lies within (gamma_n + u)*F*(r_i + r_j) of ||Gamma w||.
+# - the exact kernel's own rounding: the difference rounds each entry by u,
+#   nu errs from ||x_i - x_j|| by gamma_n/2 + 2u relative, and the division by
+#   u more, so the unit vector lies within gamma_n/2 + 4u of w/||w|| and its
+#   product with Gamma, rounded by gamma_n F more, within (n + 3)*eps*F of
+#   Gamma w/||w||. LAPACK gives the column's one singular value to a small
+#   multiple of m*eps relative (LAPACK Users' Guide, "Error bounds for the
+#   singular value decomposition").
+# Every coefficient is at most (n + m + 12)*eps; _pair_tau(n, m) =
+# 16*(n + m + 16)*eps leaves a factor of 16 for LAPACK's constant, the
+# rounding of F, r_i and the bounds' own few operations. Underflow adds at
+# most (n + 1)(m + 1)*2^-1074 to a Gram entry, an image or a product, and
+# _SCREEN_FLOOR covers it; the scaling's underflow, at most 2^-1074 an entry,
+# is moved by Gamma to F*sqrt(n)*2^-1074, below tau*F*(r_i + r_j) for any pair
+# above the duplicate threshold, whose scaled distance exceeds 2^-42. So, in
+# units of 2^e, with s = tau*(g_i + g_j) + floor:
+#   low = sqrt(max(d2 - s, 0)) <= ||w|| <= high = sqrt(d2 + s),
+#   low*(1 - tau) <= nu <= high*(1 + tau),
+# and with s' = tau*(h_i + h_j) + floor, b = tau*F*(r_i + r_j) + floor and
+# a = tau*F + floor, the pair's exact singular value sigma satisfies
+#   ((sqrt(max(e2 - s', 0)) - b)/high - a)*(1 - tau) <= sigma
+#                                   <= ((sqrt(e2 + s') + b)/low + a)*(1 + tau).
+# A non-finite bound, as from squares beyond the float64 range, bounds
+# nothing: such a pair gets its exact norm, or the exact kernel.
+def _pair_tau(n: int, m: int) -> float:
+    """The point-pair screen's relative slack for N points in R^n and a map
+    of m rows (m = 0 for distances alone)."""
+    return 16.0 * (n + m + 16) * _EPS
+
+
 def _gram_extremes(wide: np.ndarray, m_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The smallest and largest eigenvalue of each (map, member) pair's Gram
     at each m of the strictly increasing grid, as two (s, T, c) arrays, from
@@ -228,8 +277,16 @@ def _kept_products(maps: np.ndarray, bases: np.ndarray, keep: np.ndarray) -> np.
     if len(rows) * (m * n + n * k) <= T * count * m * k:
         return maps[rows] @ bases[cols]
     products = _products(maps, bases)
-    # every pair kept (alike members, say points on a line): a view, not a copy
+    # every pair kept (alike members, say): a view, not a copy
     return products.reshape(-1, m, k) if keep.all() else products[rows, cols]
+
+
+def _reach(below: np.ndarray, above: np.ndarray, floor, ceiling) -> np.ndarray:
+    """The pairs that can hold a family extreme, from bounds below <=
+    sigma_min and sigma_max <= above on each pair: those whose above reaches
+    floor, the largest lower bound of any pair's sigma_max, or whose below
+    reaches ceiling, the smallest upper bound of any pair's sigma_min."""
+    return (above >= floor) | (below <= ceiling)
 
 
 def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[np.ndarray, np.ndarray]:
@@ -251,10 +308,10 @@ def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
     lo = np.where(np.asarray(m_values)[:, None] < family.max_dim, 0.0, np.full_like(floor, np.inf))
     hi = np.full_like(floor, -np.inf)
     for j, m in enumerate(m_values):
+        # below max_dim every sigma_min is 0, and no pair is kept for it
+        at_m = ceiling[j, :, None] if m >= family.max_dim else -np.inf
         for (_, bases), (bottom, top, slack) in zip(family.stacks, bounds):
-            keep = top[j] + slack[j] >= floor[j, :, None]
-            if m >= family.max_dim:
-                keep |= bottom[j] - slack[j] <= ceiling[j, :, None]
+            keep = _reach(bottom[j] - slack[j], top[j] + slack[j], floor[j, :, None], at_m)
             if keep.any():
                 pair_lo, pair_hi = _svd_extremes(_kept_products(maps[:, :m], bases, keep))
                 rows = np.nonzero(keep)[0]

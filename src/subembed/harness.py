@@ -21,12 +21,23 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .distortion import ScaleChoice, _certify_maps, _check_products
+from .distortion import (
+    _SCREEN_FLOOR,
+    ScaleChoice,
+    _achieved,
+    _certify_maps,
+    _check_products,
+    _pair_tau,
+    _products,
+    _reach,
+    _scale,
+    _svd_extremes,
+)
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
 from .errors import InputError
 from .geometry import SubspaceFamily, _family, _orthonormal_stacks, load_family_json
 from .seeding import derive_seed, derive_seeds, rng_from
-from .stats import _check_budget, check_distortion, required_m
+from .stats import WIDTH_TILE_ENTRIES, _check_budget, check_distortion, required_m
 
 # not called here; perfbench/tracing.py wraps these names in this module
 from .distortion import choose_scale, family_distortion  # noqa: F401
@@ -45,7 +56,8 @@ _GAMMA_STREAM = 2
 # at most 3/k of the products at the largest m. Blocks are sized from the
 # config alone: building the family in the parent to size them would
 # initialise BLAS before a pool forks, which raised a pooled run's peak
-# memory by a tenth.
+# memory by a tenth. metric_embed's row chunks of pairs hold at most as many
+# numbers in each of their screen arrays.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -341,42 +353,127 @@ def _row_norms(rows: np.ndarray, what: str) -> np.ndarray:
     return norms
 
 
+def _pair_differences(pts: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int):
+    """Batches (rows, cols, x_i - x_j, their _row_norms) of the pairs (i, j) =
+    (rows, cols), in their order, each batch at most WIDTH_TILE_ENTRIES
+    numbers when a pair costs width."""
+    step = max(1, WIDTH_TILE_ENTRIES // width)
+    for start in range(0, len(rows), step):
+        i, j = rows[start : start + step], cols[start : start + step]
+        with np.errstate(over="ignore"):
+            diffs = pts[i] - pts[j]
+        yield i, j, diffs, _row_norms(diffs, "a distance between two points")
+
+
+def _gram_distances(x: np.ndarray, sq: np.ndarray, a: int, b: int, tau: float):
+    """The squared distances of rows a..b-1 of x to its rows a.., from their
+    Gram and sq, the rows' squared norms, and their slack
+    tau*(sq_i + sq_j) + _SCREEN_FLOOR (see distortion._pair_tau)."""
+    d2 = x[a:b] @ x[a:].T
+    d2 *= -2.0
+    d2 += sq[a:b, None]
+    d2 += sq[a:]
+    return d2, tau * (sq[a:b, None] + sq[a:]) + _SCREEN_FLOOR
+
+
+def _distance_blocks(pts: np.ndarray, centred: np.ndarray, e: int, threshold: float, tau: float):
+    """The pairs (i, j), i < j, in triu_indices order, as row chunks [a, b)
+    whose (b - a, N - a) blocks hold at most _BLOCK_ENTRIES numbers (or one
+    row): per chunk, a, the block's mask of the pairs (a + r, a + c) whose
+    exact norm exceeds threshold, and the bounds low and high on their
+    distances in units of 2^e, from one GEMM of centred, the points scaled
+    by 2^-e and centred.
+
+    A pair gets its exact norm when the bounds cannot place it above or below
+    threshold (a non-finite bound never can), or cannot rule out a norm
+    beyond the float64 range, which raises InputError.
+    """
+    N = len(pts)
+    g = np.einsum("ij,ij->i", centred, centred)
+    with np.errstate(over="ignore"):
+        cut, limit = np.ldexp(threshold, -e), np.ldexp(1.0, 1023 - e)
+    a = 0
+    while a < N - 1:
+        b = min(N - 1, a + max(1, _BLOCK_ENTRIES // (N - a)))
+        with np.errstate(all="ignore"):
+            d2, slack = _gram_distances(centred, g, a, b, tau)
+            low, high = np.sqrt(np.maximum(d2 - slack, 0.0)), np.sqrt(d2 + slack)
+            pairs = np.arange(a, b)[:, None] < np.arange(a, N)
+            kept = pairs & (low * (1.0 - tau) > cut) & (high * (1.0 + tau) < limit)
+            rows, cols = np.nonzero(pairs & ~kept & ~(high * (1.0 + tau) <= cut))
+        # a pair holds its difference and its norm
+        for i, j, _, norms in _pair_differences(pts, rows + a, cols + a, pts.shape[1] + 1):
+            kept[i - a, j - a] = norms > threshold
+        yield a, kept, low, high
+        a = b
+
+
 def metric_embed(
     points, D: float, ensemble: EnsembleSpec, seed: int
 ) -> tuple[RandomMatrix, int, float, ScaleChoice]:
     """Embed an N-point set with pairwise distances distorted by at most D.
 
     Certifies a map to m = required_m(1, p, D) dimensions on the p <= N(N-1)/2
-    directions span{x_i - x_j} with ``_certify_maps``, and returns the map,
-    p, its achieved distortion and the scale choice; when feasible, every
-    pairwise distance is preserved up to the factor D at scale L. Duplicate
-    points are skipped with a warning.
+    directions span{x_i - x_j}, and returns the map, p, its achieved
+    distortion and the scale choice; when feasible, every pairwise distance
+    is preserved up to the factor D at scale L. Duplicate points are skipped
+    with a warning.
+
+    No (pairs, n) or (pairs, m) array is formed. The pairs are walked twice
+    in row chunks: once to count p from the Gram of the centred points, and
+    once to screen each pair's stretch ||Gamma(x_i - x_j)|| / ||x_i - x_j||
+    from the Gram of their images. The screen (see distortion._pair_tau)
+    only chooses which pairs get exact work; a pair whose stretch can reach
+    a running family extreme gets the exact kernel (difference, _row_norms,
+    unit vector, product and SVD), so the results are bit for bit those of
+    certifying every pair's direction.
     """
+    check_distortion(D)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise InputError("need at least 2 points, given as an N x n array")
     if not np.isfinite(pts).all():
         raise InputError("points must be finite")
-    n = pts.shape[1]
-    _check_budget("N(N-1)/2*n", pts.shape[0] * (pts.shape[0] - 1) // 2 * n)
-    scale_ref = max(1.0, float(_row_norms(pts, "a point's norm").max()))
-    # pairs (i, j), i < j, in the order of combinations(range(N), 2)
-    i, j = np.triu_indices(pts.shape[0], k=1)
-    with np.errstate(over="ignore"):
-        diffs = pts[i] - pts[j]
-    norms = _row_norms(diffs, "a distance between two points")
-    keep = norms > 1e-12 * scale_ref
-    skipped = int(keep.size - keep.sum())
+    N, n = pts.shape
+    _check_budget("N(N-1)/2", N * (N - 1) // 2)
+    threshold = 1e-12 * max(1.0, float(_row_norms(pts, "a point's norm").max()))
+    # in units of a power of two above the largest entry, so no square overflows
+    e = int(np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1])
+    centred = np.ldexp(pts, -e)
+    centred -= centred.mean(axis=0)
+    p = sum(int(np.count_nonzero(kept)) for _, kept, _, _ in _distance_blocks(pts, centred, e, threshold, _pair_tau(n, 0)))
+    skipped = N * (N - 1) // 2 - p
     if skipped:
         warnings.warn(f"skipped {skipped} duplicate point pair(s)")
-        diffs, norms = diffs[keep], norms[keep]
-    if not norms.size:
+    if not p:
         raise InputError("all points coincide; nothing to embed")
-    diffs /= norms[:, None]
-    # each unit direction is its own orthonormal 1-column basis
-    family = _family(((np.arange(len(diffs)), diffs[:, :, None]),))
-    m = required_m(1, family.size, D)
+    m = required_m(1, p, D)
+    # every pair is gathered when all stretches agree (collinear points)
+    _check_budget("T*count*m*k", p * m)
     gamma = sample_matrix(ensemble, m, n, derive_seed(seed, _GAMMA_STREAM))
-    [[(achieved, scale)]] = _certify_maps(gamma.matrix[None], family, D)
-    return gamma, family.size, achieved, scale
-
+    tau = _pair_tau(n, m)
+    images = centred @ gamma.matrix.T
+    h, r = np.einsum("ij,ij->i", images, images), np.linalg.norm(centred, axis=1)
+    with np.errstate(over="ignore"):
+        frobenius = np.linalg.norm(gamma.matrix)
+        kernel = tau * frobenius + _SCREEN_FLOOR
+    lo, hi = np.inf, -np.inf
+    floor, ceiling = -np.inf, np.inf
+    for a, kept, low, high in _distance_blocks(pts, centred, e, threshold, tau):
+        b = a + len(kept)
+        with np.errstate(all="ignore"):
+            e2, slack = _gram_distances(images, h, a, b, tau)
+            shift = tau * frobenius * (r[a:b, None] + r[a:]) + _SCREEN_FLOOR
+            below = ((np.sqrt(np.maximum(e2 - slack, 0.0)) - shift) / high - kernel) * (1.0 - tau)
+            above = ((np.sqrt(e2 + slack) + shift) / low + kernel) * (1.0 + tau)
+            bounded = kept & np.isfinite(below) & np.isfinite(above)
+            below[~bounded], above[~bounded] = -np.inf, np.inf
+        floor, ceiling = max(floor, below.max()), min(ceiling, above.min())
+        rows, cols = np.nonzero(kept & _reach(below, above, floor, ceiling))
+        # and its product with the map
+        for _, _, units, norms in _pair_differences(pts, rows + a, cols + a, n + 1 + m):
+            units /= norms[:, None]
+            pair_lo, pair_hi = _svd_extremes(_products(gamma.matrix[None], units[:, :, None]))
+            lo, hi = np.minimum(lo, pair_lo.min()), np.maximum(hi, pair_hi.max())
+    lo, hi = float(lo), float(hi)
+    return gamma, p, _achieved(lo, hi), _scale(lo, hi, D)

@@ -29,7 +29,7 @@ from subembed import (
 from subembed.distortion import _svd_extremes
 from subembed.ensembles import _sample_rows
 from subembed.geometry import _family, _stacks
-from subembed.harness import _FAMILY_STREAM
+from subembed.harness import _FAMILY_STREAM, _row_norms
 from subembed.seeding import derive_seed, normalize_seed, rng_from
 
 # seed-stream labels, disjoint from the library's (1: families, 2: maps)
@@ -102,6 +102,24 @@ def build_metric_family(points) -> SubspaceFamily:
             if norm > 1e-12:
                 dirs.append(Subspace((d / norm).reshape(-1, 1)))
     return SubspaceFamily.from_subspaces(dirs)
+
+
+def batched_metric_family(points) -> SubspaceFamily:
+    """The direction family metric_embed certifies, built as one batch: the
+    triu_indices differences, their _row_norms, the 1e-12 * scale_ref
+    duplicate mask and the division. metric_embed must certify exactly this
+    family; build_metric_family normalizes each pair alone, so its bits may
+    differ."""
+    pts = np.asarray(points, dtype=float)
+    scale_ref = max(1.0, float(_row_norms(pts, "a point's norm").max()))
+    i, j = np.triu_indices(len(pts), k=1)
+    with np.errstate(over="ignore"):
+        diffs = pts[i] - pts[j]
+    norms = _row_norms(diffs, "a distance between two points")
+    keep = norms > 1e-12 * scale_ref
+    diffs, norms = diffs[keep], norms[keep]
+    diffs /= norms[:, None]
+    return _family(((np.arange(len(diffs)), diffs[:, :, None]),))
 
 
 def per_member_haar_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:

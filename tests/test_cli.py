@@ -88,11 +88,14 @@ def test_matrix_csv_errors(tmp_path, capsys):
         ("verify", "0,2\n", "m >= 1 and n >= 1"),
         ("embed-points", "1,10000000000000\n1,2,3\n", "row 0 has 3 fields, expected 10000000000000"),
         ("embed-points", "2,-3\n1,2\n3,4\n", "m >= 1 and n >= 1"),
+        ("verify", "2,2\n1,2\n3,inf\n", "m.csv: row 1: entries must be finite"),
+        ("embed-points", "2,2\n1,2\nnan,4\n", "m.csv: row 1: entries must be finite"),
     ],
-    ids=["verify-negative-n", "verify-zero-m", "embed-huge-n", "embed-negative-n"],
+    ids=["verify-negative-n", "verify-zero-m", "embed-huge-n", "embed-negative-n", "verify-inf", "embed-nan"],
 )
 def test_malformed_matrix_header_exits_2(tmp_path, capsys, command, text, expected):
-    # the header sets the allocation's size, so it is checked before anything is allocated
+    # the header sets the allocation's size, so it is checked before anything
+    # is allocated; a non-finite entry is named by its file and row
     path = tmp_path / "m.csv"
     path.write_text(text)
     argv = {
@@ -371,7 +374,7 @@ def test_parallelism_below_one_exits_2(tmp_path, capsys, parallelism):
 def test_requests_beyond_the_element_budget_exit_2(tmp_path, capsys, command):
     # sweep: one map of m*n = 1.2e10 entries; width: 10^12 draws held at once;
     # haar and k_sparse: families of p*n*k = 8e12 and 2e12 numbers;
-    # embed-points: 14143 points in R^1 give N(N-1)/2*n = 100005153 differences
+    # embed-points: 14143 points in R^1 give N(N-1)/2 = 100005153 pairs
     if command == "embed-points":
         (tmp_path / "pts.csv").write_text("14143,1\n" + "".join(f"{i}\n" for i in range(14143)))
     argv = {

@@ -1,7 +1,7 @@
 import math
+import tracemalloc
 import warnings
 from itertools import combinations, islice
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +33,14 @@ from subembed import (
 )
 import subembed.harness as harness
 
-from oracles import affine_family, build_metric_family, lower_bound_study, per_member_haar_family, verify_pointwise
+from oracles import (
+    affine_family,
+    batched_metric_family,
+    build_metric_family,
+    lower_bound_study,
+    per_member_haar_family,
+    verify_pointwise,
+)
 
 GAUSS = EnsembleSpec.gaussian()
 
@@ -454,6 +461,14 @@ def test_metric_embed_duplicate_points_warn():
     assert p == 2  # one of the three pairs is degenerate
 
 
+def test_metric_embed_points_without_coordinates_coincide():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InputError, match="all points coincide"):
+            metric_embed(np.zeros((3, 0)), 3.0, GAUSS, seed=4)
+    assert [str(w.message) for w in caught] == ["skipped 3 duplicate point pair(s)"]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_metric_embed_refuses_non_finite_points(bad):
     # a NaN point once passed as a duplicate of every other point
@@ -499,25 +514,104 @@ def test_metric_embed_matches_pair_loop_reference():
     size=st.sampled_from([1e-6, 1.0, 1e6, 1e100]),
     D=st.sampled_from([1.5, 3.0, 8.0, 12.01]),
     seed=st.integers(0, 2**32 - 1),
+    far=st.booleans(),
+    line=st.booleans(),
 )
-def test_metric_embed_certifies_like_family_distortion(count, n, repeats, offset, size, D, seed):
-    # the screened _certify_maps decides as family_distortion and choose_scale
-    # on the same pair family, bit for bit: duplicate and nearly coincident
-    # points (offset relative to the set's size), n below and above m, and
-    # scaled point sets
+def test_metric_embed_certifies_like_family_distortion(count, n, repeats, offset, size, D, seed, far, line):
+    # metric_embed's pair screen decides as family_distortion and choose_scale
+    # on the batched pair family, bit for bit: duplicate and nearly coincident
+    # points (offset relative to the set's size), n below and above m, scaled
+    # point sets, a cluster offset by 1e8 times its spread, and collinear
+    # sets, whose pairs are all gathered
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((count, n)) * size
+    if line:
+        pts = pts[:, :1] * rng.standard_normal(n) + size * rng.standard_normal(n)
     for r in range(min(repeats, count - 2)):
         pts[count - 1 - r] = pts[0] + offset * size * rng.standard_normal(n)
+    if far:
+        pts += 1e8 * size * rng.standard_normal(n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with mock.patch.object(harness, "_certify_maps", wraps=harness._certify_maps) as spy:
-            gamma, p, achieved, scale = metric_embed(pts, D, GAUSS, seed=seed)
-    (maps, family, _), _ = spy.call_args
+        gamma, p, achieved, scale = metric_embed(pts, D, GAUSS, seed=seed)
+        family = batched_metric_family(pts)
     assert p == family.size and gamma.m == required_m(1, p, D)
     report = family_distortion(gamma, family)
     assert achieved == report.achieved_distortion
     assert scale == choose_scale(report, D)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "far-cluster", "line", "near-duplicates", "tiny-duplicates"])
+def test_metric_embed_small_chunks_certify_like_one_batch(monkeypatch, shape):
+    # one row a chunk and one pair a batch: a pair dropped against the
+    # running floor or ceiling of earlier chunks never holds an extreme
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 8)
+    monkeypatch.setattr(harness, "WIDTH_TILE_ENTRIES", 8)
+    rng = np.random.default_rng(17)
+    pts = rng.standard_normal((40, 6))
+    if shape == "far-cluster":
+        pts = 1e8 + 1e-3 * pts
+    if shape == "line":
+        pts = pts[:, :1] * rng.standard_normal(6)
+    if shape == "near-duplicates":
+        pts[20:] = pts[:20] + 1e-12 * rng.standard_normal((20, 6))
+    if shape == "tiny-duplicates":
+        # points of norm 1e-10 near three centres: the pairs within a group
+        # are duplicates (below 1e-12), yet measured finely enough that
+        # their stretches, spread over every direction, would set the floor
+        # and ceiling if they entered them
+        pts = 1e-10 * pts[np.arange(40) % 3] + 1e-13 * pts
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        gamma, p, achieved, scale = metric_embed(pts, 8.0, GAUSS, seed=2)
+        family = batched_metric_family(pts)
+    report = family_distortion(gamma, family)
+    assert p == family.size
+    assert achieved == report.achieved_distortion
+    assert scale == choose_scale(report, 8.0)
+
+
+def test_metric_embed_refuses_a_distance_beyond_float_range_that_no_extreme_needs():
+    # the pair (0, 1) holds neither extreme, so only its exact norm, taken
+    # because its distance bound reaches 2^1023, refuses it
+    rng = np.random.default_rng(3)
+    pts = np.vstack([[[1.7e308, 0.0], [-1.7e308, 0.0]], 1e306 * rng.standard_normal((30, 2))])
+    with pytest.raises(InputError, match="a distance between two points exceeds the float64 range"):
+        metric_embed(pts, 8.0, GAUSS, seed=1)
+
+
+def test_metric_embed_checks_D_before_any_pair_work(monkeypatch):
+    # an invalid D once surfaced in required_m, after every pair's difference
+    # and norm: 1.09 s and 741 MB for 300 points in R^1024
+    calls = []
+    monkeypatch.setattr(harness, "sample_matrix", lambda *args: calls.append("sample_matrix"))
+    monkeypatch.setattr(harness, "_row_norms", lambda *args: calls.append("_row_norms"))
+    pts = np.random.default_rng(0).standard_normal((300, 1024))
+    with pytest.raises(InputError, match="D must be finite and > 1, got 1.0"):
+        metric_embed(pts, 1.0, GAUSS, seed=1)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "points, limit_mb",
+    [
+        (lambda: np.random.default_rng(0).standard_normal((400, 512)), 40),
+        (lambda: np.arange(600.0)[:, None], 20),
+    ],
+    ids=["gaussian-400-in-R512", "line-600-in-R1"],
+)
+def test_metric_embed_memory_stays_bounded(points, limit_mb):
+    # no (pairs, n) or (pairs, m) array is formed: the pairs' differences and
+    # products once peaked at 626 MB for 400 points in R^512, and at 62 MB for
+    # 600 points on a line, whose 179,700 pairs all get the exact kernel
+    pts = points()
+    tracemalloc.start()
+    try:
+        metric_embed(pts, 8.0, GAUSS, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6
 
 
 # ---------------------------------------------------------------- pointwise
