@@ -1,4 +1,5 @@
-"""Large-distortion dimension reduction for families of affine subspaces.
+"""Large-distortion dimension reduction for families of affine subspaces,
+each held as its direction subspace's orthonormal basis.
 
 Samples admissible random matrices, certifies the achieved distortion
 exactly through restricted singular values, and provides the dimension
@@ -23,7 +24,6 @@ from .errors import (
     SubembedError,
 )
 from .geometry import (
-    AffineSubspace,
     Subspace,
     SubspaceFamily,
     load_family_json,

@@ -1,9 +1,10 @@
 """Command-line interface: config ingestion, subcommand dispatch, artifacts.
 
 Subcommands: gen-matrix | verify | trial | sweep | embed-points | width |
-constants. All randomness flows from a single seed (config key, --seed
-flag, or the SUBEMBED_SEED environment variable, which wins); outputs are
-CSV/JSON only and are written atomically, so reruns with the same seed
+constants. All randomness flows from a single seed: the config key of
+trial and sweep, which the SUBEMBED_SEED environment variable overrides,
+or the --seed flag of the other subcommands, which it never does. Outputs
+are CSV/JSON only and are written atomically, so reruns with the same seed
 produce byte-identical files.
 """
 
@@ -268,7 +269,7 @@ def _cmd_width(args) -> int:
         "mean": estimate.mean,
         "std_error": estimate.std_error,
         "n_draws": estimate.n_draws,
-        "upper_bound_formula": width_upper_bound(family.max_dim, family.size, 0.0),
+        "upper_bound_formula": width_upper_bound(family.max_dim, family.size),
     }
     _emit(_json_line(out), args.output)
     return 0

@@ -355,11 +355,10 @@ def _certify_maps(
     count), (achieved_distortion, choose_scale at D) for each map of a
     (T, M, n) stack over the family, from its first m rows: bit for bit what
     ``family_distortion`` and ``choose_scale`` give for that map alone,
-    without building the per-member extremes into a report. D already
-    checked; more products per stack than the element budget allows raise
-    ResourceError before any is formed."""
+    without building the per-member extremes into a report. D is already
+    checked, and so are the products against the element budget:
+    ``_block_results`` runs ``_check_products`` before it samples the maps."""
     m_values = (maps.shape[1],) if m_values is None else tuple(m_values)
-    _check_products(len(maps), m_values[-1], family)
     lo, hi = _grid_extremes(maps[:, : m_values[-1]], family, m_values)
     return [
         [(_achieved(sigma_min, sigma_max), _scale(sigma_min, sigma_max, D)) for sigma_min, sigma_max in zip(*at_m)]
@@ -372,8 +371,7 @@ def family_distortion(gamma: RandomMatrix, family: SubspaceFamily) -> Distortion
 
     The one-map case of ``_family_extremes``. achieved_distortion is the
     smallest D for which some scale L satisfies the two-sided bound on
-    every member; base points are irrelevant since only direction
-    subspaces enter.
+    every member.
     """
     if family.ambient_dim != gamma.n:
         raise DimensionError(f"family ambient dim {family.ambient_dim} != matrix cols {gamma.n}")

@@ -1,8 +1,10 @@
-"""Subspaces, affine subspace families, family files.
+"""Subspaces, families of subspaces, family files.
 
 Subspaces are stored as n x k matrices with orthonormal columns; the
 restricted singular values elsewhere in the package are computed from that
-representation.
+representation. A family holds its members' bases only: the guarantee for
+an affine member bounds ||Gamma x - Gamma y|| for x, y in the member, and
+x - y ranges over its direction subspace, so no base point is kept.
 """
 
 from __future__ import annotations
@@ -71,54 +73,32 @@ class Subspace:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
-class AffineSubspace:
-    """A base point plus a direction subspace."""
-
-    base_point: np.ndarray
-    direction: Subspace
-
-    def __post_init__(self):
-        base = np.array(self.base_point, dtype=float, copy=True).reshape(-1)
-        if base.shape[0] != self.direction.ambient_dim:
-            raise DimensionError("base point dimension does not match the direction")
-        base.setflags(write=False)
-        object.__setattr__(self, "base_point", base)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.direction.ambient_dim
-
-    @property
-    def dim(self) -> int:
-        return self.direction.dim
-
-
 @dataclass(frozen=True, init=False)
 class SubspaceFamily:
-    """A finite family of affine subspaces sharing one ambient space.
+    """A finite family of subspaces sharing one ambient space.
 
-    The family is its bases and base points. ``stacks`` holds, per member
-    dimension d in ascending order, the member indices and their read-only
-    (count, n, d) stack of bases; ``base_points`` is the read-only (p, n)
-    array of base points. ``members`` are read-only views into both, built
-    on first use and kept.
+    The family is its bases: ``stacks`` holds, per member dimension d in
+    ascending order, the member indices and their read-only (count, n, d)
+    stack of bases. ``members`` are read-only Subspace views into the
+    stacks, built on first use and kept. An affine member enters through its
+    direction subspace alone, since x - y ranges over that space for x, y in
+    the member.
     """
 
     stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    base_points: np.ndarray
 
     def __init__(self):
         raise TypeError("build a family with from_stack, from_subspaces or load_family_json")
 
     @classmethod
     def from_subspaces(cls, subspaces) -> "SubspaceFamily":
-        """Linear subspaces as members whose base points are all the origin."""
+        """The given subspaces as members, in order, their bases copied into
+        one stack per dimension."""
         return _family(_stacks([w.basis for w in subspaces]))
 
     @classmethod
     def from_stack(cls, stack) -> "SubspaceFamily":
-        """Linear members from a (p, n, k) stack of orthonormal bases.
+        """Members from a (p, n, k) stack of orthonormal bases.
 
         Orthonormality is checked once over the whole stack, with the
         tolerance and error of Subspace. One copy of the stack becomes the
@@ -129,47 +109,35 @@ class SubspaceFamily:
         return _family(((np.arange(len(bases)), bases),))
 
     @cached_property
-    def members(self) -> tuple[AffineSubspace, ...]:
-        """Read-only views into the stacks and base points, in member order."""
-        directions = [None] * self.size
+    def members(self) -> tuple[Subspace, ...]:
+        """Read-only views into the stacks, in member order."""
+        members = [None] * self.size
         for indices, bases in self.stacks:
             for i, basis in zip(indices.tolist(), bases):
-                directions[i] = _checked(Subspace, basis=basis)
-        points = self.base_points
-        if points.strides[0] == 0:  # a linear family: every member shares one zero point
-            points = [points[0]] * self.size
-        return tuple(
-            _checked(AffineSubspace, base_point=b, direction=w) for b, w in zip(points, directions)
-        )
+                members[i] = _checked(Subspace, basis=basis)
+        return tuple(members)
 
     @property
     def ambient_dim(self) -> int:
-        return self.base_points.shape[1]
+        return self.stacks[0][1].shape[1]
 
     @property
     def size(self) -> int:
-        return self.base_points.shape[0]
+        return sum(len(indices) for indices, _ in self.stacks)
 
     @property
     def max_dim(self) -> int:
         return self.stacks[-1][1].shape[2]
 
 
-def _family(stacks, base_points=None) -> SubspaceFamily:
-    """The family that owns the given arrays, built without copying them.
+def _family(stacks) -> SubspaceFamily:
+    """The family that owns the given stacks, built without copying them.
 
     ``stacks`` are SubspaceFamily.stacks: per dimension d, ascending, the
     member indices and a C-ordered float (count, n, d) stack of bases, each
-    checked here once. ``base_points`` is the (p, n) array of base points,
-    or None for a linear family, whose members all share one zero point.
-    Both become read-only.
+    checked here once and made read-only.
     """
-    stacks = tuple((indices, _check_stack(bases)) for indices, bases in stacks)
-    if base_points is None:
-        n = stacks[0][1].shape[1]
-        base_points = np.broadcast_to(np.zeros(n), (sum(len(indices) for indices, _ in stacks), n))
-    base_points.setflags(write=False)
-    return _checked(SubspaceFamily, stacks=stacks, base_points=base_points)
+    return _checked(SubspaceFamily, stacks=tuple((indices, _check_stack(bases)) for indices, bases in stacks))
 
 
 def _stacks(bases) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -258,14 +226,16 @@ def sparse_subspace(n: int, support) -> Subspace:
 
 
 def store_family_json(family: SubspaceFamily, path) -> None:
-    """Write the family file format: {"n": ..., "members": [{"base", "basis_columns"}]}."""
+    """Write the family file format, {"n": ..., "members": [{"basis_columns"}]},
+    in member order. No "base" is written: the loader reads a member
+    without one as passing through the origin."""
     columns = [None] * family.size
     for indices, bases in family.stacks:
         for i, basis_columns in zip(indices.tolist(), np.swapaxes(bases, 1, 2).tolist()):
             columns[i] = basis_columns
     payload = {
         "n": family.ambient_dim,
-        "members": [{"base": b, "basis_columns": c} for b, c in zip(family.base_points.tolist(), columns)],
+        "members": [{"basis_columns": c} for c in columns],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -274,9 +244,11 @@ def store_family_json(family: SubspaceFamily, path) -> None:
 def load_family_json(path) -> SubspaceFamily:
     """Read a family file; bases are re-orthonormalized on load.
 
-    Every member is validated first; the parsed file is then freed, the
-    spans are stacked per column count, and the stacks are orthonormalized
-    in place with batched SVDs, building no member objects.
+    Every member is validated first, its "base" entry included, which is
+    then dropped: no certificate, width or trial reads a base point. The
+    parsed file is then freed, the spans are stacked per column count, and
+    the stacks are orthonormalized in place with batched SVDs, building no
+    member objects.
     """
     text = read_text(path)
     try:
@@ -292,7 +264,7 @@ def load_family_json(path) -> SubspaceFamily:
     n = payload["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"family file 'n' must be an integer >= 1, got {json.dumps(n)}")
-    spans, points = [], []
+    spans = []
     for i, entry in enumerate(payload["members"]):
         if not isinstance(entry, dict) or "basis_columns" not in entry:
             raise InputError(f"member {i} must be an object with key 'basis_columns'")
@@ -306,11 +278,8 @@ def load_family_json(path) -> SubspaceFamily:
         if mat.ndim != 2 or mat.shape[0] != n or (base is not None and base.shape != (n,)):
             raise DimensionError(f"member {i} does not match ambient dimension {n}")
         spans.append(mat)
-        points.append(base)
     # free the parsed file first, so it is not alive while the bases are stacked
     del text, payload
-    # an absent base is the origin; n is allocated only once every member has matched it
-    base_points = np.array([np.zeros(n) if base is None else base for base in points])
     groups = _stacks(spans)
     del spans  # the groups now hold the only copy
-    return _family(_orthonormal_stacks(groups), base_points)
+    return _family(_orthonormal_stacks(groups))

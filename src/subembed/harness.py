@@ -448,8 +448,6 @@ def metric_embed(
     if not p:
         raise InputError("all points coincide; nothing to embed")
     m = required_m(1, p, D)
-    # every pair is gathered when all stretches agree (collinear points)
-    _check_budget("T*count*m*k", p * m)
     gamma = sample_matrix(ensemble, m, n, derive_seed(seed, _GAMMA_STREAM))
     tau = _pair_tau(n, m)
     images = centred @ gamma.matrix.T

@@ -69,9 +69,9 @@ def gaussian_width_mc(family: SubspaceFamily, n_draws: int, seed: int) -> WidthE
     """Monte Carlo Gaussian width of S = union of (W_l intersect S^{n-1}).
 
     The max of <g, x> over unit x in W_l is the projection norm ||P_l g||,
-    so each draw contributes max_l ||B_l^T g||. Only the members' bases
-    enter; base points are ignored. The n_draws values are held at once, so
-    more than DEFAULT_MAX_ELEMENTS draws raise ResourceError.
+    so each draw contributes max_l ||B_l^T g||. The n_draws values are
+    held at once, so more than DEFAULT_MAX_ELEMENTS draws raise
+    ResourceError.
     """
     if n_draws < 2:
         raise InputError("n_draws must be >= 2")
@@ -121,24 +121,12 @@ def _column_tiles(family: SubspaceFamily, per_column: int | None = None):
             yield g, start, bases[start : start + step]
 
 
-def width_upper_bound(k: int, p: int, r: float = 0.0, n: int | None = None) -> float:
-    """Closed-form width bound 3(sqrt(ln p) + sqrt(k) + r(sqrt(ln p) + sqrt(n-k))).
-
-    The r > 0 variant covers the r-fattened union and needs the ambient
-    dimension n; with r = 0 the n term vanishes and n may be omitted.
-    """
+def width_upper_bound(k: int, p: int) -> float:
+    """Closed-form width bound 3(sqrt(ln p) + sqrt(k)) for p subspaces of
+    dimension at most k."""
     if k < 1 or p < 1:
         raise InputError("need k >= 1 and p >= 1")
-    if not 0.0 <= r < 1.0:
-        raise InputError("need 0 <= r < 1")
-    root_ln_p = math.sqrt(math.log(p))
-    if r == 0.0:
-        return 3.0 * (root_ln_p + math.sqrt(k))
-    if n is None:
-        raise InputError("n is required when r > 0")
-    if not 1 <= k <= n:
-        raise InputError("need 1 <= k <= n")
-    return 3.0 * (root_ln_p + math.sqrt(k) + r * (root_ln_p + math.sqrt(n - k)))
+    return 3.0 * (math.sqrt(math.log(p)) + math.sqrt(k))
 
 
 def check_distortion(D: float) -> None:

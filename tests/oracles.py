@@ -3,6 +3,7 @@ and the paper's lemma and tightness checks. The library never calls them."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -28,7 +29,7 @@ from subembed import (
 )
 from subembed.distortion import _svd_extremes
 from subembed.ensembles import _sample_rows
-from subembed.geometry import _family, _stacks
+from subembed.geometry import _family
 from subembed.harness import _FAMILY_STREAM, _row_norms
 from subembed.seeding import derive_seed, normalize_seed, rng_from
 
@@ -49,13 +50,6 @@ def projector(subspace: Subspace) -> np.ndarray:
     return subspace.basis @ subspace.basis.T
 
 
-def is_linear(affine) -> bool:
-    """Whether a member (AffineSubspace) or every member of a family passes
-    through the origin."""
-    points = affine.base_points if isinstance(affine, SubspaceFamily) else affine.base_point
-    return not np.any(points)
-
-
 def grassmann_distance(v: Subspace, w: Subspace) -> float:
     """max over unit x in V of the distance to the unit sphere of W.
 
@@ -74,21 +68,19 @@ def grassmann_distance(v: Subspace, w: Subspace) -> float:
     return 2.0 * math.sin(0.5 * math.asin(sine))
 
 
-def affine_family(members) -> SubspaceFamily:
-    """The family of the given AffineSubspace members, in order: their bases
-    copied into one stack per dimension, their base points into one array."""
-    members = tuple(members)
-    return _family(_stacks([m.direction.basis for m in members]), np.stack([m.base_point for m in members]))
-
-
-def reduce_affine(family: SubspaceFamily) -> SubspaceFamily:
-    """Drop base points, keeping each member's direction subspace.
-
-    Distortion of a linear map on differences x - y within a member is
-    unchanged, since those differences span exactly the direction space.
-    The reduced family shares the input's stacks.
-    """
-    return _family(family.stacks)
+def write_affine_family(path, family: SubspaceFamily, points) -> None:
+    """A family file of the family's members, each with a "base" entry:
+    member l gets points[l], or no "base" where points[l] is None. The
+    loader checks every base and drops it, so the file must load to the
+    stacks of the same file without its bases."""
+    members = []
+    for member, point in zip(family.members, points):
+        entry = {"basis_columns": member.basis.T.tolist()}
+        if point is not None:
+            entry["base"] = np.asarray(point, dtype=float).tolist()
+        members.append(entry)
+    with open(path, "w") as fh:
+        json.dump({"n": family.ambient_dim, "members": members}, fh)
 
 
 def build_metric_family(points) -> SubspaceFamily:
@@ -138,14 +130,13 @@ def cross_family(family: SubspaceFamily, cardinality_budget: int = 100_000) -> S
     """All pairwise spans span(W_l, W_l') for l <= l', each of dimension <= 2k.
 
     Applying the embedding theorem to this family controls distances between
-    points in *different* members of the original one. Only the members'
-    directions enter; base points are ignored.
+    points in *different* members of the original one.
     """
     p = family.size
     count = p * (p + 1) // 2
     if count > cardinality_budget:
         raise ResourceError(f"cross family has {count} members, budget is {cardinality_budget}")
-    directions = [member.direction for member in family.members]
+    directions = family.members
     spans = []
     for l in range(p):
         for lp in range(l, p):
@@ -210,7 +201,7 @@ def verify_pointwise(
         count = int(np.sum(member_idx == l))
         if count == 0:
             continue
-        basis = family.members[l].direction.basis
+        basis = family.members[l].basis
         k = basis.shape[1]
         coeffs = rng.standard_normal((count, k)) - rng.standard_normal((count, k))
         diffs = coeffs @ basis.T
@@ -343,7 +334,7 @@ def lower_bound_study(
     for idx, p in enumerate(p_values):
         family = k_sparse_family(n, k, int(p))
         for i, j in combinations(range(family.size), 2):
-            sep = grassmann_distance(family.members[i].direction, family.members[j].direction)
+            sep = grassmann_distance(family.members[i], family.members[j])
             if sep < delta - 1e-12:
                 raise InputError(
                     f"members {i} and {j} have Grassmann separation {sep:.6f} < delta={delta}"

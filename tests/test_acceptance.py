@@ -19,6 +19,7 @@ from subembed import (
     family_distortion,
     gaussian_width_mc,
     k_sparse_family,
+    load_family_json,
     metric_embed,
     random_subspace,
     required_m,
@@ -28,17 +29,15 @@ from subembed import (
     width_upper_bound,
 )
 from subembed.cli import main
-from subembed.geometry import AffineSubspace
 
 from oracles import (
-    affine_family,
     build_metric_family,
     cross_family,
     psi2_estimate,
-    reduce_affine,
     small_ball_bound,
     subspace_extremes,
     verify_pointwise,
+    write_affine_family,
 )
 
 ALL_KINDS = ("gaussian", "sphere_scaled", "iid_bounded")
@@ -150,7 +149,7 @@ def test_criterion_5_width():
     est = gaussian_width_mc(single, 10_000, seed=123)
     fam = k_sparse_family(16, 3, 256)
     est2 = gaussian_width_mc(fam, 10_000, seed=124)
-    bound = width_upper_bound(3, 256, 0.0)
+    bound = width_upper_bound(3, 256)
     ok = 1.83 <= est.mean <= 1.93 and est2.mean <= bound and abs(bound - 12.26) < 5e-3
     _criterion(
         5,
@@ -231,16 +230,17 @@ def test_criterion_8_tightness_qualitative():
     )
 
 
-def test_criterion_9_affine_and_cross_reductions():
+def test_criterion_9_affine_and_cross_reductions(tmp_path):
+    # an affine family file certifies exactly as the same file without its
+    # base points: the certificate reads the members' direction spaces alone
     rng = np.random.default_rng(31)
-    members = tuple(
-        AffineSubspace(rng.standard_normal(12), random_subspace(12, 3, derive_seed(600, i)))
-        for i in range(5)
-    )
-    family = affine_family(members)
+    linear = SubspaceFamily.from_subspaces(random_subspace(12, 3, derive_seed(600, i)) for i in range(5))
+    write_affine_family(tmp_path / "affine.json", linear, rng.standard_normal((5, 12)))
+    write_affine_family(tmp_path / "linear.json", linear, [None] * 5)
+    family = load_family_json(tmp_path / "affine.json")
     gamma = sample_matrix(EnsembleSpec.gaussian(), 9, 12, 17)
     direct = family_distortion(gamma, family)
-    reduced = family_distortion(gamma, reduce_affine(family))
+    reduced = family_distortion(gamma, load_family_json(tmp_path / "linear.json"))
     exact_invariant = (
         direct.per_subspace == reduced.per_subspace
         and direct.achieved_distortion == reduced.achieved_distortion
@@ -251,7 +251,7 @@ def test_criterion_9_affine_and_cross_reductions():
     ok = exact_invariant and count_ok and dims_ok
     _criterion(
         9,
-        "family_distortion invariant under reduce_affine; cross family dims/count",
+        "family_distortion invariant under base points; cross family dims/count",
         ok,
         f"cross_size={crossed.size} max_dim={max(m.dim for m in crossed.members)}",
     )

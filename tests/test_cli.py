@@ -184,6 +184,10 @@ def test_verify_zero_matrix_is_never_feasible(tmp_path, capsys):
         ('{"n": 2, "members": [{"basis_columns": [[1, NaN]]}]}', ["member 0", "non-finite"]),
         ('{"n": 2, "members": [{"base": [0, Infinity], "basis_columns": [[1, 0]]}]}',
          ["member 0", "non-finite"]),
+        ('{"n": 2, "members": [{"base": [0, "x"], "basis_columns": [[1, 0]]}]}',
+         ["member 0", "entries must be numbers"]),
+        ('{"n": 2, "members": [{"basis_columns": [[1, 0]]}, {"base": [0, 0, 0], "basis_columns": [[1, 0]]}]}',
+         ["member 1", "ambient dimension 2"]),
         ('{"n": 3.7, "members": [{"basis_columns": [[1, 0, 0]]}]}', ["'n'", "integer"]),
         ('{"n": true, "members": [{"basis_columns": [[1]]}]}', ["'n'", "integer"]),
         ('{"n": "4", "members": [{"basis_columns": [[1, 0, 0, 0]]}]}', ["'n'", "integer"]),
@@ -193,7 +197,7 @@ def test_verify_zero_matrix_is_never_feasible(tmp_path, capsys):
         ('{"n": 2, "members": [{"basis_columns": [[1, 0]]}, {"basis_columns": [[0, 0]]}]}',
          ["numerically zero"]),
     ],
-    ids=["syntax", "missing-basis", "member-not-object", "nan-entry", "infinite-base",
+    ids=["syntax", "missing-basis", "member-not-object", "nan-entry", "infinite-base", "string-base", "long-base",
          "n-fraction", "n-bool", "n-string", "n-zero", "n-huge", "zero-member"],
 )
 def test_malformed_family_file_exits_2(tmp_path, capsys, text, expected):
@@ -206,6 +210,42 @@ def test_malformed_family_file_exits_2(tmp_path, capsys, text, expected):
     assert err.startswith("error: ")
     for fragment in expected:
         assert fragment in err
+
+
+@pytest.mark.parametrize("bases", ["random", "zero", "mixed"])
+def test_family_file_base_points_change_no_output(tmp_path, capsys, bases):
+    # the guarantee for an affine member reads its direction space alone, so
+    # each output of a file with base points is that of the file without them
+    n = 9
+    rng = np.random.default_rng(16)
+    spans = [rng.standard_normal((j, n)).tolist() for j in (2, 1, 3, 1, 2, 3, 3)]
+    spans[5][2] = spans[5][0]  # rank 2
+    spans[6][1] = [0.0] * n  # a zero column: rank 2
+    points = {
+        "random": [rng.standard_normal(n).tolist() for _ in spans],
+        "zero": [[0.0] * n for _ in spans],
+        "mixed": [rng.standard_normal(n).tolist(), [0.0] * n, [-0.0] * n, None, [1e300] * n, None, [5e-324] * n],
+    }[bases]
+    store_matrix_csv(sample_matrix(EnsembleSpec.gaussian(), 12, n, 5).matrix, tmp_path / "gamma.csv")
+
+    def outputs(name, with_bases):
+        fam, report, log = tmp_path / f"{name}.json", tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+        members = [
+            {"basis_columns": span, **({"base": point} if with_bases and point is not None else {})}
+            for span, point in zip(spans, points)
+        ]
+        fam.write_text(json.dumps({"n": n, "members": members}))
+        cfg = write_config(tmp_path / f"{name}-cfg.json", n=n, k=3, p=len(spans), trials=3,
+                           family_kind="user_file", family_path=str(fam))
+        assert main(["verify", "--matrix", str(tmp_path / "gamma.csv"), "--family", str(fam), "--D", "8",
+                     "--report-csv", str(report)]) == 0
+        verify = capsys.readouterr().out
+        assert main(["width", "--family", str(fam), "--draws", "300", "--seed", "4"]) == 0
+        width = capsys.readouterr().out
+        assert main(["trial", "--config", str(cfg), "--output", str(log)]) == 0
+        return verify, report.read_bytes(), width, log.read_bytes()
+
+    assert outputs("based", True) == outputs("unbased", False)
 
 
 def test_verify_report_csv(tmp_path, capsys):
@@ -251,6 +291,30 @@ def test_trial_below_k_writes_valid_json(tmp_path):
         record = strict_json(line)
         assert record["m_used"] == 1 and record["feasible"] is False
         assert record["achieved_distortion"] is None and record["L"] is None
+
+
+def test_env_seed_never_overrides_a_seed_flag(tmp_path, monkeypatch):
+    # SUBEMBED_SEED overrides the seed of a trial or sweep config only
+    points = tmp_path / "pts.csv"
+    store_matrix_csv(np.random.default_rng(2).standard_normal((20, 5)), points)
+    fam = write_axes_family(tmp_path / "fam.json")
+    commands = {
+        "gen-matrix": ["gen-matrix", "--ensemble", "gaussian", "--m", "4", "--n", "3", "--seed", "7", "--output"],
+        "embed-points": ["embed-points", "--points", str(points), "--D", "6", "--ensemble", "gaussian",
+                         "--seed", "7", "--summary-out", str(tmp_path / "summary.json"), "--matrix-out"],
+        "width": ["width", "--family", str(fam), "--draws", "100", "--seed", "7", "--output"],
+    }
+
+    def written(tag):
+        out = {}
+        for name, argv in commands.items():
+            assert main(argv + [str(tmp_path / f"{name}-{tag}")]) == 0
+            out[name] = (tmp_path / f"{name}-{tag}").read_bytes()
+        return out
+
+    unset = written("unset")
+    monkeypatch.setenv("SUBEMBED_SEED", "12345")
+    assert written("set") == unset
 
 
 def test_trial_env_seed_override(tmp_path, monkeypatch):
@@ -394,24 +458,19 @@ def test_requests_beyond_the_element_budget_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["trial", "verify", "embed-points"])
+@pytest.mark.parametrize("command", ["trial", "verify"])
 def test_certification_products_beyond_the_element_budget_exit_2(tmp_path, capsys, monkeypatch, command):
-    # under a budget of 10^5 numbers the maps, families and differences fit,
-    # but their (maps, members, m, k) products do not: 28 * 2000 * 2 = 112000
-    # numbers for trial and verify, 19900 pairs * m = 33 for embed-points
+    # under a budget of 10^5 numbers the maps and families fit, but their
+    # (maps, members, m, k) products do not: 28 * 2000 * 2 = 112000 numbers
     monkeypatch.setattr(subembed.stats, "DEFAULT_MAX_ELEMENTS", 10**5)
     if command == "verify":
         store_matrix_csv(np.ones((2000, 8)), tmp_path / "gamma.csv")
         store_family_json(k_sparse_family(8, 2, 28), tmp_path / "fam.json")
-    if command == "embed-points":
-        (tmp_path / "pts.csv").write_text("200,1\n" + "".join(f"{i}\n" for i in range(200)))
     argv = {
         "trial": ["trial", "--config", str(write_config(
             tmp_path / "cfg.json", family_kind="k_sparse", n=8, k=2, p=28, m_override=2000))],
         "verify": ["verify", "--matrix", str(tmp_path / "gamma.csv"), "--family", str(tmp_path / "fam.json"),
                    "--D", "4.0"],
-        "embed-points": ["embed-points", "--points", str(tmp_path / "pts.csv"), "--D", "6.0",
-                         "--ensemble", "gaussian", "--seed", "3"],
     }[command]
     out = tmp_path / "out"
     assert main(argv + ["--output" if command == "trial" else "--summary-out", str(out)]) == 2
@@ -545,6 +604,19 @@ def test_embed_points_far_apart_points_are_distinct(tmp_path, capsys):
     assert code == 0
     payload = json.loads(summary.read_text())
     assert payload["p"] == 1 and payload["feasible"] and payload["achieved_distortion"] == 1.0
+    assert capsys.readouterr().err == ""
+
+
+def test_embed_points_p_times_m_may_exceed_the_element_budget(tmp_path, capsys):
+    # 2300 points: 2,643,850 pairs at m = 47 would be 1.2e8 products, over
+    # the default element budget, but the exact kernel only ever holds the
+    # products of one batch of gathered pairs
+    points = np.random.default_rng(23).standard_normal((2300, 2))
+    code, (_, summary) = _embed(tmp_path, points, "many")
+    assert code == 0
+    payload = json.loads(summary.read_text())
+    assert payload["p"] == 2300 * 2299 // 2 and payload["m"] == 47
+    assert payload["p"] * payload["m"] > subembed.stats.DEFAULT_MAX_ELEMENTS
     assert capsys.readouterr().err == ""
 
 

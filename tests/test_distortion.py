@@ -93,7 +93,7 @@ def test_family_report_matches_brute_force():
     fam = SubspaceFamily.from_subspaces([random_subspace(32, 2, seed=500 + i) for i in range(4)])
     report = family_distortion(gamma, fam)
     for member, (smin, smax) in zip(fam.members, report.per_subspace):
-        lo, hi = sampled_range(gamma, member.direction, seed=7)
+        lo, hi = sampled_range(gamma, member, seed=7)
         assert lo == pytest.approx(smin, rel=0.01)
         assert hi == pytest.approx(smax, rel=0.01)
     assert report.family_sigma_min == min(lo for lo, _ in report.per_subspace)
@@ -625,7 +625,7 @@ def test_rotation_invariance():
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     rotated_gamma = RandomMatrix(gamma.matrix @ q)
     rotated_fam = SubspaceFamily.from_subspaces(
-        [Subspace(q.T @ m.direction.basis) for m in fam.members]
+        [Subspace(q.T @ m.basis) for m in fam.members]
     )
     a = family_distortion(gamma, fam)
     b = family_distortion(rotated_gamma, rotated_fam)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subembed import (
-    AffineSubspace,
     DegenerateInputError,
     DimensionError,
     EnsembleSpec,
@@ -28,15 +27,7 @@ from subembed import (
 )
 
 from nets import covering_defect, epsilon_net
-from oracles import (
-    affine_family,
-    build_metric_family,
-    cross_family,
-    grassmann_distance,
-    is_linear,
-    projector,
-    reduce_affine,
-)
+from oracles import build_metric_family, cross_family, grassmann_distance, projector, write_affine_family
 
 SQRT2 = math.sqrt(2.0)
 
@@ -164,16 +155,14 @@ def test_stack_constructor_members_are_read_only_views():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((4, 5, 2)))
     fam = SubspaceFamily.from_stack(q)
-    assert fam.size == 4 and fam.ambient_dim == 5 and fam.max_dim == 2 and is_linear(fam)
+    assert fam.size == 4 and fam.ambient_dim == 5 and fam.max_dim == 2
     (indices, bases), = fam.stacks
     assert indices.tolist() == [0, 1, 2, 3] and np.array_equal(bases, q)
     assert not np.shares_memory(bases, q)  # the caller's array is copied once
     for member, b in zip(fam.members, q):
-        assert np.array_equal(member.direction.basis, b)
-        assert np.shares_memory(member.direction.basis, bases)
-        assert not member.direction.basis.flags.writeable
-        assert member.base_point is fam.members[0].base_point
-    assert not fam.members[0].base_point.flags.writeable
+        assert type(member) is Subspace and np.array_equal(member.basis, b)
+        assert np.shares_memory(member.basis, bases)
+        assert not member.basis.flags.writeable
     gamma = sample_matrix(EnsembleSpec.gaussian(), 3, 5, 8)
     per_member = SubspaceFamily.from_subspaces(Subspace(b) for b in q)
     assert family_distortion(gamma, fam) == family_distortion(gamma, per_member)
@@ -186,39 +175,33 @@ def test_family_stacks_group_members_by_dimension():
     assert sorted(i for indices, _ in fam.stacks for i in indices.tolist()) == list(range(5))
     for indices, bases in fam.stacks:
         for i, b in zip(indices, bases):
-            assert np.array_equal(b, fam.members[i].direction.basis)
+            assert np.array_equal(b, fam.members[i].basis)
     assert fam.stacks is fam.stacks  # built once and kept
 
 
-@pytest.mark.parametrize(
-    "build", ["members", "from_subspaces", "from_stack", "load_family_json", "reduce_affine"]
-)
+@pytest.mark.parametrize("build", ["members", "from_subspaces", "from_stack", "load_family_json"])
 def test_members_are_read_only_views_of_the_stacks(tmp_path, build):
     rng = np.random.default_rng(5)
     subs = [random_subspace(6, k, seed=i) for i, k in enumerate([2, 1, 2, 3])]
-    affine = affine_family(tuple(AffineSubspace(rng.standard_normal(6), w) for w in subs))
-    if build == "members":
-        fam = affine
+    if build == "members":  # from another family's member views
+        fam = SubspaceFamily.from_subspaces(SubspaceFamily.from_subspaces(subs).members)
     elif build == "from_subspaces":
         fam = SubspaceFamily.from_subspaces(subs)
     elif build == "from_stack":
         fam = SubspaceFamily.from_stack(np.stack([subs[0].basis, subs[2].basis]))
-    elif build == "load_family_json":
-        store_family_json(affine, tmp_path / "fam.json")
-        fam = load_family_json(tmp_path / "fam.json")
     else:
-        fam = reduce_affine(affine)
-    assert "members" not in vars(fam)  # built on first access
-    assert fam.size == len(fam.members) and fam.members is fam.members
-    assert not fam.base_points.flags.writeable
+        linear = SubspaceFamily.from_subspaces(subs)
+        write_affine_family(tmp_path / "fam.json", linear, rng.standard_normal((len(subs), 6)))
+        fam = load_family_json(tmp_path / "fam.json")
+    assert list(vars(fam)) == ["stacks"]  # the family is its stacks; members are built on first access
+    assert fam.size == len(fam.members) and fam.members is fam.members and fam.ambient_dim == 6
     for indices, bases in fam.stacks:
         assert not bases.flags.writeable
         for i, b in zip(indices, bases):
-            basis = fam.members[i].direction.basis
-            assert np.array_equal(basis, b) and np.shares_memory(basis, b)
-            assert not basis.flags.writeable
-    for member, point in zip(fam.members, fam.base_points):
-        assert np.array_equal(member.base_point, point) and not member.base_point.flags.writeable
+            member = fam.members[i]
+            assert type(member) is Subspace and member.dim == b.shape[1]
+            assert np.array_equal(member.basis, b) and np.shares_memory(member.basis, b)
+            assert not member.basis.flags.writeable
 
 
 # ---------------------------------------------------------------- random/sparse
@@ -364,28 +347,16 @@ def test_net_budget_and_validation():
 # ---------------------------------------------------------------- families
 
 
-def test_reduce_affine_examples():
-    e1 = sparse_subspace(3, (0,))
-    affine = AffineSubspace(np.array([2.0, -1.0, 0.5]), e1)
-    fam = affine_family((affine,))
-    red = reduce_affine(fam)
-    assert is_linear(red.members[0])
-    assert np.allclose(projector(red.members[0].direction), projector(e1))
-    linear = SubspaceFamily.from_subspaces([e1])
-    red2 = reduce_affine(linear)
-    assert all(is_linear(m) for m in red2.members)
-
-
-def test_reduce_affine_preserves_distortion_exactly():
+def test_base_points_change_no_certificate(tmp_path):
+    # an affine member's certificate reads its direction space alone: a file
+    # whose members carry base points certifies exactly as one without them
     rng = np.random.default_rng(31)
-    members = [
-        AffineSubspace(rng.standard_normal(10), random_subspace(10, 2, seed=100 + i))
-        for i in range(4)
-    ]
-    fam = affine_family(tuple(members))
+    fam = SubspaceFamily.from_subspaces(random_subspace(10, 2, seed=100 + i) for i in range(4))
+    write_affine_family(tmp_path / "affine.json", fam, rng.standard_normal((4, 10)))
+    write_affine_family(tmp_path / "linear.json", fam, [None] * 4)
     gamma = sample_matrix(EnsembleSpec.gaussian(), 6, 10, 17)
-    a = family_distortion(gamma, fam)
-    b = family_distortion(gamma, reduce_affine(fam))
+    a = family_distortion(gamma, load_family_json(tmp_path / "affine.json"))
+    b = family_distortion(gamma, load_family_json(tmp_path / "linear.json"))
     assert a.achieved_distortion == b.achieved_distortion
     assert a.per_subspace == b.per_subspace
 
@@ -395,13 +366,13 @@ def test_cross_family_examples():
     crossed = cross_family(single)
     assert crossed.size == 1
     assert np.allclose(
-        projector(crossed.members[0].direction), projector(single.members[0].direction), atol=1e-12
+        projector(crossed.members[0]), projector(single.members[0]), atol=1e-12
     )
 
     two = SubspaceFamily.from_subspaces([sparse_subspace(4, (0,)), sparse_subspace(4, (1,))])
     crossed2 = cross_family(two)
     assert crossed2.size == 3
-    projectors = [projector(m.direction) for m in crossed2.members]
+    projectors = [projector(m) for m in crossed2.members]
     target = np.diag([1.0, 1.0, 0.0, 0.0])
     assert any(np.allclose(p, target, atol=1e-10) for p in projectors)
 
@@ -414,7 +385,7 @@ def test_cross_family_dims_and_count_on_random_input():
     for a_idx, member in enumerate(crossed.members):
         assert member.dim <= 2 * k
         # oracle: rank of the stacked spanning set
-        assert member.dim == np.linalg.matrix_rank(member.direction.basis)
+        assert member.dim == np.linalg.matrix_rank(member.basis)
     with pytest.raises(ResourceError):
         cross_family(fam, cardinality_budget=3)
 
@@ -422,33 +393,29 @@ def test_cross_family_dims_and_count_on_random_input():
 @pytest.mark.parametrize("build", ["affine_mixed", "linear", "k_sparse"])
 def test_store_family_json_matches_the_member_writer(tmp_path, build):
     # the reference writes member by member, in member order, from the views
+    # and writes no base, not even one read from the file
     rng = np.random.default_rng(6)
     subs = [random_subspace(7, k, seed=i) for i, k in enumerate([2, 1, 3, 1, 2])]
     if build == "affine_mixed":
-        fam = affine_family(AffineSubspace(rng.standard_normal(7), w) for w in subs)
+        write_affine_family(tmp_path / "in.json", SubspaceFamily.from_subspaces(subs), rng.standard_normal((5, 7)))
+        fam = load_family_json(tmp_path / "in.json")
     elif build == "linear":
         fam = SubspaceFamily.from_stack(np.stack([w.basis for w in subs if w.dim == 2]))
     else:
         fam = k_sparse_family(6, 2, 9)
-    members = [{"base": m.base_point.tolist(), "basis_columns": m.direction.basis.T.tolist()} for m in fam.members]
+    members = [{"basis_columns": m.basis.T.tolist()} for m in fam.members]
     store_family_json(fam, tmp_path / "fam.json")
     assert (tmp_path / "fam.json").read_text() == json.dumps({"n": fam.ambient_dim, "members": members})
 
 
 def test_family_json_round_trip(tmp_path):
-    fam = affine_family(
-        (
-            AffineSubspace(np.array([1.0, 2.0, 0.0, 0.0]), sparse_subspace(4, (0, 2))),
-            AffineSubspace(np.zeros(4), random_subspace(4, 1, seed=3)),
-        )
-    )
+    fam = SubspaceFamily.from_subspaces((sparse_subspace(4, (0, 2)), random_subspace(4, 1, seed=3)))
     path = tmp_path / "family.json"
     store_family_json(fam, path)
     loaded = load_family_json(path)
     assert loaded.size == fam.size
     for a, b in zip(fam.members, loaded.members):
-        assert np.allclose(a.base_point, b.base_point)
-        assert np.allclose(projector(a.direction), projector(b.direction), atol=1e-12)
+        assert np.allclose(projector(a), projector(b), atol=1e-12)
 
 
 def test_family_json_reorthonormalizes_on_load(tmp_path):
@@ -459,23 +426,21 @@ def test_family_json_reorthonormalizes_on_load(tmp_path):
     path = tmp_path / "raw.json"
     path.write_text(json.dumps(payload))
     fam = load_family_json(path)
-    basis = fam.members[0].direction.basis
+    basis = fam.members[0].basis
     assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
-    assert np.allclose(projector(fam.members[0].direction), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    assert np.allclose(projector(fam.members[0]), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
 def per_member_load(payload):
     """The reference load: orthonormalize each member on its own, then group
-    the bases by dimension in member order; absent base points are zero."""
-    n = payload["n"]
+    the bases by dimension in member order; base points are not read."""
     bases = [orthonormalize(np.array(m["basis_columns"], dtype=float).T) for m in payload["members"]]
     dims = np.array([b.shape[1] for b in bases])
     stacks = []
     for d in sorted(set(dims.tolist())):
         indices = np.flatnonzero(dims == d)
         stacks.append((indices, np.stack([bases[i] for i in indices])))
-    points = np.array([m.get("base", [0.0] * n) for m in payload["members"]], dtype=float)
-    return stacks, points
+    return stacks
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -503,15 +468,20 @@ def test_batched_load_matches_per_member_orthonormalize(tmp_path, seed):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(payload))
     fam = load_family_json(path)
-    stacks, points = per_member_load(payload)
+    stacks = per_member_load(payload)
     assert [b.shape for _, b in fam.stacks] == [b.shape for _, b in stacks]
     assert fam.stacks[1][1].shape[0] == 9 + 2  # the two rank-2 members joined the 2-d stack
     assert fam.stacks[-1][1].shape == (1, n, n)
     for (indices, bases), (ref_indices, ref_bases) in zip(fam.stacks, stacks):
         assert np.array_equal(indices, ref_indices)
         assert bases.tobytes() == ref_bases.tobytes()  # bit for bit
-    assert fam.base_points.tobytes() == points.tobytes()
-    assert fam.members[one[1]].base_point.tobytes() == np.array([-0.0] * n).tobytes()
+    # the bases are checked and dropped: the file without them loads the same bits
+    for member in members:
+        member.pop("base", None)
+    path.write_text(json.dumps(payload))
+    unbased = load_family_json(path)
+    for (indices, bases), (ref_indices, ref_bases) in zip(fam.stacks, unbased.stacks):
+        assert np.array_equal(indices, ref_indices) and bases.tobytes() == ref_bases.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -527,7 +497,7 @@ def test_load_rejects_numerically_zero_members(tmp_path, columns):
 
 def test_family_validation():
     with pytest.raises(InputError):
-        affine_family(())
+        SubspaceFamily.from_subspaces(())
     # no public constructor: a family is built from stacks, subspaces or a file
     with pytest.raises(TypeError):
         SubspaceFamily()

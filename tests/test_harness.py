@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subembed import (
-    AffineSubspace,
     EnsembleSpec,
     ExperimentConfig,
     InputError,
     ResourceError,
+    SubspaceFamily,
     TrialResult,
     build_family,
     choose_scale,
@@ -34,12 +34,12 @@ from subembed import (
 import subembed.harness as harness
 
 from oracles import (
-    affine_family,
     batched_metric_family,
     build_metric_family,
     lower_bound_study,
     per_member_haar_family,
     verify_pointwise,
+    write_affine_family,
 )
 
 GAUSS = EnsembleSpec.gaussian()
@@ -157,14 +157,14 @@ def test_quenched_family_is_trial_independent():
     fam0 = build_family(cfg, 0)
     fam3 = build_family(cfg, 3)
     for a, b in zip(fam0.members, fam3.members):
-        assert np.array_equal(a.direction.basis, b.direction.basis)
+        assert np.array_equal(a.basis, b.basis)
 
 
 def test_annealed_family_changes_per_trial():
     cfg = small_config(fixed_family=False)
     fam0 = build_family(cfg, 0)
     fam1 = build_family(cfg, 1)
-    assert not np.allclose(fam0.members[0].direction.basis, fam1.members[0].direction.basis)
+    assert not np.allclose(fam0.members[0].basis, fam1.members[0].basis)
 
 
 def test_user_file_family_checks(tmp_path):
@@ -211,7 +211,7 @@ def test_run_trials_parallel_matches_serial():
 
 def test_trial_results_invariant_under_member_permutation(tmp_path):
     fam = k_sparse_family(8, 2, 4)
-    permuted = affine_family(fam.members[i] for i in (2, 0, 3, 1))
+    permuted = SubspaceFamily.from_subspaces(fam.members[i] for i in (2, 0, 3, 1))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     store_family_json(fam, p1)
     store_family_json(permuted, p2)
@@ -265,11 +265,8 @@ def reference_trial(config, t, m_values):
 
 
 def mixed_dimension_file(path, n=9, dims=(2, 1, 3, 1, 2)):
-    members = [
-        AffineSubspace(np.random.default_rng(i).standard_normal(n), random_subspace(n, d, derive_seed(70, i)))
-        for i, d in enumerate(dims)
-    ]
-    store_family_json(affine_family(members), path)
+    family = SubspaceFamily.from_subspaces(random_subspace(n, d, derive_seed(70, i)) for i, d in enumerate(dims))
+    write_affine_family(path, family, [np.random.default_rng(i).standard_normal(n) for i in range(len(dims))])
     return str(path)
 
 

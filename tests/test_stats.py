@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from subembed import (
-    AffineSubspace,
     EnsembleSpec,
     InputError,
     ResourceError,
@@ -14,6 +13,7 @@ from subembed import (
     family_distortion,
     gaussian_width_mc,
     k_sparse_family,
+    load_family_json,
     required_m,
     sample_matrix,
     success_prob_bound,
@@ -23,7 +23,7 @@ from subembed import stats
 from subembed.geometry import random_subspace
 from subembed.seeding import derive_seed, rng_from
 
-from oracles import affine_family, is_linear, psi2_estimate, psi2_tail_check, reduce_affine, small_ball_bound
+from oracles import psi2_estimate, psi2_tail_check, small_ball_bound, write_affine_family
 
 SQRT3 = math.sqrt(3.0)
 
@@ -141,20 +141,17 @@ def test_width_draw_budget():
         gaussian_width_mc(fam, stats.DEFAULT_MAX_ELEMENTS + 1, seed=1)
 
 
-def test_width_reads_bases_only_and_matches_member_loop():
+def test_width_reads_bases_only_and_matches_member_loop(tmp_path):
     rng = np.random.default_rng(8)
-    fam = affine_family(
-        tuple(
-            AffineSubspace(rng.standard_normal(7), random_subspace(7, k, seed=i))
-            for i, k in enumerate((1, 3, 2, 3))
-        )
-    )
-    assert not is_linear(fam)
+    linear = SubspaceFamily.from_subspaces(random_subspace(7, k, seed=i) for i, k in enumerate((1, 3, 2, 3)))
+    write_affine_family(tmp_path / "affine.json", linear, rng.standard_normal((4, 7)))
+    write_affine_family(tmp_path / "linear.json", linear, [None] * 4)
+    fam = load_family_json(tmp_path / "affine.json")
     est = gaussian_width_mc(fam, 500, seed=9)
-    assert est == gaussian_width_mc(reduce_affine(fam), 500, seed=9)
+    assert est == gaussian_width_mc(load_family_json(tmp_path / "linear.json"), 500, seed=9)
     # reference: the per-member loop in member order, bit for bit
     g = rng_from(9).standard_normal((500, 7))
-    vals = np.max([np.linalg.norm(g @ m.direction.basis, axis=1) for m in fam.members], axis=0)
+    vals = np.max([np.linalg.norm(g @ m.basis, axis=1) for m in fam.members], axis=0)
     assert est.mean == float(vals.mean())
     assert est.std_error == float(vals.std(ddof=1) / math.sqrt(500))
 
@@ -163,7 +160,7 @@ def member_loop_draws(family, n_draws, seed):
     """The reference: each member's projection norms, one member at a time
     in member order, maximized per draw; also returns the draws."""
     g = rng_from(seed).standard_normal((n_draws, family.ambient_dim))
-    return np.max([np.linalg.norm(g @ m.direction.basis, axis=1) for m in family.members], axis=0), g
+    return np.max([np.linalg.norm(g @ m.basis, axis=1) for m in family.members], axis=0), g
 
 
 def tiled_family(rng, n, signed_coordinates):
@@ -180,9 +177,9 @@ def tiled_family(rng, n, signed_coordinates):
                 basis[rng.choice(n, size=k, replace=False), np.arange(k)] = rng.choice([-1.0, 1.0], size=k)
             else:
                 basis = np.linalg.qr(rng.standard_normal((n, k)))[0]
-            members.append(AffineSubspace(rng.standard_normal(n), Subspace(basis)))
+            members.append(Subspace(basis))
     members = [members[i] for i in rng.permutation(len(members))]
-    fam = affine_family(members)
+    fam = SubspaceFamily.from_subspaces(members)
     assert sum(1 for _ in stats._column_tiles(fam)) == 2 * len(fam.stacks)
     return fam
 
@@ -237,20 +234,14 @@ def test_width_below_closed_form_bound():
     for (n, k, p, seed) in [(6, 2, 4, 1), (16, 3, 64, 2)]:
         fam = k_sparse_family(n, k, p)
         est = gaussian_width_mc(fam, 5_000, seed=seed)
-        assert est.mean <= width_upper_bound(k, fam.size, 0.0) + 3 * est.std_error
+        assert est.mean <= width_upper_bound(k, fam.size) + 3 * est.std_error
 
 
 def test_width_upper_bound_values():
-    assert width_upper_bound(1, 1, 0.0) == 3.0
-    assert width_upper_bound(4, 16, 0.0) == pytest.approx(10.9953, abs=1e-3)
-    k, p = 3, 10
-    assert width_upper_bound(k, p, 0.5, n=k) == pytest.approx(
-        3 * (1.5 * math.sqrt(math.log(p)) + math.sqrt(k))
-    )
+    assert width_upper_bound(1, 1) == 3.0
+    assert width_upper_bound(4, 16) == pytest.approx(10.9953, abs=1e-3)
     with pytest.raises(InputError):
-        width_upper_bound(3, 10, 1.0, n=8)
-    with pytest.raises(InputError):
-        width_upper_bound(3, 10, 0.5)  # r > 0 needs n
+        width_upper_bound(0, 16)
 
 
 # ---------------------------------------------------------------- formulas
