@@ -16,7 +16,7 @@ import numpy as np
 from .ensembles import RandomMatrix
 from .errors import DimensionError
 from .geometry import SubspaceFamily
-from .stats import _check_budget, _column_tiles, check_distortion
+from .stats import WIDTH_TILE_ENTRIES, _check_budget, _column_tiles, check_distortion
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,13 @@ _SCREEN_MAX_MK = 1 << 20
 _SCREEN_FLOOR = 2.0**-1000
 _EPS = float(np.finfo(float).eps)
 _TINY = 2.0**-1074
+# numbers a chunk of kept pairs holds in its gathered maps, bases and products
+_KEPT_ENTRIES = 1 << 16
+# a screen tile may hold this share of its family's numbers when that is more
+# than WIDTH_TILE_ENTRIES: BLAS packs the block's tall map operand once per
+# tile, so wide tiles pay less for it. At n=1024, k=8, p=2000, a block of 10
+# maps ran its GEMMs 1.4 times slower against 144-column tiles than 576-column ones.
+_SCREEN_FAMILY_SHARE = 32
 
 
 # The point-pair screen's slack (harness.metric_embed). The N points are
@@ -245,21 +252,34 @@ def _screen_bounds(maps: np.ndarray, family: SubspaceFamily, m_values) -> list[n
     maps = np.ascontiguousarray(maps)
     T, M, n = maps.shape
     m_values = np.asarray(m_values)
-    bounds = [np.empty((3, len(m_values), T, len(bases))) for _, bases in family.stacks]
-    steps = np.arange(1, len(m_values) + 1)
+    s = len(m_values)
+    bounds = [np.empty((3, s, T, len(bases))) for _, bases in family.stacks]
+    steps = np.arange(1, s + 1)
     beyond = [(m_values + steps) * bases.shape[2] > _SCREEN_MAX_MK for _, bases in family.stacks]
     # 2*n*eps times each map column's norm over its first m rows, (s*T, n),
-    # summed in units of 2^e > max |entry| so that no square overflows
+    # summed in units of 2^e > max |entry| so that no square overflows; the
+    # maps are scaled a few at a time, so the block is never copied whole
     e = np.frexp(max(maps.max(), -maps.min()))[1]
-    scaled = np.ldexp(maps, -e)
     starts = np.concatenate(([0], m_values[:-1]))
-    squares = np.add.reduceat(np.square(scaled, out=scaled), starts, axis=1).cumsum(axis=1)
+    squares = np.empty((T, s, n))
+    step = max(1, WIDTH_TILE_ENTRIES // (M * n))
+    for lo in range(0, T, step):
+        scaled = np.ldexp(maps[lo : lo + step], -e)
+        np.add.reduceat(np.square(scaled, out=scaled), starts, axis=1, out=squares[lo : lo + step])
+    del scaled
+    np.cumsum(squares, axis=1, out=squares)
     squares += m_values[:, None] * _TINY
-    norms = np.ldexp(2.0 * n * _EPS, e) * np.sqrt(squares.transpose(1, 0, 2).reshape(-1, n))
+    norms = squares.transpose(1, 0, 2).reshape(-1, n)
+    del squares
+    np.sqrt(norms, out=norms)
+    norms *= np.ldexp(2.0 * n * _EPS, e)
     # an overflowing Gram or slack keeps every pair, and the SVD path warns on its own
     with np.errstate(over="ignore", invalid="ignore"):
-        # a tile's transposed copy and its wide product: n + T*M numbers a column
-        for g, start, tile in _column_tiles(family, n + T * M):
+        # a tile's transposed copy, its wide product, its Grams and their
+        # eigenvalues and slack: at most n + T*(M + s*(k + 4)) numbers a column
+        per_column = n + T * (M + s * (family.max_dim + 4))
+        share = sum(bases.size for _, bases in family.stacks) // _SCREEN_FAMILY_SHARE
+        for g, start, tile in _column_tiles(family, per_column, share):
             beyond[g] |= ~_tile_bounds(maps, tile, norms, m_values, bounds[g][..., start : start + len(tile)])
     for bound, flagged in zip(bounds, beyond):
         bound[:2, flagged] = 0.0
@@ -267,18 +287,17 @@ def _screen_bounds(maps: np.ndarray, family: SubspaceFamily, m_values) -> list[n
     return bounds
 
 
-def _kept_products(maps: np.ndarray, bases: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _kept_products(maps: np.ndarray, bases: np.ndarray, keep: np.ndarray):
     """The exact products of the kept (map, basis) pairs of a (T, count)
-    mask, in row-major order: each pair's own GEMM, or, when gathering the
-    operands would take more numbers than the whole product (every pair kept,
-    say), slices of ``_products``."""
+    mask, in row-major order, as chunks (the pairs' map indices, their
+    products): each pair's own GEMM of its gathered operands, a chunk
+    holding at most _KEPT_ENTRIES numbers with them, or one pair."""
     rows, cols = np.nonzero(keep)
-    (T, m, n), (count, _, k) = maps.shape, bases.shape
-    if len(rows) * (m * n + n * k) <= T * count * m * k:
-        return maps[rows] @ bases[cols]
-    products = _products(maps, bases)
-    # every pair kept (alike members, say): a view, not a copy
-    return products.reshape(-1, m, k) if keep.all() else products[rows, cols]
+    (_, m, n), (_, _, k) = maps.shape, bases.shape
+    step = max(1, _KEPT_ENTRIES // (m * n + n * k + m * k))
+    for lo in range(0, len(rows), step):
+        i = rows[lo : lo + step]
+        yield i, maps[i] @ bases[cols[lo : lo + step]]
 
 
 def _reach(below: np.ndarray, above: np.ndarray, floor, ceiling) -> np.ndarray:
@@ -312,9 +331,8 @@ def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
         at_m = ceiling[j, :, None] if m >= family.max_dim else -np.inf
         for (_, bases), (bottom, top, slack) in zip(family.stacks, bounds):
             keep = _reach(bottom[j] - slack[j], top[j] + slack[j], floor[j, :, None], at_m)
-            if keep.any():
-                pair_lo, pair_hi = _svd_extremes(_kept_products(maps[:, :m], bases, keep))
-                rows = np.nonzero(keep)[0]
+            for rows, products in _kept_products(maps[:, :m], bases, keep):
+                pair_lo, pair_hi = _svd_extremes(products)
                 np.minimum.at(lo[j], rows, pair_lo)
                 np.maximum.at(hi[j], rows, pair_hi)
     return lo, hi

@@ -143,8 +143,8 @@ _SERIES = np.array(
 # sphere rows shorter than this before scaling are redrawn
 _SPHERE_MIN_NORM = 1e-12
 # rows are sampled in steps of about this many entries: a Gaussian step
-# needs scratch of 8 to 10 times its output, here about 0.6 MB
-_BLOCK_ELEMENTS = 1 << 13
+# needs scratch of about 6 times its output, here about 0.8 MB
+_BLOCK_ELEMENTS = 1 << 14
 
 
 def _gaussian_rows(seeds: np.ndarray, n: int, attempt: int = 0) -> np.ndarray:
@@ -161,30 +161,48 @@ def _gaussian_rows(seeds: np.ndarray, n: int, attempt: int = 0) -> np.ndarray:
     """
     width = 2 * ((n + 1) // 2)
     u = uniforms(seeds, width, start=attempt * width)
-    mant, expo = np.frexp(1.0 - u[:, 0::2])
+    mant, expo = np.frexp(np.subtract(1.0, u[:, 0::2]))
+    t = np.multiply(u[:, 1::2], 4.0)
+    del u
     low = mant < _SQRT_HALF
-    mant = np.ldexp(mant, low.view(np.int8))
+    np.ldexp(mant, low.view(np.int8), out=mant)
     expo -= low
-    s = (mant - 1.0) / (mant + 1.0)
-    quarters = 4.0 * u[:, 1::2]
-    q = np.floor(quarters)
-    t = (quarters - q - 0.5) * _HALF_PI
+    s = mant - 1.0
+    mant += 1.0
+    s /= mant
+    q = np.floor(t)
+    t -= q
+    t -= 0.5
+    t *= _HALF_PI
+    # Horner's rule, highest degree first; the cos and sin series start one
+    # term later, since 0 * t^2 + c is c for every finite t
     args = np.empty((3,) + t.shape)
     np.multiply(s, s, out=args[0])
     np.multiply(t, t, out=args[1])
     args[2] = args[1]
     series = np.empty_like(args)
-    series[...] = _SERIES[0]
-    for coeff in _SERIES[1:]:
+    np.multiply(args[0], _SERIES[0, 0], out=series[0])
+    series[0] += _SERIES[1, 0]
+    series[1:] = _SERIES[1, 1:]
+    for coeff in _SERIES[2:]:
         series *= args
         series += coeff
-    radius = np.sqrt(-2.0 * (expo * _LN2 + 2.0 * s * series[0]))
-    radius = np.copysign(radius, 1.5 - q)
-    cos, sin = series[1], t * series[2]
+    del args
+    # radius = sqrt(-2 (expo ln 2 + 2 s atanh-series)), signed by the quarter
+    radius = np.multiply(expo, _LN2)
+    s *= 2.0
+    s *= series[0]
+    radius += s
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
     odd = np.fmod(q, 2.0) == 1.0
+    np.subtract(1.5, q, out=q)
+    np.copysign(radius, q, out=radius)
+    cos, sin = series[1], series[2]
+    sin *= t
     rows = np.empty((len(seeds), width))
-    rows[:, 0::2] = radius * np.where(odd, sin, cos)
-    rows[:, 1::2] = radius * np.where(odd, cos, sin)
+    np.multiply(radius, np.where(odd, sin, cos), out=rows[:, 0::2])
+    np.multiply(radius, np.where(odd, cos, sin), out=rows[:, 1::2])
     return rows[:, :n]
 
 

@@ -241,11 +241,39 @@ def store_family_json(family: SubspaceFamily, path) -> None:
         json.dump(payload, fh)
 
 
+def _only_numbers(value) -> bool:
+    """Whether a parsed JSON value is a number or nested lists of numbers:
+    an int or a float, not a bool, a string or null."""
+    if isinstance(value, list):
+        return all(map(_only_numbers, value))
+    return type(value) in (int, float)
+
+
+def _may_hold_non_numbers(text: str, payload: dict) -> bool:
+    """Whether a family file's text can hold a true, false or string value.
+
+    numpy's float conversion takes these as numbers, and they are cheap to
+    rule out in the text: true and false hold a 't' or an 'f', which no
+    number or key of the format does, and a string adds its two quotes to
+    the keys' own. (A null reads as NaN, which the finiteness check finds.)
+    """
+    if text.find("t") >= 0 or text.find("f") >= 0:
+        return True
+    keys = len(payload) + sum(len(entry) for entry in payload["members"] if isinstance(entry, dict))
+    quotes, at = 0, text.find('"')
+    while at >= 0:
+        quotes += 1
+        at = text.find('"', at + 1)
+    return quotes > 2 * keys
+
+
 def load_family_json(path) -> SubspaceFamily:
     """Read a family file; bases are re-orthonormalized on load.
 
     Every member is validated first, its "base" entry included, which is
-    then dropped: no certificate, width or trial reads a base point. The
+    then dropped: no certificate, width or trial reads a base point. Its
+    entries must be JSON numbers; true, false, strings and null are refused,
+    though numpy's float conversion would take them. The
     parsed file is then freed, the spans are stacked per column count, and
     the stacks are orthonormalized in place with batched SVDs, building no
     member objects.
@@ -264,6 +292,7 @@ def load_family_json(path) -> SubspaceFamily:
     n = payload["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"family file 'n' must be an integer >= 1, got {json.dumps(n)}")
+    walk = _may_hold_non_numbers(text, payload)
     spans = []
     for i, entry in enumerate(payload["members"]):
         if not isinstance(entry, dict) or "basis_columns" not in entry:
@@ -273,7 +302,12 @@ def load_family_json(path) -> SubspaceFamily:
             base = np.asarray(entry["base"], dtype=float) if "base" in entry else None
         except (TypeError, ValueError) as exc:
             raise InputError(f"member {i}: entries must be numbers: {exc}") from exc
-        if not np.all(np.isfinite(mat)) or (base is not None and not np.all(np.isfinite(base))):
+        finite = np.all(np.isfinite(mat)) and (base is None or np.all(np.isfinite(base)))
+        # the entries' types are walked only where the text or a NaN calls for it
+        entries = [entry[key] for key in ("basis_columns", "base") if key in entry]
+        if (walk or not finite) and not _only_numbers(entries):
+            raise InputError(f"member {i}: entries must be numbers, not true, false, strings or null")
+        if not finite:
             raise InputError(f"member {i} has non-finite entries")
         if mat.ndim != 2 or mat.shape[0] != n or (base is not None and base.shape != (n,)):
             raise DimensionError(f"member {i} does not match ambient dimension {n}")

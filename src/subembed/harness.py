@@ -22,6 +22,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .distortion import (
+    _SCREEN_FAMILY_SHARE,
     _SCREEN_FLOOR,
     ScaleChoice,
     _achieved,
@@ -37,7 +38,7 @@ from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
 from .errors import InputError
 from .geometry import SubspaceFamily, _family, _orthonormal_stacks, load_family_json
 from .seeding import derive_seed, derive_seeds, rng_from
-from .stats import WIDTH_TILE_ENTRIES, _check_budget, check_distortion, required_m
+from .stats import DEFAULT_MAX_ELEMENTS, WIDTH_TILE_ENTRIES, _check_budget, check_distortion, required_m
 
 # not called here; perfbench/tracing.py wraps these names in this module
 from .distortion import choose_scale, family_distortion  # noqa: F401
@@ -50,15 +51,18 @@ FAMILY_KINDS = ("haar_random", "k_sparse", "user_file")
 _FAMILY_STREAM = 1
 _GAMMA_STREAM = 2
 
-# numbers a block of trials holds at once in its maps, and in the exact
-# products of one m when the certification keeps every pair; the screen's
-# eigenvalue bounds over a grid of s values of m hold 3*s*p numbers a trial,
-# at most 3/k of the products at the largest m. Blocks are sized from the
-# config alone: building the family in the parent to size them would
-# initialise BLAS before a pool forks, which raised a pooled run's peak
-# memory by a tenth. metric_embed's row chunks of pairs hold at most as many
-# numbers in each of their screen arrays.
-_BLOCK_ENTRIES = 1 << 15
+# numbers a block of trials may hold at once besides its family (see
+# _block_size), or a twelfth of the family's p*n*k numbers when that is
+# more. 3 MB of blocks leave a small run's peak memory within a few percent
+# of the interpreter's own; at paper scale the family sets the size of a
+# process, and a block of a twelfth of it adds at most about 8% to it.
+# Blocks are sized from the config alone: building the family in the parent
+# to size them would initialise BLAS before a pool forks, which raised a
+# pooled run's peak memory by a tenth.
+_BLOCK_ENTRIES = 3 << 17
+_BLOCK_FAMILY_SHARE = 12
+# numbers in each of metric_embed's screen arrays for one row chunk of pairs
+_PAIR_CHUNK_ENTRIES = 1 << 15
 
 
 def _integer(value, message: str) -> int:
@@ -197,12 +201,33 @@ def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
     return _family(_orthonormal_stacks(((np.arange(config.p), draws),)))
 
 
-def _block_size(config: ExperimentConfig, rows: int) -> int:
-    """Trials per block when each trial samples a map of this many rows:
-    as many as keep its maps and its products at one m with the family's
-    bases (at most p*rows*k numbers a trial) within _BLOCK_ENTRIES, and at
-    least one."""
-    return max(1, _BLOCK_ENTRIES // (rows * max(config.n, config.p * config.k)))
+def _trial_entries(config: ExperimentConfig, rows: int, grid: int) -> int:
+    """Numbers one trial adds to a block when it samples a map of this many
+    rows and is certified at grid values of m: its map (rows*n), its screen
+    bounds and their extremes (4*grid*p), its column norms with their
+    scratch (2*grid*n) and its two kept-pair masks (2*p)."""
+    return rows * config.n + grid * (4 * config.p + 2 * config.n) + 2 * config.p
+
+
+def _block_size(config: ExperimentConfig, rows: int, grid: int) -> int:
+    """Trials per block when each trial samples a map of this many rows and
+    is certified at grid values of m: as many as _check_products allows and
+    as keep the block within its budget, and at least one.
+
+    Besides the family, a block holds _trial_entries a trial and, one at a
+    time, a column tile with its Grams or a chunk of kept pairs: at most
+    WIDTH_TILE_ENTRIES, or the family's numbers over _SCREEN_FAMILY_SHARE
+    when that is more (distortion._screen_bounds, _kept_products). The
+    budget is _BLOCK_ENTRIES, or the family's p*n*k numbers over
+    _BLOCK_FAMILY_SHARE when that is more. No dimension stack of the family
+    has more than p*k columns, so rows*p*k products a trial bound what
+    _check_products counts."""
+    n, k, p = config.n, config.k, config.p
+    family = p * n * k  # at least the numbers the family holds
+    tile = max(WIDTH_TILE_ENTRIES, family // _SCREEN_FAMILY_SHARE)
+    budget = max(_BLOCK_ENTRIES, family // _BLOCK_FAMILY_SHARE) - tile
+    checked = DEFAULT_MAX_ELEMENTS // (rows * p * k)
+    return max(1, min(checked, budget // _trial_entries(config, rows, grid)))
 
 
 def _block_results(
@@ -220,7 +245,9 @@ def _block_results(
     Each (trial, m) is decided by choose_scale's rule. The results are bit
     for bit those of each trial run alone at each m. The certification's
     products are checked against the element budget before any map is
-    sampled.
+    sampled. Besides the family, the block holds what ``_block_size``
+    counts: the maps, the screen's bounds and column norms, and one column
+    tile or one chunk of kept pairs at a time.
     """
     _check_products(len(trials), max(m_values), family)
     seeds = derive_seeds(derive_seed(config.seed, _GAMMA_STREAM), len(trials), start=trials.start)
@@ -235,12 +262,13 @@ def _block_results(
 def _trial_range(config: ExperimentConfig, m_values, trials: range) -> list[list[TrialResult]]:
     """The results of a nonempty range of consecutive trials at every m of
     m_values, in trial order. The range's one family is built once and its
-    trials certified in blocks of _block_size; annealed haar trials each
-    embed their own family, so each is built and certified alone."""
+    trials certified in blocks of _block_size, sized from the config by
+    what a block holds; annealed haar trials each embed their own family,
+    so each is built and certified alone."""
     if config.family_kind == "haar_random" and not config.fixed_family:
         return [_block_results(config, range(t, t + 1), build_family(config, t), m_values)[0] for t in trials]
     family = build_family(config, trials.start)
-    size = _block_size(config, max(m_values))
+    size = _block_size(config, max(m_values), len(m_values))
     return [
         trial
         for lo in range(trials.start, trials.stop, size)
@@ -378,7 +406,7 @@ def _gram_distances(x: np.ndarray, sq: np.ndarray, a: int, b: int, tau: float):
 
 def _distance_blocks(pts: np.ndarray, centred: np.ndarray, e: int, threshold: float, tau: float):
     """The pairs (i, j), i < j, in triu_indices order, as row chunks [a, b)
-    whose (b - a, N - a) blocks hold at most _BLOCK_ENTRIES numbers (or one
+    whose (b - a, N - a) blocks hold at most _PAIR_CHUNK_ENTRIES numbers (or one
     row): per chunk, a, the block's mask of the pairs (a + r, a + c) whose
     exact norm exceeds threshold, and the bounds low and high on their
     distances in units of 2^e, from one GEMM of centred, the points scaled
@@ -394,7 +422,7 @@ def _distance_blocks(pts: np.ndarray, centred: np.ndarray, e: int, threshold: fl
         cut, limit = np.ldexp(threshold, -e), np.ldexp(1.0, 1023 - e)
     a = 0
     while a < N - 1:
-        b = min(N - 1, a + max(1, _BLOCK_ENTRIES // (N - a)))
+        b = min(N - 1, a + max(1, _PAIR_CHUNK_ENTRIES // (N - a)))
         with np.errstate(all="ignore"):
             d2, slack = _gram_distances(centred, g, a, b, tau)
             low, high = np.sqrt(np.maximum(d2 - slack, 0.0)), np.sqrt(d2 + slack)

@@ -41,9 +41,12 @@ def _splitmix64(x: int) -> int:
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     """``_splitmix64`` applied elementwise to a uint64 array."""
     z = x + _U_GAMMA
-    z = (z ^ (z >> _U_30)) * _U_MIX1
-    z = (z ^ (z >> _U_27)) * _U_MIX2
-    return z ^ (z >> _U_31)
+    shifted = np.empty_like(z)
+    for shift, mix in ((_U_30, _U_MIX1), (_U_27, _U_MIX2)):
+        z ^= np.right_shift(z, shift, out=shifted)
+        z *= mix
+    z ^= np.right_shift(z, _U_31, out=shifted)
+    return z
 
 
 def normalize_seed(seed: int) -> int:
@@ -86,7 +89,8 @@ def uniforms(seeds: np.ndarray, count: int, start: int = 0) -> np.ndarray:
     """
     counters = np.arange(start, start + count, dtype=np.uint64) * _U_GAMMA
     bits = _splitmix64_array(np.asarray(seeds, dtype=np.uint64)[:, None] + counters)
-    return (bits >> _U_11).astype(np.float64) * _INV_2_53
+    bits >>= _U_11
+    return np.multiply(bits, _INV_2_53, dtype=np.float64)
 
 
 def rng_from(seed: int, *path: int) -> np.random.Generator:

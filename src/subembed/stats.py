@@ -106,17 +106,18 @@ def _width_draws(family: SubspaceFamily, n_draws: int, seed: int) -> np.ndarray:
     return np.sqrt(vals, out=vals)
 
 
-def _column_tiles(family: SubspaceFamily, per_column: int | None = None):
+def _column_tiles(family: SubspaceFamily, per_column: int | None = None, entries: int = 0):
     """(stack position, first member, slice) for the (count, n, k) stack
-    slices read as tiles of whole members: at most WIDTH_TILE_ENTRIES //
-    per_column columns of the n x (count*k) bases a tile, unless one member
-    alone has more. per_column is the numbers one column costs; by default
-    max(n, WIDTH_BLOCK_ROWS), which keeps a tile and its product with a block
-    of draws each within WIDTH_TILE_ENTRIES."""
+    slices read as tiles of whole members: at most max(WIDTH_TILE_ENTRIES,
+    entries) // per_column columns of the n x (count*k) bases a tile, unless
+    one member alone has more. per_column is the numbers one column costs;
+    by default max(n, WIDTH_BLOCK_ROWS), which keeps a tile and its product
+    with a block of draws each within WIDTH_TILE_ENTRIES."""
     if per_column is None:
         per_column = max(family.ambient_dim, WIDTH_BLOCK_ROWS)
+    entries = max(WIDTH_TILE_ENTRIES, entries)
     for g, (_, bases) in enumerate(family.stacks):
-        step = max(1, WIDTH_TILE_ENTRIES // (per_column * bases.shape[2]))
+        step = max(1, entries // (per_column * bases.shape[2]))
         for start in range(0, len(bases), step):
             yield g, start, bases[start : start + step]
 

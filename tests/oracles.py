@@ -28,10 +28,10 @@ from subembed import (
     sweep_m,
 )
 from subembed.distortion import _svd_extremes
-from subembed.ensembles import _sample_rows
+from subembed.ensembles import _HALF_PI, _LN2, _SERIES, _SQRT_HALF, _sample_rows
 from subembed.geometry import _family
 from subembed.harness import _FAMILY_STREAM, _row_norms
-from subembed.seeding import derive_seed, normalize_seed, rng_from
+from subembed.seeding import derive_seed, normalize_seed, rng_from, uniforms
 
 # seed-stream labels, disjoint from the library's (1: families, 2: maps)
 _STUDY_SWEEP_STREAM = 4
@@ -159,6 +159,35 @@ def sample_row(spec: EnsembleSpec, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise DimensionError("n must be >= 1")
     return _sample_rows(spec, np.array([normalize_seed(seed)], dtype=np.uint64), n)[0]
+
+
+def gaussian_rows_reference(seeds: np.ndarray, n: int, attempt: int = 0) -> np.ndarray:
+    """``ensembles._gaussian_rows`` written as plain expressions, every
+    series run from its highest coefficient (the cos and sin series from
+    their leading zero): the reference its in-place form must equal bit for
+    bit."""
+    width = 2 * ((n + 1) // 2)
+    u = uniforms(seeds, width, start=attempt * width)
+    mant, expo = np.frexp(1.0 - u[:, 0::2])
+    low = mant < _SQRT_HALF
+    mant = np.ldexp(mant, low.view(np.int8))
+    expo -= low
+    s = (mant - 1.0) / (mant + 1.0)
+    quarters = 4.0 * u[:, 1::2]
+    q = np.floor(quarters)
+    t = (quarters - q - 0.5) * _HALF_PI
+    args = np.stack([s * s, t * t, t * t])
+    series = np.empty_like(args)
+    series[...] = _SERIES[0]
+    for coeff in _SERIES[1:]:
+        series = series * args + coeff
+    radius = np.copysign(np.sqrt(-2.0 * (expo * _LN2 + 2.0 * s * series[0])), 1.5 - q)
+    cos, sin = series[1], t * series[2]
+    odd = np.fmod(q, 2.0) == 1.0
+    rows = np.empty((len(seeds), width))
+    rows[:, 0::2] = radius * np.where(odd, sin, cos)
+    rows[:, 1::2] = radius * np.where(odd, cos, sin)
+    return rows[:, :n]
 
 
 # ---------------------------------------------------------------- certificate

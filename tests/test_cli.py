@@ -186,6 +186,18 @@ def test_verify_zero_matrix_is_never_feasible(tmp_path, capsys):
          ["member 0", "non-finite"]),
         ('{"n": 2, "members": [{"base": [0, "x"], "basis_columns": [[1, 0]]}]}',
          ["member 0", "entries must be numbers"]),
+        ('{"n": 2, "members": [{"base": [0, "1"], "basis_columns": [[1, 0]]}]}',
+         ["member 0", "entries must be numbers"]),
+        ('{"n": 2, "members": [{"basis_columns": [[1, 0]]}, {"basis_columns": [["0", "1"]]}]}',
+         ["member 1", "entries must be numbers"]),
+        ('{"n": 2, "members": [{"base": [true, false], "basis_columns": [[1, 0]]}]}',
+         ["member 0", "entries must be numbers"]),
+        ('{"n": 2, "members": [{"basis_columns": [[1, 0]]}, {"basis_columns": [[false, 1.0]]}]}',
+         ["member 1", "entries must be numbers"]),
+        ('{"n": 2, "members": [{"base": null, "basis_columns": [[1, 0]]}]}',
+         ["member 0", "entries must be numbers"]),
+        ('{"n": 2, "members": [{"base": [0, 0], "basis_columns": [[1, null]]}]}',
+         ["member 0", "entries must be numbers"]),
         ('{"n": 2, "members": [{"basis_columns": [[1, 0]]}, {"base": [0, 0, 0], "basis_columns": [[1, 0]]}]}',
          ["member 1", "ambient dimension 2"]),
         ('{"n": 3.7, "members": [{"basis_columns": [[1, 0, 0]]}]}', ["'n'", "integer"]),
@@ -197,8 +209,9 @@ def test_verify_zero_matrix_is_never_feasible(tmp_path, capsys):
         ('{"n": 2, "members": [{"basis_columns": [[1, 0]]}, {"basis_columns": [[0, 0]]}]}',
          ["numerically zero"]),
     ],
-    ids=["syntax", "missing-basis", "member-not-object", "nan-entry", "infinite-base", "string-base", "long-base",
-         "n-fraction", "n-bool", "n-string", "n-zero", "n-huge", "zero-member"],
+    ids=["syntax", "missing-basis", "member-not-object", "nan-entry", "infinite-base", "string-base",
+         "numeric-string-base", "numeric-string-basis", "bool-base", "bool-basis", "null-base", "null-basis",
+         "long-base", "n-fraction", "n-bool", "n-string", "n-zero", "n-huge", "zero-member"],
 )
 def test_malformed_family_file_exits_2(tmp_path, capsys, text, expected):
     mat = tmp_path / "m.csv"

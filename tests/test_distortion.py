@@ -369,7 +369,34 @@ def test_wide_screen_gathered_products_are_the_broadcast_products(n, dims, m):
         keep = rng.random(whole.shape[:2]) < 0.3
         rows, cols = np.nonzero(keep)
         assert np.array_equal(maps[rows, :m] @ bases[cols], whole[rows, cols])
-        assert np.array_equal(distortion._kept_products(maps[:, :m], bases, keep), whole[rows, cols])
+        chunks = list(distortion._kept_products(maps[:, :m], bases, keep))
+        assert np.array_equal(np.concatenate([i for i, _ in chunks]), rows)
+        assert np.array_equal(np.concatenate([products for _, products in chunks]), whole[rows, cols])
+
+
+@pytest.mark.parametrize("entries", [1, 700, 1 << 16])
+@pytest.mark.parametrize("kept", ["every", "ties", "some"])
+def test_kept_products_in_chunks_equal_one_gather(monkeypatch, entries, kept):
+    # a chunk holds whole pairs, at least one: chunks of 1, 3 and every pair
+    # of (m, n, k) = (6, 30, 3) give, in row-major order, the bits of one
+    # gather of all kept pairs, with every pair kept and with tied members
+    monkeypatch.setattr(distortion, "_KEPT_ENTRIES", entries)
+    rng = np.random.default_rng(entries)
+    maps = rng.standard_normal((4, 9, 30))
+    bases = np.stack([np.linalg.qr(rng.standard_normal((30, 3)))[0] for _ in range(5)])
+    if kept == "ties":
+        bases = bases[[0, 1, 0, 1, 0]]
+    keep = np.ones((4, 5), dtype=bool) if kept != "some" else rng.random((4, 5)) < 0.4
+    rows, cols = np.nonzero(keep)
+    chunks = list(distortion._kept_products(maps[:, :6], bases, keep))
+    assert [len(i) for i, _ in chunks][:-1] == [max(1, entries // (6 * 30 + 30 * 3 + 6 * 3))] * (len(chunks) - 1)
+    assert np.array_equal(np.concatenate([i for i, _ in chunks]), rows)
+    assert np.array_equal(np.concatenate([products for _, products in chunks]), maps[rows, :6] @ bases[cols])
+    family = SubspaceFamily.from_stack(bases)
+    chunked = distortion._grid_extremes(maps, family, (2, 3, 6, 9))
+    monkeypatch.setattr(distortion, "_KEPT_ENTRIES", 1 << 30)
+    whole = distortion._grid_extremes(maps, family, (2, 3, 6, 9))
+    assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -490,8 +517,8 @@ def test_wide_screen_slack_covers_the_wide_product_error(monkeypatch):
     shift[0, :, 0] = aim
     real = distortion._column_tiles
 
-    def moved(family, per_column=None):
-        for g, start, tile in real(family, per_column):
+    def moved(family, *sizes):
+        for g, start, tile in real(family, *sizes):
             yield g, start, tile + shift[start : start + len(tile)]
 
     monkeypatch.setattr(distortion, "_column_tiles", moved)

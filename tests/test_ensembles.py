@@ -23,7 +23,7 @@ from subembed.seeding import derive_seeds
 from subembed.stats import DEFAULT_MAX_ELEMENTS, concentration_estimate
 
 from conftest import ENSEMBLE_KINDS, unit_directions
-from oracles import psi2_tail_check, sample_row
+from oracles import gaussian_rows_reference, psi2_tail_check, sample_row
 
 SQRT3 = math.sqrt(3.0)
 
@@ -123,6 +123,24 @@ def test_sphere_resample_redraws_only_degenerate_rows(monkeypatch):
         assert np.array_equal(mat[i], sample_row(spec, 5, int(seed)))
         g = real(seeds[i : i + 1], 5, 1 if seed % 2 == 0 else 0)[0]
         assert np.allclose(mat[i], g * (math.sqrt(5) / np.linalg.norm(g)), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64])
+def test_rows_are_bit_identical_across_steps_and_attempts(monkeypatch, n):
+    # the in-place Box-Muller pass gives the plain expressions' bits, at any
+    # redraw block of the stream, and a row is the same whatever the step
+    # of rows it was sampled in
+    seeds = derive_seeds(2718, 300)
+    for attempt in (0, 1, 3):
+        rows = ensembles._gaussian_rows(seeds, n, attempt)
+        assert rows.tobytes() == gaussian_rows_reference(seeds, n, attempt).tobytes()
+    for kind in ENSEMBLE_KINDS:
+        spec = EnsembleSpec(kind=kind)
+        monkeypatch.setattr(ensembles, "_BLOCK_ELEMENTS", 1)  # one row a step
+        alone = ensembles._sample_rows(spec, seeds, n)
+        for elements in (7 * n, 1 << 14, 1 << 20):
+            monkeypatch.setattr(ensembles, "_BLOCK_ELEMENTS", elements)
+            assert ensembles._sample_rows(spec, seeds, n).tobytes() == alone.tobytes()
 
 
 # sha256 of sample_matrix(kind, 4, 131, 2024) as little-endian float64 bytes:

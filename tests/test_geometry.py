@@ -431,6 +431,28 @@ def test_family_json_reorthonormalizes_on_load(tmp_path):
     assert np.allclose(projector(fam.members[0]), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [{"x": "a"}, {"x": True}, {"x": {'"': 1}}, {}],
+    ids=["string-value", "bool-value", "escaped-quote-key", "numbers-only"],
+)
+def test_family_file_numbers_load_whatever_else_the_text_holds(tmp_path, extra):
+    # the loader walks the entries' types only when the text may hold a
+    # true, false or string; numbers load alike either way, and integers,
+    # huge ones included, are numbers
+    rng = np.random.default_rng(4)
+    columns = [rng.standard_normal((2, 5)).tolist(), [[1, 0, 0, 0, 10**30], [0, 2, 0, 0, 0]]]
+    members = [{"base": [0] * 5, "basis_columns": c, **extra} for c in columns]
+    plain, annotated = tmp_path / "plain.json", tmp_path / "annotated.json"
+    plain.write_text(json.dumps({"n": 5, "members": [{"basis_columns": c} for c in columns]}))
+    annotated.write_text(json.dumps({"n": 5, "members": members, **extra}))
+    expected = load_family_json(plain).stacks
+    assert all(
+        np.array_equal(i, j) and a.tobytes() == b.tobytes()
+        for (i, a), (j, b) in zip(load_family_json(annotated).stacks, expected)
+    )
+
+
 def per_member_load(payload):
     """The reference load: orthonormalize each member on its own, then group
     the bases by dimension in member order; base points are not read."""

@@ -31,7 +31,9 @@ from subembed import (
     store_family_json,
     sweep_m,
 )
+import subembed.distortion as distortion
 import subembed.harness as harness
+from subembed.geometry import _checked
 
 from oracles import (
     batched_metric_family,
@@ -223,6 +225,12 @@ def test_trial_results_invariant_under_member_permutation(tmp_path):
 # ---------------------------------------------------------------- sweeps
 
 
+def block_budget(config, trials, rows, grid):
+    """The _BLOCK_ENTRIES that makes blocks of exactly this many trials, for
+    a family whose screen tiles hold WIDTH_TILE_ENTRIES numbers."""
+    return harness.WIDTH_TILE_ENTRIES + trials * harness._trial_entries(config, rows, grid)
+
+
 def test_trial_range_builds_a_fixed_family_once_per_range(monkeypatch):
     builds = []
     real = harness.build_family
@@ -232,8 +240,10 @@ def test_trial_range_builds_a_fixed_family_once_per_range(monkeypatch):
         return real(config, trial_index)
 
     monkeypatch.setattr(harness, "build_family", counted)
-    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 1)  # blocks of one trial
     fixed = small_config(trials=3)
+    # blocks of one trial, at every grid below
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", block_budget(fixed, 1, fixed.m, 1))
+    assert harness._block_size(fixed, fixed.m, 1) == harness._block_size(fixed, 4, 2) == 1
     first = harness._trial_range(fixed, (fixed.m,), range(3))
     assert builds == [0]  # one build for the range's three blocks
     assert [trial[0] for trial in first] == run_trials(fixed)
@@ -284,8 +294,8 @@ def test_block_core_equals_trials_run_alone(monkeypatch, tmp_path, per_block, ki
     cfg = small_config(ensemble=EnsembleSpec(kind=kind), trials=7, k=3, p=5, **overrides)
     m_values = (1, 2, 5, 9)  # m < k at the first two
     # a budget that holds per_block trials of these sizes
-    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", per_block * 9 * max(cfg.n, cfg.p * cfg.k))
-    assert harness._block_size(cfg, max(m_values)) == per_block
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", block_budget(cfg, per_block, max(m_values), len(m_values)))
+    assert harness._block_size(cfg, max(m_values), len(m_values)) == per_block
     certified = []
     real = harness._certify_maps
 
@@ -302,6 +312,46 @@ def test_block_core_equals_trials_run_alone(monkeypatch, tmp_path, per_block, ki
     alone = [reference_trial(cfg, t, (cfg.m,))[0] for t in range(cfg.trials)]
     assert run_trials(cfg) == alone
     assert [run_trial(cfg, t) for t in range(cfg.trials)] == alone  # the range of one
+
+
+def test_block_size_at_paper_scale_comes_from_the_config(monkeypatch):
+    # no family is built to size a block; at n=1024, k=8 the family sets the
+    # budget: p=2000 (m=59) gets at least 8 trials a block, and p=10^4 (m=63)
+    # as many as _check_products allows, 10^8 // (63 * 10^4 * 8) = 19
+    def no_build(config, trial_index):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(harness, "build_family", no_build)
+    paper = small_config(n=1024, k=8, p=2000, D=8.0)
+    assert paper.m == 59 and harness._block_size(paper, 59, 1) >= 8
+    large = small_config(n=1024, k=8, p=10_000, D=8.0)
+    assert large.m == 63 and harness._block_size(large, 63, 1) == 19
+    stack = np.broadcast_to(0.0, (10_000, 1024, 8))  # the stack's shape, no memory
+    family = _checked(SubspaceFamily, stacks=((np.arange(10_000), stack),))
+    distortion._check_products(19, 63, family)
+    with pytest.raises(ResourceError):
+        distortion._check_products(20, 63, family)
+
+
+@pytest.mark.parametrize(
+    "sizes", [{"n": 64, "k": 4, "p": 16}, {"n": 256, "k": 8, "p": 500}], ids=["trials-small", "n=256-k=8-p=500"]
+)
+def test_block_holds_at_most_its_budget(sizes):
+    # one block of _block_size trials, its family built beforehand, holds
+    # at most the budget's numbers at its peak (67 and 7 trials a block)
+    cfg = small_config(D=8.0, trials=100, **sizes)
+    family = build_family(cfg, 0)
+    size = harness._block_size(cfg, cfg.m, 1)
+    assert size == {16: 67, 500: 7}[cfg.p]
+    budget = max(harness._BLOCK_ENTRIES, cfg.p * cfg.n * cfg.k // harness._BLOCK_FAMILY_SHARE)
+    harness._block_results(cfg, range(size), family, (cfg.m,))  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        harness._block_results(cfg, range(size), family, (cfg.m,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * budget
 
 
 def test_sweep_matches_individual_trials():
@@ -321,7 +371,7 @@ def test_sweep_certifies_each_block_once_over_its_whole_grid(monkeypatch):
     # whole grid, to one _certify_maps call: blocks of 2, 2 and 1 trials
     cfg = small_config(trials=5, family_kind="k_sparse")
     m_values = (2, 4, 7)
-    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 2 * 7 * max(cfg.n, cfg.p * cfg.k))
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", block_budget(cfg, 2, 7, len(m_values)))
     calls = []
     real = harness._certify_maps
 
@@ -542,7 +592,7 @@ def test_metric_embed_certifies_like_family_distortion(count, n, repeats, offset
 def test_metric_embed_small_chunks_certify_like_one_batch(monkeypatch, shape):
     # one row a chunk and one pair a batch: a pair dropped against the
     # running floor or ceiling of earlier chunks never holds an extreme
-    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 8)
+    monkeypatch.setattr(harness, "_PAIR_CHUNK_ENTRIES", 8)
     monkeypatch.setattr(harness, "WIDTH_TILE_ENTRIES", 8)
     rng = np.random.default_rng(17)
     pts = rng.standard_normal((40, 6))

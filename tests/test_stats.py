@@ -181,6 +181,10 @@ def tiled_family(rng, n, signed_coordinates):
     members = [members[i] for i in rng.permutation(len(members))]
     fam = SubspaceFamily.from_subspaces(members)
     assert sum(1 for _ in stats._column_tiles(fam)) == 2 * len(fam.stacks)
+    # a larger budget widens the tiles (the screen's share of a large family); a smaller one does not
+    per_column = max(n, stats.WIDTH_BLOCK_ROWS)
+    assert sum(1 for _ in stats._column_tiles(fam, per_column, 2 * stats.WIDTH_TILE_ENTRIES)) == len(fam.stacks)
+    assert sum(1 for _ in stats._column_tiles(fam, per_column, stats.WIDTH_TILE_ENTRIES // 2)) == 2 * len(fam.stacks)
     return fam
 
 
