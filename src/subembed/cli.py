@@ -21,7 +21,7 @@ import numpy as np
 
 from .distortion import DistortionReport, choose_scale, family_distortion
 from .ensembles import EnsembleSpec, RandomMatrix, sample_matrix, theoretical_constants
-from .errors import InputError, SubembedError, read_text
+from .errors import InputError, SubembedError, read_json, read_text
 from .geometry import load_family_json
 from .harness import ExperimentConfig, metric_embed, run_trials, sweep_m
 from .stats import gaussian_width_mc, width_upper_bound
@@ -114,13 +114,7 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
     The schema is closed: unknown keys are rejected. SUBEMBED_SEED in the
     environment overrides the config seed.
     """
-    text = read_text(path)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    _, payload = read_json(path)
     if not isinstance(payload, dict):
         raise InputError(f"{path}: config must be a JSON object")
     unknown = set(payload) - _CONFIG_REQUIRED - _CONFIG_OPTIONAL

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import RandomMatrix
-from .errors import DimensionError
+from .errors import DimensionError, InputError
 from .geometry import SubspaceFamily
 from .stats import WIDTH_TILE_ENTRIES, _check_budget, _column_tiles, check_distortion
 
@@ -56,6 +56,14 @@ def _check_products(maps: int, m: int, family: SubspaceFamily) -> None:
     element budget allows; ``_certify_maps`` never holds more per stack."""
     for _, bases in family.stacks:
         _check_budget("T*count*m*k", maps * len(bases) * m * bases.shape[2])
+
+
+def _certify_entries(n: int, k: int, p: int, rows: int, grid: int) -> tuple[int, int]:
+    """The numbers ``_certify_maps`` holds for maps of this many rows at grid
+    values of m over p members of dimension at most k in R^n: per map, its
+    rows, pair intervals (2*grid*p), column norms with scratch (2*grid*n) and
+    two kept-pair masks (2*p); and one transient tile (``_screen_bounds``)."""
+    return rows * n + grid * (2 * p + 2 * n) + 2 * p, max(WIDTH_TILE_ENTRIES, p * n * k // _SCREEN_FAMILY_SHARE)
 
 
 def _svd_extremes(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,9 +124,11 @@ _KEPT_ENTRIES = 1 << 16
 # tile, so wide tiles pay less for it. At n=1024, k=8, p=2000, a block of 10
 # maps ran its GEMMs 1.4 times slower against 144-column tiles than 576-column ones.
 _SCREEN_FAMILY_SHARE = 32
+# numbers in each of the point-pair screen's arrays for one row chunk of pairs
+_PAIR_CHUNK_ENTRIES = 1 << 15
 
 
-# The point-pair screen's slack (harness.metric_embed). The N points are
+# The point-pair screen's slack (_certify_points). The N points are
 # scaled by 2^-e, 2^e above their largest entry, and centred: v_i are the
 # centred rows, each entry at most 2 in magnitude, r_i = ||v_i||, and w is a
 # pair's true scaled difference x_i - x_j. The screen reads the squared
@@ -165,6 +175,125 @@ def _pair_tau(n: int, m: int) -> float:
     """The point-pair screen's relative slack for N points in R^n and a map
     of m rows (m = 0 for distances alone)."""
     return 16.0 * (n + m + 16) * _EPS
+
+
+def _row_norms(rows: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.norm of each row. Rows whose squares overflow are normed
+    again in units of a power of two near their largest entry, which scales
+    exactly; the other norms keep their bits."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+        big = np.isinf(norms)
+        exps = np.frexp(np.abs(rows[big]).max(axis=1, initial=0.0))[1]
+        norms[big] = np.ldexp(np.linalg.norm(np.ldexp(rows[big], -exps[:, None]), axis=1), exps)
+    if np.isinf(norms).any():
+        raise InputError(f"{what} exceeds the float64 range")
+    return norms
+
+
+def _pair_differences(pts: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int):
+    """Batches (rows, cols, x_i - x_j, their _row_norms) of the pairs (i, j) =
+    (rows, cols), in their order, each batch at most WIDTH_TILE_ENTRIES
+    numbers when a pair costs width."""
+    step = max(1, WIDTH_TILE_ENTRIES // width)
+    for start in range(0, len(rows), step):
+        i, j = rows[start : start + step], cols[start : start + step]
+        with np.errstate(over="ignore"):
+            diffs = pts[i] - pts[j]
+        yield i, j, diffs, _row_norms(diffs, "a distance between two points")
+
+
+def _gram_distances(x: np.ndarray, sq: np.ndarray, a: int, b: int, tau: float):
+    """The squared distances of rows a..b-1 of x to its rows a.., from their
+    Gram and sq, the rows' squared norms, and their slack
+    tau*(sq_i + sq_j) + _SCREEN_FLOOR (see _pair_tau)."""
+    d2 = x[a:b] @ x[a:].T
+    d2 *= -2.0
+    d2 += sq[a:b, None]
+    d2 += sq[a:]
+    return d2, tau * (sq[a:b, None] + sq[a:]) + _SCREEN_FLOOR
+
+
+def _distance_blocks(pts: np.ndarray, centred: np.ndarray, e: int, threshold: float, tau: float):
+    """The pairs (i, j), i < j, in triu_indices order, as row chunks [a, b)
+    whose (b - a, N - a) blocks hold at most _PAIR_CHUNK_ENTRIES numbers (or one
+    row): per chunk, a, the block's mask of the pairs (a + r, a + c) whose
+    exact norm exceeds threshold, and the bounds low and high on their
+    distances in units of 2^e, from one GEMM of centred, the points scaled
+    by 2^-e and centred.
+
+    A pair gets its exact norm when the bounds cannot place it above or below
+    threshold (a non-finite bound never can), or cannot rule out a norm
+    beyond the float64 range, which raises InputError.
+    """
+    N = len(pts)
+    g = np.einsum("ij,ij->i", centred, centred)
+    with np.errstate(over="ignore"):
+        cut, limit = np.ldexp(threshold, -e), np.ldexp(1.0, 1023 - e)
+    a = 0
+    while a < N - 1:
+        b = min(N - 1, a + max(1, _PAIR_CHUNK_ENTRIES // (N - a)))
+        with np.errstate(all="ignore"):
+            d2, slack = _gram_distances(centred, g, a, b, tau)
+            low, high = np.sqrt(np.maximum(d2 - slack, 0.0)), np.sqrt(d2 + slack)
+            pairs = np.arange(a, b)[:, None] < np.arange(a, N)
+            kept = pairs & (low * (1.0 - tau) > cut) & (high * (1.0 + tau) < limit)
+            rows, cols = np.nonzero(pairs & ~kept & ~(high * (1.0 + tau) <= cut))
+        # a pair holds its difference and its norm
+        for i, j, _, norms in _pair_differences(pts, rows + a, cols + a, pts.shape[1] + 1):
+            kept[i - a, j - a] = norms > threshold
+        yield a, kept, low, high
+        a = b
+
+
+def _distinct_pairs(pts: np.ndarray) -> tuple[int, tuple]:
+    """The number of pairs of an (N, n) point set more than the duplicate
+    threshold, 1e-12 times its largest point norm or 1, apart; and what
+    ``_certify_points`` reads: the threshold, e and the points centred in
+    units of 2^e, above their largest entry."""
+    threshold = 1e-12 * max(1.0, float(_row_norms(pts, "a point's norm").max()))
+    # in units of a power of two above the largest entry, so no square overflows
+    e = int(np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1])
+    centred = np.ldexp(pts, -e)
+    centred -= centred.mean(axis=0)
+    blocks = _distance_blocks(pts, centred, e, threshold, _pair_tau(pts.shape[1], 0))
+    return sum(int(np.count_nonzero(kept)) for _, kept, _, _ in blocks), (threshold, e, centred)
+
+
+def _certify_points(pts: np.ndarray, scaled: tuple, matrix: np.ndarray, D: float) -> tuple[float, ScaleChoice]:
+    """(achieved_distortion, choose_scale at D), bit for bit, of an m x n
+    matrix over the pair directions of an (N, n) point set scaled by
+    ``_distinct_pairs``. Each pair's stretch gets an interval from the Gram
+    of the images Y = X Gamma^T (see _pair_tau); only a pair whose interval
+    reaches the running floor or ceiling gets the exact SVD kernel."""
+    threshold, e, centred = scaled
+    n, m = pts.shape[1], len(matrix)
+    tau = _pair_tau(n, m)
+    images = centred @ matrix.T
+    h, r = np.einsum("ij,ij->i", images, images), np.linalg.norm(centred, axis=1)
+    with np.errstate(over="ignore"):
+        frobenius = np.linalg.norm(matrix)
+        kernel = tau * frobenius + _SCREEN_FLOOR
+    lo, hi = np.inf, -np.inf
+    floor, ceiling = -np.inf, np.inf
+    for a, kept, low, high in _distance_blocks(pts, centred, e, threshold, tau):
+        b = a + len(kept)
+        with np.errstate(all="ignore"):
+            e2, slack = _gram_distances(images, h, a, b, tau)
+            shift = tau * frobenius * (r[a:b, None] + r[a:]) + _SCREEN_FLOOR
+            below = ((np.sqrt(np.maximum(e2 - slack, 0.0)) - shift) / high - kernel) * (1.0 - tau)
+            above = ((np.sqrt(e2 + slack) + shift) / low + kernel) * (1.0 + tau)
+            bounded = kept & np.isfinite(below) & np.isfinite(above)
+            below[~bounded], above[~bounded] = -np.inf, np.inf
+        floor, ceiling = max(floor, below.max()), min(ceiling, above.min())
+        rows, cols = np.nonzero(kept & _reach(below, above, floor, ceiling))
+        # and its product with the map
+        for _, _, units, norms in _pair_differences(pts, rows + a, cols + a, n + 1 + m):
+            units /= norms[:, None]
+            pair_lo, pair_hi = _svd_extremes(_products(matrix[None], units[:, :, None]))
+            lo, hi = np.minimum(lo, pair_lo.min()), np.maximum(hi, pair_hi.max())
+    lo, hi = float(lo), float(hi)
+    return _achieved(lo, hi), _scale(lo, hi, D)
 
 
 def _gram_extremes(wide: np.ndarray, m_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,12 +345,14 @@ def _gram_extremes(wide: np.ndarray, m_values) -> tuple[np.ndarray, np.ndarray, 
     return bottom, top, finite
 
 
-def _tile_bounds(maps: np.ndarray, tile: np.ndarray, norms: np.ndarray, m_values, out: np.ndarray) -> np.ndarray:
-    """Write into out, a (3, s, T, c) array, the smallest and largest Gram
-    eigenvalue and the slack of each pair of a (T, M, n) block of maps and a
-    (c, n, k) tile of bases at each m of the grid, from one wide GEMM; return
-    the (s,) mask of ``_gram_extremes``. norms holds 2*n*eps times each map
-    column's norm over its first m rows, (s*T, n)."""
+def _tile_bounds(maps: np.ndarray, tile: np.ndarray, norms: np.ndarray, m_values, out, floor, ceiling) -> np.ndarray:
+    """Write into out, a (2, s, T, c) array, each pair's interval [bottom -
+    slack, top + slack] about its extreme Gram eigenvalues at each m of the
+    grid, for a (T, M, n) block of maps and a (c, n, k) tile of bases, from
+    one wide GEMM; fold the tile's largest top - slack into the (s, T) floor
+    and smallest bottom + slack into the ceiling; return the (s,) mask of
+    ``_gram_extremes``. norms holds 2*n*eps times each map column's norm
+    over its first m rows, (s*T, n)."""
     (T, M, n), (c, _, k) = maps.shape, tile.shape
     # the n x (c*k) tile, copied as its transpose so each member's block stays
     # local; for k = 1 it is a read-only view of the stack
@@ -234,26 +365,29 @@ def _tile_bounds(maps: np.ndarray, tile: np.ndarray, norms: np.ndarray, m_values
     del cols  # before the Grams are formed, to lower the peak
     bottom, top, finite = _gram_extremes(wide, m_values)
     relative = _SCREEN_TAU * np.abs(top) + _SCREEN_FLOOR
-    out[0], out[1] = bottom, top
-    out[2] = relative + delta * (2.0 * np.sqrt(np.abs(top) + relative) + delta)
+    slack = relative + delta * (2.0 * np.sqrt(np.abs(top) + relative) + delta)
+    np.subtract(bottom, slack, out=out[0])
+    np.add(top, slack, out=out[1])
+    np.maximum(floor, np.subtract(top, slack, out=relative).max(axis=2), out=floor)
+    np.minimum(ceiling, np.add(bottom, slack, out=relative).min(axis=2), out=ceiling)
     return finite
 
 
-def _screen_bounds(maps: np.ndarray, family: SubspaceFamily, m_values) -> list[np.ndarray]:
-    """Per dimension stack, a (3, s, T, count) array of each (map, member)
-    pair's smallest and largest Gram eigenvalue and its slack at each m of
-    the grid, from one wide GEMM per column tile of the stack.
-
-    A stack's slack is infinite at an m where (m + s)*k is beyond the
-    slack's range, or where one of its Gram entries or eigenvalues is not
-    finite; its eigenvalues there read 0, so every pair of it is kept and
-    none bounds another.
-    """
+def _screen_bounds(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[list, np.ndarray, np.ndarray]:
+    """Per dimension stack, a (2, s, T, count) array of each (map, member)
+    pair's interval at each m of the grid (``_tile_bounds``), from one wide
+    GEMM per column tile; and the (s, T) floor and ceiling over all stacks.
+    A stack is flagged at an m where (m + s)*k is beyond the slack's range,
+    or where one of its Gram entries or eigenvalues is not finite: there its
+    intervals read (-inf, inf), keeping every pair, and it adds nothing to
+    the floor or ceiling."""
     maps = np.ascontiguousarray(maps)
     T, M, n = maps.shape
     m_values = np.asarray(m_values)
     s = len(m_values)
-    bounds = [np.empty((3, s, T, len(bases))) for _, bases in family.stacks]
+    intervals = [np.empty((2, s, T, len(bases))) for _, bases in family.stacks]
+    floors = np.full((len(family.stacks), s, T), -np.inf)
+    ceilings = np.full_like(floors, np.inf)
     steps = np.arange(1, s + 1)
     beyond = [(m_values + steps) * bases.shape[2] > _SCREEN_MAX_MK for _, bases in family.stacks]
     # 2*n*eps times each map column's norm over its first m rows, (s*T, n),
@@ -280,11 +414,12 @@ def _screen_bounds(maps: np.ndarray, family: SubspaceFamily, m_values) -> list[n
         per_column = n + T * (M + s * (family.max_dim + 4))
         share = sum(bases.size for _, bases in family.stacks) // _SCREEN_FAMILY_SHARE
         for g, start, tile in _column_tiles(family, per_column, share):
-            beyond[g] |= ~_tile_bounds(maps, tile, norms, m_values, bounds[g][..., start : start + len(tile)])
-    for bound, flagged in zip(bounds, beyond):
-        bound[:2, flagged] = 0.0
-        bound[2, flagged] = np.inf
-    return bounds
+            bounds = intervals[g][..., start : start + len(tile)]
+            beyond[g] |= ~_tile_bounds(maps, tile, norms, m_values, bounds, floors[g], ceilings[g])
+    for interval, floor, ceiling, flagged in zip(intervals, floors, ceilings, beyond):
+        interval[0, flagged], interval[1, flagged] = -np.inf, np.inf
+        floor[flagged], ceiling[flagged] = -np.inf, np.inf
+    return intervals, floors.max(axis=0), ceilings.min(axis=0)
 
 
 def _kept_products(maps: np.ndarray, bases: np.ndarray, keep: np.ndarray):
@@ -321,16 +456,14 @@ def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
     the family's largest dimension, sigma_min is 0 and only the maximum is
     screened.
     """
-    bounds = _screen_bounds(maps, family, m_values)
-    floor = np.max([(top - slack).max(axis=2) for _, top, slack in bounds], axis=0)
-    ceiling = np.min([(bottom + slack).min(axis=2) for bottom, _, slack in bounds], axis=0)
+    intervals, floor, ceiling = _screen_bounds(maps, family, m_values)
     lo = np.where(np.asarray(m_values)[:, None] < family.max_dim, 0.0, np.full_like(floor, np.inf))
     hi = np.full_like(floor, -np.inf)
     for j, m in enumerate(m_values):
         # below max_dim every sigma_min is 0, and no pair is kept for it
         at_m = ceiling[j, :, None] if m >= family.max_dim else -np.inf
-        for (_, bases), (bottom, top, slack) in zip(family.stacks, bounds):
-            keep = _reach(bottom[j] - slack[j], top[j] + slack[j], floor[j, :, None], at_m)
+        for (_, bases), (below, above) in zip(family.stacks, intervals):
+            keep = _reach(below[j], above[j], floor[j, :, None], at_m)
             for rows, products in _kept_products(maps[:, :m], bases, keep):
                 pair_lo, pair_hi = _svd_extremes(products)
                 np.minimum.at(lo[j], rows, pair_lo)

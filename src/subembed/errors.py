@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package, and the reader of input
-files that maps text which is not UTF-8 onto it."""
+"""Exception hierarchy shared across the package, and the readers of input
+files that map text which is not UTF-8, or JSON that does not parse, onto it."""
+
+import json
 
 
 class SubembedError(Exception):
@@ -37,3 +39,15 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def read_json(path) -> tuple[str, object]:
+    """The text of a JSON input file and its value; JSON that is malformed or
+    nested too deeply to parse raises InputError naming the path."""
+    text = read_text(path)
+    try:
+        return text, json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply to parse") from exc

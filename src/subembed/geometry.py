@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InputError, read_text
+from .errors import DegenerateInputError, DimensionError, InputError, read_json
 from .seeding import rng_from
 
 # numerical-rank cutoff relative to the largest singular value
@@ -278,13 +278,7 @@ def load_family_json(path) -> SubspaceFamily:
     the stacks are orthonormalized in place with batched SVDs, building no
     member objects.
     """
-    text = read_text(path)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    text, payload = read_json(path)
     if not isinstance(payload, dict) or "n" not in payload or "members" not in payload:
         raise InputError("family file must be an object with keys 'n' and 'members'")
     if not isinstance(payload["members"], list):

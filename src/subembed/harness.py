@@ -7,6 +7,8 @@ config seed, so trials can run in any order or in parallel without
 changing results. One executor, ``_trial_range``, runs every range of
 consecutive trials with one family build: a serial run is one range, a
 pooled run one range per worker process, and ``run_trial`` a range of one.
+Every certificate, and what it holds, is computed in ``distortion``: the
+harness samples the maps, sizes blocks by ``_certify_entries`` and reports.
 """
 
 from __future__ import annotations
@@ -21,24 +23,12 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .distortion import (
-    _SCREEN_FAMILY_SHARE,
-    _SCREEN_FLOOR,
-    ScaleChoice,
-    _achieved,
-    _certify_maps,
-    _check_products,
-    _pair_tau,
-    _products,
-    _reach,
-    _scale,
-    _svd_extremes,
-)
+from .distortion import ScaleChoice, _certify_entries, _certify_maps, _certify_points, _check_products, _distinct_pairs
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
 from .errors import InputError
 from .geometry import SubspaceFamily, _family, _orthonormal_stacks, load_family_json
 from .seeding import derive_seed, derive_seeds, rng_from
-from .stats import DEFAULT_MAX_ELEMENTS, WIDTH_TILE_ENTRIES, _check_budget, check_distortion, required_m
+from .stats import DEFAULT_MAX_ELEMENTS, _check_budget, check_distortion, required_m
 
 # not called here; perfbench/tracing.py wraps these names in this module
 from .distortion import choose_scale, family_distortion  # noqa: F401
@@ -61,8 +51,6 @@ _GAMMA_STREAM = 2
 # pooled run's peak memory by a tenth.
 _BLOCK_ENTRIES = 3 << 17
 _BLOCK_FAMILY_SHARE = 12
-# numbers in each of metric_embed's screen arrays for one row chunk of pairs
-_PAIR_CHUNK_ENTRIES = 1 << 15
 
 
 def _integer(value, message: str) -> int:
@@ -201,33 +189,21 @@ def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
     return _family(_orthonormal_stacks(((np.arange(config.p), draws),)))
 
 
-def _trial_entries(config: ExperimentConfig, rows: int, grid: int) -> int:
-    """Numbers one trial adds to a block when it samples a map of this many
-    rows and is certified at grid values of m: its map (rows*n), its screen
-    bounds and their extremes (4*grid*p), its column norms with their
-    scratch (2*grid*n) and its two kept-pair masks (2*p)."""
-    return rows * config.n + grid * (4 * config.p + 2 * config.n) + 2 * config.p
-
-
 def _block_size(config: ExperimentConfig, rows: int, grid: int) -> int:
     """Trials per block when each trial samples a map of this many rows and
     is certified at grid values of m: as many as _check_products allows and
     as keep the block within its budget, and at least one.
 
-    Besides the family, a block holds _trial_entries a trial and, one at a
-    time, a column tile with its Grams or a chunk of kept pairs: at most
-    WIDTH_TILE_ENTRIES, or the family's numbers over _SCREEN_FAMILY_SHARE
-    when that is more (distortion._screen_bounds, _kept_products). The
-    budget is _BLOCK_ENTRIES, or the family's p*n*k numbers over
-    _BLOCK_FAMILY_SHARE when that is more. No dimension stack of the family
-    has more than p*k columns, so rows*p*k products a trial bound what
+    Besides the family, a block holds ``_certify_entries``: numbers per
+    trial and one transient tile. The budget is _BLOCK_ENTRIES, or the
+    family's p*n*k numbers over _BLOCK_FAMILY_SHARE when that is more. No
+    stack has more than p*k columns, so rows*p*k products a trial bound what
     _check_products counts."""
     n, k, p = config.n, config.k, config.p
-    family = p * n * k  # at least the numbers the family holds
-    tile = max(WIDTH_TILE_ENTRIES, family // _SCREEN_FAMILY_SHARE)
-    budget = max(_BLOCK_ENTRIES, family // _BLOCK_FAMILY_SHARE) - tile
+    per_trial, tile = _certify_entries(n, k, p, rows, grid)
+    budget = max(_BLOCK_ENTRIES, p * n * k // _BLOCK_FAMILY_SHARE) - tile
     checked = DEFAULT_MAX_ELEMENTS // (rows * p * k)
-    return max(1, min(checked, budget // _trial_entries(config, rows, grid)))
+    return max(1, min(checked, budget // per_trial))
 
 
 def _block_results(
@@ -239,15 +215,10 @@ def _block_results(
     Every row seed of the block comes from one vectorized derivation and
     every map from one sampling pass, with max(m_values) rows (rows never
     depend on m). ``_certify_maps`` then certifies all maps over the whole
-    grid at once: one wide GEMM per column tile of each dimension stack,
-    Grams grown along the grid by each m's new rows, and exact products and
-    SVDs only for the pairs that can hold a map's family extremes at that m.
-    Each (trial, m) is decided by choose_scale's rule. The results are bit
-    for bit those of each trial run alone at each m. The certification's
-    products are checked against the element budget before any map is
-    sampled. Besides the family, the block holds what ``_block_size``
-    counts: the maps, the screen's bounds and column norms, and one column
-    tile or one chunk of kept pairs at a time.
+    grid at once, each (trial, m) decided by choose_scale's rule, bit for bit
+    as for each trial run alone at each m. The certification's products are
+    checked against the element budget before any map is sampled. Besides
+    the family, the block holds what ``_block_size`` counts.
     """
     _check_products(len(trials), max(m_values), family)
     seeds = derive_seeds(derive_seed(config.seed, _GAMMA_STREAM), len(trials), start=trials.start)
@@ -367,75 +338,6 @@ def sweep_m(
     return SweepResult(tuple(entries), float(target_rate), tuple(smoothed), minimal_m)
 
 
-def _row_norms(rows: np.ndarray, what: str) -> np.ndarray:
-    """np.linalg.norm of each row. Rows whose squares overflow are normed
-    again in units of a power of two near their largest entry, which scales
-    exactly; the other norms keep their bits."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
-        big = np.isinf(norms)
-        exps = np.frexp(np.abs(rows[big]).max(axis=1, initial=0.0))[1]
-        norms[big] = np.ldexp(np.linalg.norm(np.ldexp(rows[big], -exps[:, None]), axis=1), exps)
-    if np.isinf(norms).any():
-        raise InputError(f"{what} exceeds the float64 range")
-    return norms
-
-
-def _pair_differences(pts: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int):
-    """Batches (rows, cols, x_i - x_j, their _row_norms) of the pairs (i, j) =
-    (rows, cols), in their order, each batch at most WIDTH_TILE_ENTRIES
-    numbers when a pair costs width."""
-    step = max(1, WIDTH_TILE_ENTRIES // width)
-    for start in range(0, len(rows), step):
-        i, j = rows[start : start + step], cols[start : start + step]
-        with np.errstate(over="ignore"):
-            diffs = pts[i] - pts[j]
-        yield i, j, diffs, _row_norms(diffs, "a distance between two points")
-
-
-def _gram_distances(x: np.ndarray, sq: np.ndarray, a: int, b: int, tau: float):
-    """The squared distances of rows a..b-1 of x to its rows a.., from their
-    Gram and sq, the rows' squared norms, and their slack
-    tau*(sq_i + sq_j) + _SCREEN_FLOOR (see distortion._pair_tau)."""
-    d2 = x[a:b] @ x[a:].T
-    d2 *= -2.0
-    d2 += sq[a:b, None]
-    d2 += sq[a:]
-    return d2, tau * (sq[a:b, None] + sq[a:]) + _SCREEN_FLOOR
-
-
-def _distance_blocks(pts: np.ndarray, centred: np.ndarray, e: int, threshold: float, tau: float):
-    """The pairs (i, j), i < j, in triu_indices order, as row chunks [a, b)
-    whose (b - a, N - a) blocks hold at most _PAIR_CHUNK_ENTRIES numbers (or one
-    row): per chunk, a, the block's mask of the pairs (a + r, a + c) whose
-    exact norm exceeds threshold, and the bounds low and high on their
-    distances in units of 2^e, from one GEMM of centred, the points scaled
-    by 2^-e and centred.
-
-    A pair gets its exact norm when the bounds cannot place it above or below
-    threshold (a non-finite bound never can), or cannot rule out a norm
-    beyond the float64 range, which raises InputError.
-    """
-    N = len(pts)
-    g = np.einsum("ij,ij->i", centred, centred)
-    with np.errstate(over="ignore"):
-        cut, limit = np.ldexp(threshold, -e), np.ldexp(1.0, 1023 - e)
-    a = 0
-    while a < N - 1:
-        b = min(N - 1, a + max(1, _PAIR_CHUNK_ENTRIES // (N - a)))
-        with np.errstate(all="ignore"):
-            d2, slack = _gram_distances(centred, g, a, b, tau)
-            low, high = np.sqrt(np.maximum(d2 - slack, 0.0)), np.sqrt(d2 + slack)
-            pairs = np.arange(a, b)[:, None] < np.arange(a, N)
-            kept = pairs & (low * (1.0 - tau) > cut) & (high * (1.0 + tau) < limit)
-            rows, cols = np.nonzero(pairs & ~kept & ~(high * (1.0 + tau) <= cut))
-        # a pair holds its difference and its norm
-        for i, j, _, norms in _pair_differences(pts, rows + a, cols + a, pts.shape[1] + 1):
-            kept[i - a, j - a] = norms > threshold
-        yield a, kept, low, high
-        a = b
-
-
 def metric_embed(
     points, D: float, ensemble: EnsembleSpec, seed: int
 ) -> tuple[RandomMatrix, int, float, ScaleChoice]:
@@ -445,16 +347,8 @@ def metric_embed(
     directions span{x_i - x_j}, and returns the map, p, its achieved
     distortion and the scale choice; when feasible, every pairwise distance
     is preserved up to the factor D at scale L. Duplicate points are skipped
-    with a warning.
-
-    No (pairs, n) or (pairs, m) array is formed. The pairs are walked twice
-    in row chunks: once to count p from the Gram of the centred points, and
-    once to screen each pair's stretch ||Gamma(x_i - x_j)|| / ||x_i - x_j||
-    from the Gram of their images. The screen (see distortion._pair_tau)
-    only chooses which pairs get exact work; a pair whose stretch can reach
-    a running family extreme gets the exact kernel (difference, _row_norms,
-    unit vector, product and SVD), so the results are bit for bit those of
-    certifying every pair's direction.
+    with a warning. No (pairs, n) or (pairs, m) array is formed: the pairs
+    are walked in row chunks (``distortion._certify_points``).
     """
     check_distortion(D)
     pts = np.asarray(points, dtype=float)
@@ -464,12 +358,7 @@ def metric_embed(
         raise InputError("points must be finite")
     N, n = pts.shape
     _check_budget("N(N-1)/2", N * (N - 1) // 2)
-    threshold = 1e-12 * max(1.0, float(_row_norms(pts, "a point's norm").max()))
-    # in units of a power of two above the largest entry, so no square overflows
-    e = int(np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1])
-    centred = np.ldexp(pts, -e)
-    centred -= centred.mean(axis=0)
-    p = sum(int(np.count_nonzero(kept)) for _, kept, _, _ in _distance_blocks(pts, centred, e, threshold, _pair_tau(n, 0)))
+    p, scaled = _distinct_pairs(pts)
     skipped = N * (N - 1) // 2 - p
     if skipped:
         warnings.warn(f"skipped {skipped} duplicate point pair(s)")
@@ -477,29 +366,4 @@ def metric_embed(
         raise InputError("all points coincide; nothing to embed")
     m = required_m(1, p, D)
     gamma = sample_matrix(ensemble, m, n, derive_seed(seed, _GAMMA_STREAM))
-    tau = _pair_tau(n, m)
-    images = centred @ gamma.matrix.T
-    h, r = np.einsum("ij,ij->i", images, images), np.linalg.norm(centred, axis=1)
-    with np.errstate(over="ignore"):
-        frobenius = np.linalg.norm(gamma.matrix)
-        kernel = tau * frobenius + _SCREEN_FLOOR
-    lo, hi = np.inf, -np.inf
-    floor, ceiling = -np.inf, np.inf
-    for a, kept, low, high in _distance_blocks(pts, centred, e, threshold, tau):
-        b = a + len(kept)
-        with np.errstate(all="ignore"):
-            e2, slack = _gram_distances(images, h, a, b, tau)
-            shift = tau * frobenius * (r[a:b, None] + r[a:]) + _SCREEN_FLOOR
-            below = ((np.sqrt(np.maximum(e2 - slack, 0.0)) - shift) / high - kernel) * (1.0 - tau)
-            above = ((np.sqrt(e2 + slack) + shift) / low + kernel) * (1.0 + tau)
-            bounded = kept & np.isfinite(below) & np.isfinite(above)
-            below[~bounded], above[~bounded] = -np.inf, np.inf
-        floor, ceiling = max(floor, below.max()), min(ceiling, above.min())
-        rows, cols = np.nonzero(kept & _reach(below, above, floor, ceiling))
-        # and its product with the map
-        for _, _, units, norms in _pair_differences(pts, rows + a, cols + a, n + 1 + m):
-            units /= norms[:, None]
-            pair_lo, pair_hi = _svd_extremes(_products(gamma.matrix[None], units[:, :, None]))
-            lo, hi = np.minimum(lo, pair_lo.min()), np.maximum(hi, pair_hi.max())
-    lo, hi = float(lo), float(hi)
-    return gamma, p, _achieved(lo, hi), _scale(lo, hi, D)
+    return (gamma, p, *_certify_points(pts, scaled, gamma.matrix, D))

@@ -27,10 +27,10 @@ from subembed import (
     random_subspace,
     sweep_m,
 )
-from subembed.distortion import _svd_extremes
+from subembed.distortion import _row_norms, _svd_extremes
 from subembed.ensembles import _HALF_PI, _LN2, _SERIES, _SQRT_HALF, _sample_rows
 from subembed.geometry import _family
-from subembed.harness import _FAMILY_STREAM, _row_norms
+from subembed.harness import _FAMILY_STREAM
 from subembed.seeding import derive_seed, normalize_seed, rng_from, uniforms
 
 # seed-stream labels, disjoint from the library's (1: families, 2: maps)

@@ -656,7 +656,7 @@ def test_embed_points_norms_keep_their_bits_below_overflow(tmp_path, monkeypatch
         assert code == 0
         written = [out.read_bytes() for out in outs]
         with monkeypatch.context() as patched:
-            patched.setattr(subembed.harness, "_row_norms", lambda rows, what: np.linalg.norm(rows, axis=1))
+            patched.setattr(subembed.distortion, "_row_norms", lambda rows, what: np.linalg.norm(rows, axis=1))
             code, outs = _embed(tmp_path, points, tag + "-plain")
         assert code == 0
         assert [out.read_bytes() for out in outs] == written
@@ -700,6 +700,32 @@ def test_malformed_config_reports_line_and_column(tmp_path, capsys):
     assert main(["trial", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "column" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "width", "trial", "sweep"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    # arrays nested 5000 deep make json.loads raise RecursionError, not
+    # JSONDecodeError: a family file's basis and a config's n both exit 2
+    # with one error line, and no output is written
+    nested = "[" * 5000 + "1" + "]" * 5000
+    mat = tmp_path / "m.csv"
+    mat.write_text("2,2\n2,0\n0,1\n")
+    fam = tmp_path / "fam.json"
+    fam.write_text('{"n": 2, "members": [{"basis_columns": %s}]}' % nested)
+    cfg = write_config(tmp_path / "cfg.json", n="nested")
+    cfg.write_text(cfg.read_text().replace('"nested"', nested))
+    out = tmp_path / "out"
+    argv = {
+        "verify": ["verify", "--matrix", str(mat), "--family", str(fam), "--D", "2", "--report-csv", str(out)],
+        "width": ["width", "--family", str(fam), "--seed", "1", "--output", str(out)],
+        "trial": ["trial", "--config", str(cfg), "--output", str(out)],
+        "sweep": ["sweep", "--config", str(cfg), "--m-values", "2,4", "--output", str(out)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("D", ["nan", "inf", "1"])

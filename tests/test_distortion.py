@@ -437,6 +437,67 @@ def test_grid_screen_across_column_tiles(monkeypatch):
     assert_screen_is_exact(np.stack([overflowing_twin_columns(maps[0]), maps[1]]), family)
 
 
+@pytest.mark.parametrize("flag", ["size-range", "gram-overflow"])
+def test_flagged_stack_across_tiles_adds_nothing_and_keeps_every_pair(monkeypatch, flag):
+    # the two-dimensional stack spans four tiles of two members and is
+    # flagged at the grid's top m only: by the slack's size range, (6 + 3)*2
+    # > 17, or by one tile whose Grams overflow there, that of the one member
+    # holding e0, which the last row alone makes huge
+    n, grid = 9, (2, 4, 6)
+    maps = np.random.default_rng(47).standard_normal((2, 6, n))
+    pairs = [(1, 2), (2, 3), (3, 5), (0, 4), (5, 6), (6, 7), (1, 8)]
+    family = SubspaceFamily.from_subspaces(
+        [sparse_subspace(n, (i,)) for i in range(1, n)] + [sparse_subspace(n, pair) for pair in pairs]
+    )
+    # a column costs n + T*(M + s*(k + 4)) = 57 numbers, so tiles of two
+    # two-dimensional members
+    monkeypatch.setattr(stats, "WIDTH_TILE_ENTRIES", 2 * 57 * 2)
+    if flag == "size-range":
+        monkeypatch.setattr(distortion, "_SCREEN_MAX_MK", 17)
+    else:
+        maps[:, 5, 0] = 1e155  # its square overflows
+    tiles, kept = [], []
+    real_tile, real_kept = distortion._tile_bounds, distortion._kept_products
+
+    def recorded_tile(maps, tile, norms, m_values, out, floor, ceiling):
+        # each tile's own floor and ceiling, then folded as the screen does
+        own = np.full_like(floor, -np.inf), np.full_like(ceiling, np.inf)
+        finite = real_tile(maps, tile, norms, m_values, out, *own)
+        tiles.append((tile.shape[2], finite, *own))
+        np.maximum(floor, own[0], out=floor)
+        np.minimum(ceiling, own[1], out=ceiling)
+        return finite
+
+    def recorded_kept(maps, bases, keep):
+        kept.append((maps.shape[1], bases.shape[2], keep.copy()))
+        return real_kept(maps, bases, keep)
+
+    monkeypatch.setattr(distortion, "_tile_bounds", recorded_tile)
+    monkeypatch.setattr(distortion, "_kept_products", recorded_kept)
+    intervals, floor, ceiling = distortion._screen_bounds(maps, family, grid)
+    ones = [tile for tile in tiles if tile[0] == 1]
+    twos = [tile for tile in tiles if tile[0] == 2]
+    assert len(twos) == 4
+    assert [bool(finite[-1]) for _, finite, _, _ in twos].count(False) == (1 if flag == "gram-overflow" else 0)
+    # below the top m every tile counts; at it, the two-dimensional tiles
+    # add nothing, though their ceilings lie below the rest
+    assert np.array_equal(floor[:2], np.max([f[:2] for _, _, f, _ in tiles], axis=0))
+    assert np.array_equal(ceiling[:2], np.min([c[:2] for _, _, _, c in tiles], axis=0))
+    assert np.array_equal(floor[2], np.max([f[2] for _, _, f, _ in ones], axis=0))
+    assert np.array_equal(ceiling[2], np.min([c[2] for _, _, _, c in ones], axis=0))
+    assert (np.min([c[2] for _, finite, _, c in twos if finite[-1]], axis=0) < ceiling[2]).all()
+    assert np.isneginf(intervals[1][0, 2]).all() and np.isposinf(intervals[1][1, 2]).all()
+    assert np.isfinite(intervals[1][:, :2]).all() and np.isfinite(intervals[0]).all()
+    # every pair of the flagged stack is kept at the top m, and the
+    # extremes are exact at every m
+    lo, hi = distortion._grid_extremes(maps, family, grid)
+    assert [keep.all() for m, k, keep in kept if k == 2] == [False, False, True]
+    for j, m in enumerate(grid):
+        exact_lo, exact_hi = _family_extremes(maps[:, :m], family)
+        assert np.array_equal(lo[j], exact_lo.min(axis=1))
+        assert np.array_equal(hi[j], exact_hi.max(axis=1))
+
+
 def kernel_directions(gamma, count, rng, tilt):
     """count unit vectors near gamma's kernel: random kernel directions
     tilted by tilt[i] towards gamma's top right singular vector."""

@@ -226,9 +226,9 @@ def test_trial_results_invariant_under_member_permutation(tmp_path):
 
 
 def block_budget(config, trials, rows, grid):
-    """The _BLOCK_ENTRIES that makes blocks of exactly this many trials, for
-    a family whose screen tiles hold WIDTH_TILE_ENTRIES numbers."""
-    return harness.WIDTH_TILE_ENTRIES + trials * harness._trial_entries(config, rows, grid)
+    """The _BLOCK_ENTRIES that makes blocks of exactly this many trials."""
+    per_trial, tile = distortion._certify_entries(config.n, config.k, config.p, rows, grid)
+    return tile + trials * per_trial
 
 
 def test_trial_range_builds_a_fixed_family_once_per_range(monkeypatch):
@@ -334,20 +334,28 @@ def test_block_size_at_paper_scale_comes_from_the_config(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "sizes", [{"n": 64, "k": 4, "p": 16}, {"n": 256, "k": 8, "p": 500}], ids=["trials-small", "n=256-k=8-p=500"]
+    "sizes, m_values, per_block",
+    [
+        ({"n": 64, "k": 4, "p": 16}, None, 68),
+        ({"n": 256, "k": 8, "p": 500}, None, 7),
+        ({"n": 64, "k": 2, "p": 2016, "family_kind": "k_sparse"}, tuple(range(4, 41, 4)), 2),
+    ],
+    ids=["trials-small", "n=256-k=8-p=500", "sweep-sparse"],
 )
-def test_block_holds_at_most_its_budget(sizes):
+def test_block_holds_at_most_its_budget(sizes, m_values, per_block):
     # one block of _block_size trials, its family built beforehand, holds
-    # at most the budget's numbers at its peak (67 and 7 trials a block)
+    # at most the budget's numbers at its peak: at the config's m, and over
+    # the sweep's grid of 10 values of m on all C(64, 2) sparse members
     cfg = small_config(D=8.0, trials=100, **sizes)
+    m_values = m_values or (cfg.m,)
     family = build_family(cfg, 0)
-    size = harness._block_size(cfg, cfg.m, 1)
-    assert size == {16: 67, 500: 7}[cfg.p]
+    size = harness._block_size(cfg, max(m_values), len(m_values))
+    assert size == per_block
     budget = max(harness._BLOCK_ENTRIES, cfg.p * cfg.n * cfg.k // harness._BLOCK_FAMILY_SHARE)
-    harness._block_results(cfg, range(size), family, (cfg.m,))  # numpy's lazy set-up
+    harness._block_results(cfg, range(size), family, m_values)  # numpy's lazy set-up
     tracemalloc.start()
     try:
-        harness._block_results(cfg, range(size), family, (cfg.m,))
+        harness._block_results(cfg, range(size), family, m_values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -592,8 +600,8 @@ def test_metric_embed_certifies_like_family_distortion(count, n, repeats, offset
 def test_metric_embed_small_chunks_certify_like_one_batch(monkeypatch, shape):
     # one row a chunk and one pair a batch: a pair dropped against the
     # running floor or ceiling of earlier chunks never holds an extreme
-    monkeypatch.setattr(harness, "_PAIR_CHUNK_ENTRIES", 8)
-    monkeypatch.setattr(harness, "WIDTH_TILE_ENTRIES", 8)
+    monkeypatch.setattr(distortion, "_PAIR_CHUNK_ENTRIES", 8)
+    monkeypatch.setattr(distortion, "WIDTH_TILE_ENTRIES", 8)
     rng = np.random.default_rng(17)
     pts = rng.standard_normal((40, 6))
     if shape == "far-cluster":
@@ -632,7 +640,7 @@ def test_metric_embed_checks_D_before_any_pair_work(monkeypatch):
     # and norm: 1.09 s and 741 MB for 300 points in R^1024
     calls = []
     monkeypatch.setattr(harness, "sample_matrix", lambda *args: calls.append("sample_matrix"))
-    monkeypatch.setattr(harness, "_row_norms", lambda *args: calls.append("_row_norms"))
+    monkeypatch.setattr(distortion, "_row_norms", lambda *args: calls.append("_row_norms"))
     pts = np.random.default_rng(0).standard_normal((300, 1024))
     with pytest.raises(InputError, match="D must be finite and > 1, got 1.0"):
         metric_embed(pts, 1.0, GAUSS, seed=1)
