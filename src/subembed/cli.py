@@ -21,10 +21,10 @@ import numpy as np
 
 from .distortion import DistortionReport, choose_scale, family_distortion
 from .ensembles import EnsembleSpec, RandomMatrix, sample_matrix, theoretical_constants
-from .errors import InputError, SubembedError, read_json, read_text
+from .errors import InputError, SubembedError, describe_json, read_json, read_text
 from .geometry import load_family_json
 from .harness import ExperimentConfig, metric_embed, run_trials, sweep_m
-from .stats import gaussian_width_mc, width_upper_bound
+from .stats import check_distortion, gaussian_width_mc, width_upper_bound
 
 _CONFIG_REQUIRED = {"n", "k", "p", "D", "ensemble", "family_kind", "trials", "seed"}
 _CONFIG_OPTIONAL = {"family_path", "m_override", "parallelism", "fixed_family"}
@@ -128,7 +128,7 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
         if key not in payload or (value is None and key in _CONFIG_NULLABLE):
             continue
         if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
-            raise InputError(f"{path}: config key {key!r} must be {name}, got {json.dumps(value)}")
+            raise InputError(f"{path}: config key {key!r} must be {name}, got {describe_json(value)}")
     try:
         D = float(payload["D"])
     except OverflowError as exc:
@@ -194,6 +194,7 @@ def _cmd_gen_matrix(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_distortion(args.D)  # before any input is read
     gamma = load_matrix_csv(args.matrix)
     family = load_family_json(args.family)
     report = family_distortion(gamma, family)
@@ -238,6 +239,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_embed_points(args) -> int:
+    check_distortion(args.D)  # before any input is read
     points = load_matrix_csv(args.points).matrix
     spec = _parse_ensemble_flag(args)
     gamma, p, achieved, scale = metric_embed(points, args.D, spec, args.seed)

@@ -16,7 +16,7 @@ import numpy as np
 from .ensembles import RandomMatrix
 from .errors import DimensionError, InputError
 from .geometry import SubspaceFamily
-from .stats import WIDTH_TILE_ENTRIES, _check_budget, _column_tiles, check_distortion
+from .stats import WIDTH_TILE_ENTRIES, _column_tiles, check_distortion
 
 
 @dataclass(frozen=True)
@@ -40,22 +40,6 @@ class ScaleChoice:
     feasible: bool
     D: float
     L: float | None = None
-
-
-def _products(maps: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """The (T, count, m, k) products of each map of a (T, m, n) stack with
-    each basis of a (count, n, k) stack, checked against the element budget
-    before they are formed."""
-    _check_budget("T*count*m*k", len(maps) * len(bases) * maps.shape[1] * bases.shape[2])
-    return maps[:, None] @ bases[None]
-
-
-def _check_products(maps: int, m: int, family: SubspaceFamily) -> None:
-    """Raise ResourceError if certifying this many maps of m rows over the
-    family would form, for some dimension stack, more products than the
-    element budget allows; ``_certify_maps`` never holds more per stack."""
-    for _, bases in family.stacks:
-        _check_budget("T*count*m*k", maps * len(bases) * m * bases.shape[2])
 
 
 def _certify_entries(n: int, k: int, p: int, rows: int, grid: int) -> tuple[int, int]:
@@ -117,7 +101,7 @@ _SCREEN_MAX_MK = 1 << 20
 _SCREEN_FLOOR = 2.0**-1000
 _EPS = float(np.finfo(float).eps)
 _TINY = 2.0**-1074
-# numbers a chunk of kept pairs holds in its gathered maps, bases and products
+# numbers a chunk of kept pairs holds in its gathered bases and products
 _KEPT_ENTRIES = 1 << 16
 # a screen tile may hold this share of its family's numbers when that is more
 # than WIDTH_TILE_ENTRIES: BLAS packs the block's tall map operand once per
@@ -290,7 +274,7 @@ def _certify_points(pts: np.ndarray, scaled: tuple, matrix: np.ndarray, D: float
         # and its product with the map
         for _, _, units, norms in _pair_differences(pts, rows + a, cols + a, n + 1 + m):
             units /= norms[:, None]
-            pair_lo, pair_hi = _svd_extremes(_products(matrix[None], units[:, :, None]))
+            pair_lo, pair_hi = _svd_extremes(matrix @ units[:, :, None])
             lo, hi = np.minimum(lo, pair_lo.min()), np.maximum(hi, pair_hi.max())
     lo, hi = float(lo), float(hi)
     return _achieved(lo, hi), _scale(lo, hi, D)
@@ -424,15 +408,23 @@ def _screen_bounds(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
 
 def _kept_products(maps: np.ndarray, bases: np.ndarray, keep: np.ndarray):
     """The exact products of the kept (map, basis) pairs of a (T, count)
-    mask, in row-major order, as chunks (the pairs' map indices, their
-    products): each pair's own GEMM of its gathered operands, a chunk
-    holding at most _KEPT_ENTRIES numbers with them, or one pair."""
+    mask, in row-major order, as chunks (rows, cols, products): the pairs'
+    map and basis indices and their products. A chunk holds whole pairs, at
+    most _KEPT_ENTRIES numbers in its gathered bases and products (n*k +
+    m*k a pair), or one pair. Each map is broadcast over its run of kept
+    pairs, so no map is copied, and numpy runs one GEMM per pair, of the
+    pair's own shape: its product is bit for bit the same in any chunk."""
     rows, cols = np.nonzero(keep)
     (_, m, n), (_, _, k) = maps.shape, bases.shape
-    step = max(1, _KEPT_ENTRIES // (m * n + n * k + m * k))
+    step = max(1, _KEPT_ENTRIES // (n * k + m * k))
     for lo in range(0, len(rows), step):
-        i = rows[lo : lo + step]
-        yield i, maps[i] @ bases[cols[lo : lo + step]]
+        i, j = rows[lo : lo + step], cols[lo : lo + step]
+        products = np.empty((len(i), m, k))
+        # the chunk's runs of one map, [a, b), as rows never decrease
+        edges = [0, *(np.flatnonzero(i[1:] != i[:-1]) + 1).tolist(), len(i)]
+        for a, b in zip(edges[:-1], edges[1:]):
+            np.matmul(maps[i[a]], bases[j[a:b]], out=products[a:b])
+        yield i, j, products
 
 
 def _reach(below: np.ndarray, above: np.ndarray, floor, ceiling) -> np.ndarray:
@@ -450,11 +442,9 @@ def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
 
     The Grams of the wide products (``_screen_bounds``) only choose which
     pairs get the exact product and SVD: those whose interval can reach
-    their map's family extreme. They never decide a value. numpy runs one
-    GEMM and one LAPACK SVD per matrix, of the pair's own shape, so a
-    gathered pair's values are those of the whole stack. When m is below
-    the family's largest dimension, sigma_min is 0 and only the maximum is
-    screened.
+    their map's family extreme. They never decide a value: a kept pair's
+    product and SVD are its own. When m is below the family's largest
+    dimension, sigma_min is 0 and only the maximum is screened.
     """
     intervals, floor, ceiling = _screen_bounds(maps, family, m_values)
     lo = np.where(np.asarray(m_values)[:, None] < family.max_dim, 0.0, np.full_like(floor, np.inf))
@@ -464,7 +454,7 @@ def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
         at_m = ceiling[j, :, None] if m >= family.max_dim else -np.inf
         for (_, bases), (below, above) in zip(family.stacks, intervals):
             keep = _reach(below[j], above[j], floor[j, :, None], at_m)
-            for rows, products in _kept_products(maps[:, :m], bases, keep):
+            for rows, _, products in _kept_products(maps[:, :m], bases, keep):
                 pair_lo, pair_hi = _svd_extremes(products)
                 np.minimum.at(lo[j], rows, pair_lo)
                 np.maximum.at(hi[j], rows, pair_hi)
@@ -473,17 +463,14 @@ def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
 
 def _family_extremes(maps: np.ndarray, family: SubspaceFamily) -> tuple[np.ndarray, np.ndarray]:
     """(T, p) arrays of each map's sigma_min and sigma_max on every member of
-    the family: per dimension group of its stacked bases, one broadcast
-    product and one batched SVD.
-
-    numpy runs one GEMM and one LAPACK SVD per (map, basis) pair, of the
-    pair's own shape, so a pair's extremes are bit for bit the same in any
-    stack. When m < k each restriction has a kernel, so sigma_min is 0.
-    """
-    lo = np.empty((len(maps), family.size))
-    hi = np.empty_like(lo)
+    the family, from every pair's chunk of ``_kept_products`` and one LAPACK
+    SVD per pair, so a pair's extremes are bit for bit the same in any
+    stack. When m < k each restriction has a kernel, so sigma_min is 0."""
+    lo, hi = np.empty((2, len(maps), family.size))
     for indices, bases in family.stacks:
-        lo[:, indices], hi[:, indices] = _svd_extremes(_products(maps, bases))
+        for rows, cols, products in _kept_products(maps, bases, np.ones((len(maps), len(bases)), dtype=bool)):
+            members = indices[cols]
+            lo[rows, members], hi[rows, members] = _svd_extremes(products)
     return lo, hi
 
 
@@ -507,8 +494,7 @@ def _certify_maps(
     (T, M, n) stack over the family, from its first m rows: bit for bit what
     ``family_distortion`` and ``choose_scale`` give for that map alone,
     without building the per-member extremes into a report. D is already
-    checked, and so are the products against the element budget:
-    ``_block_results`` runs ``_check_products`` before it samples the maps."""
+    checked."""
     m_values = (maps.shape[1],) if m_values is None else tuple(m_values)
     lo, hi = _grid_extremes(maps[:, : m_values[-1]], family, m_values)
     return [
@@ -527,8 +513,7 @@ def family_distortion(gamma: RandomMatrix, family: SubspaceFamily) -> Distortion
     if family.ambient_dim != gamma.n:
         raise DimensionError(f"family ambient dim {family.ambient_dim} != matrix cols {gamma.n}")
     (lo,), (hi,) = _family_extremes(gamma.matrix[None], family)
-    family_min = float(lo.min())
-    family_max = float(hi.max())
+    family_min, family_max = float(lo.min()), float(hi.max())
     return DistortionReport(
         per_subspace=tuple(zip(lo.tolist(), hi.tolist())),
         family_sigma_min=family_min,

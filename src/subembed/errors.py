@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the readers of input
-files that map text which is not UTF-8, or JSON that does not parse, onto it."""
+"""Exception hierarchy shared across the package, the input-file readers that
+map undecodable text or unparsable JSON onto it, and short JSON quotes."""
 
 import json
 
@@ -42,8 +42,9 @@ def read_text(path) -> str:
 
 
 def read_json(path) -> tuple[str, object]:
-    """The text of a JSON input file and its value; JSON that is malformed or
-    nested too deeply to parse raises InputError naming the path."""
+    """The text of a JSON input file and its value; JSON that is malformed,
+    nested too deeply or holds an integer too long to parse raises
+    InputError naming the path."""
     text = read_text(path)
     try:
         return text, json.loads(text)
@@ -51,3 +52,17 @@ def read_json(path) -> tuple[str, object]:
         raise InputError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply to parse") from exc
+    except ValueError as exc:
+        # Python's cap on the digits of an integer it converts from text
+        raise InputError(f"{path}: JSON number too long to parse") from exc
+
+
+def describe_json(value) -> str:
+    """A parsed JSON value as an error message quotes it: its JSON type and a
+    container's length or a scalar's text cut to 40 characters, so that no
+    long or deeply nested value is written out whole."""
+    if isinstance(value, (list, dict)):
+        return f"a JSON {'array' if isinstance(value, list) else 'object'} of length {len(value)}"
+    kind = "string" if isinstance(value, str) else "literal" if value is None or isinstance(value, bool) else "number"
+    text = json.dumps(value)
+    return f"the JSON {kind} {text if len(text) <= 40 else text[:37] + '...'}"

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InputError, read_json
+from .errors import DegenerateInputError, DimensionError, InputError, describe_json, read_json
 from .seeding import rng_from
 
 # numerical-rank cutoff relative to the largest singular value
@@ -285,7 +285,7 @@ def load_family_json(path) -> SubspaceFamily:
         raise InputError("family file 'members' must be a list")
     n = payload["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InputError(f"family file 'n' must be an integer >= 1, got {json.dumps(n)}")
+        raise InputError(f"family file 'n' must be an integer >= 1, got {describe_json(n)}")
     walk = _may_hold_non_numbers(text, payload)
     spans = []
     for i, entry in enumerate(payload["members"]):

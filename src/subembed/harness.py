@@ -23,12 +23,12 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .distortion import ScaleChoice, _certify_entries, _certify_maps, _certify_points, _check_products, _distinct_pairs
+from .distortion import ScaleChoice, _certify_entries, _certify_maps, _certify_points, _distinct_pairs
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
 from .errors import InputError
 from .geometry import SubspaceFamily, _family, _orthonormal_stacks, load_family_json
 from .seeding import derive_seed, derive_seeds, rng_from
-from .stats import DEFAULT_MAX_ELEMENTS, _check_budget, check_distortion, required_m
+from .stats import _check_budget, check_distortion, required_m
 
 # not called here; perfbench/tracing.py wraps these names in this module
 from .distortion import choose_scale, family_distortion  # noqa: F401
@@ -191,19 +191,18 @@ def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
 
 def _block_size(config: ExperimentConfig, rows: int, grid: int) -> int:
     """Trials per block when each trial samples a map of this many rows and
-    is certified at grid values of m: as many as _check_products allows and
-    as keep the block within its budget, and at least one.
+    is certified at grid values of m: as many as keep the block within its
+    budget, and at least one. Raises ResourceError when one trial holds more
+    than the element budget allows.
 
     Besides the family, a block holds ``_certify_entries``: numbers per
     trial and one transient tile. The budget is _BLOCK_ENTRIES, or the
-    family's p*n*k numbers over _BLOCK_FAMILY_SHARE when that is more. No
-    stack has more than p*k columns, so rows*p*k products a trial bound what
-    _check_products counts."""
+    family's p*n*k numbers over _BLOCK_FAMILY_SHARE when that is more."""
     n, k, p = config.n, config.k, config.p
     per_trial, tile = _certify_entries(n, k, p, rows, grid)
+    _check_budget("a trial's certification entries M*n + 2*s*(p + n) + 2*p (M = max m, s = grid size)", per_trial)
     budget = max(_BLOCK_ENTRIES, p * n * k // _BLOCK_FAMILY_SHARE) - tile
-    checked = DEFAULT_MAX_ELEMENTS // (rows * p * k)
-    return max(1, min(checked, budget // per_trial))
+    return max(1, budget // per_trial)
 
 
 def _block_results(
@@ -216,11 +215,9 @@ def _block_results(
     every map from one sampling pass, with max(m_values) rows (rows never
     depend on m). ``_certify_maps`` then certifies all maps over the whole
     grid at once, each (trial, m) decided by choose_scale's rule, bit for bit
-    as for each trial run alone at each m. The certification's products are
-    checked against the element budget before any map is sampled. Besides
-    the family, the block holds what ``_block_size`` counts.
+    as for each trial run alone at each m. Besides the family, the block
+    holds what ``_block_size`` counts.
     """
-    _check_products(len(trials), max(m_values), family)
     seeds = derive_seeds(derive_seed(config.seed, _GAMMA_STREAM), len(trials), start=trials.start)
     maps = _sample_maps(config.ensemble, seeds, max(m_values), config.n)
     per_m = _certify_maps(maps, family, config.D, m_values)
@@ -233,13 +230,13 @@ def _block_results(
 def _trial_range(config: ExperimentConfig, m_values, trials: range) -> list[list[TrialResult]]:
     """The results of a nonempty range of consecutive trials at every m of
     m_values, in trial order. The range's one family is built once and its
-    trials certified in blocks of _block_size, sized from the config by
-    what a block holds; annealed haar trials each embed their own family,
-    so each is built and certified alone."""
+    trials certified in blocks of _block_size, sized (and checked) from the
+    config by what a block holds; annealed haar trials each embed their own
+    family, so each is built and certified alone."""
+    size = _block_size(config, max(m_values), len(m_values))
     if config.family_kind == "haar_random" and not config.fixed_family:
         return [_block_results(config, range(t, t + 1), build_family(config, t), m_values)[0] for t in trials]
     family = build_family(config, trials.start)
-    size = _block_size(config, max(m_values), len(m_values))
     return [
         trial
         for lo in range(trials.start, trials.stop, size)

@@ -207,6 +207,24 @@ def subspace_extremes(gamma: RandomMatrix, w: Subspace) -> tuple[float, float]:
     return float(lo[0, 0]), float(hi[0, 0])
 
 
+def broadcast_products(maps: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The (T, count, m, k) products of each map of a (T, m, n) stack with
+    each basis of a (count, n, k) stack, all formed at once by one broadcast
+    matmul: the reference the library's chunked exact products must match
+    bit for bit."""
+    return maps[:, None] @ bases[None]
+
+
+def broadcast_extremes(maps: np.ndarray, family: SubspaceFamily) -> tuple[np.ndarray, np.ndarray]:
+    """(T, p) arrays of each map's sigma_min and sigma_max on every member,
+    from the broadcast products of each dimension stack and one batched SVD."""
+    lo = np.empty((len(maps), family.size))
+    hi = np.empty_like(lo)
+    for indices, bases in family.stacks:
+        lo[:, indices], hi[:, indices] = _svd_extremes(broadcast_products(maps, bases))
+    return lo, hi
+
+
 def verify_pointwise(
     gamma: RandomMatrix,
     family: SubspaceFamily,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import subembed
+import subembed.cli
 import subembed.harness
 import subembed.stats
 from subembed import EnsembleSpec, k_sparse_family, sample_matrix, store_family_json
@@ -449,18 +450,19 @@ def test_parallelism_below_one_exits_2(tmp_path, capsys, parallelism):
 
 @pytest.mark.parametrize("command", ["sweep", "width", "haar", "k_sparse", "embed-points"])
 def test_requests_beyond_the_element_budget_exit_2(tmp_path, capsys, command):
-    # sweep: one map of m*n = 1.2e10 entries; width: 10^12 draws held at once;
-    # haar and k_sparse: families of p*n*k = 8e12 and 2e12 numbers;
-    # embed-points: 14143 points in R^1 give N(N-1)/2 = 100005153 pairs
+    # sweep: a trial's map of m*n = 1.2e10 entries; width: 10^12 draws held
+    # at once; haar and k_sparse: families of p*n*k = 2e8 numbers, whose
+    # trials (m = 270 and 44) fit; embed-points: 14143 points in R^1 give
+    # N(N-1)/2 = 100005153 pairs
     if command == "embed-points":
         (tmp_path / "pts.csv").write_text("14143,1\n" + "".join(f"{i}\n" for i in range(14143)))
     argv = {
         "sweep": ["sweep", "--config", str(write_config(tmp_path / "cfg.json")), "--m-values", "4,1000000000"],
         "width": ["width", "--family", str(write_axes_family(tmp_path / "fam.json")),
                   "--draws", "1000000000000", "--seed", "1"],
-        "haar": ["trial", "--config", str(write_config(tmp_path / "haar.json", n=10**12))],
+        "haar": ["trial", "--config", str(write_config(tmp_path / "haar.json", n=20_000, k=50, p=200))],
         "k_sparse": ["trial", "--config", str(write_config(
-            tmp_path / "sparse.json", family_kind="k_sparse", n=10**12, k=1, p=2))],
+            tmp_path / "sparse.json", family_kind="k_sparse", n=10_000, k=2, p=10_000))],
         "embed-points": ["embed-points", "--points", str(tmp_path / "pts.csv"), "--D", "6.0",
                          "--ensemble", "gaussian", "--seed", "3"],
     }[command]
@@ -468,56 +470,81 @@ def test_requests_beyond_the_element_budget_exit_2(tmp_path, capsys, command):
     assert main(argv + ["--summary-out" if command == "embed-points" else "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds the element budget" in err
+    if command in ("haar", "k_sparse"):
+        assert err.startswith("error: p*n*k = 200000000 ")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["trial", "verify"])
-def test_certification_products_beyond_the_element_budget_exit_2(tmp_path, capsys, monkeypatch, command):
-    # under a budget of 10^5 numbers the maps and families fit, but their
-    # (maps, members, m, k) products do not: 28 * 2000 * 2 = 112000 numbers
-    monkeypatch.setattr(subembed.stats, "DEFAULT_MAX_ELEMENTS", 10**5)
-    if command == "verify":
-        store_matrix_csv(np.ones((2000, 8)), tmp_path / "gamma.csv")
-        store_family_json(k_sparse_family(8, 2, 28), tmp_path / "fam.json")
-    argv = {
-        "trial": ["trial", "--config", str(write_config(
-            tmp_path / "cfg.json", family_kind="k_sparse", n=8, k=2, p=28, m_override=2000))],
-        "verify": ["verify", "--matrix", str(tmp_path / "gamma.csv"), "--family", str(tmp_path / "fam.json"),
-                   "--D", "4.0"],
-    }[command]
-    out = tmp_path / "out"
-    assert main(argv + ["--output" if command == "trial" else "--summary-out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: T*count*m*k = ") and "exceeds the element budget 100000" in err
-    assert err.count("\n") == 1
-    assert not out.exists()
+ENTRIES_BUDGET = "a trial's certification entries M*n + 2*s*(p + n) + 2*p (M = max m, s = grid size)"
 
 
-@pytest.mark.parametrize(
-    "command,budget",
-    [("trial", 10**5), ("sweep", 10**5), ("trial-paper-sized", None)],
-)
-def test_certification_budget_is_checked_before_any_map_is_sampled(tmp_path, capsys, monkeypatch, command, budget):
-    # the block's products are known from the config, so an oversized one is
-    # refused before its maps are drawn: 28 * 2000 * 2 = 112000 numbers under
-    # a budget of 10^5, and the k_sparse n=64, k=2, p=2016 config with
-    # m_override 250000 (2016 * 250000 * 2 ~ 1e9 numbers, a 128 MB map)
-    # under the default one
+def test_certification_entries_beyond_the_element_budget_exit_2(tmp_path, capsys, monkeypatch):
+    # under a budget of 10^5 numbers the family (7600 numbers) and each map
+    # (300 * 20) fit, but a sweep over m = 1..300 screens 2*s*p = 114000
+    # intervals a trial: refused before any map is sampled
     def no_sampling(*args, **kwargs):
         raise AssertionError("maps sampled before the budget check")
 
     monkeypatch.setattr(subembed.harness, "_sample_maps", no_sampling)
+    monkeypatch.setattr(subembed.stats, "DEFAULT_MAX_ELEMENTS", 10**5)
+    cfg = write_config(tmp_path / "cfg.json", family_kind="k_sparse", n=20, k=2, p=190)
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(cfg), "--m-values", ",".join(map(str, range(1, 301))), "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {ENTRIES_BUDGET} = 132380 exceeds the element budget 100000\n"
+    assert not out.exists()
+
+
+def test_verify_products_beyond_the_element_budget_exit_0(tmp_path, capsys, monkeypatch):
+    # under a budget of 10^5 numbers the matrix and family fit, and so does
+    # verify's certification: it forms the (members, m, k) products, 28 *
+    # 2000 * 2 = 112000 numbers, a chunk at a time, and prints what it
+    # prints under the default budget
+    store_matrix_csv(np.ones((2000, 8)), tmp_path / "gamma.csv")
+    store_family_json(k_sparse_family(8, 2, 28), tmp_path / "fam.json")
+    argv = ["verify", "--matrix", str(tmp_path / "gamma.csv"), "--family", str(tmp_path / "fam.json"), "--D", "4.0"]
+    assert main(argv + ["--report-csv", str(tmp_path / "default.csv")]) == 0
+    default = capsys.readouterr()
+    monkeypatch.setattr(subembed.stats, "DEFAULT_MAX_ELEMENTS", 10**5)
+    assert main(argv + ["--report-csv", str(tmp_path / "small.csv")]) == 0
+    assert capsys.readouterr() == default
+    assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,budget",
+    [("trial", 10**5), ("sweep", 10**5), ("trial-paper-sized", None), ("sweep-long-grid", None)],
+)
+def test_certification_budget_is_checked_before_any_map_is_sampled(tmp_path, capsys, monkeypatch, command, budget):
+    # a trial's certification entries are known from the config, so an
+    # oversized one is refused before its family is built or its maps are
+    # drawn: under a budget of 10^5, an 8 x 12500 map (10^5 numbers, which
+    # fit) with its 2*s*(p + n) + 2*p = 128 or 200 more; under the default
+    # one, a map of 1562400 x 64 numbers (800 MB) with 8192 more, and a
+    # sweep over 25000 values of m on the 2016 k_sparse members of n=64, k=2,
+    # whose intervals alone are 10^8 numbers a trial
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("maps sampled before the budget check")
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("family built before the budget check")
+
+    monkeypatch.setattr(subembed.harness, "_sample_maps", no_sampling)
+    monkeypatch.setattr(subembed.harness, "build_family", no_build)
     if budget is not None:
         monkeypatch.setattr(subembed.stats, "DEFAULT_MAX_ELEMENTS", budget)
-    sizes = {"n": 64, "k": 2, "p": 2016, "m_override": 250000} if budget is None else {
-        "n": 8, "k": 2, "p": 28, "m_override": 2000}
+    sizes = {"n": 64, "k": 2, "p": 2016} if budget is None else {"n": 8, "k": 2, "p": 28, "m_override": 12500}
+    if command == "trial-paper-sized":
+        sizes["m_override"] = 1562400
     cfg = write_config(tmp_path / "cfg.json", family_kind="k_sparse", **sizes)
-    argv = ["sweep", "--config", str(cfg), "--m-values", "4,2000"] if command == "sweep" else [
+    grid = {"sweep": "4,12500", "sweep-long-grid": ",".join(map(str, range(1, 25001)))}
+    argv = ["sweep", "--config", str(cfg), "--m-values", grid[command]] if command in grid else [
         "trial", "--config", str(cfg)]
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: T*count*m*k = ") and "exceeds the element budget" in err
+    assert err.startswith(f"error: {ENTRIES_BUDGET} = ") and "exceeds the element budget" in err
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -749,6 +776,24 @@ def test_distortion_outside_its_domain_exits_2(tmp_path, capsys, D):
         assert "D must be finite and > 1" in captured.err, argv
 
 
+@pytest.mark.parametrize("command", ["verify", "embed-points"])
+def test_distortion_is_checked_before_any_input_is_read(tmp_path, capsys, monkeypatch, command):
+    # --D 1 exits 2 naming D, and neither the matrix, the family nor the
+    # points file is loaded
+    def no_load(*args, **kwargs):
+        raise AssertionError("an input was loaded before --D was checked")
+
+    for loader in ("load_matrix_csv", "load_family_json"):
+        monkeypatch.setattr(subembed.cli, loader, no_load)
+    argv = {
+        "verify": ["verify", "--matrix", "m.csv", "--family", "fam.json", "--D", "1"],
+        "embed-points": ["embed-points", "--points", "pts.csv", "--D", "1", "--ensemble", "gaussian", "--seed", "1"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: D must be finite and > 1, got 1.0\n"
+
+
 @pytest.mark.parametrize(
     "key,value,code",
     [
@@ -775,6 +820,38 @@ def test_config_values_must_have_their_json_type(tmp_path, capsys, key, value, c
     if code:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "raw,quoted",
+    [
+        ("[" * 900 + "1" + "]" * 900, "got a JSON array of length 1"),
+        ("[" + ",".join(["7"] * 200_000) + "]", "got a JSON array of length 200000"),
+        ('{"a": ' * 900 + "1" + "}" * 900, "got a JSON object of length 1"),
+        ('"' + "x" * 100_000 + '"', 'got the JSON string "' + "x" * 36 + "..."),
+        ("9" * 5000, "JSON number too long to parse"),
+    ],
+    ids=["nested-900", "list-200000", "object-900", "string-100000", "digits-5000"],
+)
+@pytest.mark.parametrize("where", ["config", "family"])
+def test_mistyped_n_is_quoted_in_one_short_line(tmp_path, capsys, raw, quoted, where):
+    # a config's or a family file's "n" nested 900 deep, a list of 200,000
+    # integers, a long string or an integer beyond Python's 4300 digits
+    # exits 2 with one error line naming its JSON type, not its whole text
+    if where == "config":
+        path = write_config(tmp_path / "cfg.json")
+        path.write_text(path.read_text().replace('"n": 12', '"n": ' + raw))
+        argv = ["trial", "--config", str(path)]
+    else:
+        path = tmp_path / "fam.json"
+        path.write_text('{"n": ' + raw + ', "members": []}')
+        argv = ["width", "--family", str(path), "--seed", "1"]
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert quoted in captured.err and len(captured.err) < 200
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -32,7 +33,7 @@ from subembed.distortion import (
 )
 
 from nets import epsilon_net
-from oracles import subspace_extremes
+from oracles import broadcast_extremes, broadcast_products, subspace_extremes
 
 
 def sampled_range(gamma, subspace, count=100_000, seed=0):
@@ -355,31 +356,33 @@ def test_screen_gathered_svd_rows_are_the_whole_stacks(m, k):
     ids=["k=1", "k=2", "n=256-k=8", "m<k", "mixed"],
 )
 def test_wide_screen_gathered_products_are_the_broadcast_products(n, dims, m):
-    # the assumption the exact products of the gathered pairs rest on: numpy
-    # runs one GEMM of the pair's own shape per matrix, so a pair's gathered
-    # map rows times its basis is, bit for bit, its product in the broadcast
-    # stack, matrix-vector shapes (k = 1) and m < k included
+    # the assumption the exact products of the kept pairs rest on: numpy
+    # runs one GEMM of the pair's own shape per matrix, so a map broadcast
+    # over its run of gathered bases gives, bit for bit, each pair's product
+    # in the broadcast stack, matrix-vector shapes (k = 1) and m < k included
     rng = np.random.default_rng(n * 100 + m)
     maps = rng.standard_normal((3, m + 4, n))
     family = SubspaceFamily.from_subspaces(
         [random_subspace(n, k, derive_seed(m, i)) for i, k in enumerate(dims * 7)]
     )
     for _, bases in family.stacks:
-        whole = maps[:, :m][:, None] @ bases[None]
+        whole = broadcast_products(maps[:, :m], bases)
         keep = rng.random(whole.shape[:2]) < 0.3
         rows, cols = np.nonzero(keep)
-        assert np.array_equal(maps[rows, :m] @ bases[cols], whole[rows, cols])
         chunks = list(distortion._kept_products(maps[:, :m], bases, keep))
-        assert np.array_equal(np.concatenate([i for i, _ in chunks]), rows)
-        assert np.array_equal(np.concatenate([products for _, products in chunks]), whole[rows, cols])
+        assert np.array_equal(np.concatenate([i for i, _, _ in chunks]), rows)
+        assert np.array_equal(np.concatenate([j for _, j, _ in chunks]), cols)
+        assert np.array_equal(np.concatenate([products for _, _, products in chunks]), whole[rows, cols])
 
 
 @pytest.mark.parametrize("entries", [1, 700, 1 << 16])
 @pytest.mark.parametrize("kept", ["every", "ties", "some"])
 def test_kept_products_in_chunks_equal_one_gather(monkeypatch, entries, kept):
-    # a chunk holds whole pairs, at least one: chunks of 1, 3 and every pair
-    # of (m, n, k) = (6, 30, 3) give, in row-major order, the bits of one
-    # gather of all kept pairs, with every pair kept and with tied members
+    # a chunk holds whole pairs, at least one, counted as n*k + m*k numbers
+    # a pair: chunks of 1, 6 and every pair of (m, n, k) = (6, 30, 3) give,
+    # in row-major order, the bits of the broadcast products of all kept
+    # pairs, with every pair kept (a map's run of five pairs then crosses
+    # chunk boundaries) and with tied members
     monkeypatch.setattr(distortion, "_KEPT_ENTRIES", entries)
     rng = np.random.default_rng(entries)
     maps = rng.standard_normal((4, 9, 30))
@@ -389,14 +392,58 @@ def test_kept_products_in_chunks_equal_one_gather(monkeypatch, entries, kept):
     keep = np.ones((4, 5), dtype=bool) if kept != "some" else rng.random((4, 5)) < 0.4
     rows, cols = np.nonzero(keep)
     chunks = list(distortion._kept_products(maps[:, :6], bases, keep))
-    assert [len(i) for i, _ in chunks][:-1] == [max(1, entries // (6 * 30 + 30 * 3 + 6 * 3))] * (len(chunks) - 1)
-    assert np.array_equal(np.concatenate([i for i, _ in chunks]), rows)
-    assert np.array_equal(np.concatenate([products for _, products in chunks]), maps[rows, :6] @ bases[cols])
+    assert [len(i) for i, _, _ in chunks][:-1] == [max(1, entries // (30 * 3 + 6 * 3))] * (len(chunks) - 1)
+    if kept != "some" and entries < 1 << 16:
+        assert any(a[-1] == b[0] for (a, _, _), (b, _, _) in zip(chunks, chunks[1:]))
+    assert np.array_equal(np.concatenate([i for i, _, _ in chunks]), rows)
+    assert np.array_equal(np.concatenate([j for _, j, _ in chunks]), cols)
+    whole = broadcast_products(maps[:, :6], bases)
+    assert np.array_equal(np.concatenate([products for _, _, products in chunks]), whole[rows, cols])
     family = SubspaceFamily.from_stack(bases)
     chunked = distortion._grid_extremes(maps, family, (2, 3, 6, 9))
     monkeypatch.setattr(distortion, "_KEPT_ENTRIES", 1 << 30)
     whole = distortion._grid_extremes(maps, family, (2, 3, 6, 9))
     assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
+
+
+@pytest.mark.parametrize("entries", [1, 700, 1 << 16])
+@pytest.mark.parametrize(
+    "n,dims,m,maps",
+    [(12, (1,), 5, 3), (12, (5,), 3, 2), (12, (1, 3, 2), 4, 4), (256, (8,), 40, 2)],
+    ids=["k=1", "m<k", "mixed", "n=256-k=8"],
+)
+def test_family_extremes_are_the_broadcast_extremes(monkeypatch, entries, n, dims, m, maps):
+    # every pair through _kept_products, in chunks of one pair, of a few
+    # pairs or of whole stacks, gives each (map, member) pair the extremes of
+    # one broadcast product and batched SVD, bit for bit
+    monkeypatch.setattr(distortion, "_KEPT_ENTRIES", entries)
+    rng = np.random.default_rng(n * 100 + m)
+    gammas = rng.standard_normal((maps, m, n))
+    family = SubspaceFamily.from_subspaces(
+        [random_subspace(n, k, derive_seed(m, i)) for i, k in enumerate(dims * 5)]
+    )
+    lo, hi = _family_extremes(gammas, family)
+    expected_lo, expected_hi = broadcast_extremes(gammas, family)
+    assert np.array_equal(lo, expected_lo) and np.array_equal(hi, expected_hi)
+    if m < max(dims):
+        assert not lo[:, [i for i, k in enumerate(dims * 5) if k > m]].any()
+
+
+def test_family_distortion_holds_a_fraction_of_its_products():
+    # a tall map (n = m = 256, k = 8) over 500 members: the p*m*k products
+    # are 8.2 MB, but family_distortion forms them a chunk at a time
+    rng = np.random.default_rng(5)
+    n, m, k, p = 256, 256, 8, 500
+    family = SubspaceFamily.from_stack(np.linalg.qr(rng.standard_normal((p, n, k)))[0])
+    gamma = RandomMatrix(rng.standard_normal((m, n)))
+    family_distortion(gamma, family)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        family_distortion(gamma, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p * m * k * 8 / 4
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

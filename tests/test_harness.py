@@ -33,7 +33,6 @@ from subembed import (
 )
 import subembed.distortion as distortion
 import subembed.harness as harness
-from subembed.geometry import _checked
 
 from oracles import (
     batched_metric_family,
@@ -317,7 +316,8 @@ def test_block_core_equals_trials_run_alone(monkeypatch, tmp_path, per_block, ki
 def test_block_size_at_paper_scale_comes_from_the_config(monkeypatch):
     # no family is built to size a block; at n=1024, k=8 the family sets the
     # budget: p=2000 (m=59) gets at least 8 trials a block, and p=10^4 (m=63)
-    # as many as _check_products allows, 10^8 // (63 * 10^4 * 8) = 19
+    # a twelfth of p*n*k less one tile, 6826666 - 2560000, over its 106560
+    # numbers a trial: 40
     def no_build(config, trial_index):
         raise AssertionError("a family was built")
 
@@ -325,12 +325,8 @@ def test_block_size_at_paper_scale_comes_from_the_config(monkeypatch):
     paper = small_config(n=1024, k=8, p=2000, D=8.0)
     assert paper.m == 59 and harness._block_size(paper, 59, 1) >= 8
     large = small_config(n=1024, k=8, p=10_000, D=8.0)
-    assert large.m == 63 and harness._block_size(large, 63, 1) == 19
-    stack = np.broadcast_to(0.0, (10_000, 1024, 8))  # the stack's shape, no memory
-    family = _checked(SubspaceFamily, stacks=((np.arange(10_000), stack),))
-    distortion._check_products(19, 63, family)
-    with pytest.raises(ResourceError):
-        distortion._check_products(20, 63, family)
+    assert distortion._certify_entries(1024, 8, 10_000, 63, 1) == (106_560, 2_560_000)
+    assert large.m == 63 and harness._block_size(large, 63, 1) == 40
 
 
 @pytest.mark.parametrize(
