@@ -21,7 +21,7 @@ import numpy as np
 
 from .distortion import DistortionReport, choose_scale, family_distortion
 from .ensembles import EnsembleSpec, RandomMatrix, sample_matrix, theoretical_constants
-from .errors import InputError, SubembedError, describe_json, read_json, read_text
+from .errors import InputError, SubembedError, describe_json, describe_keys, read_json, read_text
 from .geometry import load_family_json
 from .harness import ExperimentConfig, metric_embed, run_trials, sweep_m
 from .stats import check_distortion, gaussian_width_mc, width_upper_bound
@@ -119,7 +119,7 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
         raise InputError(f"{path}: config must be a JSON object")
     unknown = set(payload) - _CONFIG_REQUIRED - _CONFIG_OPTIONAL
     if unknown:
-        raise InputError(f"{path}: unknown config keys: {sorted(unknown)}")
+        raise InputError(f"{path}: unknown config keys: {describe_keys(unknown)}")
     missing = _CONFIG_REQUIRED - set(payload)
     if missing:
         raise InputError(f"{path}: missing config keys: {sorted(missing)}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, describe_json, describe_keys
 from .geometry import _checked
 # derive_seed is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it there, alongside rng_from
@@ -64,12 +64,14 @@ class EnsembleSpec:
             raise ConfigurationError("ensemble descriptor must be an object")
         unknown = set(payload) - {"kind"}
         if unknown:
-            raise ConfigurationError(f"unknown ensemble keys: {sorted(unknown)}")
+            raise ConfigurationError(f"unknown ensemble keys: {describe_keys(unknown)}")
         kind = payload.get("kind")
         if kind == "sphere":
             kind = SPHERE_SCALED
         if kind not in KINDS:
-            raise ConfigurationError(f"ensemble kind must be one of gaussian|sphere|iid_bounded, got {kind!r}")
+            raise ConfigurationError(
+                f"ensemble kind must be one of gaussian|sphere|iid_bounded, got {describe_json(kind)}"
+            )
         return cls(kind=kind)
 
 

@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, the input-file readers that
-map undecodable text or unparsable JSON onto it, and short JSON quotes."""
+map undecodable text or unparsable JSON onto it, and short quotes of values
+and keys."""
 
 import json
 
@@ -57,12 +58,27 @@ def read_json(path) -> tuple[str, object]:
         raise InputError(f"{path}: JSON number too long to parse") from exc
 
 
+def _cut(text: str) -> str:
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def describe_json(value) -> str:
-    """A parsed JSON value as an error message quotes it: its JSON type and a
-    container's length or a scalar's text cut to 40 characters, so that no
-    long or deeply nested value is written out whole."""
+    """A value as an error message quotes it: a parsed JSON value by its
+    JSON type and a container's length or a scalar's text cut to 40
+    characters, so that no long or deeply nested value is written out
+    whole, and any other value by its Python type alone."""
     if isinstance(value, (list, dict)):
         return f"a JSON {'array' if isinstance(value, list) else 'object'} of length {len(value)}"
+    if not (value is None or isinstance(value, (bool, int, float, str))):
+        return f"a Python {type(value).__name__}"
     kind = "string" if isinstance(value, str) else "literal" if value is None or isinstance(value, bool) else "number"
-    text = json.dumps(value)
-    return f"the JSON {kind} {text if len(text) <= 40 else text[:37] + '...'}"
+    return f"the JSON {kind} {_cut(json.dumps(value))}"
+
+
+def describe_keys(keys) -> str:
+    """Unexpected object keys as an error message lists them: the first
+    three in sorted order, each cut to 40 characters, then how many more
+    there are."""
+    names = sorted(map(str, keys))
+    listed = repr([_cut(name) for name in names[:3]])
+    return listed if len(names) <= 3 else f"{listed} and {len(names) - 3} more"

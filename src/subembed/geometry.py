@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InputError, describe_json, read_json
+from .errors import DegenerateInputError, DimensionError, InputError, describe_json, read_json, read_text
 from .seeding import rng_from
 
 # numerical-rank cutoff relative to the largest singular value
@@ -27,6 +28,11 @@ ORTHO_TOL = 1e-10
 ZERO_NORM = 1e-12
 # numbers of spans per batched SVD when orthonormalizing a family's members
 _SVD_CHUNK = 1 << 20
+# deepest nesting of a family file that orjson reads; json reads deeper ones
+_ORJSON_DEPTH = 64
+# every byte but the brackets and the quote, which alone give a text's nesting
+_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_EMPTY_PAIR = re.compile(rb"\[\]|\{\}")
 
 
 def _checked(cls, **fields):
@@ -267,18 +273,16 @@ def _may_hold_non_numbers(text: str, payload: dict) -> bool:
     return quotes > 2 * keys
 
 
-def load_family_json(path) -> SubspaceFamily:
-    """Read a family file; bases are re-orthonormalized on load.
+def _member_spans(text: str, payload) -> list[np.ndarray]:
+    """The members' n x j spans, in member order, from a family file's text
+    and its parsed value.
 
     Every member is validated first, its "base" entry included, which is
     then dropped: no certificate, width or trial reads a base point. Its
     entries must be JSON numbers; true, false, strings and null are refused,
-    though numpy's float conversion would take them. The
-    parsed file is then freed, the spans are stacked per column count, and
-    the stacks are orthonormalized in place with batched SVDs, building no
-    member objects.
+    though numpy's float conversion would take them, and an integer beyond
+    float range is refused as 1e400 is.
     """
-    text, payload = read_json(path)
     if not isinstance(payload, dict) or "n" not in payload or "members" not in payload:
         raise InputError("family file must be an object with keys 'n' and 'members'")
     if not isinstance(payload["members"], list):
@@ -291,14 +295,17 @@ def load_family_json(path) -> SubspaceFamily:
     for i, entry in enumerate(payload["members"]):
         if not isinstance(entry, dict) or "basis_columns" not in entry:
             raise InputError(f"member {i} must be an object with key 'basis_columns'")
+        # the entries' types are walked only where the text, a NaN or an overflow calls for it
+        entries = [entry[key] for key in ("basis_columns", "base") if key in entry]
         try:
             mat = np.array(entry["basis_columns"], dtype=float).T  # stored as a list of columns
             base = np.asarray(entry["base"], dtype=float) if "base" in entry else None
         except (TypeError, ValueError) as exc:
             raise InputError(f"member {i}: entries must be numbers: {exc}") from exc
-        finite = np.all(np.isfinite(mat)) and (base is None or np.all(np.isfinite(base)))
-        # the entries' types are walked only where the text or a NaN calls for it
-        entries = [entry[key] for key in ("basis_columns", "base") if key in entry]
+        except OverflowError:  # an integer beyond float range, which reads as 1e400 does
+            finite = False
+        else:
+            finite = np.all(np.isfinite(mat)) and (base is None or np.all(np.isfinite(base)))
         if (walk or not finite) and not _only_numbers(entries):
             raise InputError(f"member {i}: entries must be numbers, not true, false, strings or null")
         if not finite:
@@ -306,8 +313,60 @@ def load_family_json(path) -> SubspaceFamily:
         if mat.ndim != 2 or mat.shape[0] != n or (base is not None and base.shape != (n,)):
             raise DimensionError(f"member {i} does not match ambient dimension {n}")
         spans.append(mat)
-    # free the parsed file first, so it is not alive while the bases are stacked
-    del text, payload
-    groups = _stacks(spans)
-    del spans  # the groups now hold the only copy
+    return spans
+
+
+def _nests_shallowly(text: str) -> bool:
+    """Whether the text, were it JSON, would nest arrays and objects at most
+    _ORJSON_DEPTH deep; False for any text that holds a backslash.
+
+    Without a backslash every quote opens or closes a string, so the text
+    outside strings is every other piece between quotes, and its brackets
+    give its nesting. Each pass deletes the innermost empty pairs, one level,
+    so brackets that vanish within _ORJSON_DEPTH passes nest no deeper.
+    """
+    if "\\" in text:
+        return False
+    brackets = b"".join(text.encode().translate(None, _NOT_NESTING).split(b'"')[::2])
+    for _ in range(_ORJSON_DEPTH):
+        brackets, emptied = _EMPTY_PAIR.subn(b"", brackets)
+        if not emptied:
+            break
+    return not brackets
+
+
+def _read_spans(path) -> list[np.ndarray]:
+    """A family file's member spans, read by orjson, or by json where
+    orjson's reading is refused.
+
+    orjson decodes the text several times faster than json. It refuses
+    NaN, Infinity, numbers beyond float range and lone surrogates, reads an
+    integer beyond 64 bits as a float, and sets no nesting limit of its own,
+    so deep text would overflow the C stack: it reads only text that nests
+    shallowly. json then settles every file that orjson or the member
+    checks refuse, so each exit-2 line is json's. A file both read gives the
+    same bits: each rounds a number to the nearest float, as float() does
+    with json's integers.
+    """
+    text = read_text(path)
+    if _nests_shallowly(text):
+        import orjson  # here: its import costs milliseconds that commands reading no family file skip
+
+        try:
+            return _member_spans(text, orjson.loads(text))
+        except (orjson.JSONDecodeError, InputError):
+            pass
+    del text  # read again below
+    return _member_spans(*read_json(path))
+
+
+def load_family_json(path) -> SubspaceFamily:
+    """Read a family file; bases are re-orthonormalized on load.
+
+    The members are validated and their spans read by ``_read_spans``, whose
+    parsed file is freed before the spans are stacked per column count. The
+    stacks are then orthonormalized in place with batched SVDs, building no
+    member objects.
+    """
+    groups = _stacks(_read_spans(path))  # the groups now hold the only copy of the spans
     return _family(_orthonormal_stacks(groups))

@@ -883,6 +883,99 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("case", ["ensemble-kind-list", "config-keys", "ensemble-keys", "long-key"])
+def test_long_config_errors_are_one_short_line(tmp_path, capsys, case):
+    # a kind given as a list of 200,000 items, 100,000 unknown keys in the
+    # config or its ensemble, or one unknown key of 100,000 characters exits 2
+    # with one line naming a few of them, each cut short
+    keys = {f"key{i:06d}": 0 for i in range(100_000)}
+    overrides, quoted = {
+        "ensemble-kind-list": ({"ensemble": {"kind": list(range(200_000))}}, "got a JSON array of length 200000"),
+        "config-keys": (keys, "unknown config keys: ['key000000', 'key000001', 'key000002'] and 99997 more"),
+        "ensemble-keys": ({"ensemble": {"kind": "gaussian", **keys}},
+                          "unknown ensemble keys: ['key000000', 'key000001', 'key000002'] and 99997 more"),
+        "long-key": ({"x" * 100_000: 1}, "unknown config keys: ['" + "x" * 37 + "...']"),
+    }[case]
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "out.jsonl"
+    assert main(["trial", "--config", str(cfg), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert quoted in captured.err and len(captured.err) < 200
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "width"])
+@pytest.mark.parametrize("key", ["base", "basis_columns"])
+def test_integer_entries_beyond_float_range_exit_2(tmp_path, capsys, command, key):
+    # an integer that no float holds reads as 1e400 does: non-finite
+    mat = tmp_path / "m.csv"
+    mat.write_text("2,2\n2,0\n0,1\n")
+    member = {"base": [0, 0], "basis_columns": [[1, 0]]}
+    member[key] = [0, 10**400] if key == "base" else [[1, 10**400]]
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"n": 2, "members": [member]}))
+    argv = {
+        "verify": ["verify", "--matrix", str(mat), "--family", str(fam), "--D", "2"],
+        "width": ["width", "--family", str(fam), "--seed", "1"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: member 0 has non-finite entries\n"
+
+
+def test_family_nested_beyond_the_c_stack_exits_2(tmp_path):
+    # orjson sets no nesting limit of its own and overflows the C stack on
+    # objects nested 100,000 deep; such a file goes to json, which refuses it
+    # in one line (a child process, so that a crash fails only this test)
+    fam = tmp_path / "fam.json"
+    deep = '{"a":' * 100_000 + "1" + "}" * 100_000
+    fam.write_text('{"n": 2, "members": [{"basis_columns": [[1, 0]]}], "x": %s}' % deep)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subembed.__file__)))
+    code = f"from subembed.cli import main; raise SystemExit(main(['width', '--family', {str(fam)!r}, '--seed', '1']))"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"error: {fam}: JSON nested too deeply to parse\n"
+
+
+def test_cli_import_loads_no_orjson(tmp_path):
+    # orjson is imported on the first family file read, not with the CLI
+    fam = write_axes_family(tmp_path / "fam.json")
+    loaded = _run_python(
+        "import json, sys, subembed.cli; before = 'orjson' in sys.modules; "
+        f"subembed.cli.main(['width', '--family', {str(fam)!r}, '--seed', '1', '--draws', '10', "
+        f"'--output', {str(tmp_path / 'w.json')!r}]); "
+        "print(json.dumps([before, 'orjson' in sys.modules]))"
+    )
+    assert loaded == [False, True]
+
+
+def test_user_file_runs_match_serial_bytes(tmp_path, pools):
+    # each worker reads the family file itself: numbers in every printed form
+    # load to the same bits in the pool as in one process
+    rng = np.random.default_rng(12)
+    n = 7
+    columns = [rng.standard_normal((j, n)) for j in (2, 1, 3, 2)]
+    forms = [repr, "{:.20e}".format, "{:.25g}".format]
+    members = []
+    for i, c in enumerate(columns):
+        rows = (", ".join(forms[(i + r) % 3](x * 1e20) for x in row.tolist()) for r, row in enumerate(c))
+        text = ", ".join("[%s]" % row for row in rows)
+        members.append('{"base": [%s], "basis_columns": [%s]}' % (", ".join(["-0.0"] * n), text))
+    fam = tmp_path / "fam.json"
+    fam.write_text('{"n": %d, "members": [%s]}' % (n, ", ".join(members)))
+    cfg = write_config(tmp_path / "cfg.json", n=n, k=3, p=4, trials=5, family_kind="user_file", family_path=str(fam))
+    outputs = []
+    for par in ("1", "2"):
+        trial, sweep = tmp_path / f"t{par}.jsonl", tmp_path / f"s{par}.csv"
+        assert main(["trial", "--config", str(cfg), "--parallelism", par, "--output", str(trial)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--m-values", "2,6,12", "--parallelism", par,
+                     "--output", str(sweep)]) == 0
+        outputs.append((trial.read_bytes(), sweep.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert pools == [2, 2]
+
 @pytest.mark.parametrize(
     "case",
     ["family-dir", "config-dir", "matrix-dir", "family-utf16", "config-utf16", "matrix-utf16",

@@ -51,6 +51,24 @@ def test_spec_json_round_trip():
             EnsembleSpec.from_json_dict({"kind": kind, "density_bound": 0.5})
 
 
+@pytest.mark.parametrize(
+    "payload, quoted",
+    [
+        ({"kind": "x" * 100_000}, 'got the JSON string "' + "x" * 36 + "..."),
+        ({"kind": ("gaussian",) * 100_000}, "got a Python tuple"),
+        ({"kind": object()}, "got a Python object"),
+        ({"kind": "gaussian", 1: 0, 2.5: 0, **{"k" * 50: 0}}, "keys: ['1', '2.5', '" + "k" * 37 + "...']"),
+        ({"kind": "gaussian", **dict.fromkeys(map(str, range(10, 60)), 0)}, "keys: ['10', '11', '12'] and 47 more"),
+    ],
+    ids=["long-string", "tuple", "object", "mixed-keys", "many-keys"],
+)
+def test_descriptor_errors_quote_any_value_short(payload, quoted):
+    # library callers may pass any object, not only parsed JSON
+    with pytest.raises(ConfigurationError) as info:
+        EnsembleSpec.from_json_dict(payload)
+    assert quoted in str(info.value) and len(str(info.value)) < 200
+
+
 @pytest.mark.parametrize("seed", [0, 1, 987654321, -5])
 def test_sphere_rows_have_exact_norm(seed):
     row = sample_row(EnsembleSpec.sphere_scaled(), 3, seed)

@@ -1,12 +1,15 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subembed.geometry
 from subembed import (
     DegenerateInputError,
     DimensionError,
@@ -451,6 +454,111 @@ def test_family_file_numbers_load_whatever_else_the_text_holds(tmp_path, extra):
         np.array_equal(i, j) and a.tobytes() == b.tobytes()
         for (i, a), (j, b) in zip(load_family_json(annotated).stacks, expected)
     )
+
+
+def load_outcome(path):
+    """What loading a family file gives: its stacks' bytes, or the error's
+    type and text."""
+    try:
+        stacks = load_family_json(path).stacks
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+    return [(indices.tobytes(), bases.tobytes()) for indices, bases in stacks]
+
+
+def json_outcome(path):
+    """load_outcome with orjson refusing every file, so json reads each one."""
+
+    def refuse(text):
+        raise orjson.JSONDecodeError("refused", "", 0)
+
+    with mock.patch.object(orjson, "loads", refuse):
+        return load_outcome(path)
+
+
+# a number and the forms a writer may print it in
+FLOAT_FORMS = [repr, "{:.17g}".format, "{:.20e}".format, "{:.25g}".format, "{:.3E}".format]
+ENTRIES = st.one_of(
+    st.builds(lambda x, form: form(x), st.floats(-1e30, 1e30), st.sampled_from(FLOAT_FORMS)),
+    st.builds(lambda x, form: form(x), st.floats(-2.3e-308, 2.3e-308), st.sampled_from(FLOAT_FORMS)),  # subnormals
+    st.sampled_from(["-0.0", "-0e0", "0.0", "-0", "5e-324", "-4.9406564584124654e-324", "1E+5"]),
+    st.builds(lambda digits, sign: sign + str(digits), st.integers(10**19, 10**30 - 1), st.sampled_from(["", "-"])),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 6), p=st.integers(1, 6))
+def test_orjson_reading_loads_the_bits_json_loads(tmp_path_factory, data, n, p):
+    # mixed dimensions, -0.0, subnormals, exponent forms and integers of 20
+    # to 30 digits, with and without base points: orjson's reading gives
+    # the stacks json's does, bit for bit, and json is never called on
+    members = []
+    for _ in range(p):
+        j = data.draw(st.integers(1, n + 1))
+        columns = [data.draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(j)]
+        member = '"basis_columns": [%s]' % ", ".join("[%s]" % ", ".join(c) for c in columns)
+        if data.draw(st.booleans()):
+            member += ', "base": [%s]' % ", ".join(data.draw(st.lists(ENTRIES, min_size=n, max_size=n)))
+        members.append("{%s}" % member)
+    path = tmp_path_factory.mktemp("fam") / "fam.json"
+    path.write_text('{"n": %d, "members": [%s]}' % (n, ",\n".join(members)))
+    with mock.patch.object(subembed.geometry, "read_json", side_effect=AssertionError("json read the file")):
+        fast = load_outcome(path)
+    assert fast == json_outcome(path)
+
+
+def nested(depth, opener="[", closer="]"):
+    return opener * depth + "1" + closer * depth
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "members": [{"basis_columns": [[1, NaN]]}]}',
+        '{"n": 2, "members": [{"basis_columns": [[1, 0]], "base": [Infinity, 0]}]}',
+        '{"n": 2, "members": [{"basis_columns": [[-Infinity, 1]]}]}',
+        '{"n": 2, "members": [{"basis_columns": [[1, 1e400]]}]}',
+        '{"n": 2, "members": [{"basis_columns": [[1, 0]], "base": [0, 1%s]}]}' % ("0" * 400),
+        '{"n": 2, "members": [{"basis_columns": [[1, -1%s]]}]}' % ("0" * 400),
+        '{"n": 2, "members": [{"basis_columns": [[1, 0]], "\\ud800": 1}]}',
+        '{"n": 2, "members": [{"basis_columns": [[1, 0]]}], "x": %s}' % nested(1100),
+        '{"n": 2, "members": [{"basis_columns": %s}]}' % nested(1100),
+        '{"n": 2, "members": [{"basis_columns": [[1, 0]]}], "x": %s}' % nested(990),
+        # strings whose brackets, or an escaped quote, would hide the depth from a count
+        '{"n": 2, "members": [{"basis_columns": [[1, 0]]}], "x": %s}' % ('["]", ' * 990 + "1" + ', "["]' * 990),
+        '{"n": 2, "members": [{"basis_columns": [[1, 0]]}], "x": ["\\"", %s, "\\""]}' % nested(990),
+        '\ufeff{"n": 2, "members": [{"basis_columns": [[1, 0]]}]}',
+        '{"n": 2, "members": [{"basis_columns": [[1, 0]]}]} []',
+        '{"n": 3, "members": [{"basis_columns": [[1, 0]]}], "n": 2, "members": [{"basis_columns": [[0, 1]]}]}',
+        '{"n": %d, "members": [{"basis_columns": [[1, 0]]}]}' % 2**70,
+        '{"n": 1e2, "members": [{"basis_columns": [[1, 0]]}]}',
+        '{"n": true, "members": [{"basis_columns": [[1, 0]]}]}',
+        '{"n": 2, "members": [{"basis_columns": [[1, %d]]}]}' % 2**70,
+    ],
+    ids=["nan", "infinity", "minus-infinity", "1e400", "int-400-digit-base", "int-400-digit-basis",
+         "lone-surrogate-key", "nested-1100", "nested-1100-basis", "nested-990", "nested-990-bracket-strings",
+         "nested-990-escaped-quotes", "bom", "trailing-data", "duplicate-keys", "n-2**70", "n-1e2", "n-true",
+         "entry-2**70"],
+)
+def test_files_orjson_refuses_load_as_json_reads_them(tmp_path, text):
+    # json settles every file orjson refuses or reads differently: each
+    # loads to json's stacks or gives json's error text
+    path = tmp_path / "fam.json"
+    path.write_text(text, encoding="utf-8")
+    assert load_outcome(path) == json_outcome(path)
+
+
+@pytest.mark.parametrize("key", ["basis_columns", "base"])
+def test_integers_beyond_float_range_are_non_finite_entries(tmp_path, key):
+    member = {"basis_columns": [[1, 0]], "base": [0, 0]}
+    member[key] = [[1, 10**400]] if key == "basis_columns" else [0, -(10**400)]
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"n": 2, "members": [{"basis_columns": [[0, 1]]}, member]}))
+    assert load_outcome(path) == ("InputError", "member 1 has non-finite entries")
+    # a string beside the overflow is still named as a non-number
+    member[key] = [[1, 10**400, "x"]] if key == "basis_columns" else [0, "x", 10**400]
+    path.write_text(json.dumps({"n": 2, "members": [member]}))
+    assert load_outcome(path)[1].startswith("member 0: entries must be numbers")
 
 
 def per_member_load(payload):
