@@ -45,9 +45,10 @@ class ScaleChoice:
 def _certify_entries(n: int, k: int, p: int, rows: int, grid: int) -> tuple[int, int]:
     """The numbers ``_certify_maps`` holds for maps of this many rows at grid
     values of m over p members of dimension at most k in R^n: per map, its
-    rows, pair intervals (2*grid*p), column norms with scratch (2*grid*n) and
-    two kept-pair masks (2*p); and one transient tile (``_screen_bounds``)."""
-    return rows * n + grid * (2 * p + 2 * n) + 2 * p, max(WIDTH_TILE_ENTRIES, p * n * k // _SCREEN_FAMILY_SHARE)
+    rows with their squared norms (rows*(n + 1)), pair intervals (2*grid*p),
+    its Frobenius norms (grid) and two kept-pair masks (2*p); and one
+    transient tile (``_screen_bounds``)."""
+    return rows * (n + 1) + grid * (2 * p + 1) + 2 * p, max(WIDTH_TILE_ENTRIES, p * n * k // _SCREEN_FAMILY_SHARE)
 
 
 def _svd_extremes(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,17 +86,19 @@ def _svd_extremes(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #   whose entries underflow to subnormal numbers (at most m*k * 2^-1074).
 # - delta bounds ||P' - P||_F. Each product errs entrywise by at most
 #   gamma_n |gamma_r|.|b_i| (Higham, Accuracy and Stability of Numerical
-#   Algorithms, ch. 3) plus n * 2^-1075 from underflow. By Minkowski, column
-#   i of P' - P then has norm at most 2*n*eps*c.|b_i| + n*sqrt(m)*2^-1074,
-#   with c the map's column norms over its first m rows, and summing over
-#   the k columns gives delta = 2*n*eps*c.|B|1 + k*n*sqrt(m)*2^-1074 per pair.
-#   (2*n*eps is twice the 2*gamma_n the two products need, and c is summed
-#   from squares with m * 2^-1074 added for squares lost to underflow.) As
-#   c.|b_i| <= ||Gamma_m||_F, delta is at most 2*n*eps*k*||Gamma_m||_F plus
-#   the underflow term, but it stays small for a member that a large column
-#   of the map does not touch. Weyl gives |sigma - sigma'| <= delta, so
-#   |sigma^2 - sigma'^2| <= delta*(2*sigma' + delta), and sigma'^2 <=
-#   |lambda_max| + r.
+#   Algorithms, ch. 3) plus n * 2^-1075 from underflow, and by Cauchy-Schwarz
+#   over the rows, with b_i a unit column, the column c = |Gamma_m||b_i| has
+#   ||c||_2 <= ||Gamma_m||_F. By Minkowski, column i of P' - P then has norm
+#   at most 2*n*eps*||Gamma_m||_F + n*sqrt(m)*2^-1074, and summing over the k
+#   columns gives delta = k*(2*n*eps*||Gamma_m||_F + n*sqrt(m)*2^-1074), one
+#   number per map and m in each stack. (2*n*eps is twice the 2*gamma_n the
+#   two products need, and ||Gamma_m||_F is summed from squares with
+#   m*n*2^-1074 added for squares lost to underflow; a map whose squares
+#   overflow reads inf, so every pair of it is kept at that m.) The bound is
+#   loose only for a map with a few large columns, and _certify_maps sees
+#   only maps sampled by ensembles, whose entries are bounded. Weyl gives
+#   |sigma - sigma'| <= delta, so |sigma^2 - sigma'^2| <= delta*(2*sigma' +
+#   delta), and sigma'^2 <= |lambda_max| + r.
 _SCREEN_TAU = 2.0**-26
 _SCREEN_MAX_MK = 1 << 20
 _SCREEN_FLOOR = 2.0**-1000
@@ -329,23 +332,19 @@ def _gram_extremes(wide: np.ndarray, m_values) -> tuple[np.ndarray, np.ndarray, 
     return bottom, top, finite
 
 
-def _tile_bounds(maps: np.ndarray, tile: np.ndarray, norms: np.ndarray, m_values, out, floor, ceiling) -> np.ndarray:
+def _tile_bounds(maps: np.ndarray, tile: np.ndarray, delta: np.ndarray, m_values, out, floor, ceiling) -> np.ndarray:
     """Write into out, a (2, s, T, c) array, each pair's interval [bottom -
     slack, top + slack] about its extreme Gram eigenvalues at each m of the
     grid, for a (T, M, n) block of maps and a (c, n, k) tile of bases, from
     one wide GEMM; fold the tile's largest top - slack into the (s, T) floor
     and smallest bottom + slack into the ceiling; return the (s,) mask of
-    ``_gram_extremes``. norms holds 2*n*eps times each map column's norm
-    over its first m rows, (s*T, n)."""
+    ``_gram_extremes``. delta, (s, T, 1), bounds the Frobenius distance
+    between the wide product and each pair's own product at each m."""
     (T, M, n), (c, _, k) = maps.shape, tile.shape
     # the n x (c*k) tile, copied as its transpose so each member's block stays
     # local; for k = 1 it is a read-only view of the stack
     cols = np.ascontiguousarray(tile.transpose(0, 2, 1)).reshape(c * k, n)
     wide = (maps.reshape(T * M, n) @ cols.T).reshape(T, M, c, k)
-    cols = np.abs(cols, out=cols if cols.flags.writeable else None)
-    # delta = 2*n*eps*c.|B|1 + k*n*sqrt(m)*2^-1074 per pair, (s, T, c)
-    delta = (norms @ cols.T).reshape(-1, T, c, k).sum(axis=3)
-    delta += (k * n * _TINY) * np.sqrt(m_values)[:, None, None]
     del cols  # before the Grams are formed, to lower the peak
     bottom, top, finite = _gram_extremes(wide, m_values)
     relative = _SCREEN_TAU * np.abs(top) + _SCREEN_FLOOR
@@ -360,11 +359,13 @@ def _tile_bounds(maps: np.ndarray, tile: np.ndarray, norms: np.ndarray, m_values
 def _screen_bounds(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[list, np.ndarray, np.ndarray]:
     """Per dimension stack, a (2, s, T, count) array of each (map, member)
     pair's interval at each m of the grid (``_tile_bounds``), from one wide
-    GEMM per column tile; and the (s, T) floor and ceiling over all stacks.
-    A stack is flagged at an m where (m + s)*k is beyond the slack's range,
-    or where one of its Gram entries or eigenvalues is not finite: there its
+    GEMM per column tile and each map's Frobenius norm over its first m
+    rows; and the (s, T) floor and ceiling over all stacks. A stack is
+    flagged at an m where (m + s)*k is beyond the slack's range, or where
+    one of its Gram entries or eigenvalues is not finite: there its
     intervals read (-inf, inf), keeping every pair, and it adds nothing to
-    the floor or ceiling."""
+    the floor or ceiling. So do a map's pairs at an m where its squares
+    overflow, as its slack is inf there."""
     maps = np.ascontiguousarray(maps)
     T, M, n = maps.shape
     m_values = np.asarray(m_values)
@@ -374,32 +375,21 @@ def _screen_bounds(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
     ceilings = np.full_like(floors, np.inf)
     steps = np.arange(1, s + 1)
     beyond = [(m_values + steps) * bases.shape[2] > _SCREEN_MAX_MK for _, bases in family.stacks]
-    # 2*n*eps times each map column's norm over its first m rows, (s*T, n),
-    # summed in units of 2^e > max |entry| so that no square overflows; the
-    # maps are scaled a few at a time, so the block is never copied whole
-    e = np.frexp(max(maps.max(), -maps.min()))[1]
-    starts = np.concatenate(([0], m_values[:-1]))
-    squares = np.empty((T, s, n))
-    step = max(1, WIDTH_TILE_ENTRIES // (M * n))
-    for lo in range(0, T, step):
-        scaled = np.ldexp(maps[lo : lo + step], -e)
-        np.add.reduceat(np.square(scaled, out=scaled), starts, axis=1, out=squares[lo : lo + step])
-    del scaled
-    np.cumsum(squares, axis=1, out=squares)
-    squares += m_values[:, None] * _TINY
-    norms = squares.transpose(1, 0, 2).reshape(-1, n)
-    del squares
-    np.sqrt(norms, out=norms)
-    norms *= np.ldexp(2.0 * n * _EPS, e)
-    # an overflowing Gram or slack keeps every pair, and the SVD path warns on its own
+    # an overflowing norm, Gram or slack keeps every pair, and the SVD path warns on its own
     with np.errstate(over="ignore", invalid="ignore"):
+        # 2*n*eps*||Gamma_m||_F + n*sqrt(m)*2^-1074 per map and m, (s, T, 1):
+        # a stack of k-dimensional members takes k times it as its delta
+        squares = np.einsum("tij,tij->ti", maps, maps)
+        squares = np.cumsum(squares, axis=1, out=squares)[:, m_values - 1].T
+        squares += (m_values * n * _TINY)[:, None]
+        delta = (2.0 * n * _EPS * np.sqrt(squares) + (n * _TINY) * np.sqrt(m_values)[:, None])[:, :, None]
         # a tile's transposed copy, its wide product, its Grams and their
         # eigenvalues and slack: at most n + T*(M + s*(k + 4)) numbers a column
         per_column = n + T * (M + s * (family.max_dim + 4))
         share = sum(bases.size for _, bases in family.stacks) // _SCREEN_FAMILY_SHARE
         for g, start, tile in _column_tiles(family, per_column, share):
             bounds = intervals[g][..., start : start + len(tile)]
-            beyond[g] |= ~_tile_bounds(maps, tile, norms, m_values, bounds, floors[g], ceilings[g])
+            beyond[g] |= ~_tile_bounds(maps, tile, tile.shape[2] * delta, m_values, bounds, floors[g], ceilings[g])
     for interval, floor, ceiling, flagged in zip(intervals, floors, ceilings, beyond):
         interval[0, flagged], interval[1, flagged] = -np.inf, np.inf
         floor[flagged], ceiling[flagged] = -np.inf, np.inf

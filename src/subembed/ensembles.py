@@ -44,7 +44,7 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown ensemble kind {self.kind!r}")
+            raise ConfigurationError(f"ensemble kind must be one of {'|'.join(KINDS)}, got {describe_json(self.kind)}")
 
     @classmethod
     def gaussian(cls) -> "EnsembleSpec":

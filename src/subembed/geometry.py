@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InputError, describe_json, read_json, read_text
+from .errors import DegenerateInputError, DimensionError, InputError, _cut, describe_json, read_json, read_text
 from .seeding import rng_from
 
 # numerical-rank cutoff relative to the largest singular value
@@ -311,7 +311,7 @@ def _member_spans(text: str, payload) -> list[np.ndarray]:
         if not finite:
             raise InputError(f"member {i} has non-finite entries")
         if mat.ndim != 2 or mat.shape[0] != n or (base is not None and base.shape != (n,)):
-            raise DimensionError(f"member {i} does not match ambient dimension {n}")
+            raise DimensionError(f"member {i} does not match ambient dimension {_cut(str(n))}")
         spans.append(mat)
     return spans
 

@@ -200,7 +200,7 @@ def _block_size(config: ExperimentConfig, rows: int, grid: int) -> int:
     family's p*n*k numbers over _BLOCK_FAMILY_SHARE when that is more."""
     n, k, p = config.n, config.k, config.p
     per_trial, tile = _certify_entries(n, k, p, rows, grid)
-    _check_budget("a trial's certification entries M*n + 2*s*(p + n) + 2*p (M = max m, s = grid size)", per_trial)
+    _check_budget("a trial's certification entries M*(n + 1) + s*(2*p + 1) + 2*p (M = max m, s = grid size)", per_trial)
     budget = max(_BLOCK_ENTRIES, p * n * k // _BLOCK_FAMILY_SHARE) - tile
     return max(1, budget // per_trial)
 

@@ -475,7 +475,7 @@ def test_requests_beyond_the_element_budget_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-ENTRIES_BUDGET = "a trial's certification entries M*n + 2*s*(p + n) + 2*p (M = max m, s = grid size)"
+ENTRIES_BUDGET = "a trial's certification entries M*(n + 1) + s*(2*p + 1) + 2*p (M = max m, s = grid size)"
 
 
 def test_certification_entries_beyond_the_element_budget_exit_2(tmp_path, capsys, monkeypatch):
@@ -492,7 +492,7 @@ def test_certification_entries_beyond_the_element_budget_exit_2(tmp_path, capsys
     argv = ["sweep", "--config", str(cfg), "--m-values", ",".join(map(str, range(1, 301))), "--output", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {ENTRIES_BUDGET} = 132380 exceeds the element budget 100000\n"
+    assert err == f"error: {ENTRIES_BUDGET} = 120980 exceeds the element budget 100000\n"
     assert not out.exists()
 
 
@@ -520,10 +520,11 @@ def test_certification_budget_is_checked_before_any_map_is_sampled(tmp_path, cap
     # a trial's certification entries are known from the config, so an
     # oversized one is refused before its family is built or its maps are
     # drawn: under a budget of 10^5, an 8 x 12500 map (10^5 numbers, which
-    # fit) with its 2*s*(p + n) + 2*p = 128 or 200 more; under the default
-    # one, a map of 1562400 x 64 numbers (800 MB) with 8192 more, and a
-    # sweep over 25000 values of m on the 2016 k_sparse members of n=64, k=2,
-    # whose intervals alone are 10^8 numbers a trial
+    # fit) with its 12500 row squares and s*(2*p + 1) + 2*p = 113 or 170
+    # more; under the default one, a map of 1562400 x 64 numbers (800 MB)
+    # with its 1562400 row squares and 8065 more, and a sweep over 25000
+    # values of m on the 2016 k_sparse members of n=64, k=2, whose intervals
+    # alone are 10^8 numbers a trial
     def no_sampling(*args, **kwargs):
         raise AssertionError("maps sampled before the budget check")
 
@@ -852,6 +853,17 @@ def test_mistyped_n_is_quoted_in_one_short_line(tmp_path, capsys, raw, quoted, w
     assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert quoted in captured.err and len(captured.err) < 200
     assert not out.exists()
+
+
+def test_long_n_beside_a_member_is_cut_in_one_short_line(tmp_path, capsys):
+    # an "n" of 4001 digits parses, under Python's 4300-digit limit, and no
+    # member matches it: the error line quotes its first digits only
+    path = tmp_path / "fam.json"
+    path.write_text('{"n": ' + "1" * 4001 + ', "members": [{"basis_columns": [[1, 0]]}]}')
+    assert main(["width", "--family", str(path), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err == "error: member 0 does not match ambient dimension " + "1" * 37 + "...\n"
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from subembed.distortion import (
     _grid_extremes,
     _svd_extremes,
 )
+from subembed.ensembles import KINDS
 
 from nets import epsilon_net
 from oracles import broadcast_extremes, broadcast_products, subspace_extremes
@@ -213,14 +214,14 @@ def coordinate_family(n, dims=(1, 2)):
     maps=st.integers(1, 5),
     dims=st.lists(st.integers(1, 5), min_size=1, max_size=12),
     repeats=st.integers(0, 4),
+    kind=st.sampled_from(KINDS),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_screen_matches_full_reduction(n, m, maps, dims, repeats, seed):
-    # random maps on mixed-dimension families, m < k included; repeated
-    # members tie exactly, so their pairs share every interval
-    gammas = np.stack(
-        [sample_matrix(EnsembleSpec.gaussian(), m, n, derive_seed(seed, t)).matrix for t in range(maps)]
-    )
+def test_screen_matches_full_reduction(n, m, maps, dims, repeats, kind, seed):
+    # random maps of each ensemble on mixed-dimension families, m < k
+    # included; repeated members tie exactly, so their pairs share every
+    # interval
+    gammas = np.stack([sample_matrix(EnsembleSpec(kind), m, n, derive_seed(seed, t)).matrix for t in range(maps)])
     subs = [random_subspace(n, min(k, n), derive_seed(seed, 99, i)) for i, k in enumerate(dims)]
     assert_screen_is_exact(gammas, SubspaceFamily.from_subspaces(subs + subs[:repeats]))
 
@@ -303,14 +304,17 @@ def test_screen_gram_overflow_keeps_every_pair(monkeypatch):
     assert counts == [5, 10]
 
 
-def test_screen_eigenvalue_overflow_keeps_every_pair_of_its_stack(monkeypatch):
-    # the one-dimensional stack is screened; the two-dimensional one holds
-    # {e0, e1}, whose finite Gram has an overflowing eigenvalue
+def test_screen_eigenvalue_overflow_keeps_every_pair_of_its_map(monkeypatch):
+    # the twin columns' squares, 2e308 together, overflow the map's
+    # Frobenius norm, so its slack is inf and every pair of it is kept; the
+    # two-dimensional stack also holds {e0, e1}, whose finite Gram has an
+    # overflowing eigenvalue
     family = coordinate_family(5)
     gamma = overflowing_twin_columns(np.random.default_rng(3).standard_normal((6, 5)))
+    assert_screen_is_exact(gamma[None], family)
     counts = gathered_pairs(monkeypatch)
     _certify_maps(gamma[None], family, 3.0)
-    assert counts[0] < 5 and counts[1] == 10
+    assert counts == [5, 10]
 
 
 def test_screen_keeps_every_pair_beyond_its_size_range(monkeypatch):
@@ -325,12 +329,15 @@ def test_screen_keeps_every_pair_beyond_its_size_range(monkeypatch):
 
 
 def test_screen_runs_the_svd_on_few_pairs(monkeypatch):
-    # random maps have no near ties, so each map keeps about one pair per extreme
+    # random maps of every ensemble have no near ties, so each map keeps
+    # about one pair per extreme
     family = k_sparse_family(32, 2, 496)
-    maps = np.stack([sample_matrix(EnsembleSpec.gaussian(), 12, 32, 40 + t).matrix for t in range(3)])
     counts = gathered_pairs(monkeypatch)
-    _certify_maps(maps, family, 8.0)
-    assert sum(counts) <= 4 * len(maps)
+    for kind in KINDS:
+        maps = np.stack([sample_matrix(EnsembleSpec(kind), 12, 32, 40 + t).matrix for t in range(3)])
+        counts.clear()
+        _certify_maps(maps, family, 8.0)
+        assert sum(counts) <= 4 * len(maps), kind
 
 
 @pytest.mark.parametrize("m,k", [(7, 3), (2, 5), (40, 8), (1, 1)])
@@ -489,7 +496,9 @@ def test_flagged_stack_across_tiles_adds_nothing_and_keeps_every_pair(monkeypatc
     # the two-dimensional stack spans four tiles of two members and is
     # flagged at the grid's top m only: by the slack's size range, (6 + 3)*2
     # > 17, or by one tile whose Grams overflow there, that of the one member
-    # holding e0, which the last row alone makes huge
+    # holding e0, which the last row alone makes huge; that row's square also
+    # overflows both maps' Frobenius norms, so there every stack's slack is
+    # inf and every pair is kept
     n, grid = 9, (2, 4, 6)
     maps = np.random.default_rng(47).standard_normal((2, 6, n))
     pairs = [(1, 2), (2, 3), (3, 5), (0, 4), (5, 6), (6, 7), (1, 8)]
@@ -506,10 +515,10 @@ def test_flagged_stack_across_tiles_adds_nothing_and_keeps_every_pair(monkeypatc
     tiles, kept = [], []
     real_tile, real_kept = distortion._tile_bounds, distortion._kept_products
 
-    def recorded_tile(maps, tile, norms, m_values, out, floor, ceiling):
+    def recorded_tile(maps, tile, delta, m_values, out, floor, ceiling):
         # each tile's own floor and ceiling, then folded as the screen does
         own = np.full_like(floor, -np.inf), np.full_like(ceiling, np.inf)
-        finite = real_tile(maps, tile, norms, m_values, out, *own)
+        finite = real_tile(maps, tile, delta, m_values, out, *own)
         tiles.append((tile.shape[2], finite, *own))
         np.maximum(floor, own[0], out=floor)
         np.minimum(ceiling, own[1], out=ceiling)
@@ -526,19 +535,27 @@ def test_flagged_stack_across_tiles_adds_nothing_and_keeps_every_pair(monkeypatc
     twos = [tile for tile in tiles if tile[0] == 2]
     assert len(twos) == 4
     assert [bool(finite[-1]) for _, finite, _, _ in twos].count(False) == (1 if flag == "gram-overflow" else 0)
-    # below the top m every tile counts; at it, the two-dimensional tiles
-    # add nothing, though their ceilings lie below the rest
+    # below the top m every tile counts
     assert np.array_equal(floor[:2], np.max([f[:2] for _, _, f, _ in tiles], axis=0))
     assert np.array_equal(ceiling[:2], np.min([c[:2] for _, _, _, c in tiles], axis=0))
-    assert np.array_equal(floor[2], np.max([f[2] for _, _, f, _ in ones], axis=0))
-    assert np.array_equal(ceiling[2], np.min([c[2] for _, _, _, c in ones], axis=0))
-    assert (np.min([c[2] for _, finite, _, c in twos if finite[-1]], axis=0) < ceiling[2]).all()
+    assert np.isfinite(intervals[1][:, :2]).all() and np.isfinite(intervals[0][:, :2]).all()
     assert np.isneginf(intervals[1][0, 2]).all() and np.isposinf(intervals[1][1, 2]).all()
-    assert np.isfinite(intervals[1][:, :2]).all() and np.isfinite(intervals[0]).all()
-    # every pair of the flagged stack is kept at the top m, and the
-    # extremes are exact at every m
+    if flag == "size-range":
+        # at the top m, the two-dimensional tiles add nothing, though their
+        # ceilings lie below the rest
+        assert np.array_equal(floor[2], np.max([f[2] for _, _, f, _ in ones], axis=0))
+        assert np.array_equal(ceiling[2], np.min([c[2] for _, _, _, c in ones], axis=0))
+        assert (np.min([c[2] for _, finite, _, c in twos if finite[-1]], axis=0) < ceiling[2]).all()
+        assert np.isfinite(intervals[0]).all()
+    else:
+        assert np.isneginf(intervals[0][0, 2]).all() and np.isposinf(intervals[0][1, 2]).all()
+        assert np.isneginf(floor[2]).all() and np.isposinf(ceiling[2]).all()
+    # every pair of the flagged stack is kept at the top m (and, on the
+    # overflow, every pair of every stack), and the extremes are exact at
+    # every m
     lo, hi = distortion._grid_extremes(maps, family, grid)
     assert [keep.all() for m, k, keep in kept if k == 2] == [False, False, True]
+    assert [keep.all() for m, k, keep in kept if k == 1] == [False, False, flag == "gram-overflow"]
     for j, m in enumerate(grid):
         exact_lo, exact_hi = _family_extremes(maps[:, :m], family)
         assert np.array_equal(lo[j], exact_lo.min(axis=1))

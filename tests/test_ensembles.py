@@ -29,8 +29,12 @@ SQRT3 = math.sqrt(3.0)
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match='got the JSON string "cauchy"'):
         EnsembleSpec(kind="cauchy")
+    # a library caller's long kind is quoted by its type and length
+    with pytest.raises(ConfigurationError) as raised:
+        EnsembleSpec(kind=list(range(200_000)))
+    assert str(raised.value).endswith("got a JSON array of length 200000") and len(str(raised.value)) < 200
     # the one bounded law sampled has no settings to pass
     with pytest.raises(TypeError):
         EnsembleSpec(kind="iid_bounded", density_bound=0.5)

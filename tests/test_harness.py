@@ -241,7 +241,8 @@ def test_trial_range_builds_a_fixed_family_once_per_range(monkeypatch):
     monkeypatch.setattr(harness, "build_family", counted)
     fixed = small_config(trials=3)
     # blocks of one trial, at every grid below
-    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", block_budget(fixed, 1, fixed.m, 1))
+    budget = min(block_budget(fixed, 1, fixed.m, 1), block_budget(fixed, 1, 4, 2))
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", budget)
     assert harness._block_size(fixed, fixed.m, 1) == harness._block_size(fixed, 4, 2) == 1
     first = harness._trial_range(fixed, (fixed.m,), range(3))
     assert builds == [0]  # one build for the range's three blocks
@@ -316,7 +317,7 @@ def test_block_core_equals_trials_run_alone(monkeypatch, tmp_path, per_block, ki
 def test_block_size_at_paper_scale_comes_from_the_config(monkeypatch):
     # no family is built to size a block; at n=1024, k=8 the family sets the
     # budget: p=2000 (m=59) gets at least 8 trials a block, and p=10^4 (m=63)
-    # a twelfth of p*n*k less one tile, 6826666 - 2560000, over its 106560
+    # a twelfth of p*n*k less one tile, 6826666 - 2560000, over its 104576
     # numbers a trial: 40
     def no_build(config, trial_index):
         raise AssertionError("a family was built")
@@ -325,15 +326,15 @@ def test_block_size_at_paper_scale_comes_from_the_config(monkeypatch):
     paper = small_config(n=1024, k=8, p=2000, D=8.0)
     assert paper.m == 59 and harness._block_size(paper, 59, 1) >= 8
     large = small_config(n=1024, k=8, p=10_000, D=8.0)
-    assert distortion._certify_entries(1024, 8, 10_000, 63, 1) == (106_560, 2_560_000)
+    assert distortion._certify_entries(1024, 8, 10_000, 63, 1) == (104_576, 2_560_000)
     assert large.m == 63 and harness._block_size(large, 63, 1) == 40
 
 
 @pytest.mark.parametrize(
     "sizes, m_values, per_block",
     [
-        ({"n": 64, "k": 4, "p": 16}, None, 68),
-        ({"n": 256, "k": 8, "p": 500}, None, 7),
+        ({"n": 64, "k": 4, "p": 16}, None, 72),
+        ({"n": 256, "k": 8, "p": 500}, None, 8),
         ({"n": 64, "k": 2, "p": 2016, "family_kind": "k_sparse"}, tuple(range(4, 41, 4)), 2),
     ],
     ids=["trials-small", "n=256-k=8-p=500", "sweep-sparse"],
