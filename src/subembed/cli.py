@@ -74,10 +74,8 @@ def load_matrix_csv(path) -> RandomMatrix:
 
 def format_matrix_csv(matrix: np.ndarray) -> str:
     m, n = matrix.shape
-    lines = [f"{m},{n}"]
-    for row in matrix:
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * n)
+    return "\n".join([f"{m},{n}", *(row % tuple(values) for values in matrix.tolist())]) + "\n"
 
 
 def store_matrix_csv(matrix, path) -> None:
@@ -201,9 +199,10 @@ def _cmd_verify(args) -> int:
     scale = choose_scale(report, args.D)
     if args.report_csv:
         _atomic_write(args.report_csv, _report_csv(report))
-    _emit(_summary_json(report, scale), args.summary_out)
+    summary = _summary_json(report, scale)
+    _emit(summary, args.summary_out)
     if args.summary_out:
-        sys.stdout.write(_summary_json(report, scale))
+        sys.stdout.write(summary)
     if args.require_feasible and not scale.feasible:
         return 1
     return 0

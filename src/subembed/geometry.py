@@ -266,11 +266,7 @@ def _may_hold_non_numbers(text: str, payload: dict) -> bool:
     if text.find("t") >= 0 or text.find("f") >= 0:
         return True
     keys = len(payload) + sum(len(entry) for entry in payload["members"] if isinstance(entry, dict))
-    quotes, at = 0, text.find('"')
-    while at >= 0:
-        quotes += 1
-        at = text.find('"', at + 1)
-    return quotes > 2 * keys
+    return text.count('"') > 2 * keys
 
 
 def _member_spans(text: str, payload) -> list[np.ndarray]:

@@ -184,8 +184,8 @@ def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
     # member l is random_subspace(n, k, derive_seed(fam_seed, l)), orthonormalized in one batch
     _check_budget("p*n*k", config.p * config.n * config.k)
     draws = np.empty((config.p, config.n, config.k))
-    for l, draw in enumerate(draws):
-        rng_from(derive_seed(fam_seed, l)).standard_normal(out=draw)
+    for seed, draw in zip(derive_seeds(fam_seed, config.p), draws):
+        rng_from(seed).standard_normal(out=draw)
     return _family(_orthonormal_stacks(((np.arange(config.p), draws),)))
 
 

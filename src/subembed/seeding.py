@@ -9,8 +9,10 @@ many streams exist.
 Matrix rows go one step further: entry j of a row is the j-th output of
 the SplitMix64 generator seeded with the row's seed, computed directly from
 (row seed, j) in the spirit of counter-based generators (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11). ``derive_seeds``
-and ``uniforms`` do this over whole uint64 arrays at once.
+"Parallel random numbers: as easy as 1, 2, 3", SC'11). One uint64 array
+kernel, ``_splitmix64_array``, computes every derived seed and uniform:
+``derive_seed`` runs it on its path and a one-element running seed,
+``derive_seeds`` and ``uniforms`` on whole arrays at once.
 """
 
 from __future__ import annotations
@@ -18,28 +20,20 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
-# the same constants as 0-d uint64 arrays, so array arithmetic stays in
-# uint64 (and wraps modulo 2^64) under both the numpy 1.x and NEP 50
-# promotion rules
+# SplitMix64's gamma, multipliers and shifts as 0-d uint64 arrays, so array
+# arithmetic stays in uint64 (and wraps modulo 2^64) under both the numpy
+# 1.x and NEP 50 promotion rules
 _U_GAMMA, _U_MIX1, _U_MIX2, _U_30, _U_27, _U_31, _U_11 = (
-    np.array(c, dtype=np.uint64) for c in (_GAMMA, _MIX1, _MIX2, 30, 27, 31, 11)
+    np.array(c, dtype=np.uint64)
+    for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31, 11)
 )
 _INV_2_53 = 2.0**-53
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + _GAMMA) & _MASK64
-    z = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """``_splitmix64`` applied elementwise to a uint64 array."""
+    """The SplitMix64 output function, elementwise on a uint64 array: add
+    the golden gamma, then xor-shift-multiply twice and xor-shift once."""
     z = x + _U_GAMMA
     shifted = np.empty_like(z)
     for shift, mix in ((_U_30, _U_MIX1), (_U_27, _U_MIX2)):
@@ -62,9 +56,13 @@ def derive_seed(seed: int, *path: int) -> int:
     (``derive_seed(seed, i)``), trial streams, and family construction.
     """
     out = normalize_seed(seed)
-    for index in path:
-        out = _splitmix64(_splitmix64(out) ^ _splitmix64(normalize_seed(index)))
-    return out
+    if not path:
+        return out
+    # one-element arrays, not derive_seeds: its arange cannot reach 2^64 - 1
+    child = np.array([out], dtype=np.uint64)
+    for index in _splitmix64_array(np.array([normalize_seed(i) for i in path], dtype=np.uint64)):
+        child = _splitmix64_array(_splitmix64_array(child) ^ index)
+    return int(child[0])
 
 
 def derive_seeds(seed, count: int, start: int = 0) -> np.ndarray:
@@ -83,9 +81,9 @@ def uniforms(seeds: np.ndarray, count: int, start: int = 0) -> np.ndarray:
     """A (len(seeds), count) block of doubles in [0, 1), each a multiple of 2^-53.
 
     Entry (i, j) is output number ``start + j`` of the SplitMix64 generator
-    seeded with ``seeds[i]``, that is ``_splitmix64(seeds[i] + (start + j) *
-    gamma)`` with its top 53 bits kept: a pure function of (seeds[i],
-    start + j), whatever the other seeds and the block's shape.
+    seeded with ``seeds[i]``, that is ``_splitmix64_array`` of ``seeds[i] +
+    (start + j) * gamma`` with its top 53 bits kept: a pure function of
+    (seeds[i], start + j), whatever the other seeds and the block's shape.
     """
     counters = np.arange(start, start + count, dtype=np.uint64) * _U_GAMMA
     bits = _splitmix64_array(np.asarray(seeds, dtype=np.uint64)[:, None] + counters)

@@ -147,6 +147,30 @@ def cross_family(family: SubspaceFamily, cardinality_budget: int = 100_000) -> S
     return SubspaceFamily.from_subspaces(spans)
 
 
+# ---------------------------------------------------------------- seeding
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(x: int) -> int:
+    """SplitMix64's output function on a Python int in [0, 2^64): the
+    formula ``seeding._splitmix64_array`` must equal elementwise."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def derive_seed_reference(seed: int, *path: int) -> int:
+    """``seeding.derive_seed`` in Python ints: per index, the mixed parent
+    xored with the mixed index, mixed again; the empty path gives the
+    normalized seed."""
+    out = normalize_seed(seed)
+    for index in path:
+        out = splitmix64(splitmix64(out) ^ splitmix64(normalize_seed(index)))
+    return out
+
+
 # ---------------------------------------------------------------- sampling
 
 

@@ -12,7 +12,7 @@ import subembed.cli
 import subembed.harness
 import subembed.stats
 from subembed import EnsembleSpec, k_sparse_family, sample_matrix, store_family_json
-from subembed.cli import load_matrix_csv, main, store_matrix_csv
+from subembed.cli import format_matrix_csv, load_matrix_csv, main, store_matrix_csv
 
 
 def write_config(path, **overrides):
@@ -65,6 +65,19 @@ def test_matrix_csv_gaussian_round_trip(tmp_path):
     path = tmp_path / "g.csv"
     store_matrix_csv(gamma, path)
     assert np.array_equal(load_matrix_csv(path).matrix, gamma.matrix)
+
+
+def test_matrix_csv_rows_format_each_entry_as_its_17_digit_f_string():
+    # one %-format a row must write what f"{x:.17g}" writes of each entry:
+    # random bit patterns (NaN and inf among them), signed zeros, the
+    # subnormal and normal ends, and the largest finite magnitudes
+    bits = np.random.default_rng(8).integers(0, 1 << 64, size=200_000, dtype=np.uint64)
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, tiny - 5e-324, big, -big, 1.0, 0.1, -1 / 3])
+    matrix = np.concatenate([bits.view(np.float64), edges, np.zeros(388)]).reshape(-1, 400)
+    rows = (",".join(f"{x:.17g}" for x in row) for row in matrix)
+    assert format_matrix_csv(matrix) == "\n".join(["501,400", *rows]) + "\n"
+    assert format_matrix_csv(np.empty((0, 3))) == "0,3\n"
 
 
 def test_matrix_csv_errors(tmp_path, capsys):
@@ -277,7 +290,7 @@ def test_verify_report_csv(tmp_path, capsys):
     assert lines[0] == "member_index,sigma_min,sigma_max"
     assert lines[1].startswith("0,2,2")
     assert json.loads(summary_path.read_text())["feasible"] is True
-    capsys.readouterr()
+    assert capsys.readouterr().out == summary_path.read_text()
 
 
 # ---------------------------------------------------------------- trial/sweep

@@ -653,6 +653,32 @@ def test_wide_screen_slack_covers_the_wide_product_error(monkeypatch):
     assert_screen_is_exact(gamma[None], family)
 
 
+def test_screen_slack_is_k_times_the_one_column_bound_in_each_stack(monkeypatch):
+    # each of a pair's k columns differs from its wide-product column by at
+    # most 2*n*eps*||Gamma_m||_F + n*sqrt(m)*2^-1074, so a stack of
+    # k-dimensional members takes k times that as its delta, per map and m
+    n, grid = 24, np.array([3, 7, 12, 20])
+    maps = np.random.default_rng(41).standard_normal((3, grid[-1], n)) * np.array([1.0, 1e-3, 1e3])[:, None, None]
+    family = SubspaceFamily.from_subspaces(
+        random_subspace(n, k, derive_seed(41, i)) for i, k in enumerate((1, 2, 3) * 4)
+    )
+    seen = []
+    real = distortion._tile_bounds
+
+    def capture(maps, tile, delta, *rest):
+        seen.append((tile.shape[2], delta.copy()))
+        return real(maps, tile, delta, *rest)
+
+    monkeypatch.setattr(distortion, "_tile_bounds", capture)
+    distortion._screen_bounds(maps, family, grid)
+    assert sorted({k for k, _ in seen}) == [1, 2, 3]
+    frobenius = np.array([[math.sqrt(math.fsum((gamma[:m] ** 2).ravel())) for gamma in maps] for m in grid])
+    one_column = 2 * n * np.finfo(float).eps * frobenius + n * np.sqrt(grid)[:, None] * 2.0**-1074
+    for k, delta in seen:
+        assert delta.shape == (len(grid), len(maps), 1)
+        np.testing.assert_allclose(delta[:, :, 0], k * one_column, rtol=1e-13, atol=0)
+
+
 def test_grid_screen_counts_its_growth_steps_in_the_size_range(monkeypatch):
     # a Gram grown over s values of the grid rounds in up to m + s steps, so
     # its range is (m + s)*k <= _SCREEN_MAX_MK: on the grid (2, 4, 6), m*k

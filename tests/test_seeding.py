@@ -3,13 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subembed.seeding import (
-    _splitmix64,
     _splitmix64_array,
     derive_seed,
     derive_seeds,
     normalize_seed,
     uniforms,
 )
+
+from oracles import derive_seed_reference, splitmix64
 
 
 def test_normalize_maps_negative_seeds_into_u64():
@@ -41,6 +42,16 @@ def test_derived_seeds_spread_over_u64():
 
 U64 = st.integers(0, (1 << 64) - 1)
 SEEDS = st.one_of(U64, st.integers(-(1 << 70), 1 << 70))
+# the ends of u64, its midpoint, and ints that normalize onto them
+EDGES = st.sampled_from([0, 1, 1 << 63, (1 << 64) - 1, -1, -(1 << 63), -(1 << 64), 1 << 64, (1 << 70) - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.one_of(EDGES, SEEDS), path=st.lists(st.one_of(EDGES, SEEDS), max_size=4))
+def test_derive_seed_equals_scalar_oracle(seed, path):
+    child = derive_seed(seed, *path)
+    assert type(child) is int
+    assert child == derive_seed_reference(seed, *path)
 
 
 @settings(max_examples=60, deadline=None)
@@ -48,7 +59,7 @@ SEEDS = st.one_of(U64, st.integers(-(1 << 70), 1 << 70))
 def test_derive_seeds_equals_scalar_derivation(seed, count):
     seeds = derive_seeds(seed, count)
     assert seeds.dtype == np.uint64 and seeds.shape == (count,)
-    assert [int(s) for s in seeds] == [derive_seed(seed, i) for i in range(count)]
+    assert [int(s) for s in seeds] == [derive_seed_reference(seed, i) for i in range(count)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -57,7 +68,7 @@ def test_derive_seeds_at_large_indices(seed, data):
     count = data.draw(st.integers(1, 200_000))
     seeds = derive_seeds(seed, count)
     for i in {0, count - 1, data.draw(st.integers(0, count - 1))}:
-        assert int(seeds[i]) == derive_seed(seed, i)
+        assert int(seeds[i]) == derive_seed_reference(seed, i)
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,7 +77,7 @@ def test_derive_seeds_of_a_parent_array_equals_scalar_derivation(parents, count,
     seeds = derive_seeds(np.array(parents, dtype=np.uint64), count, start=start)
     assert seeds.dtype == np.uint64 and seeds.shape == (len(parents), count)
     for row, parent in zip(seeds, parents):
-        assert [int(s) for s in row] == [derive_seed(parent, start + i) for i in range(count)]
+        assert [int(s) for s in row] == [derive_seed_reference(parent, start + i) for i in range(count)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -74,23 +85,23 @@ def test_derive_seeds_of_a_parent_array_equals_scalar_derivation(parents, count,
 def test_trial_row_seeds_from_one_derivation(seed, start, count):
     # the harness derives a block's trial seeds, then all their row seeds, at once
     trial_seeds = derive_seeds(derive_seed(seed, 2), count, start=start)
-    assert [int(s) for s in trial_seeds] == [derive_seed(seed, 2, start + t) for t in range(count)]
+    assert [int(s) for s in trial_seeds] == [derive_seed_reference(seed, 2, start + t) for t in range(count)]
     rows = derive_seeds(trial_seeds, 3)
     assert [[int(s) for s in r] for r in rows] == [
-        [derive_seed(seed, 2, start + t, i) for i in range(3)] for t in range(count)
+        [derive_seed_reference(seed, 2, start + t, i) for i in range(3)] for t in range(count)
     ]
 
 
 @given(values=st.lists(U64, min_size=1, max_size=50))
 def test_array_mixer_matches_scalar_mixer_on_all_of_u64(values):
-    # derive_seed mixes every index through this mixer, so this covers
+    # every derived seed and uniform goes through this mixer, so this covers
     # indices of any size, including negative ones (mapped to >= 2^63)
     mixed = _splitmix64_array(np.array(values, dtype=np.uint64))
-    assert [int(v) for v in mixed] == [_splitmix64(v) for v in values]
+    assert [int(v) for v in mixed] == [splitmix64(v) for v in values]
 
 
 def _reference_uniform(seed: int, j: int) -> float:
-    bits = _splitmix64((seed + j * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
+    bits = splitmix64((seed + j * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
     return (bits >> 11) * 2.0**-53
 
 
