@@ -89,7 +89,7 @@ def _atomic_write(path, text: str) -> None:
     temporary file is removed, and an OSError is reported against path."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
@@ -112,7 +112,7 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
     The schema is closed: unknown keys are rejected. SUBEMBED_SEED in the
     environment overrides the config seed.
     """
-    _, payload = read_json(path)
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise InputError(f"{path}: config must be a JSON object")
     unknown = set(payload) - _CONFIG_REQUIRED - _CONFIG_OPTIONAL

@@ -42,13 +42,13 @@ def read_text(path) -> str:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
-def read_json(path) -> tuple[str, object]:
-    """The text of a JSON input file and its value; JSON that is malformed,
-    nested too deeply or holds an integer too long to parse raises
-    InputError naming the path."""
+def read_json(path) -> object:
+    """The value of a JSON input file, read as UTF-8 text; JSON that is
+    malformed, nested too deeply or holds an integer too long to parse
+    raises InputError naming the path."""
     text = read_text(path)
     try:
-        return text, json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InputError, _cut, describe_json, read_json, read_text
+from .errors import DegenerateInputError, DimensionError, InputError, _cut, describe_json, read_json
 from .seeding import rng_from
 
 # numerical-rank cutoff relative to the largest singular value
@@ -30,8 +30,8 @@ ZERO_NORM = 1e-12
 _SVD_CHUNK = 1 << 20
 # deepest nesting of a family file that orjson reads; json reads deeper ones
 _ORJSON_DEPTH = 64
-# every byte but the brackets and the quote, which alone give a text's nesting
-_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+# every byte but those _scan reads: brackets, quote, backslash and the t and f of true and false
+_UNSCANNED = bytes(sorted(set(range(256)) - set(b'[]{}"\\tf')))
 _EMPTY_PAIR = re.compile(rb"\[\]|\{\}")
 
 
@@ -239,12 +239,8 @@ def store_family_json(family: SubspaceFamily, path) -> None:
     for indices, bases in family.stacks:
         for i, basis_columns in zip(indices.tolist(), np.swapaxes(bases, 1, 2).tolist()):
             columns[i] = basis_columns
-    payload = {
-        "n": family.ambient_dim,
-        "members": [{"basis_columns": c} for c in columns],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"n": family.ambient_dim, "members": [{"basis_columns": c} for c in columns]}, fh)
 
 
 def _only_numbers(value) -> bool:
@@ -255,29 +251,17 @@ def _only_numbers(value) -> bool:
     return type(value) in (int, float)
 
 
-def _may_hold_non_numbers(text: str, payload: dict) -> bool:
-    """Whether a family file's text can hold a true, false or string value.
+def _member_spans(payload, quotes: int, letters: bool) -> list[np.ndarray]:
+    """The members' n x j spans, in member order, from a family file's
+    parsed value, its quote count and whether it holds a 't' or an 'f'.
 
-    numpy's float conversion takes these as numbers, and they are cheap to
-    rule out in the text: true and false hold a 't' or an 'f', which no
-    number or key of the format does, and a string adds its two quotes to
-    the keys' own. (A null reads as NaN, which the finiteness check finds.)
-    """
-    if text.find("t") >= 0 or text.find("f") >= 0:
-        return True
-    keys = len(payload) + sum(len(entry) for entry in payload["members"] if isinstance(entry, dict))
-    return text.count('"') > 2 * keys
-
-
-def _member_spans(text: str, payload) -> list[np.ndarray]:
-    """The members' n x j spans, in member order, from a family file's text
-    and its parsed value.
-
-    Every member is validated first, its "base" entry included, which is
-    then dropped: no certificate, width or trial reads a base point. Its
-    entries must be JSON numbers; true, false, strings and null are refused,
-    though numpy's float conversion would take them, and an integer beyond
-    float range is refused as 1e400 is.
+    Every member is validated, its "base" included, which is then dropped:
+    no certificate, width or trial reads a base point. Entries must be JSON
+    numbers, and an integer beyond float range is refused as 1e400 is.
+    numpy's float conversion would take true, false and strings, so their
+    types are walked where the file may hold one: true and false hold a 't'
+    or an 'f', which no number or key of the format does, and a string adds
+    two quotes to the keys' own. A null reads as NaN, which is not finite.
     """
     if not isinstance(payload, dict) or "n" not in payload or "members" not in payload:
         raise InputError("family file must be an object with keys 'n' and 'members'")
@@ -286,12 +270,13 @@ def _member_spans(text: str, payload) -> list[np.ndarray]:
     n = payload["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"family file 'n' must be an integer >= 1, got {describe_json(n)}")
-    walk = _may_hold_non_numbers(text, payload)
+    keys = len(payload) + sum(len(entry) for entry in payload["members"] if isinstance(entry, dict))
+    walk = letters or quotes > 2 * keys
     spans = []
     for i, entry in enumerate(payload["members"]):
         if not isinstance(entry, dict) or "basis_columns" not in entry:
             raise InputError(f"member {i} must be an object with key 'basis_columns'")
-        # the entries' types are walked only where the text, a NaN or an overflow calls for it
+        # the entries' types are walked only where the scan, a NaN or an overflow calls for it
         entries = [entry[key] for key in ("basis_columns", "base") if key in entry]
         try:
             mat = np.array(entry["basis_columns"], dtype=float).T  # stored as a list of columns
@@ -312,48 +297,53 @@ def _member_spans(text: str, payload) -> list[np.ndarray]:
     return spans
 
 
-def _nests_shallowly(text: str) -> bool:
-    """Whether the text, were it JSON, would nest arrays and objects at most
-    _ORJSON_DEPTH deep; False for any text that holds a backslash.
-
-    Without a backslash every quote opens or closes a string, so the text
-    outside strings is every other piece between quotes, and its brackets
-    give its nesting. Each pass deletes the innermost empty pairs, one level,
-    so brackets that vanish within _ORJSON_DEPTH passes nest no deeper.
+def _scan(data: bytes) -> tuple[bool, int, bool]:
+    """From a family file's bytes: whether they hold no backslash and nest
+    arrays and objects at most _ORJSON_DEPTH deep, their quote count, and
+    whether they hold a 't' or an 'f'; facts of the UTF-8 text too, which
+    encodes no other character with an ASCII byte. Without a backslash every
+    quote opens or closes a string, so the bytes outside strings are every
+    other piece between quotes, and their brackets give the nesting. Each
+    pass deletes the innermost empty pairs, one level, so brackets that
+    vanish within _ORJSON_DEPTH passes nest no deeper.
     """
-    if "\\" in text:
-        return False
-    brackets = b"".join(text.encode().translate(None, _NOT_NESTING).split(b'"')[::2])
+    kept = data.translate(None, _UNSCANNED)
+    pieces = kept.split(b'"')
+    brackets = b"".join(pieces[::2]).translate(None, b"tf")
     for _ in range(_ORJSON_DEPTH):
         brackets, emptied = _EMPTY_PAIR.subn(b"", brackets)
         if not emptied:
             break
-    return not brackets
+    return b"\\" not in kept and not brackets, len(pieces) - 1, b"t" in kept or b"f" in kept
 
 
 def _read_spans(path) -> list[np.ndarray]:
     """A family file's member spans, read by orjson, or by json where
     orjson's reading is refused.
 
-    orjson decodes the text several times faster than json. It refuses
-    NaN, Infinity, numbers beyond float range and lone surrogates, reads an
+    The file is read once, as bytes, and ``_scan`` passes over them once.
+    orjson reads them several times faster than json reads text, checks
+    their UTF-8 itself and holds no decoded copy. It refuses NaN, Infinity,
+    numbers beyond float range, invalid UTF-8 and lone surrogates, reads an
     integer beyond 64 bits as a float, and sets no nesting limit of its own,
-    so deep text would overflow the C stack: it reads only text that nests
-    shallowly. json then settles every file that orjson or the member
-    checks refuse, so each exit-2 line is json's. A file both read gives the
-    same bits: each rounds a number to the nearest float, as float() does
-    with json's integers.
+    so deep bytes would overflow the C stack: it reads only bytes that scan
+    as shallow. json settles every file that orjson or the member checks
+    refuse, reading it again as strict UTF-8 text, so each exit-2 line is
+    json's. A file both read gives the same bits: each rounds a number to
+    the nearest float, as float() does with json's integers.
     """
-    text = read_text(path)
-    if _nests_shallowly(text):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    shallow, quotes, letters = _scan(data)
+    if shallow:
         import orjson  # here: its import costs milliseconds that commands reading no family file skip
 
         try:
-            return _member_spans(text, orjson.loads(text))
+            return _member_spans(orjson.loads(data), quotes, letters)
         except (orjson.JSONDecodeError, InputError):
             pass
-    del text  # read again below
-    return _member_spans(*read_json(path))
+    del data  # read again below
+    return _member_spans(read_json(path), quotes, letters)
 
 
 def load_family_json(path) -> SubspaceFamily:

@@ -376,10 +376,11 @@ def test_pool_class_is_the_standard_one():
     assert subembed.harness.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
 
 
-def _run_python(code):
+def _run_python(code, *options):
     src = os.path.dirname(os.path.dirname(os.path.abspath(subembed.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, *options, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.strip().splitlines()[-1])
 
@@ -962,6 +963,38 @@ def test_family_nested_beyond_the_c_stack_exits_2(tmp_path):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == f"error: {fam}: JSON nested too deeply to parse\n"
+
+
+def test_file_writing_commands_name_their_encoding(tmp_path):
+    # every text file is opened as UTF-8 by name: with warn_default_encoding,
+    # an open() left to the locale's encoding warns, and as an error the
+    # warning would end the command in a traceback
+    mat = tmp_path / "m.csv"
+    mat.write_text("2,2\n2,0\n0,1\n")
+    points = tmp_path / "points.csv"
+    points.write_text("3,2\n0,0\n1,0\n0,2\n")
+    fam, cfg = write_axes_family(tmp_path / "fam.json"), write_config(tmp_path / "cfg.json")
+    out = {name: str(tmp_path / name) for name in
+           ("r.csv", "s.json", "t.jsonl", "sw.csv", "w.json", "g.csv", "e.json", "gm.csv", "family.json")}
+    commands = [
+        ["verify", "--matrix", str(mat), "--family", str(fam), "--D", "8", "--report-csv", out["r.csv"],
+         "--summary-out", out["s.json"]],
+        ["trial", "--config", str(cfg), "--output", out["t.jsonl"]],
+        ["sweep", "--config", str(cfg), "--m-values", "2,6", "--output", out["sw.csv"]],
+        ["width", "--family", str(fam), "--seed", "1", "--draws", "10", "--output", out["w.json"]],
+        ["embed-points", "--points", str(points), "--D", "8", "--ensemble", "gaussian", "--seed", "1",
+         "--matrix-out", out["g.csv"], "--summary-out", out["e.json"]],
+        ["gen-matrix", "--ensemble", "gaussian", "--m", "3", "--n", "4", "--seed", "1", "--output", out["gm.csv"]],
+    ]
+    code = (
+        "import json, subembed, subembed.cli; "
+        f"codes = [subembed.cli.main(argv) for argv in {commands!r}]; "
+        f"subembed.store_family_json(subembed.k_sparse_family(4, 2, 3), {out['family.json']!r}); "
+        "print(json.dumps(codes))"
+    )
+    codes = _run_python(code, "-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    assert codes == [0] * len(commands)
+    assert all(os.path.getsize(path) > 0 for path in out.values())
 
 
 def test_cli_import_loads_no_orjson(tmp_path):

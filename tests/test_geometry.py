@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subembed.errors
 import subembed.geometry
 from subembed import (
     DegenerateInputError,
@@ -476,6 +477,14 @@ def json_outcome(path):
         return load_outcome(path)
 
 
+def fast_outcome(path):
+    """load_outcome where neither json nor the text decoder may read the
+    file, so that orjson must read its bytes."""
+    with mock.patch.object(subembed.geometry, "read_json", side_effect=AssertionError("json read the file")), \
+            mock.patch.object(subembed.errors, "read_text", side_effect=AssertionError("the file was decoded")):
+        return load_outcome(path)
+
+
 # a number and the forms a writer may print it in
 FLOAT_FORMS = [repr, "{:.17g}".format, "{:.20e}".format, "{:.25g}".format, "{:.3E}".format]
 ENTRIES = st.one_of(
@@ -491,7 +500,8 @@ ENTRIES = st.one_of(
 def test_orjson_reading_loads_the_bits_json_loads(tmp_path_factory, data, n, p):
     # mixed dimensions, -0.0, subnormals, exponent forms and integers of 20
     # to 30 digits, with and without base points: orjson's reading gives
-    # the stacks json's does, bit for bit, and json is never called on
+    # the stacks json's does, bit for bit, and neither json nor the text
+    # decoder is ever called on
     members = []
     for _ in range(p):
         j = data.draw(st.integers(1, n + 1))
@@ -502,9 +512,7 @@ def test_orjson_reading_loads_the_bits_json_loads(tmp_path_factory, data, n, p):
         members.append("{%s}" % member)
     path = tmp_path_factory.mktemp("fam") / "fam.json"
     path.write_text('{"n": %d, "members": [%s]}' % (n, ",\n".join(members)))
-    with mock.patch.object(subembed.geometry, "read_json", side_effect=AssertionError("json read the file")):
-        fast = load_outcome(path)
-    assert fast == json_outcome(path)
+    assert fast_outcome(path) == json_outcome(path)
 
 
 def nested(depth, opener="[", closer="]"):
@@ -546,6 +554,54 @@ def test_files_orjson_refuses_load_as_json_reads_them(tmp_path, text):
     path = tmp_path / "fam.json"
     path.write_text(text, encoding="utf-8")
     assert load_outcome(path) == json_outcome(path)
+
+
+# a family file whose second member takes the extra bytes given
+FAMILY_BYTES = b'{"n": 2, "members": [{"basis_columns": [[1, 0.5]]}, {"base": [0, -1], "basis_columns": [[3, 4]]%s}]}'
+
+
+@pytest.mark.parametrize(
+    "data,fast",
+    [
+        (FAMILY_BYTES % ', "clé ключ": 1'.encode(), True),
+        (FAMILY_BYTES % b', "tf": 1', True),
+        (FAMILY_BYTES % b', "flag": true, "x": [false, [true]]', True),
+        (FAMILY_BYTES % b', "cl\\u00e9": 1', False),
+        ((FAMILY_BYTES % b"").replace(b", ", b",\r\n "), True),
+    ],
+    ids=["non-ascii-key", "t-f-only-in-a-key", "true-false-outside-strings", "backslash-only-in-a-key", "crlf"],
+)
+def test_family_bytes_load_the_stacks_json_loads(tmp_path, data, fast):
+    # non-ASCII keys, a 't' or 'f' in a key or in true and false, a
+    # backslash and CRLF line ends leave the stacks as json reads them, and
+    # only a backslash keeps the file from orjson
+    path, plain = tmp_path / "fam.json", tmp_path / "plain.json"
+    path.write_bytes(data)
+    plain.write_bytes(FAMILY_BYTES % b"")
+    expected = load_outcome(plain)
+    assert load_outcome(path) == json_outcome(path) == expected
+    if fast:
+        assert fast_outcome(path) == expected
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        FAMILY_BYTES % b', "k\xff": 1',
+        (FAMILY_BYTES % b"").replace(b"0.5", b"0.5\xc3"),
+        (FAMILY_BYTES % b"").replace(b"[[3, 4]]", b"[[3,\x80 4]]"),
+        FAMILY_BYTES % b', "\xed\xa0\x80": 1',
+    ],
+    ids=["invalid-in-a-key", "invalid-in-a-number", "lone-continuation-byte", "encoded-surrogate"],
+)
+def test_family_bytes_that_are_not_utf8_exit_as_json_reads_them(tmp_path, data):
+    # orjson checks the bytes it is given, and json's strict decoding names
+    # the first bad byte
+    path = tmp_path / "fam.json"
+    path.write_bytes(data)
+    outcome = load_outcome(path)
+    assert outcome == json_outcome(path)
+    assert outcome[0] == "InputError" and outcome[1].startswith(f"{path}: not UTF-8 text")
 
 
 @pytest.mark.parametrize("key", ["basis_columns", "base"])
