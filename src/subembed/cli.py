@@ -22,7 +22,7 @@ import numpy as np
 from .distortion import DistortionReport, choose_scale, family_distortion
 from .ensembles import EnsembleSpec, RandomMatrix, sample_matrix, theoretical_constants
 from .errors import InputError, SubembedError, describe_json, describe_keys, read_json, read_text
-from .geometry import load_family_json
+from .geometry import _checked, load_family_json
 from .harness import ExperimentConfig, metric_embed, run_trials, sweep_m
 from .stats import check_distortion, gaussian_width_mc, width_upper_bound
 
@@ -69,7 +69,8 @@ def load_matrix_csv(path) -> RandomMatrix:
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise InputError(f"{path}: row {bad[0]}: entries must be finite")
-    return RandomMatrix(matrix=rows)
+    rows.setflags(write=False)
+    return _checked(RandomMatrix, matrix=rows)
 
 
 def format_matrix_csv(matrix: np.ndarray) -> str:

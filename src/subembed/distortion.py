@@ -45,10 +45,10 @@ class ScaleChoice:
 def _certify_entries(n: int, k: int, p: int, rows: int, grid: int) -> tuple[int, int]:
     """The numbers ``_certify_maps`` holds for maps of this many rows at grid
     values of m over p members of dimension at most k in R^n: per map, its
-    rows with their squared norms (rows*(n + 1)), pair intervals (2*grid*p),
-    its Frobenius norms (grid) and two kept-pair masks (2*p); and one
-    transient tile (``_screen_bounds``)."""
-    return rows * (n + 1) + grid * (2 * p + 1) + 2 * p, max(WIDTH_TILE_ENTRIES, p * n * k // _SCREEN_FAMILY_SHARE)
+    rows with their squared norms (rows*(n + 1)) and its Frobenius norms
+    (grid); and one transient tile with its Grams, the pairs' intervals and
+    their masks (``_grid_extremes``)."""
+    return rows * (n + 1) + grid, max(WIDTH_TILE_ENTRIES, p * n * k // _SCREEN_FAMILY_SHARE)
 
 
 def _svd_extremes(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +111,6 @@ _KEPT_ENTRIES = 1 << 16
 # tile, so wide tiles pay less for it. At n=1024, k=8, p=2000, a block of 10
 # maps ran its GEMMs 1.4 times slower against 144-column tiles than 576-column ones.
 _SCREEN_FAMILY_SHARE = 32
-# numbers in each of the point-pair screen's arrays for one row chunk of pairs
-_PAIR_CHUNK_ENTRIES = 1 << 15
 
 
 # The point-pair screen's slack (_certify_points). The N points are
@@ -191,23 +189,25 @@ def _pair_differences(pts: np.ndarray, rows: np.ndarray, cols: np.ndarray, width
 
 
 def _gram_distances(x: np.ndarray, sq: np.ndarray, a: int, b: int, tau: float):
-    """The squared distances of rows a..b-1 of x to its rows a.., from their
-    Gram and sq, the rows' squared norms, and their slack
-    tau*(sq_i + sq_j) + _SCREEN_FLOOR (see _pair_tau)."""
+    """Bounds low <= ||x_i - x_j|| <= high for rows i = a..b-1 of x and its
+    rows j = a.., from their Gram and sq, the rows' squared norms: the square
+    roots of d2 -+ (tau*(sq_i + sq_j) + _SCREEN_FLOOR), with d2 the squared
+    distance the Gram gives and low at least 0 (see _pair_tau)."""
     d2 = x[a:b] @ x[a:].T
     d2 *= -2.0
     d2 += sq[a:b, None]
     d2 += sq[a:]
-    return d2, tau * (sq[a:b, None] + sq[a:]) + _SCREEN_FLOOR
+    slack = tau * (sq[a:b, None] + sq[a:]) + _SCREEN_FLOOR
+    return np.sqrt(np.maximum(d2 - slack, 0.0)), np.sqrt(d2 + slack)
 
 
 def _distance_blocks(pts: np.ndarray, centred: np.ndarray, e: int, threshold: float, tau: float):
     """The pairs (i, j), i < j, in triu_indices order, as row chunks [a, b)
-    whose (b - a, N - a) blocks hold at most _PAIR_CHUNK_ENTRIES numbers (or one
-    row): per chunk, a, the block's mask of the pairs (a + r, a + c) whose
-    exact norm exceeds threshold, and the bounds low and high on their
-    distances in units of 2^e, from one GEMM of centred, the points scaled
-    by 2^-e and centred.
+    whose (b - a, N - a) blocks hold at most WIDTH_TILE_ENTRIES numbers (or
+    one row), the budget of ``_pair_differences``: per chunk, a, the block's
+    mask of the pairs (a + r, a + c) whose exact norm exceeds threshold, and
+    the bounds low and high on their distances in units of 2^e, from one
+    GEMM of centred, the points scaled by 2^-e and centred.
 
     A pair gets its exact norm when the bounds cannot place it above or below
     threshold (a non-finite bound never can), or cannot rule out a norm
@@ -219,10 +219,9 @@ def _distance_blocks(pts: np.ndarray, centred: np.ndarray, e: int, threshold: fl
         cut, limit = np.ldexp(threshold, -e), np.ldexp(1.0, 1023 - e)
     a = 0
     while a < N - 1:
-        b = min(N - 1, a + max(1, _PAIR_CHUNK_ENTRIES // (N - a)))
+        b = min(N - 1, a + max(1, WIDTH_TILE_ENTRIES // (N - a)))
         with np.errstate(all="ignore"):
-            d2, slack = _gram_distances(centred, g, a, b, tau)
-            low, high = np.sqrt(np.maximum(d2 - slack, 0.0)), np.sqrt(d2 + slack)
+            low, high = _gram_distances(centred, g, a, b, tau)
             pairs = np.arange(a, b)[:, None] < np.arange(a, N)
             kept = pairs & (low * (1.0 - tau) > cut) & (high * (1.0 + tau) < limit)
             rows, cols = np.nonzero(pairs & ~kept & ~(high * (1.0 + tau) <= cut))
@@ -266,14 +265,15 @@ def _certify_points(pts: np.ndarray, scaled: tuple, matrix: np.ndarray, D: float
     for a, kept, low, high in _distance_blocks(pts, centred, e, threshold, tau):
         b = a + len(kept)
         with np.errstate(all="ignore"):
-            e2, slack = _gram_distances(images, h, a, b, tau)
+            below, above = _gram_distances(images, h, a, b, tau)
             shift = tau * frobenius * (r[a:b, None] + r[a:]) + _SCREEN_FLOOR
-            below = ((np.sqrt(np.maximum(e2 - slack, 0.0)) - shift) / high - kernel) * (1.0 - tau)
-            above = ((np.sqrt(e2 + slack) + shift) / low + kernel) * (1.0 + tau)
+            below = ((below - shift) / high - kernel) * (1.0 - tau)
+            above = ((above + shift) / low + kernel) * (1.0 + tau)
             bounded = kept & np.isfinite(below) & np.isfinite(above)
             below[~bounded], above[~bounded] = -np.inf, np.inf
         floor, ceiling = max(floor, below.max()), min(ceiling, above.min())
         rows, cols = np.nonzero(kept & _reach(below, above, floor, ceiling))
+        del below, above, shift  # before the exact kernel's batches, to lower the peak
         # and its product with the map
         for _, _, units, norms in _pair_differences(pts, rows + a, cols + a, n + 1 + m):
             units /= norms[:, None]
@@ -332,14 +332,20 @@ def _gram_extremes(wide: np.ndarray, m_values) -> tuple[np.ndarray, np.ndarray, 
     return bottom, top, finite
 
 
-def _tile_bounds(maps: np.ndarray, tile: np.ndarray, delta: np.ndarray, m_values, out, floor, ceiling) -> np.ndarray:
-    """Write into out, a (2, s, T, c) array, each pair's interval [bottom -
-    slack, top + slack] about its extreme Gram eigenvalues at each m of the
-    grid, for a (T, M, n) block of maps and a (c, n, k) tile of bases, from
-    one wide GEMM; fold the tile's largest top - slack into the (s, T) floor
-    and smallest bottom + slack into the ceiling; return the (s,) mask of
-    ``_gram_extremes``. delta, (s, T, 1), bounds the Frobenius distance
-    between the wide product and each pair's own product at each m."""
+# an overflowing norm, Gram or slack keeps every pair, and the SVD path warns on its own
+@np.errstate(over="ignore", invalid="ignore")
+def _tile_bounds(maps: np.ndarray, tile: np.ndarray, delta: np.ndarray, m_values):
+    """(below, above, floor, ceiling) of a (T, M, n) block of maps over a (c,
+    n, k) tile of bases at each m of the grid, from one wide GEMM: each
+    pair's interval [bottom - slack, top + slack] about its extreme Gram
+    eigenvalues, two (s, T, c) arrays, and the tile's largest top - slack
+    and smallest bottom + slack, two (s, T) arrays. delta, (s, T, 1), bounds
+    the Frobenius distance between the wide product and each pair's own
+    product at each m. Where (m + s)*k is beyond the slack's range, or one
+    of the tile's Gram entries or eigenvalues is not finite, the tile is
+    flagged: its intervals read (-inf, inf) and its floor and ceiling -inf
+    and inf. A map's pairs read so too where its squares overflow, as its
+    slack is inf there."""
     (T, M, n), (c, _, k) = maps.shape, tile.shape
     # the n x (c*k) tile, copied as its transpose so each member's block stays
     # local; for k = 1 it is a read-only view of the stack
@@ -349,51 +355,13 @@ def _tile_bounds(maps: np.ndarray, tile: np.ndarray, delta: np.ndarray, m_values
     bottom, top, finite = _gram_extremes(wide, m_values)
     relative = _SCREEN_TAU * np.abs(top) + _SCREEN_FLOOR
     slack = relative + delta * (2.0 * np.sqrt(np.abs(top) + relative) + delta)
-    np.subtract(bottom, slack, out=out[0])
-    np.add(top, slack, out=out[1])
-    np.maximum(floor, np.subtract(top, slack, out=relative).max(axis=2), out=floor)
-    np.minimum(ceiling, np.add(bottom, slack, out=relative).min(axis=2), out=ceiling)
-    return finite
-
-
-def _screen_bounds(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[list, np.ndarray, np.ndarray]:
-    """Per dimension stack, a (2, s, T, count) array of each (map, member)
-    pair's interval at each m of the grid (``_tile_bounds``), from one wide
-    GEMM per column tile and each map's Frobenius norm over its first m
-    rows; and the (s, T) floor and ceiling over all stacks. A stack is
-    flagged at an m where (m + s)*k is beyond the slack's range, or where
-    one of its Gram entries or eigenvalues is not finite: there its
-    intervals read (-inf, inf), keeping every pair, and it adds nothing to
-    the floor or ceiling. So do a map's pairs at an m where its squares
-    overflow, as its slack is inf there."""
-    maps = np.ascontiguousarray(maps)
-    T, M, n = maps.shape
-    m_values = np.asarray(m_values)
-    s = len(m_values)
-    intervals = [np.empty((2, s, T, len(bases))) for _, bases in family.stacks]
-    floors = np.full((len(family.stacks), s, T), -np.inf)
-    ceilings = np.full_like(floors, np.inf)
-    steps = np.arange(1, s + 1)
-    beyond = [(m_values + steps) * bases.shape[2] > _SCREEN_MAX_MK for _, bases in family.stacks]
-    # an overflowing norm, Gram or slack keeps every pair, and the SVD path warns on its own
-    with np.errstate(over="ignore", invalid="ignore"):
-        # 2*n*eps*||Gamma_m||_F + n*sqrt(m)*2^-1074 per map and m, (s, T, 1):
-        # a stack of k-dimensional members takes k times it as its delta
-        squares = np.einsum("tij,tij->ti", maps, maps)
-        squares = np.cumsum(squares, axis=1, out=squares)[:, m_values - 1].T
-        squares += (m_values * n * _TINY)[:, None]
-        delta = (2.0 * n * _EPS * np.sqrt(squares) + (n * _TINY) * np.sqrt(m_values)[:, None])[:, :, None]
-        # a tile's transposed copy, its wide product, its Grams and their
-        # eigenvalues and slack: at most n + T*(M + s*(k + 4)) numbers a column
-        per_column = n + T * (M + s * (family.max_dim + 4))
-        share = sum(bases.size for _, bases in family.stacks) // _SCREEN_FAMILY_SHARE
-        for g, start, tile in _column_tiles(family, per_column, share):
-            bounds = intervals[g][..., start : start + len(tile)]
-            beyond[g] |= ~_tile_bounds(maps, tile, tile.shape[2] * delta, m_values, bounds, floors[g], ceilings[g])
-    for interval, floor, ceiling, flagged in zip(intervals, floors, ceilings, beyond):
-        interval[0, flagged], interval[1, flagged] = -np.inf, np.inf
-        floor[flagged], ceiling[flagged] = -np.inf, np.inf
-    return intervals, floors.max(axis=0), ceilings.min(axis=0)
+    floor = np.subtract(top, slack, out=relative).max(axis=2)
+    ceiling = np.add(bottom, slack, out=relative).min(axis=2)
+    below, above = np.subtract(bottom, slack, out=relative), np.add(top, slack, out=slack)
+    flagged = ~finite | ((m_values + np.arange(1, len(m_values) + 1)) * k > _SCREEN_MAX_MK)
+    below[flagged], floor[flagged] = -np.inf, -np.inf
+    above[flagged], ceiling[flagged] = np.inf, np.inf
+    return below, above, floor, ceiling
 
 
 def _kept_products(maps: np.ndarray, bases: np.ndarray, keep: np.ndarray):
@@ -430,19 +398,43 @@ def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
     sigma_max at each m of the strictly increasing grid, from its first m
     rows: bit for bit the min and max of ``_family_extremes`` of those rows.
 
-    The Grams of the wide products (``_screen_bounds``) only choose which
-    pairs get the exact product and SVD: those whose interval can reach
-    their map's family extreme. They never decide a value: a kept pair's
-    product and SVD are its own. When m is below the family's largest
+    The column tiles are walked once. Each tile's Grams (``_tile_bounds``,
+    with each map's Frobenius norm over its first m rows) fold its floor and
+    ceiling into the running ones, and its pairs whose interval reaches them
+    get their exact product, from the family's own stack, and SVD at once. A
+    running floor is never above the final one, nor a running ceiling below
+    it, so every pair that can hold its map's family extreme is kept, and
+    the Grams never decide a value. When m is below the family's largest
     dimension, sigma_min is 0 and only the maximum is screened.
     """
-    intervals, floor, ceiling = _screen_bounds(maps, family, m_values)
-    lo = np.where(np.asarray(m_values)[:, None] < family.max_dim, 0.0, np.full_like(floor, np.inf))
-    hi = np.full_like(floor, -np.inf)
-    for j, m in enumerate(m_values):
-        # below max_dim every sigma_min is 0, and no pair is kept for it
-        at_m = ceiling[j, :, None] if m >= family.max_dim else -np.inf
-        for (_, bases), (below, above) in zip(family.stacks, intervals):
+    maps = np.ascontiguousarray(maps)
+    T, M, n = maps.shape
+    m_values = np.asarray(m_values)
+    s = len(m_values)
+    floor = np.full((s, T), -np.inf)
+    ceiling = np.full_like(floor, np.inf)
+    lo = np.where(m_values[:, None] < family.max_dim, 0.0, ceiling)
+    hi = floor.copy()
+    # squares that overflow read inf, and keep every pair of their map
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 2*n*eps*||Gamma_m||_F + n*sqrt(m)*2^-1074 per map and m, (s, T, 1):
+        # a stack of k-dimensional members takes k times it as its delta
+        squares = np.einsum("tij,tij->ti", maps, maps)
+        squares = np.cumsum(squares, axis=1, out=squares)[:, m_values - 1].T
+        squares += (m_values * n * _TINY)[:, None]
+        delta = (2.0 * n * _EPS * np.sqrt(squares) + (n * _TINY) * np.sqrt(m_values)[:, None])[:, :, None]
+    # a tile's transposed copy, its wide product, its Grams, their eigenvalues,
+    # the pairs' intervals and masks: at most n + T*(M + s*(k + 4)) numbers a column
+    per_column = n + T * (M + s * (family.max_dim + 4))
+    share = sum(bases.size for _, bases in family.stacks) // _SCREEN_FAMILY_SHARE
+    for g, start, tile in _column_tiles(family, per_column, share):
+        below, above, tile_floor, tile_ceiling = _tile_bounds(maps, tile, tile.shape[2] * delta, m_values)
+        np.maximum(floor, tile_floor, out=floor)
+        np.minimum(ceiling, tile_ceiling, out=ceiling)
+        bases = family.stacks[g][1][start : start + len(tile)]
+        for j, m in enumerate(m_values):
+            # below max_dim every sigma_min is 0, and no pair is kept for it
+            at_m = ceiling[j, :, None] if m >= family.max_dim else -np.inf
             keep = _reach(below[j], above[j], floor[j, :, None], at_m)
             for rows, _, products in _kept_products(maps[:, :m], bases, keep):
                 pair_lo, pair_hi = _svd_extremes(products)

@@ -98,7 +98,8 @@ class EnsembleConstants:
 @dataclass(frozen=True)
 class RandomMatrix:
     """An m x n map. The constructor copies and checks its input;
-    ``sample_matrix`` skips both and keeps its own read-only array."""
+    ``sample_matrix`` and ``cli.load_matrix_csv`` skip both and keep their
+    own read-only arrays."""
 
     matrix: np.ndarray
 

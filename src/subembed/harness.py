@@ -41,11 +41,12 @@ FAMILY_KINDS = ("haar_random", "k_sparse", "user_file")
 _FAMILY_STREAM = 1
 _GAMMA_STREAM = 2
 
-# numbers a block of trials may hold at once besides its family (see
-# _block_size), or a twelfth of the family's p*n*k numbers when that is
-# more. 3 MB of blocks leave a small run's peak memory within a few percent
-# of the interpreter's own; at paper scale the family sets the size of a
-# process, and a block of a twelfth of it adds at most about 8% to it.
+# numbers a block of trials may hold at once besides its family (its maps
+# and one screen tile, see _block_size), or a twelfth of the family's p*n*k
+# numbers when that is more. 3 MB of blocks leave a small run's peak memory
+# within a few percent of the interpreter's own; at paper scale the family
+# sets the size of a process, and a block of a twelfth of it adds at most
+# about 8% to it.
 # Blocks are sized from the config alone: building the family in the parent
 # to size them would initialise BLAS before a pool forks, which raised a
 # pooled run's peak memory by a tenth.
@@ -195,12 +196,13 @@ def _block_size(config: ExperimentConfig, rows: int, grid: int) -> int:
     budget, and at least one. Raises ResourceError when one trial holds more
     than the element budget allows.
 
-    Besides the family, a block holds ``_certify_entries``: numbers per
-    trial and one transient tile. The budget is _BLOCK_ENTRIES, or the
-    family's p*n*k numbers over _BLOCK_FAMILY_SHARE when that is more."""
+    Besides the family, a block holds ``_certify_entries``: per trial its
+    map, the map's row squares and its Frobenius norms, and one transient
+    tile with its Grams, intervals and masks. The budget is _BLOCK_ENTRIES,
+    or the family's p*n*k numbers over _BLOCK_FAMILY_SHARE when that is more."""
     n, k, p = config.n, config.k, config.p
     per_trial, tile = _certify_entries(n, k, p, rows, grid)
-    _check_budget("a trial's certification entries M*(n + 1) + s*(2*p + 1) + 2*p (M = max m, s = grid size)", per_trial)
+    _check_budget("a trial's certification entries M*(n + 1) + s (M = max m, s = grid size)", per_trial)
     budget = max(_BLOCK_ENTRIES, p * n * k // _BLOCK_FAMILY_SHARE) - tile
     return max(1, budget // per_trial)
 

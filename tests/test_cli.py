@@ -489,24 +489,31 @@ def test_requests_beyond_the_element_budget_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-ENTRIES_BUDGET = "a trial's certification entries M*(n + 1) + s*(2*p + 1) + 2*p (M = max m, s = grid size)"
+ENTRIES_BUDGET = "a trial's certification entries M*(n + 1) + s (M = max m, s = grid size)"
 
 
 def test_certification_entries_beyond_the_element_budget_exit_2(tmp_path, capsys, monkeypatch):
-    # under a budget of 10^5 numbers the family (7600 numbers) and each map
-    # (300 * 20) fit, but a sweep over m = 1..300 screens 2*s*p = 114000
-    # intervals a trial: refused before any map is sampled
+    # under a budget of 10^5 numbers the family (7600 numbers) fits, and so
+    # does a sweep over m = 1..300, whose screen stores no intervals: 300*21
+    # + 300 = 6600 numbers a trial. A sweep up to m = 4900 samples maps of
+    # 98000 numbers, which fit, but with their 4900 row squares and two
+    # Frobenius norms they do not: refused before any map is sampled
+    monkeypatch.setattr(subembed.stats, "DEFAULT_MAX_ELEMENTS", 10**5)
+    cfg = write_config(tmp_path / "cfg.json", family_kind="k_sparse", n=20, k=2, p=190)
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(cfg), "--output", str(out), "--m-values"]
+    assert main(argv + [",".join(map(str, range(1, 301)))]) == 0
+    assert out.read_text(encoding="utf-8").count("\n") == 302  # header, 300 rows, minimal-m footer
+    out.unlink()
+
     def no_sampling(*args, **kwargs):
         raise AssertionError("maps sampled before the budget check")
 
     monkeypatch.setattr(subembed.harness, "_sample_maps", no_sampling)
-    monkeypatch.setattr(subembed.stats, "DEFAULT_MAX_ELEMENTS", 10**5)
-    cfg = write_config(tmp_path / "cfg.json", family_kind="k_sparse", n=20, k=2, p=190)
-    out = tmp_path / "out"
-    argv = ["sweep", "--config", str(cfg), "--m-values", ",".join(map(str, range(1, 301))), "--output", str(out)]
-    assert main(argv) == 2
+    capsys.readouterr()
+    assert main(argv + ["4,4900"]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {ENTRIES_BUDGET} = 120980 exceeds the element budget 100000\n"
+    assert err == f"error: {ENTRIES_BUDGET} = 102902 exceeds the element budget 100000\n"
     assert not out.exists()
 
 
@@ -534,11 +541,12 @@ def test_certification_budget_is_checked_before_any_map_is_sampled(tmp_path, cap
     # a trial's certification entries are known from the config, so an
     # oversized one is refused before its family is built or its maps are
     # drawn: under a budget of 10^5, an 8 x 12500 map (10^5 numbers, which
-    # fit) with its 12500 row squares and s*(2*p + 1) + 2*p = 113 or 170
-    # more; under the default one, a map of 1562400 x 64 numbers (800 MB)
-    # with its 1562400 row squares and 8065 more, and a sweep over 25000
-    # values of m on the 2016 k_sparse members of n=64, k=2, whose intervals
-    # alone are 10^8 numbers a trial
+    # fit) with its 12500 row squares and s = 1 or 2 Frobenius norms; under
+    # the default one, a map of 1562400 x 64 numbers (800 MB) with its
+    # 1562400 row squares and one norm, and a sweep over the 25000 values of
+    # m up to 1538461 on the 2016 k_sparse members of n=64, k=2, whose map
+    # and row squares, 1538461*65 = 99999965 numbers, fit, and whose 25000
+    # norms do not
     def no_sampling(*args, **kwargs):
         raise AssertionError("maps sampled before the budget check")
 
@@ -553,7 +561,7 @@ def test_certification_budget_is_checked_before_any_map_is_sampled(tmp_path, cap
     if command == "trial-paper-sized":
         sizes["m_override"] = 1562400
     cfg = write_config(tmp_path / "cfg.json", family_kind="k_sparse", **sizes)
-    grid = {"sweep": "4,12500", "sweep-long-grid": ",".join(map(str, range(1, 25001)))}
+    grid = {"sweep": "4,12500", "sweep-long-grid": ",".join(map(str, range(1538461 - 24999, 1538462)))}
     argv = ["sweep", "--config", str(cfg), "--m-values", grid[command]] if command in grid else [
         "trial", "--config", str(cfg)]
     out = tmp_path / "out"

@@ -491,75 +491,169 @@ def test_grid_screen_across_column_tiles(monkeypatch):
     assert_screen_is_exact(np.stack([overflowing_twin_columns(maps[0]), maps[1]]), family)
 
 
+def record_screen(monkeypatch):
+    """Record, in walk order, each tile's (maps, tile, delta) arguments, k,
+    the finite mask of its Grams and what _tile_bounds returns for it; and
+    each _kept_products call as (m, k, keep): one a tile and m."""
+    tiles, kept = [], []
+    real_grams, real_tile, real_kept = distortion._gram_extremes, distortion._tile_bounds, distortion._kept_products
+
+    def recorded_grams(wide, m_values):
+        bottom, top, finite = real_grams(wide, m_values)
+        tiles.append([wide.shape[3], finite.copy()])
+        return bottom, top, finite
+
+    def recorded_tile(maps, tile, delta, m_values):
+        bounds = real_tile(maps, tile, delta, m_values)
+        tiles[-1][:0] = [(maps, tile, delta.copy())]
+        tiles[-1].extend(bound.copy() for bound in bounds)
+        return bounds
+
+    def recorded_kept(maps, bases, keep):
+        kept.append((maps.shape[1], bases.shape[2], keep.copy()))
+        return real_kept(maps, bases, keep)
+
+    monkeypatch.setattr(distortion, "_gram_extremes", recorded_grams)
+    monkeypatch.setattr(distortion, "_tile_bounds", recorded_tile)
+    monkeypatch.setattr(distortion, "_kept_products", recorded_kept)
+    return tiles, kept
+
+
+def tiled_mixed_family(monkeypatch):
+    """Nine-dimensional coordinate members, eight of dimension one and seven
+    of dimension two, and two maps of six rows, screened over the grid (2,
+    4, 6) in tiles of four one-dimensional or two two-dimensional members."""
+    n = 9
+    pairs = [(1, 2), (2, 3), (3, 5), (0, 4), (5, 6), (6, 7), (1, 8)]
+    family = SubspaceFamily.from_subspaces(
+        [sparse_subspace(n, (i,)) for i in range(1, n)] + [sparse_subspace(n, pair) for pair in pairs]
+    )
+    # a column costs n + T*(M + s*(k + 4)) = 57 numbers
+    monkeypatch.setattr(stats, "WIDTH_TILE_ENTRIES", 2 * 57 * 2)
+    return np.random.default_rng(47).standard_normal((2, 6, n)), family, (2, 4, 6)
+
+
+def assert_exact_at_every_m(lo, hi, maps, family, grid):
+    for j, m in enumerate(grid):
+        exact_lo, exact_hi = _family_extremes(maps[:, :m], family)
+        assert np.array_equal(lo[j], exact_lo.min(axis=1))
+        assert np.array_equal(hi[j], exact_hi.max(axis=1))
+
+
 @pytest.mark.parametrize("flag", ["size-range", "gram-overflow"])
 def test_flagged_stack_across_tiles_adds_nothing_and_keeps_every_pair(monkeypatch, flag):
     # the two-dimensional stack spans four tiles of two members and is
     # flagged at the grid's top m only: by the slack's size range, (6 + 3)*2
     # > 17, or by one tile whose Grams overflow there, that of the one member
     # holding e0, which the last row alone makes huge; that row's square also
-    # overflows both maps' Frobenius norms, so there every stack's slack is
+    # overflows both maps' Frobenius norms, so there every tile's slack is
     # inf and every pair is kept
-    n, grid = 9, (2, 4, 6)
-    maps = np.random.default_rng(47).standard_normal((2, 6, n))
-    pairs = [(1, 2), (2, 3), (3, 5), (0, 4), (5, 6), (6, 7), (1, 8)]
-    family = SubspaceFamily.from_subspaces(
-        [sparse_subspace(n, (i,)) for i in range(1, n)] + [sparse_subspace(n, pair) for pair in pairs]
-    )
-    # a column costs n + T*(M + s*(k + 4)) = 57 numbers, so tiles of two
-    # two-dimensional members
-    monkeypatch.setattr(stats, "WIDTH_TILE_ENTRIES", 2 * 57 * 2)
+    maps, family, grid = tiled_mixed_family(monkeypatch)
     if flag == "size-range":
         monkeypatch.setattr(distortion, "_SCREEN_MAX_MK", 17)
     else:
         maps[:, 5, 0] = 1e155  # its square overflows
-    tiles, kept = [], []
-    real_tile, real_kept = distortion._tile_bounds, distortion._kept_products
-
-    def recorded_tile(maps, tile, delta, m_values, out, floor, ceiling):
-        # each tile's own floor and ceiling, then folded as the screen does
-        own = np.full_like(floor, -np.inf), np.full_like(ceiling, np.inf)
-        finite = real_tile(maps, tile, delta, m_values, out, *own)
-        tiles.append((tile.shape[2], finite, *own))
-        np.maximum(floor, own[0], out=floor)
-        np.minimum(ceiling, own[1], out=ceiling)
-        return finite
-
-    def recorded_kept(maps, bases, keep):
-        kept.append((maps.shape[1], bases.shape[2], keep.copy()))
-        return real_kept(maps, bases, keep)
-
-    monkeypatch.setattr(distortion, "_tile_bounds", recorded_tile)
-    monkeypatch.setattr(distortion, "_kept_products", recorded_kept)
-    intervals, floor, ceiling = distortion._screen_bounds(maps, family, grid)
-    ones = [tile for tile in tiles if tile[0] == 1]
-    twos = [tile for tile in tiles if tile[0] == 2]
-    assert len(twos) == 4
-    assert [bool(finite[-1]) for _, finite, _, _ in twos].count(False) == (1 if flag == "gram-overflow" else 0)
-    # below the top m every tile counts
-    assert np.array_equal(floor[:2], np.max([f[:2] for _, _, f, _ in tiles], axis=0))
-    assert np.array_equal(ceiling[:2], np.min([c[:2] for _, _, _, c in tiles], axis=0))
-    assert np.isfinite(intervals[1][:, :2]).all() and np.isfinite(intervals[0][:, :2]).all()
-    assert np.isneginf(intervals[1][0, 2]).all() and np.isposinf(intervals[1][1, 2]).all()
+    real_tile = distortion._tile_bounds
+    tiles, kept = record_screen(monkeypatch)
+    lo, hi = distortion._grid_extremes(maps, family, grid)
+    ones = [tile for tile in tiles if tile[1] == 1]
+    twos = [tile for tile in tiles if tile[1] == 2]
+    assert len(ones) == 2 and len(twos) == 4
+    assert [bool(finite[-1]) for _, _, finite, *_ in twos].count(False) == (1 if flag == "gram-overflow" else 0)
+    # below the top m every tile counts, and at the top m every
+    # two-dimensional tile keeps every pair
+    for _, _, _, below, above, floor, ceiling in tiles:
+        assert all(np.isfinite(bound[:2]).all() for bound in (below, above, floor, ceiling))
+    for _, _, _, below, above, _, _ in twos:
+        assert np.isneginf(below[2]).all() and np.isposinf(above[2]).all()
     if flag == "size-range":
         # at the top m, the two-dimensional tiles add nothing, though their
-        # ceilings lie below the rest
-        assert np.array_equal(floor[2], np.max([f[2] for _, _, f, _ in ones], axis=0))
-        assert np.array_equal(ceiling[2], np.min([c[2] for _, _, _, c in ones], axis=0))
-        assert (np.min([c[2] for _, finite, _, c in twos if finite[-1]], axis=0) < ceiling[2]).all()
-        assert np.isfinite(intervals[0]).all()
+        # ceilings, unflagged, lie below those of the rest
+        assert all(np.isneginf(floor[2]).all() and np.isposinf(ceiling[2]).all() for *_, floor, ceiling in twos)
+        monkeypatch.setattr(distortion, "_SCREEN_MAX_MK", 1 << 20)
+        unflagged = [real_tile(*args, np.array(grid))[3][2] for args, *_ in twos]
+        assert (np.min(unflagged, axis=0) < np.min([ceiling[2] for *_, ceiling in ones], axis=0)).all()
+        assert all(np.isfinite(np.stack(tile[3:5])).all() for tile in ones)
     else:
-        assert np.isneginf(intervals[0][0, 2]).all() and np.isposinf(intervals[0][1, 2]).all()
-        assert np.isneginf(floor[2]).all() and np.isposinf(ceiling[2]).all()
+        for _, _, _, below, above, floor, ceiling in tiles:
+            assert np.isneginf(below[2]).all() and np.isposinf(above[2]).all()
+            assert np.isneginf(floor[2]).all() and np.isposinf(ceiling[2]).all()
     # every pair of the flagged stack is kept at the top m (and, on the
     # overflow, every pair of every stack), and the extremes are exact at
     # every m
+    stack_keeps = {
+        (k, m): np.concatenate([keep for m_kept, k_kept, keep in kept if (m_kept, k_kept) == (m, k)], axis=1)
+        for k in (1, 2)
+        for m in grid
+    }
+    assert [stack_keeps[2, m].all() for m in grid] == [False, False, True]
+    assert [stack_keeps[1, m].all() for m in grid] == [False, False, flag == "gram-overflow"]
+    assert_exact_at_every_m(lo, hi, maps, family, grid)
+
+
+def test_flagged_tile_keeps_every_pair_of_its_maps_and_no_more(monkeypatch):
+    # a block of one map whose last row makes e0's products huge, so that
+    # the Grams of the one tile holding e0 overflow at the top m, and an
+    # ordinary map. There the huge map keeps every pair, its slack being
+    # inf; the ordinary map keeps every pair of the flagged tile and, in
+    # every other tile, only the pairs whose interval reaches its running
+    # floor or ceiling, folded tile by tile
+    maps, family, grid = tiled_mixed_family(monkeypatch)
+    maps[0, 5, 0] = 1e155
+    tiles, kept = record_screen(monkeypatch)
     lo, hi = distortion._grid_extremes(maps, family, grid)
-    assert [keep.all() for m, k, keep in kept if k == 2] == [False, False, True]
-    assert [keep.all() for m, k, keep in kept if k == 1] == [False, False, flag == "gram-overflow"]
-    for j, m in enumerate(grid):
-        exact_lo, exact_hi = _family_extremes(maps[:, :m], family)
-        assert np.array_equal(lo[j], exact_lo.min(axis=1))
-        assert np.array_equal(hi[j], exact_hi.max(axis=1))
+    top = [keep for m, _, keep in kept if m == grid[-1]]
+    assert len(top) == len(tiles)
+    floor, ceiling = -math.inf, math.inf
+    for (_, _, finite, below, above, tile_floor, tile_ceiling), keep in zip(tiles, top):
+        floor, ceiling = max(floor, tile_floor[2, 1]), min(ceiling, tile_ceiling[2, 1])
+        assert keep[0].all()
+        if finite[-1]:
+            assert np.array_equal(keep[1], (above[2, 1] >= floor) | (below[2, 1] <= ceiling))
+        else:
+            assert keep[1].all() and np.isneginf(tile_floor[2, 1]) and np.isposinf(tile_ceiling[2, 1])
+    assert [bool(finite[-1]) for _, _, finite, *_ in tiles].count(False) == 1
+    assert sum(keep[1].sum() for keep in top) < sum(keep.shape[1] for keep in top)
+    assert_exact_at_every_m(lo, hi, maps, family, grid)
+
+
+def test_one_pass_screen_with_the_extremes_in_the_last_tile(monkeypatch):
+    # columns whose norms grow along the family, so that each tile of two
+    # one-dimensional members holds the largest norm so far and the early
+    # running floors are weak; the last tile holds both the largest column
+    # and the smallest. Each tile's larger pair reaches the running floor,
+    # and the smallest column of the first tile and of the last reach the
+    # running ceiling: 8 pairs a map, all exact
+    n = 12
+    family = coordinate_family(n, dims=(1,))
+    rng = np.random.default_rng(53)
+    maps = rng.standard_normal((2, 7, n))
+    maps /= np.linalg.norm(maps, axis=1, keepdims=True)
+    maps *= np.append(1.1 ** np.arange(n - 1), 0.5)
+    # one m: a column costs n + T*(M + s*(k + 4)) = 36 numbers
+    monkeypatch.setattr(stats, "WIDTH_TILE_ENTRIES", 2 * 36)
+    assert sum(1 for _ in stats._column_tiles(family, 36)) == 6
+    counts = gathered_pairs(monkeypatch)
+    lo, hi = distortion._grid_extremes(maps, family, (7,))
+    assert sum(counts) == 8 * len(maps)
+    assert_exact_at_every_m(lo, hi, maps, family, (7,))
+    assert_screen_is_exact(maps, family)
+
+
+def test_screen_keeps_both_pairs_of_a_near_tie(monkeypatch):
+    # columns 0 and 1 hold the map's largest norm, their squares 1e-10
+    # relative apart: inside the slack's 2^-26 (about 1.5e-8) relative, but
+    # beyond it narrowed 2^10-fold. Both tied pairs reach the SVD, beside
+    # the pair of the smallest column
+    family = coordinate_family(4, dims=(1,))
+    gamma = np.random.default_rng(59).standard_normal((6, 4))
+    gamma /= np.linalg.norm(gamma, axis=0)
+    gamma *= np.array([2.0, 2.0 * math.sqrt(1.0 - 1e-10), 1.0, 0.5])
+    tiles, kept = record_screen(monkeypatch)
+    _certify_maps(gamma[None], family, 3.0)
+    [(_, _, keep)] = kept
+    assert keep.tolist() == [[True, True, False, True]]
+    assert_screen_is_exact(gamma[None], family)
 
 
 def kernel_directions(gamma, count, rng, tilt):
@@ -670,7 +764,7 @@ def test_screen_slack_is_k_times_the_one_column_bound_in_each_stack(monkeypatch)
         return real(maps, tile, delta, *rest)
 
     monkeypatch.setattr(distortion, "_tile_bounds", capture)
-    distortion._screen_bounds(maps, family, grid)
+    distortion._grid_extremes(maps, family, grid)
     assert sorted({k for k, _ in seen}) == [1, 2, 3]
     frobenius = np.array([[math.sqrt(math.fsum((gamma[:m] ** 2).ravel())) for gamma in maps] for m in grid])
     one_column = 2 * n * np.finfo(float).eps * frobenius + n * np.sqrt(grid)[:, None] * 2.0**-1074

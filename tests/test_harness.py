@@ -317,8 +317,8 @@ def test_block_core_equals_trials_run_alone(monkeypatch, tmp_path, per_block, ki
 def test_block_size_at_paper_scale_comes_from_the_config(monkeypatch):
     # no family is built to size a block; at n=1024, k=8 the family sets the
     # budget: p=2000 (m=59) gets at least 8 trials a block, and p=10^4 (m=63)
-    # a twelfth of p*n*k less one tile, 6826666 - 2560000, over its 104576
-    # numbers a trial: 40
+    # a twelfth of p*n*k less one tile, 6826666 - 2560000, over its 64576
+    # numbers a trial: 66
     def no_build(config, trial_index):
         raise AssertionError("a family was built")
 
@@ -326,16 +326,16 @@ def test_block_size_at_paper_scale_comes_from_the_config(monkeypatch):
     paper = small_config(n=1024, k=8, p=2000, D=8.0)
     assert paper.m == 59 and harness._block_size(paper, 59, 1) >= 8
     large = small_config(n=1024, k=8, p=10_000, D=8.0)
-    assert distortion._certify_entries(1024, 8, 10_000, 63, 1) == (104_576, 2_560_000)
-    assert large.m == 63 and harness._block_size(large, 63, 1) == 40
+    assert distortion._certify_entries(1024, 8, 10_000, 63, 1) == (64_576, 2_560_000)
+    assert large.m == 63 and harness._block_size(large, 63, 1) == 66
 
 
 @pytest.mark.parametrize(
     "sizes, m_values, per_block",
     [
-        ({"n": 64, "k": 4, "p": 16}, None, 72),
-        ({"n": 256, "k": 8, "p": 500}, None, 8),
-        ({"n": 64, "k": 2, "p": 2016, "family_kind": "k_sparse"}, tuple(range(4, 41, 4)), 2),
+        ({"n": 64, "k": 4, "p": 16}, None, 74),
+        ({"n": 256, "k": 8, "p": 500}, None, 9),
+        ({"n": 64, "k": 2, "p": 2016, "family_kind": "k_sparse"}, tuple(range(4, 41, 4)), 50),
     ],
     ids=["trials-small", "n=256-k=8-p=500", "sweep-sparse"],
 )
@@ -595,9 +595,9 @@ def test_metric_embed_certifies_like_family_distortion(count, n, repeats, offset
 
 @pytest.mark.parametrize("shape", ["gaussian", "far-cluster", "line", "near-duplicates", "tiny-duplicates"])
 def test_metric_embed_small_chunks_certify_like_one_batch(monkeypatch, shape):
-    # one row a chunk and one pair a batch: a pair dropped against the
-    # running floor or ceiling of earlier chunks never holds an extreme
-    monkeypatch.setattr(distortion, "_PAIR_CHUNK_ENTRIES", 8)
+    # one row a chunk and one pair a batch, both sized by WIDTH_TILE_ENTRIES:
+    # a pair dropped against the running floor or ceiling of earlier chunks
+    # never holds an extreme
     monkeypatch.setattr(distortion, "WIDTH_TILE_ENTRIES", 8)
     rng = np.random.default_rng(17)
     pts = rng.standard_normal((40, 6))
