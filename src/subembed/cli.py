@@ -36,6 +36,7 @@ _CONFIG_TYPES = {
     "family_path": (str, "a string"),
 }
 _CONFIG_NULLABLE = {"family_path", "m_override", "parallelism"}  # null means absent
+_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)  # json.dumps would build one each call
 
 
 def load_matrix_csv(path) -> RandomMatrix:
@@ -163,7 +164,7 @@ def _json_line(payload: dict) -> str:
     """One JSON object with sorted keys and a newline. RFC 8259 JSON has no
     Infinity or NaN, so a non-finite float is written as null."""
     clean = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in payload.items()}
-    return json.dumps(clean, sort_keys=True, allow_nan=False) + "\n"
+    return _JSON.encode(clean) + "\n"
 
 
 def _summary_json(report: DistortionReport, scale) -> str:
@@ -179,10 +180,8 @@ def _summary_json(report: DistortionReport, scale) -> str:
 
 
 def _report_csv(report: DistortionReport) -> str:
-    lines = ["member_index,sigma_min,sigma_max"]
-    for i, (lo, hi) in enumerate(report.per_subspace):
-        lines.append(f"{i},{lo:.17g},{hi:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{i},{lo:.17g},{hi:.17g}" for i, (lo, hi) in enumerate(report.per_subspace))
+    return "\n".join(["member_index,sigma_min,sigma_max", *rows]) + "\n"
 
 
 def _cmd_gen_matrix(args) -> int:
@@ -201,12 +200,10 @@ def _cmd_verify(args) -> int:
     if args.report_csv:
         _atomic_write(args.report_csv, _report_csv(report))
     summary = _summary_json(report, scale)
-    _emit(summary, args.summary_out)
     if args.summary_out:
-        sys.stdout.write(summary)
-    if args.require_feasible and not scale.feasible:
-        return 1
-    return 0
+        _atomic_write(args.summary_out, summary)
+    sys.stdout.write(summary)
+    return 1 if args.require_feasible and not scale.feasible else 0
 
 
 def _cmd_trial(args) -> int:
@@ -228,12 +225,9 @@ def _cmd_sweep(args) -> int:
     result = sweep_m(config, m_values, args.target_rate, parallelism=parallelism)
     lines = ["m,trials,successes,success_rate,mean_achieved_distortion"]
     for e in result.entries:
-        lines.append(
-            f"{e.m},{e.trials},{e.successes},{e.success_rate:.17g},{e.mean_achieved_distortion:.17g}"
-        )
-    footer = f"# minimal_m at target_rate={args.target_rate:g}: "
-    footer += str(result.minimal_m) if result.minimal_m is not None else "not reached"
-    lines.append(footer)
+        lines.append(f"{e.m},{e.trials},{e.successes},{e.success_rate:.17g},{e.mean_achieved_distortion:.17g}")
+    reached = "not reached" if result.minimal_m is None else result.minimal_m
+    lines.append(f"# minimal_m at target_rate={args.target_rate:g}: {reached}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

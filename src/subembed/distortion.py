@@ -16,7 +16,7 @@ import numpy as np
 from .ensembles import RandomMatrix
 from .errors import DimensionError, InputError
 from .geometry import SubspaceFamily
-from .stats import WIDTH_TILE_ENTRIES, _column_tiles, check_distortion
+from .stats import WIDTH_TILE_ENTRIES, _column_tiles, _tile_entries, check_distortion
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ def _certify_entries(n: int, k: int, p: int, rows: int, grid: int) -> tuple[int,
     """The numbers ``_certify_maps`` holds for maps of this many rows at grid
     values of m over p members of dimension at most k in R^n: per map, its
     rows with their squared norms (rows*(n + 1)) and its Frobenius norms
-    (grid); and one transient tile with its Grams, the pairs' intervals and
-    their masks (``_grid_extremes``)."""
-    return rows * (n + 1) + grid, max(WIDTH_TILE_ENTRIES, p * n * k // _SCREEN_FAMILY_SHARE)
+    (grid); and one transient tile with its Grams, the pairs' intervals,
+    masks and chunks of kept pairs (``_grid_extremes``)."""
+    return rows * (n + 1) + grid, _tile_entries(p * n * k)
 
 
 def _svd_extremes(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,13 +104,6 @@ _SCREEN_MAX_MK = 1 << 20
 _SCREEN_FLOOR = 2.0**-1000
 _EPS = float(np.finfo(float).eps)
 _TINY = 2.0**-1074
-# numbers a chunk of kept pairs holds in its gathered bases and products
-_KEPT_ENTRIES = 1 << 16
-# a screen tile may hold this share of its family's numbers when that is more
-# than WIDTH_TILE_ENTRIES: BLAS packs the block's tall map operand once per
-# tile, so wide tiles pay less for it. At n=1024, k=8, p=2000, a block of 10
-# maps ran its GEMMs 1.4 times slower against 144-column tiles than 576-column ones.
-_SCREEN_FAMILY_SHARE = 32
 
 
 # The point-pair screen's slack (_certify_points). The N points are
@@ -368,21 +361,27 @@ def _kept_products(maps: np.ndarray, bases: np.ndarray, keep: np.ndarray):
     """The exact products of the kept (map, basis) pairs of a (T, count)
     mask, in row-major order, as chunks (rows, cols, products): the pairs'
     map and basis indices and their products. A chunk holds whole pairs, at
-    most _KEPT_ENTRIES numbers in its gathered bases and products (n*k +
-    m*k a pair), or one pair. Each map is broadcast over its run of kept
+    most WIDTH_TILE_ENTRIES numbers in its gathered bases and products (n*k
+    + m*k a pair), or one pair. Each map is broadcast over its run of kept
     pairs, so no map is copied, and numpy runs one GEMM per pair, of the
-    pair's own shape: its product is bit for bit the same in any chunk."""
+    pair's own shape: its product is bit for bit the same in any chunk. A
+    run of consecutive members is a slice of the stack, not a gather, and
+    over one screen tile the products and one run's bases hold no more than
+    the tile's wide product and copy did."""
     rows, cols = np.nonzero(keep)
     (_, m, n), (_, _, k) = maps.shape, bases.shape
-    step = max(1, _KEPT_ENTRIES // (n * k + m * k))
+    step = max(1, WIDTH_TILE_ENTRIES // (n * k + m * k))
     for lo in range(0, len(rows), step):
         i, j = rows[lo : lo + step], cols[lo : lo + step]
         products = np.empty((len(i), m, k))
-        # the chunk's runs of one map, [a, b), as rows never decrease
+        # the chunk's runs of one map, [a, b), as rows never decrease; a
+        # run's columns increase, so they are consecutive when they span b - a
         edges = [0, *(np.flatnonzero(i[1:] != i[:-1]) + 1).tolist(), len(i)]
         for a, b in zip(edges[:-1], edges[1:]):
-            np.matmul(maps[i[a]], bases[j[a:b]], out=products[a:b])
+            run = slice(j[a], j[b - 1] + 1) if j[b - 1] - j[a] == b - a - 1 else j[a:b]
+            np.matmul(maps[i[a]], bases[run], out=products[a:b])
         yield i, j, products
+        del products  # before the next chunk's, to lower the peak
 
 
 def _reach(below: np.ndarray, above: np.ndarray, floor, ceiling) -> np.ndarray:
@@ -426,8 +425,7 @@ def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
     # a tile's transposed copy, its wide product, its Grams, their eigenvalues,
     # the pairs' intervals and masks: at most n + T*(M + s*(k + 4)) numbers a column
     per_column = n + T * (M + s * (family.max_dim + 4))
-    share = sum(bases.size for _, bases in family.stacks) // _SCREEN_FAMILY_SHARE
-    for g, start, tile in _column_tiles(family, per_column, share):
+    for g, start, tile in _column_tiles(family, per_column, sum(bases.size for _, bases in family.stacks)):
         below, above, tile_floor, tile_ceiling = _tile_bounds(maps, tile, tile.shape[2] * delta, m_values)
         np.maximum(floor, tile_floor, out=floor)
         np.minimum(ceiling, tile_ceiling, out=ceiling)
@@ -453,6 +451,7 @@ def _family_extremes(maps: np.ndarray, family: SubspaceFamily) -> tuple[np.ndarr
         for rows, cols, products in _kept_products(maps, bases, np.ones((len(maps), len(bases)), dtype=bool)):
             members = indices[cols]
             lo[rows, members], hi[rows, members] = _svd_extremes(products)
+            del products  # before the next chunk's, to lower the peak
     return lo, hi
 
 

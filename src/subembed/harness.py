@@ -294,10 +294,7 @@ def _pav_nondecreasing(values, weights) -> list[float]:
             v2, w2, c2 = blocks.pop()
             v1, w1, c1 = blocks.pop()
             blocks.append([(v1 * w1 + v2 * w2) / (w1 + w2), w1 + w2, c1 + c2])
-    out: list[float] = []
-    for v, _, count in blocks:
-        out.extend([v] * count)
-    return out
+    return [v for v, _, count in blocks for _ in range(count)]
 
 
 def sweep_m(

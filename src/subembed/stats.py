@@ -24,6 +24,11 @@ WIDTH_BLOCK_ROWS = 512
 #: numbers in one column tile of bases, and in its product with a row block;
 #: certification holds a tile's copy and its product within it together
 WIDTH_TILE_ENTRIES = 1 << 18
+# a tile over a family may hold this share of its numbers when that is more
+# than WIDTH_TILE_ENTRIES: the screen's GEMM packs a block's tall map operand
+# once per tile, and at n=1024, k=8, p=2000 a block of 10 maps ran its GEMMs
+# 1.4 times slower against 144-column tiles than 576-column ones.
+_SCREEN_FAMILY_SHARE = 32
 
 
 def _check_budget(what: str, count: int) -> None:
@@ -106,18 +111,22 @@ def _width_draws(family: SubspaceFamily, n_draws: int, seed: int) -> np.ndarray:
     return np.sqrt(vals, out=vals)
 
 
-def _column_tiles(family: SubspaceFamily, per_column: int | None = None, entries: int = 0):
+def _tile_entries(numbers: int) -> int:
+    """The numbers a column tile may hold over a family of this many numbers."""
+    return max(WIDTH_TILE_ENTRIES, numbers // _SCREEN_FAMILY_SHARE)
+
+
+def _column_tiles(family: SubspaceFamily, per_column: int | None = None, numbers: int = 0):
     """(stack position, first member, slice) for the (count, n, k) stack
-    slices read as tiles of whole members: at most max(WIDTH_TILE_ENTRIES,
-    entries) // per_column columns of the n x (count*k) bases a tile, unless
-    one member alone has more. per_column is the numbers one column costs;
+    slices read as tiles of whole members: at most _tile_entries(numbers) //
+    per_column columns of the n x (count*k) bases a tile, or one member, for
+    a family of that many numbers. per_column is the numbers a column costs;
     by default max(n, WIDTH_BLOCK_ROWS), which keeps a tile and its product
     with a block of draws each within WIDTH_TILE_ENTRIES."""
     if per_column is None:
         per_column = max(family.ambient_dim, WIDTH_BLOCK_ROWS)
-    entries = max(WIDTH_TILE_ENTRIES, entries)
     for g, (_, bases) in enumerate(family.stacks):
-        step = max(1, entries // (per_column * bases.shape[2]))
+        step = max(1, _tile_entries(numbers) // (per_column * bases.shape[2]))
         for start in range(0, len(bases), step):
             yield g, start, bases[start : start + step]
 

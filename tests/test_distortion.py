@@ -390,7 +390,7 @@ def test_kept_products_in_chunks_equal_one_gather(monkeypatch, entries, kept):
     # in row-major order, the bits of the broadcast products of all kept
     # pairs, with every pair kept (a map's run of five pairs then crosses
     # chunk boundaries) and with tied members
-    monkeypatch.setattr(distortion, "_KEPT_ENTRIES", entries)
+    monkeypatch.setattr(distortion, "WIDTH_TILE_ENTRIES", entries)
     rng = np.random.default_rng(entries)
     maps = rng.standard_normal((4, 9, 30))
     bases = np.stack([np.linalg.qr(rng.standard_normal((30, 3)))[0] for _ in range(5)])
@@ -408,7 +408,7 @@ def test_kept_products_in_chunks_equal_one_gather(monkeypatch, entries, kept):
     assert np.array_equal(np.concatenate([products for _, _, products in chunks]), whole[rows, cols])
     family = SubspaceFamily.from_stack(bases)
     chunked = distortion._grid_extremes(maps, family, (2, 3, 6, 9))
-    monkeypatch.setattr(distortion, "_KEPT_ENTRIES", 1 << 30)
+    monkeypatch.setattr(distortion, "WIDTH_TILE_ENTRIES", 1 << 30)
     whole = distortion._grid_extremes(maps, family, (2, 3, 6, 9))
     assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
 
@@ -423,7 +423,7 @@ def test_family_extremes_are_the_broadcast_extremes(monkeypatch, entries, n, dim
     # every pair through _kept_products, in chunks of one pair, of a few
     # pairs or of whole stacks, gives each (map, member) pair the extremes of
     # one broadcast product and batched SVD, bit for bit
-    monkeypatch.setattr(distortion, "_KEPT_ENTRIES", entries)
+    monkeypatch.setattr(distortion, "WIDTH_TILE_ENTRIES", entries)
     rng = np.random.default_rng(n * 100 + m)
     gammas = rng.standard_normal((maps, m, n))
     family = SubspaceFamily.from_subspaces(
@@ -477,6 +477,33 @@ def test_grid_certification_matches_each_m_alone(n, maps, dims, repeats, grid, s
     for m, at_m in zip(grid, outcomes):
         reports = [family_distortion(RandomMatrix(gamma[:m]), family) for gamma in gammas]
         assert at_m == [(r.achieved_distortion, choose_scale(r, 3.0)) for r in reports]
+
+
+@pytest.mark.parametrize("kind", ["haar", "k_sparse"])
+def test_negative_zero_entries_certify_like_positive_zeros(kind):
+    # a GEMM may turn a map entry of -0.0 into +0.0 where a gather keeps it:
+    # a map whose zero entries are -0.0 certifies as the same map with +0.0
+    # does, bit for bit (repr tells the zeros apart), through the screen and
+    # through family_distortion, with zero rows, zero columns (rank collapse
+    # on the coordinate members through them) and a grid that starts below k
+    n, k, grid = 10, 3, (2, 3, 6, 9)
+    if kind == "haar":
+        family = SubspaceFamily.from_subspaces(random_subspace(n, k, derive_seed(61, i)) for i in range(30))
+    else:
+        family = k_sparse_family(n, k, 30)
+    rng = np.random.default_rng(61)
+    for case in range(15):
+        maps = rng.standard_normal((3, grid[-1], n))
+        maps[rng.random(maps.shape) < 0.4] = 0.0
+        maps[0, case % grid[-1]] = 0.0
+        maps[1, :, case % n] = 0.0
+        negative = np.where(maps == 0.0, -0.0, maps)
+        assert np.signbit(negative[maps == 0.0]).all() and not np.signbit(maps[maps == 0.0]).any()
+        assert repr(_certify_maps(maps, family, 4.0, grid)) == repr(_certify_maps(negative, family, 4.0, grid))
+        for plus, minus in zip(maps, negative):
+            assert repr(family_distortion(RandomMatrix(plus), family)) == repr(
+                family_distortion(RandomMatrix(minus), family)
+            )
 
 
 def test_grid_screen_across_column_tiles(monkeypatch):

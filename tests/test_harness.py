@@ -316,15 +316,16 @@ def test_block_core_equals_trials_run_alone(monkeypatch, tmp_path, per_block, ki
 
 def test_block_size_at_paper_scale_comes_from_the_config(monkeypatch):
     # no family is built to size a block; at n=1024, k=8 the family sets the
-    # budget: p=2000 (m=59) gets at least 8 trials a block, and p=10^4 (m=63)
-    # a twelfth of p*n*k less one tile, 6826666 - 2560000, over its 64576
-    # numbers a trial: 66
+    # budget: a twelfth of p*n*k less one tile over the numbers a trial holds,
+    # so p=2000 (m=59) gets (1365333 - 512000) // 60476 = 14 trials a block,
+    # and p=10^4 (m=63) (6826666 - 2560000) // 64576 = 66
     def no_build(config, trial_index):
         raise AssertionError("a family was built")
 
     monkeypatch.setattr(harness, "build_family", no_build)
     paper = small_config(n=1024, k=8, p=2000, D=8.0)
-    assert paper.m == 59 and harness._block_size(paper, 59, 1) >= 8
+    assert distortion._certify_entries(1024, 8, 2000, 59, 1) == (60_476, 512_000)
+    assert paper.m == 59 and harness._block_size(paper, 59, 1) == 14
     large = small_config(n=1024, k=8, p=10_000, D=8.0)
     assert distortion._certify_entries(1024, 8, 10_000, 63, 1) == (64_576, 2_560_000)
     assert large.m == 63 and harness._block_size(large, 63, 1) == 66

@@ -182,9 +182,10 @@ def tiled_family(rng, n, signed_coordinates):
     fam = SubspaceFamily.from_subspaces(members)
     assert sum(1 for _ in stats._column_tiles(fam)) == 2 * len(fam.stacks)
     # a larger budget widens the tiles (the screen's share of a large family); a smaller one does not
-    per_column = max(n, stats.WIDTH_BLOCK_ROWS)
-    assert sum(1 for _ in stats._column_tiles(fam, per_column, 2 * stats.WIDTH_TILE_ENTRIES)) == len(fam.stacks)
-    assert sum(1 for _ in stats._column_tiles(fam, per_column, stats.WIDTH_TILE_ENTRIES // 2)) == 2 * len(fam.stacks)
+    # (the screen's share of a family of `numbers` numbers is the default budget)
+    per_column, numbers = max(n, stats.WIDTH_BLOCK_ROWS), stats._SCREEN_FAMILY_SHARE * stats.WIDTH_TILE_ENTRIES
+    assert sum(1 for _ in stats._column_tiles(fam, per_column, 2 * numbers)) == len(fam.stacks)
+    assert sum(1 for _ in stats._column_tiles(fam, per_column, numbers // 2)) == 2 * len(fam.stacks)
     return fam
 
 

@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Byte parity of the CLI's outputs between this checkout and a git revision.
+
+Runs the benchmark's commands (trial, sweep, embed-points, verify and width,
+at the sizes of ``perfbench.workloads.WORKLOADS``) on the inputs that
+``perfbench.inputs.generate`` writes for each seed, once with this
+checkout's ``src/`` and once with REV's, and compares the sha256 of each
+command's exit status, standard output and output files. Both trees read
+the same input files and run with one BLAS thread.
+
+REV's ``src/`` is exported with ``git archive`` into a temporary directory,
+so no worktree is registered and a cut-short run leaves nothing in the
+repository to clean up. Nothing is fetched: REV must be in the local clone.
+
+    python3 tools/parity.py --base REV [--seeds 1,2,3] [--workload NAME]
+
+Exits 0 when every digest matches, 1 after listing each one that differs,
+and 2 on a usage error or a revision git cannot export.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+from perfbench.common import child_env  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+CHILD = "import sys; from subembed.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def export_src(rev: str, dest: str) -> str | None:
+    """REV's src/ tree, unpacked from ``git archive`` under dest; None, after
+    git's own message, when git cannot export it."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"], stdout=subprocess.PIPE)
+    if archive.returncode:
+        return None
+    os.makedirs(dest, exist_ok=True)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+    return os.path.join(dest, "src")
+
+
+def sha256(path: str) -> str:
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except FileNotFoundError:
+        return "not written"
+
+
+def digests(src: str, out_dir: str, cases: dict) -> dict[str, str]:
+    """Per command of every (workload, seed) case, run with src on
+    PYTHONPATH: its exit status and the sha256 of its stdout and of each
+    file it writes, keyed by workload, seed, command and file name."""
+    env = child_env(src)
+    found = {}
+    for (name, seed), inp in cases.items():
+        for cmd in WORKLOADS[name].commands(inp, os.path.join(out_dir, f"{name}-{seed}")):
+            os.makedirs(os.path.dirname(cmd.stdout), exist_ok=True)
+            with open(cmd.stdout, "wb") as out:
+                run = subprocess.run([sys.executable, "-c", CHILD, *cmd.argv], env=env, stdout=out)
+            key = f"{name} seed {seed} {cmd.label}"
+            found[f"{key} exit status"] = str(run.returncode)
+            for path in (cmd.stdout, *cmd.outputs):
+                found[f"{key} {os.path.basename(path)}"] = sha256(path)
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="the git revision to compare this checkout against")
+    parser.add_argument("--seeds", default="1,2,3", help="comma-separated input seeds (default 1,2,3)")
+    parser.add_argument("--workload", choices=[*WORKLOADS, "all"], default="all")
+    args = parser.parse_args(argv)
+    try:
+        seeds = [int(tok) for tok in args.seeds.split(",")]
+    except ValueError:
+        parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
+    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    with tempfile.TemporaryDirectory(prefix="parity-") as work:
+        cases = {
+            (name, seed): WORKLOADS[name].generate(seed, os.path.join(work, "inputs", f"{name}-{seed}"))
+            for name in names
+            for seed in seeds
+        }
+        base_src = export_src(args.base, os.path.join(work, "base"))
+        if base_src is None:
+            return 2
+        base = digests(base_src, os.path.join(work, "out-base"), cases)
+        head = digests(os.path.join(ROOT, "src"), os.path.join(work, "out-head"), cases)
+    keys = base.keys() | head.keys()
+    differ = sorted(key for key in keys if base.get(key) != head.get(key))
+    for key in differ:
+        print(f"differs: {key}: {base.get(key)} at {args.base}, {head.get(key)} here")
+    print(f"{len(keys) - len(differ)} of {len(keys)} digests identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
