@@ -151,7 +151,7 @@ _TINY = 2.0**-1074
 # nothing: such a pair gets its exact norm, or the exact kernel.
 def _pair_tau(n: int, m: int) -> float:
     """The point-pair screen's relative slack for N points in R^n and a map
-    of m rows (m = 0 for distances alone)."""
+    of m rows."""
     return 16.0 * (n + m + 16) * _EPS
 
 
@@ -194,22 +194,40 @@ def _gram_distances(x: np.ndarray, sq: np.ndarray, a: int, b: int, tau: float):
     return np.sqrt(np.maximum(d2 - slack, 0.0)), np.sqrt(d2 + slack)
 
 
-def _distance_blocks(pts: np.ndarray, centred: np.ndarray, e: int, threshold: float, tau: float):
-    """The pairs (i, j), i < j, in triu_indices order, as row chunks [a, b)
-    whose (b - a, N - a) blocks hold at most WIDTH_TILE_ENTRIES numbers (or
-    one row), the budget of ``_pair_differences``: per chunk, a, the block's
-    mask of the pairs (a + r, a + c) whose exact norm exceeds threshold, and
-    the bounds low and high on their distances in units of 2^e, from one
-    GEMM of centred, the points scaled by 2^-e and centred.
+def _certify_points(pts: np.ndarray, matrix: np.ndarray, D: float) -> tuple[int, float, ScaleChoice]:
+    """(p, achieved_distortion, choose_scale at D), bit for bit, of an m x n
+    matrix over the directions of the p pairs of an (N, n) point set more
+    than the duplicate threshold, 1e-12 times its largest point norm or 1,
+    apart.
 
-    A pair gets its exact norm when the bounds cannot place it above or below
-    threshold (a non-finite bound never can), or cannot rule out a norm
-    beyond the float64 range, which raises InputError.
+    The points are scaled by 2^-e, 2^e above their largest entry, and
+    centred. The pairs (i, j), i < j, are walked once, in triu_indices order,
+    in row chunks [a, b) whose (b - a, N - a) blocks hold at most
+    WIDTH_TILE_ENTRIES numbers (or one row), the budget of
+    ``_pair_differences``. Each pair's distance and stretch get intervals
+    from the Grams of the points and of their images Y = X Gamma^T (see
+    _pair_tau). A pair gets its exact norm when its distance's interval
+    cannot place it above or below the threshold (a non-finite bound never
+    can), or cannot rule out a norm beyond the float64 range, which raises
+    InputError; and the exact SVD kernel only when its stretch's interval
+    reaches the running floor or ceiling.
     """
-    N = len(pts)
-    g = np.einsum("ij,ij->i", centred, centred)
+    threshold = 1e-12 * max(1.0, float(_row_norms(pts, "a point's norm").max()))
+    # in units of a power of two above the largest entry, so no square overflows
+    e = int(np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1])
+    centred = np.ldexp(pts, -e)
+    centred -= centred.mean(axis=0)
+    (N, n), m = pts.shape, len(matrix)
+    tau = _pair_tau(n, m)
+    images = centred @ matrix.T
+    g, h = np.einsum("ij,ij->i", centred, centred), np.einsum("ij,ij->i", images, images)
+    r = np.linalg.norm(centred, axis=1)
     with np.errstate(over="ignore"):
         cut, limit = np.ldexp(threshold, -e), np.ldexp(1.0, 1023 - e)
+        frobenius = np.linalg.norm(matrix)
+        kernel = tau * frobenius + _SCREEN_FLOOR
+    p, lo, hi = 0, np.inf, -np.inf
+    floor, ceiling = -np.inf, np.inf
     a = 0
     while a < N - 1:
         b = min(N - 1, a + max(1, WIDTH_TILE_ENTRIES // (N - a)))
@@ -219,44 +237,9 @@ def _distance_blocks(pts: np.ndarray, centred: np.ndarray, e: int, threshold: fl
             kept = pairs & (low * (1.0 - tau) > cut) & (high * (1.0 + tau) < limit)
             rows, cols = np.nonzero(pairs & ~kept & ~(high * (1.0 + tau) <= cut))
         # a pair holds its difference and its norm
-        for i, j, _, norms in _pair_differences(pts, rows + a, cols + a, pts.shape[1] + 1):
+        for i, j, _, norms in _pair_differences(pts, rows + a, cols + a, n + 1):
             kept[i - a, j - a] = norms > threshold
-        yield a, kept, low, high
-        a = b
-
-
-def _distinct_pairs(pts: np.ndarray) -> tuple[int, tuple]:
-    """The number of pairs of an (N, n) point set more than the duplicate
-    threshold, 1e-12 times its largest point norm or 1, apart; and what
-    ``_certify_points`` reads: the threshold, e and the points centred in
-    units of 2^e, above their largest entry."""
-    threshold = 1e-12 * max(1.0, float(_row_norms(pts, "a point's norm").max()))
-    # in units of a power of two above the largest entry, so no square overflows
-    e = int(np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1])
-    centred = np.ldexp(pts, -e)
-    centred -= centred.mean(axis=0)
-    blocks = _distance_blocks(pts, centred, e, threshold, _pair_tau(pts.shape[1], 0))
-    return sum(int(np.count_nonzero(kept)) for _, kept, _, _ in blocks), (threshold, e, centred)
-
-
-def _certify_points(pts: np.ndarray, scaled: tuple, matrix: np.ndarray, D: float) -> tuple[float, ScaleChoice]:
-    """(achieved_distortion, choose_scale at D), bit for bit, of an m x n
-    matrix over the pair directions of an (N, n) point set scaled by
-    ``_distinct_pairs``. Each pair's stretch gets an interval from the Gram
-    of the images Y = X Gamma^T (see _pair_tau); only a pair whose interval
-    reaches the running floor or ceiling gets the exact SVD kernel."""
-    threshold, e, centred = scaled
-    n, m = pts.shape[1], len(matrix)
-    tau = _pair_tau(n, m)
-    images = centred @ matrix.T
-    h, r = np.einsum("ij,ij->i", images, images), np.linalg.norm(centred, axis=1)
-    with np.errstate(over="ignore"):
-        frobenius = np.linalg.norm(matrix)
-        kernel = tau * frobenius + _SCREEN_FLOOR
-    lo, hi = np.inf, -np.inf
-    floor, ceiling = -np.inf, np.inf
-    for a, kept, low, high in _distance_blocks(pts, centred, e, threshold, tau):
-        b = a + len(kept)
+        p += int(np.count_nonzero(kept))
         with np.errstate(all="ignore"):
             below, above = _gram_distances(images, h, a, b, tau)
             shift = tau * frobenius * (r[a:b, None] + r[a:]) + _SCREEN_FLOOR
@@ -272,8 +255,9 @@ def _certify_points(pts: np.ndarray, scaled: tuple, matrix: np.ndarray, D: float
             units /= norms[:, None]
             pair_lo, pair_hi = _svd_extremes(matrix @ units[:, :, None])
             lo, hi = np.minimum(lo, pair_lo.min()), np.maximum(hi, pair_hi.max())
+        a = b
     lo, hi = float(lo), float(hi)
-    return _achieved(lo, hi), _scale(lo, hi, D)
+    return p, _achieved(lo, hi), _scale(lo, hi, D)
 
 
 def _gram_extremes(wide: np.ndarray, m_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,10 +23,11 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .distortion import ScaleChoice, _certify_entries, _certify_maps, _certify_points, _distinct_pairs
+from . import stats
+from .distortion import ScaleChoice, _certify_entries, _certify_maps, _certify_points
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
 from .errors import InputError
-from .geometry import SubspaceFamily, _family, _orthonormal_stacks, load_family_json
+from .geometry import SubspaceFamily, _checked, _family, _orthonormal_stacks, load_family_json
 from .seeding import derive_seed, derive_seeds, rng_from
 from .stats import _check_budget, check_distortion, required_m
 
@@ -344,7 +345,10 @@ def metric_embed(
     distortion and the scale choice; when feasible, every pairwise distance
     is preserved up to the factor D at scale L. Duplicate points are skipped
     with a warning. No (pairs, n) or (pairs, m) array is formed: the pairs
-    are walked in row chunks (``distortion._certify_points``).
+    are walked in row chunks (``distortion._certify_points``), which count p
+    as they certify. Rows never depend on m, so the map is sampled once, for
+    every pair, and walked again on its first m rows only when duplicates
+    lower m.
     """
     check_distortion(D)
     pts = np.asarray(points, dtype=float)
@@ -353,13 +357,21 @@ def metric_embed(
     if not np.isfinite(pts).all():
         raise InputError("points must be finite")
     N, n = pts.shape
-    _check_budget("N(N-1)/2", N * (N - 1) // 2)
-    p, scaled = _distinct_pairs(pts)
-    skipped = N * (N - 1) // 2 - p
+    pairs = N * (N - 1) // 2
+    _check_budget("N(N-1)/2", pairs)
+    # at most the rows the budget allows; points without coordinates all
+    # coincide, and are walked with none of the map's columns
+    rows = max(1, min(required_m(1, pairs, D), stats.DEFAULT_MAX_ELEMENTS // max(n, 1)))
+    gamma = sample_matrix(ensemble, rows, max(n, 1), derive_seed(seed, _GAMMA_STREAM))
+    p, achieved, scale = _certify_points(pts, gamma.matrix[:, :n], D)
+    skipped = pairs - p
     if skipped:
         warnings.warn(f"skipped {skipped} duplicate point pair(s)")
     if not p:
         raise InputError("all points coincide; nothing to embed")
     m = required_m(1, p, D)
-    gamma = sample_matrix(ensemble, m, n, derive_seed(seed, _GAMMA_STREAM))
-    return (gamma, p, *_certify_points(pts, scaled, gamma.matrix, D))
+    _check_budget("m*n", m * n)  # more rows than the budget allowed
+    if m < rows:
+        gamma = _checked(RandomMatrix, matrix=gamma.matrix[:m])
+        _, achieved, scale = _certify_points(pts, gamma.matrix, D)
+    return gamma, p, achieved, scale

@@ -296,6 +296,23 @@ def test_screen_subnormal_gram_keeps_the_smaller_pair():
     assert family_distortion(RandomMatrix(gamma), family).family_sigma_min < math.sqrt(1.2) * u
 
 
+def test_screen_subnormal_map_keeps_the_smaller_pair():
+    # a map whose every entry is near u = 2^-537, so that its Frobenius norm
+    # is a few u and the slack's delta term, near 2^-1120, rounds to 0. Each
+    # square rounds to a whole subnormal u^2: e0's squared norm, 1.1 u^2,
+    # reads 2 u^2, e1's 1.4 and e2's 1.25 read 1 u^2, and e3's 3.4 reads 4 u^2.
+    # e0 holds sigma_min, yet its Gram is neither the largest nor the
+    # smallest: only the absolute floor of the slack keeps it
+    u = 2.0**-537
+    gamma = u * np.sqrt([[0.55, 1.4, 1.0, 1.7], [0.55, 0.0, 0.25, 1.7]])
+    family = coordinate_family(4, dims=(1,))
+    _, bases = family.stacks[0]
+    grams = (np.swapaxes(gamma @ bases, 1, 2) @ (gamma @ bases))[:, 0, 0]
+    assert grams.tolist() == [2 * u * u, u * u, u * u, 4 * u * u]
+    assert_screen_is_exact(gamma[None], family)
+    assert family_distortion(RandomMatrix(gamma), family).family_sigma_min < math.sqrt(1.2) * u
+
+
 def test_screen_gram_overflow_keeps_every_pair(monkeypatch):
     family = coordinate_family(5)
     maps = np.stack([np.random.default_rng(3).standard_normal((6, 5)) * 2.0**600])

@@ -33,6 +33,7 @@ from subembed import (
 )
 import subembed.distortion as distortion
 import subembed.harness as harness
+import subembed.stats as stats
 
 from oracles import (
     batched_metric_family,
@@ -643,6 +644,58 @@ def test_metric_embed_checks_D_before_any_pair_work(monkeypatch):
     with pytest.raises(InputError, match="D must be finite and > 1, got 1.0"):
         metric_embed(pts, 1.0, GAUSS, seed=1)
     assert calls == []
+
+
+def test_metric_embed_samples_within_the_budget_when_duplicates_lower_m(monkeypatch):
+    # 11 copies of one point and one other point in R^40: all 66 pairs would
+    # need m = 36 and 36*40 numbers, beyond a budget of 1000, but the 11
+    # distinct pairs need m = 23, which fits
+    monkeypatch.setattr(stats, "DEFAULT_MAX_ELEMENTS", 1000)
+    rng = np.random.default_rng(8)
+    pts = np.repeat(rng.standard_normal((2, 40)), [11, 1], axis=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gamma, p, achieved, scale = metric_embed(pts, 2.0, GAUSS, seed=3)
+    assert [str(w.message) for w in caught] == ["skipped 55 duplicate point pair(s)"]
+    assert (p, gamma.m) == (11, 23)
+    assert np.array_equal(gamma.matrix, sample_matrix(GAUSS, 23, 40, derive_seed(3, harness._GAMMA_STREAM)).matrix)
+    report = family_distortion(gamma, batched_metric_family(pts))
+    assert achieved == report.achieved_distortion and scale == choose_scale(report, 2.0)
+    # twelve distinct points need the 36 rows, and are refused after the walk
+    with pytest.raises(ResourceError, match="m\\*n = 1440 exceeds the element budget 1000"):
+        metric_embed(rng.standard_normal((12, 40)), 2.0, GAUSS, seed=3)
+
+
+def test_metric_embed_refuses_points_beyond_one_row_of_the_budget_before_the_walk(monkeypatch):
+    # points of more coordinates than the budget: not one row of a map fits,
+    # so even points that all coincide are refused before any pair is walked
+    monkeypatch.setattr(stats, "DEFAULT_MAX_ELEMENTS", 10)
+    monkeypatch.setattr(distortion, "_row_norms", lambda *args: pytest.fail("a pair was walked"))
+    with pytest.raises(ResourceError, match="m\\*n = 20 exceeds the element budget 10"):
+        metric_embed(np.zeros((3, 20)), 2.0, GAUSS, seed=3)
+
+
+def test_metric_embed_norms_each_pair_at_most_once(monkeypatch):
+    # two clusters of spread 1e-7 one unit apart: the distance bounds of the
+    # pairs within a cluster straddle the duplicate threshold, and each of
+    # them gets its exact norm (a batch of width n + 1) once, in the one walk
+    rng = np.random.default_rng(15)
+    centres = np.repeat([np.zeros(8), np.eye(8)[0]], 20, axis=0)
+    pts = centres + 1e-7 * rng.standard_normal((40, 8)) / math.sqrt(8)
+    normed = []
+    pair_differences = distortion._pair_differences
+
+    def recording(pts, rows, cols, width):
+        if width == pts.shape[1] + 1:
+            normed.extend(zip(rows.tolist(), cols.tolist()))
+        return pair_differences(pts, rows, cols, width)
+
+    monkeypatch.setattr(distortion, "_pair_differences", recording)
+    gamma, p, achieved, scale = metric_embed(pts, 8.0, GAUSS, seed=2)
+    assert p == 780 and normed
+    assert len(normed) == len(set(normed))
+    report = family_distortion(gamma, batched_metric_family(pts))
+    assert achieved == report.achieved_distortion and scale == choose_scale(report, 8.0)
 
 
 @pytest.mark.parametrize(

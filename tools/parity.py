@@ -3,10 +3,11 @@
 
 Runs the benchmark's commands (trial, sweep, embed-points, verify and width,
 at the sizes of ``perfbench.workloads.WORKLOADS``) on the inputs that
-``perfbench.inputs.generate`` writes for each seed, once with this
-checkout's ``src/`` and once with REV's, and compares the sha256 of each
-command's exit status, standard output and output files. Both trees read
-the same input files and run with one BLAS thread.
+``perfbench.inputs.generate`` writes for each seed, and one more case,
+``embed-duplicates`` (``DUPLICATES``), once with this checkout's ``src/``
+and once with REV's, and compares the sha256 of each command's exit status,
+standard output and output files. Both trees read the same input files and
+run with one BLAS thread.
 
 REV's ``src/`` is exported with ``git archive`` into a temporary directory,
 so no worktree is registered and a cut-short run leaves nothing in the
@@ -30,10 +31,33 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
+import numpy as np  # noqa: E402
+
+from perfbench.checks import parse_matrix_csv  # noqa: E402
 from perfbench.common import child_env  # noqa: E402
-from perfbench.workloads import WORKLOADS  # noqa: E402
+from perfbench.inputs import matrix_csv  # noqa: E402
+from perfbench.workloads import WORKLOADS, Workload  # noqa: E402
 
 CHILD = "import sys; from subembed.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+class DuplicatePoints(Workload):
+    """embed-points on the workload's random points, each given twice."""
+
+    def generate(self, seed: int, out_dir: str) -> dict:
+        inp = super().generate(seed, out_dir)
+        with open(inp["points"], encoding="utf-8") as fh:
+            points = parse_matrix_csv(fh.read())
+        with open(inp["points"], "w", encoding="utf-8") as fh:
+            fh.write(matrix_csv(np.repeat(points, 2, axis=0)))
+        return inp
+
+
+# 20 points in R^4, each twice, at D=2: the 20 duplicate pairs lower m from
+# required_m(1, 780, 2) = 54 to required_m(1, 760, 2) = 53, so metric_embed
+# certifies the map's first 53 rows in a second walk
+DUPLICATES = DuplicatePoints("embed-duplicates", "embed", "duplicates lower m", {"points": 20, "n": 4, "D": 2.0})
+CASES = {**WORKLOADS, DUPLICATES.name: DUPLICATES}
 
 
 def export_src(rev: str, dest: str) -> str | None:
@@ -62,7 +86,7 @@ def digests(src: str, out_dir: str, cases: dict) -> dict[str, str]:
     env = child_env(src)
     found = {}
     for (name, seed), inp in cases.items():
-        for cmd in WORKLOADS[name].commands(inp, os.path.join(out_dir, f"{name}-{seed}")):
+        for cmd in CASES[name].commands(inp, os.path.join(out_dir, f"{name}-{seed}")):
             os.makedirs(os.path.dirname(cmd.stdout), exist_ok=True)
             with open(cmd.stdout, "wb") as out:
                 run = subprocess.run([sys.executable, "-c", CHILD, *cmd.argv], env=env, stdout=out)
@@ -77,16 +101,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the git revision to compare this checkout against")
     parser.add_argument("--seeds", default="1,2,3", help="comma-separated input seeds (default 1,2,3)")
-    parser.add_argument("--workload", choices=[*WORKLOADS, "all"], default="all")
+    parser.add_argument("--workload", choices=[*CASES, "all"], default="all")
     args = parser.parse_args(argv)
     try:
         seeds = [int(tok) for tok in args.seeds.split(",")]
     except ValueError:
         parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
-    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    names = list(CASES) if args.workload == "all" else [args.workload]
     with tempfile.TemporaryDirectory(prefix="parity-") as work:
         cases = {
-            (name, seed): WORKLOADS[name].generate(seed, os.path.join(work, "inputs", f"{name}-{seed}"))
+            (name, seed): CASES[name].generate(seed, os.path.join(work, "inputs", f"{name}-{seed}"))
             for name in names
             for seed in seeds
         }
