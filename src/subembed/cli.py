@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -236,7 +237,15 @@ def _cmd_embed_points(args) -> int:
     check_distortion(args.D)  # before any input is read
     points = load_matrix_csv(args.points).matrix
     spec = _parse_ensemble_flag(args)
-    gamma, p, achieved, scale = metric_embed(points, args.D, spec, args.seed)
+    # each warning as one line of its own, not in the warnings module's
+    # format, which quotes the library's path and source line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            gamma, p, achieved, scale = metric_embed(points, args.D, spec, args.seed)
+        finally:
+            for warning in caught:
+                sys.stderr.write(f"warning: {warning.message}\n")
     if args.matrix_out:
         store_matrix_csv(gamma, args.matrix_out)
     summary = {

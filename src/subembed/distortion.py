@@ -9,18 +9,16 @@ two-sided bound (L/D)||x-y|| <= ||Gamma(x-y)|| <= L||x-y||.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import RandomMatrix
-from .errors import DimensionError, InputError
-from .geometry import SubspaceFamily
+from .errors import DimensionError, InputError, Record
+from .geometry import SubspaceFamily, _checked
 from .stats import WIDTH_TILE_ENTRIES, _column_tiles, _tile_entries, check_distortion
 
 
-@dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(Record):
     """Per-member singular extremes and the family-level distortion."""
 
     per_subspace: tuple[tuple[float, float], ...]
@@ -33,8 +31,7 @@ class DistortionReport:
         return not self.family_sigma_min > 0.0
 
 
-@dataclass(frozen=True)
-class ScaleChoice:
+class ScaleChoice(Record):
     """Whether a scale L makes the two-sided bound hold at distortion D."""
 
     feasible: bool
@@ -448,7 +445,7 @@ def _achieved(sigma_min: float, sigma_max: float) -> float:
 def _scale(sigma_min: float, sigma_max: float, D: float) -> ScaleChoice:
     """``choose_scale`` on the family's extremes, D already checked."""
     feasible = sigma_min > 0.0 and sigma_max <= D * sigma_min
-    return ScaleChoice(feasible=feasible, D=float(D), L=sigma_max if feasible else None)
+    return _checked(ScaleChoice, feasible=feasible, D=float(D), L=sigma_max if feasible else None)
 
 
 def _certify_maps(

@@ -14,11 +14,10 @@ derive_seed(seed, i). No generator object is built per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, describe_json, describe_keys
+from .errors import ConfigurationError, DimensionError, Record, describe_json, describe_keys
 from .geometry import _checked
 # derive_seed is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it there, alongside rng_from
@@ -36,8 +35,7 @@ UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 UNIFORM_ENTRY_PSI2 = 2.0 * math.sqrt(3.0)  # bounded-variable bound 4^(1/2) * sqrt(3)
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(Record):
     """Which row distribution to draw."""
 
     kind: str
@@ -75,8 +73,7 @@ class EnsembleSpec:
         return cls(kind=kind)
 
 
-@dataclass(frozen=True)
-class EnsembleConstants:
+class EnsembleConstants(Record):
     """Concentration constant alpha and psi_2 constant beta for an ensemble.
 
     Isotropy forces beta >= 1, and Chebyshev at radius 2 forces
@@ -95,8 +92,7 @@ class EnsembleConstants:
             raise ConfigurationError(f"alpha must be >= 3/8, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class RandomMatrix:
+class RandomMatrix(Record):
     """An m x n map. The constructor copies and checks its input;
     ``sample_matrix`` and ``cli.load_matrix_csv`` skip both and keep their
     own read-only arrays."""

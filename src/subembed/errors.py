@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package, the input-file readers that
-map undecodable text or unparsable JSON onto it, and short quotes of values
-and keys."""
+map undecodable text or unparsable JSON onto it, short quotes of values and
+keys, and the base class of the package's immutable records."""
 
+import inspect
 import json
 
 
@@ -82,3 +83,69 @@ def describe_keys(keys) -> str:
     names = sorted(map(str, keys))
     listed = repr([_cut(name) for name in names[:3]])
     return listed if len(names) <= 3 else f"{listed} and {len(names) - 3} more"
+
+
+class Record:
+    """Base class of the package's immutable records.
+
+    A subclass declares its fields as class annotations, in order, after
+    those of a Record base, and a default as the annotated name's class
+    value. It gets an ``__init__`` that takes the fields by position or
+    keyword and then calls ``__post_init__``, which it may override to check
+    or normalize them (through ``object.__setattr__``); a
+    ``Name(field=value, ...)`` repr; equality and hashing by class and field
+    values; and no assignment or deletion of attributes. A subclass may
+    define its own ``__init__`` instead. No code is generated per class:
+    every record type shares these methods.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the names the class itself annotates, in order, after its bases' fields
+        own = [name for name in inspect.get_annotations(cls) if name not in cls._fields]
+        cls._fields = cls._fields + tuple(own)
+        cls._defaults = {**cls._defaults, **{name: vars(cls)[name] for name in own if name in vars(cls)}}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        """The field values, in order, of a call given these arguments."""
+        rest = cls._fields[len(args):]
+        named = {**cls._defaults, **kwargs}
+        if len(args) > len(cls._fields) or not set(rest) <= set(named) or not set(kwargs) <= set(rest):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(cls._fields)}: "
+                            f"got {len(args)} by position and {sorted(kwargs)} by keyword")
+        return [*args, *(named[name] for name in rest)]
+
+    def __post_init__(self):
+        """Checks or normalizes the fields; a record type may override it."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InputError, _cut, describe_json, read_json
+from .errors import DegenerateInputError, DimensionError, InputError, Record, _cut, describe_json, read_json
 from .seeding import rng_from
 
 # numerical-rank cutoff relative to the largest singular value
@@ -36,11 +35,10 @@ _EMPTY_PAIR = re.compile(rb"\[\]|\{\}")
 
 
 def _checked(cls, **fields):
-    """An instance of a frozen dataclass whose fields the caller has already
+    """An instance of a Record type whose fields the caller has already
     validated, built without running __init__ or __post_init__."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -61,8 +59,7 @@ def _check_stack(bases: np.ndarray) -> np.ndarray:
     return bases
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A linear subspace of R^n given by an orthonormal column basis."""
 
     basis: np.ndarray  # n x k, orthonormal columns
@@ -79,8 +76,7 @@ class Subspace:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True, init=False)
-class SubspaceFamily:
+class SubspaceFamily(Record):
     """A finite family of subspaces sharing one ambient space.
 
     The family is its bases: ``stacks`` holds, per member dimension d in

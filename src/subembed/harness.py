@@ -17,7 +17,6 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, islice
 
@@ -26,7 +25,7 @@ import numpy as np
 from . import stats
 from .distortion import ScaleChoice, _certify_entries, _certify_maps, _certify_points
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
-from .errors import InputError
+from .errors import InputError, Record
 from .geometry import SubspaceFamily, _checked, _family, _orthonormal_stacks, load_family_json
 from .seeding import derive_seed, derive_seeds, rng_from
 from .stats import _check_budget, check_distortion, required_m
@@ -62,8 +61,7 @@ def _integer(value, message: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Inputs of one experiment: geometry sizes, ensemble, trial count, seed.
 
     ``fixed_family`` selects quenched statistics (one family, fresh maps per
@@ -108,8 +106,7 @@ class ExperimentConfig:
         return self.m_override if self.m_override is not None else required_m(self.k, self.p, self.D)
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(Record):
     """Outcome of one trial of the embedding event."""
 
     trial_index: int
@@ -123,8 +120,7 @@ class TrialResult:
         return dict(vars(self))
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(Record):
     m: int
     trials: int
     successes: int
@@ -132,8 +128,7 @@ class SweepEntry:
     mean_achieved_distortion: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Success rates over an increasing grid of target dimensions m."""
 
     entries: tuple[SweepEntry, ...]
@@ -224,8 +219,13 @@ def _block_results(
     seeds = derive_seeds(derive_seed(config.seed, _GAMMA_STREAM), len(trials), start=trials.start)
     maps = _sample_maps(config.ensemble, seeds, max(m_values), config.n)
     per_m = _certify_maps(maps, family, config.D, m_values)
+    # the fields are already valid, so each result skips __init__
     return [
-        [TrialResult(t, m, scale.feasible, achieved, scale.L) for m, (achieved, scale) in zip(m_values, outcomes)]
+        [
+            _checked(TrialResult, trial_index=t, m_used=m, feasible=scale.feasible, achieved_distortion=achieved,
+                     L=scale.L)
+            for m, (achieved, scale) in zip(m_values, outcomes)
+        ]
         for t, outcomes in zip(trials, zip(*per_m))
     ]
 

@@ -8,11 +8,10 @@ bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, Record, ResourceError
 from .geometry import SubspaceFamily
 from .seeding import rng_from
 
@@ -38,8 +37,7 @@ def _check_budget(what: str, count: int) -> None:
         raise ResourceError(f"{what} = {count} exceeds the element budget {DEFAULT_MAX_ELEMENTS}")
 
 
-@dataclass(frozen=True)
-class ConcentrationEstimate:
+class ConcentrationEstimate(Record):
     """Empirical epsilon-concentration: max over centers L of P(|X - L| < eps)."""
 
     epsilon: float
@@ -47,8 +45,7 @@ class ConcentrationEstimate:
     sample_count: int
 
 
-@dataclass(frozen=True)
-class WidthEstimate:
+class WidthEstimate(Record):
     """Monte Carlo mean of max_{x in S} <g, x> over standard Gaussian g."""
 
     mean: float

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -388,7 +389,7 @@ def _run_python(code, *options):
 def test_cli_import_loads_no_process_pool():
     loaded = _run_python(
         "import json, sys, subembed.cli; "
-        "print(json.dumps([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]))"
+        "print(json.dumps([m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses') if m in sys.modules]))"
     )
     assert loaded == []
 
@@ -668,6 +669,23 @@ def test_embed_points_far_apart_points_are_distinct(tmp_path, capsys):
     payload = json.loads(summary.read_text())
     assert payload["p"] == 1 and payload["feasible"] and payload["achieved_distortion"] == 1.0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "points, code, err",
+    [
+        ([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], 0, "warning: skipped 2 duplicate point pair(s)\n"),
+        ([[1.0, 2.0]] * 3, 2,
+         "warning: skipped 3 duplicate point pair(s)\nerror: all points coincide; nothing to embed\n"),
+    ],
+    ids=["two-duplicate-pairs", "all-coincide"],
+)
+def test_embed_points_writes_each_warning_as_one_line(tmp_path, capsys, points, code, err):
+    # no path, line number or source line of the library, whatever the filters
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _embed(tmp_path, points, "dup")[0] == code
+    assert capsys.readouterr().err == err
 
 
 def test_embed_points_p_times_m_may_exceed_the_element_budget(tmp_path, capsys):
