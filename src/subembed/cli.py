@@ -22,21 +22,13 @@ import numpy as np
 
 from .distortion import DistortionReport, choose_scale, family_distortion
 from .ensembles import EnsembleSpec, RandomMatrix, sample_matrix, theoretical_constants
-from .errors import InputError, SubembedError, describe_json, describe_keys, read_json, read_text
+from .errors import InputError, SubembedError, _integer, describe_keys, read_json, read_text
 from .geometry import _checked, load_family_json
 from .harness import ExperimentConfig, metric_embed, run_trials, sweep_m
 from .stats import check_distortion, gaussian_width_mc, width_upper_bound
 
-_CONFIG_REQUIRED = {"n", "k", "p", "D", "ensemble", "family_kind", "trials", "seed"}
-_CONFIG_OPTIONAL = {"family_path", "m_override", "parallelism", "fixed_family"}
-# the JSON type each config value must have; a JSON true/false is not a number
-_CONFIG_TYPES = {
-    **dict.fromkeys(("n", "k", "p", "trials", "seed", "m_override", "parallelism"), (int, "an integer")),
-    "D": ((int, float), "a number"),
-    "fixed_family": (bool, "true or false"),
-    "family_path": (str, "a string"),
-}
-_CONFIG_NULLABLE = {"family_path", "m_override", "parallelism"}  # null means absent
+# the keys a config file may leave out; it must name every other ExperimentConfig field
+_CONFIG_OPTIONAL = {"family_path", "m_override", "fixed_family", "parallelism"}
 _JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)  # json.dumps would build one each call
 
 
@@ -112,49 +104,35 @@ def _emit(text: str, output_path) -> None:
 def load_config(path) -> tuple[ExperimentConfig, int]:
     """Parse and validate a config JSON file; returns (config, parallelism).
 
-    The schema is closed: unknown keys are rejected. SUBEMBED_SEED in the
-    environment overrides the config seed.
+    The schema is closed: unknown keys are rejected. ExperimentConfig checks
+    every value, naming the file; a null parallelism is 1. SUBEMBED_SEED in
+    the environment overrides the config seed once the file's seed passed.
     """
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise InputError(f"{path}: config must be a JSON object")
-    unknown = set(payload) - _CONFIG_REQUIRED - _CONFIG_OPTIONAL
+    keys = set(ExperimentConfig._fields) | _CONFIG_OPTIONAL
+    unknown = set(payload) - keys
     if unknown:
         raise InputError(f"{path}: unknown config keys: {describe_keys(unknown)}")
-    missing = _CONFIG_REQUIRED - set(payload)
+    missing = keys - _CONFIG_OPTIONAL - set(payload)
     if missing:
         raise InputError(f"{path}: missing config keys: {sorted(missing)}")
-    for key, (kind, name) in _CONFIG_TYPES.items():
-        value = payload.get(key)
-        if key not in payload or (value is None and key in _CONFIG_NULLABLE):
-            continue
-        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
-            raise InputError(f"{path}: config key {key!r} must be {name}, got {describe_json(value)}")
+    values = dict(payload, ensemble=EnsembleSpec.from_json_dict(payload["ensemble"]))
+    parallelism = values.pop("parallelism", None)
     try:
-        D = float(payload["D"])
-    except OverflowError as exc:
-        raise InputError(f"{path}: config key 'D' is beyond float range") from exc
-    seed = payload["seed"]
+        parallelism = 1 if parallelism is None else _integer(parallelism, "config key 'parallelism' must be an integer")
+        config = ExperimentConfig(**values)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     env_seed = os.environ.get("SUBEMBED_SEED")
     if env_seed is not None:
         try:
             seed = int(env_seed)
         except ValueError as exc:
             raise InputError(f"SUBEMBED_SEED must be an integer, got {env_seed!r}") from exc
-    config = ExperimentConfig(
-        n=payload["n"],
-        k=payload["k"],
-        p=payload["p"],
-        D=D,
-        ensemble=EnsembleSpec.from_json_dict(payload["ensemble"]),
-        family_kind=str(payload["family_kind"]),
-        trials=payload["trials"],
-        seed=seed,
-        m_override=payload.get("m_override"),
-        family_path=payload.get("family_path"),
-        fixed_family=payload.get("fixed_family", True),
-    )
-    return config, payload["parallelism"] if payload.get("parallelism") is not None else 1
+        config = ExperimentConfig(**dict(values, seed=seed))
+    return config, parallelism
 
 
 def _parse_ensemble_flag(args) -> EnsembleSpec:

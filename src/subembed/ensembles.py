@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, Record, describe_json, describe_keys
+from .errors import ConfigurationError, DimensionError, InputError, Record, _integer, describe_json, describe_keys
 from .geometry import _checked
 # derive_seed is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it there, alongside rng_from
@@ -243,6 +243,9 @@ def _sample_maps(spec: EnsembleSpec, seeds: np.ndarray, m: int, n: int) -> np.nd
     """A (len(seeds), m, n) stack of maps, all rows from one seed derivation
     and one sampling pass: map t is ``sample_matrix(spec, m, n,
     seeds[t]).matrix`` bit for bit, whatever the other seeds."""
+    if not isinstance(spec, EnsembleSpec):
+        raise InputError(f"spec must be an EnsembleSpec, got {describe_json(spec)}")
+    m, n = _integer(m, "m must be an integer"), _integer(n, "n must be an integer")
     if m < 1 or n < 1:
         raise DimensionError("m and n must be >= 1")
     _check_budget("m*n", m * n)

@@ -1,9 +1,11 @@
 """Exception hierarchy shared across the package, the input-file readers that
 map undecodable text or unparsable JSON onto it, short quotes of values and
-keys, and the base class of the package's immutable records."""
+keys, the integer check of arguments, and the base class of the package's
+immutable records."""
 
 import inspect
 import json
+import numbers
 
 
 class SubembedError(Exception):
@@ -74,6 +76,15 @@ def describe_json(value) -> str:
         return f"a Python {type(value).__name__}"
     kind = "string" if isinstance(value, str) else "literal" if value is None or isinstance(value, bool) else "number"
     return f"the JSON {kind} {_cut(json.dumps(value))}"
+
+
+def _integer(value, message: str) -> int:
+    """value as a Python int; InputError, quoting it after message, unless it
+    is an integer. int() would take a float or a bool silently: 2.9 as 2,
+    True as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{message}, got {describe_json(value)}")
+    return int(value)
 
 
 def describe_keys(keys) -> str:

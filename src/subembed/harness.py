@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import sys
 import warnings
 from functools import partial
@@ -25,7 +26,7 @@ import numpy as np
 from . import stats
 from .distortion import ScaleChoice, _certify_entries, _certify_maps, _certify_points
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
-from .errors import InputError, Record
+from .errors import InputError, Record, _integer, describe_json
 from .geometry import SubspaceFamily, _checked, _family, _orthonormal_stacks, load_family_json
 from .seeding import derive_seed, derive_seeds, rng_from
 from .stats import _check_budget, check_distortion, required_m
@@ -54,11 +55,16 @@ _BLOCK_ENTRIES = 3 << 17
 _BLOCK_FAMILY_SHARE = 12
 
 
-def _integer(value, message: str) -> int:
-    # int() would take a float or a bool silently: 2.9 as 2, True as 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InputError(f"{message}, got {value!r}")
-    return int(value)
+# each ExperimentConfig field's type, as its messages name it; a bool is no
+# number, None an absent m_override or family_path, a path object a path
+_FIELD_TYPES = {
+    **dict.fromkeys(("n", "k", "p", "trials", "seed", "m_override"), (numbers.Integral, "an integer")),
+    "D": (numbers.Real, "a number"),
+    "fixed_family": (bool, "true or false"),
+    "family_path": ((str, os.PathLike), "a string"),
+    "family_kind": (str, "a string"),
+    "ensemble": (EnsembleSpec, "an EnsembleSpec"),
+}
 
 
 class ExperimentConfig(Record):
@@ -78,15 +84,23 @@ class ExperimentConfig(Record):
     trials: int = 100
     seed: int = 0
     m_override: int | None = None
-    family_path: str | None = None
+    family_path: str | os.PathLike | None = None
     fixed_family: bool = True
 
     def __post_init__(self):
-        integers = ("n", "k", "p", "trials", "seed") + (() if self.m_override is None else ("m_override",))
-        for name in integers:
-            object.__setattr__(self, name, _integer(getattr(self, name), f"{name} must be an integer"))
-        if not isinstance(self.fixed_family, bool):
-            raise InputError(f"fixed_family must be true or false, got {self.fixed_family!r}")
+        # the one check of each field's type and range; ints stored as int, D as float
+        for name, (kind, what) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is None and name in ("m_override", "family_path"):
+                continue
+            if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+                raise InputError(f"config key {name!r} must be {what}, got {describe_json(value)}")
+            if kind is numbers.Integral:
+                object.__setattr__(self, name, int(value))
+        try:
+            object.__setattr__(self, "D", float(self.D))
+        except OverflowError as exc:
+            raise InputError("config key 'D' is beyond float range") from exc
         if not 1 <= self.k <= self.n:
             raise InputError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.p < 1:
@@ -144,6 +158,7 @@ def k_sparse_family(n: int, k: int, p: int) -> SubspaceFamily:
     sqrt(2); requests beyond C(n, k) are capped at the full collection,
     since duplicate members would not enlarge the union being embedded.
     """
+    n, k, p = (_integer(value, f"{name} must be an integer") for name, value in (("n", n), ("k", k), ("p", p)))
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     if p < 1:
@@ -320,6 +335,8 @@ def sweep_m(
         raise InputError("m_values must be strictly increasing")
     if m_values[0] < 1:
         raise InputError(f"every m must be >= 1, got m={m_values[0]}")
+    if isinstance(target_rate, bool) or not isinstance(target_rate, numbers.Real):
+        raise InputError(f"target_rate must be a number, got {describe_json(target_rate)}")
     if not 0.0 < target_rate < 1.0:
         raise InputError("target_rate must lie in (0, 1)")
     per_trial = _map_trials(config, m_values, parallelism)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _integer
+
 _MASK64 = (1 << 64) - 1
 
 # SplitMix64's gamma, multipliers and shifts as 0-d uint64 arrays, so array
@@ -44,8 +46,9 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def normalize_seed(seed: int) -> int:
-    """Map any Python int (possibly negative) onto the 64-bit seed space."""
-    return int(seed) & _MASK64
+    """Map any integer (possibly negative) onto the 64-bit seed space; any
+    other value, a float or a bool among them, raises InputError."""
+    return _integer(seed, "seed must be an integer") & _MASK64
 
 
 def derive_seed(seed: int, *path: int) -> int:

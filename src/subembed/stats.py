@@ -8,10 +8,12 @@ bound.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
 import numpy as np
 
-from .errors import InputError, Record, ResourceError
+from .errors import InputError, Record, ResourceError, _cut, _integer, describe_json
 from .geometry import SubspaceFamily
 from .seeding import rng_from
 
@@ -75,6 +77,7 @@ def gaussian_width_mc(family: SubspaceFamily, n_draws: int, seed: int) -> WidthE
     held at once, so more than DEFAULT_MAX_ELEMENTS draws raise
     ResourceError.
     """
+    n_draws = _integer(n_draws, "n_draws must be an integer")
     if n_draws < 2:
         raise InputError("n_draws must be >= 2")
     _check_budget("n_draws", n_draws)
@@ -137,14 +140,18 @@ def width_upper_bound(k: int, p: int) -> float:
 
 
 def check_distortion(D: float) -> None:
-    """Raise InputError unless the distortion budget D is finite and > 1.
+    """Raise InputError unless the distortion budget D is a real number,
+    finite as a float, and > 1.
 
     The one domain of D for configs, scale choice, the dimension formula
     and the success bound: D = 1 asks for an isometry, and NaN or infinity
     would pass silently through the comparisons they feed.
     """
-    if not (math.isfinite(D) and D > 1.0):
-        raise InputError(f"D must be finite and > 1, got {D}")
+    if isinstance(D, bool) or not isinstance(D, numbers.Real):
+        raise InputError(f"D must be a number, got {describe_json(D)}")
+    # exact comparisons: NaN, infinity and an integer beyond float range all fail
+    if not 1.0 < D <= sys.float_info.max:
+        raise InputError(f"D must be finite and > 1, got {_cut(str(D))}")
 
 
 def required_m(k: int, p: int, D: float) -> int:

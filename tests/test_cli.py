@@ -863,6 +863,45 @@ def test_config_values_must_have_their_json_type(tmp_path, capsys, key, value, c
         assert not out.exists()
 
 
+# one mistyped value for each ExperimentConfig field; family_path's is a file
+# descriptor, set in the test
+MISTYPED_FIELDS = {
+    "n": list(range(200_000)), "k": "2", "p": True, "D": "8", "ensemble": "gaussian", "family_kind": 5,
+    "trials": [5], "seed": 1.5, "m_override": 2.5, "family_path": None, "fixed_family": "false",
+}
+
+
+@pytest.mark.parametrize("field", MISTYPED_FIELDS)
+def test_the_config_record_checks_each_field_as_the_cli_reports_it(tmp_path, capsys, field):
+    # the library refuses a mistyped field in one short line, and a config
+    # file holding the same value exits 2 with that line after its path; a
+    # family_path given as an int would be read as a file descriptor, and closed
+    assert set(MISTYPED_FIELDS) == set(subembed.ExperimentConfig._fields)
+    values = dict(n=12, k=2, p=4, D=4.0, ensemble=EnsembleSpec.gaussian(), family_kind="haar_random", trials=5, seed=9)
+    fd = os.open(write_axes_family(tmp_path / "fam.json", n=12), os.O_RDONLY)
+    try:
+        value = fd if field == "family_path" else MISTYPED_FIELDS[field]
+        extra = {"family_kind": "user_file"} if field == "family_path" else {}
+        with pytest.raises(subembed.InputError) as info:
+            subembed.run_trials(subembed.ExperimentConfig(**{**values, **extra, field: value}))
+        message = str(info.value)
+        assert message.startswith(f"config key {field!r} must be ") and len(message) <= 80
+        os.fstat(fd)
+    finally:
+        os.close(fd)
+    if field != "ensemble":  # a file's ensemble is a descriptor object, read by EnsembleSpec.from_json_dict
+        cfg = write_config(tmp_path / "cfg.json", **extra, **{field: value})
+        assert main(["trial", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
+def test_config_seed_is_checked_when_the_environment_overrides_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SUBEMBED_SEED", "5")
+    cfg = write_config(tmp_path / "cfg.json", seed="x")
+    assert main(["trial", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f'error: {cfg}: config key \'seed\' must be an integer, got the JSON string "x"\n'
+
+
 @pytest.mark.parametrize(
     "raw,quoted",
     [

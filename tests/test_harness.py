@@ -78,10 +78,11 @@ def test_config_validation():
 
 def test_config_fields_must_have_their_types():
     # a float would run as its floor (seed 1.5 as seed 1) or end in a bare TypeError
-    for key, value in (("m_override", 2.5), ("n", 12.5), ("trials", 2.5), ("seed", 1.5), ("p", True)):
-        with pytest.raises(InputError, match=f"{key} must be an integer, got {value!r}"):
+    for key, value, quoted in (("m_override", 2.5, "number 2.5"), ("n", 12.5, "number 12.5"),
+                               ("trials", 2.5, "number 2.5"), ("seed", 1.5, "number 1.5"), ("p", True, "literal true")):
+        with pytest.raises(InputError, match=f"^config key '{key}' must be an integer, got the JSON {quoted}$"):
             small_config(**{key: value})
-    with pytest.raises(InputError, match="fixed_family must be true or false, got 'false'"):
+    with pytest.raises(InputError, match="^config key 'fixed_family' must be true or false, got the JSON string"):
         small_config(fixed_family="false")
     # numpy integers pass, and run as the equal Python ints
     sizes = dict(n=12, k=2, p=4, trials=3, seed=99, m_override=5)
@@ -176,6 +177,8 @@ def test_user_file_family_checks(tmp_path):
     cfg = small_config(n=6, k=2, p=3, family_kind="user_file", family_path=str(path))
     loaded = build_family(cfg, 0)
     assert loaded.size == 3
+    # a path object is a family_path too
+    assert build_family(small_config(n=6, k=2, p=3, family_kind="user_file", family_path=path), 0).size == 3
     bad = small_config(n=6, k=2, p=5, family_kind="user_file", family_path=str(path))
     with pytest.raises(InputError):
         build_family(bad, 0)
@@ -426,6 +429,54 @@ def test_m_values_and_parallelism_must_be_integers(monkeypatch):
         with pytest.raises(InputError, match="parallelism must be an integer"):
             sweep_m(cfg, [2, 4], 0.5, parallelism=parallelism)
     assert sweep_m(cfg, [np.int64(2), 4], 0.5, parallelism=np.int64(1)) == sweep_m(cfg, [2, 4], 0.5)
+
+
+# values that are not real numbers (or an integer no float holds), that are
+# not integers, and that are not EnsembleSpecs; an integer beyond any budget
+# is a ResourceError, and a seed of any size is valid
+LONG = list(range(100_000))
+NOT_REAL, NOT_INTEGER, NOT_SPEC = ("4", 10**400, True, LONG), ("4", 2.5, True, LONG), ("gaussian", 4.0, LONG)
+FAMILY = k_sparse_family(4, 2, 3)
+REPORT = family_distortion(sample_matrix(GAUSS, 6, 4, 1), FAMILY)
+MISTYPED_ARGUMENTS = {
+    "check_distortion-D": (stats.check_distortion, NOT_REAL),
+    "required_m-D": (lambda D: required_m(1, 2, D), NOT_REAL),
+    "success_prob_bound-D": (lambda D: stats.success_prob_bound(D, 5), NOT_REAL),
+    "choose_scale-D": (lambda D: choose_scale(REPORT, D), NOT_REAL),
+    "metric_embed-D": (lambda D: metric_embed(np.eye(3), D, GAUSS, 1), NOT_REAL),
+    "ExperimentConfig-D": (lambda D: small_config(D=D), NOT_REAL),
+    "derive_seed-seed": (derive_seed, NOT_INTEGER),
+    "derive_seed-path": (lambda index: derive_seed(1, index), NOT_INTEGER),
+    "sample_matrix-seed": (lambda seed: sample_matrix(GAUSS, 3, 3, seed), NOT_INTEGER),
+    "sample_matrix-m": (lambda m: sample_matrix(GAUSS, m, 3, 1), NOT_INTEGER),
+    "sample_matrix-n": (lambda n: sample_matrix(GAUSS, 3, n, 1), NOT_INTEGER),
+    "sample_matrix-spec": (lambda spec: sample_matrix(spec, 3, 3, 1), NOT_SPEC),
+    "gaussian_width_mc-seed": (lambda seed: gaussian_width_mc(FAMILY, 10, seed), NOT_INTEGER),
+    "gaussian_width_mc-n_draws": (lambda draws: gaussian_width_mc(FAMILY, draws, 1), NOT_INTEGER),
+    "k_sparse_family-n": (lambda n: k_sparse_family(n, 2, 3), ("4", 6.0, True, LONG)),
+    "k_sparse_family-k": (lambda k: k_sparse_family(6, k, 3), NOT_INTEGER),
+    "k_sparse_family-p": (lambda p: k_sparse_family(6, 2, p), NOT_INTEGER),
+    "metric_embed-spec": (lambda spec: metric_embed(np.eye(3), 4.0, spec, 1), NOT_SPEC),
+    "sweep_m-target_rate": (lambda rate: sweep_m(small_config(trials=2), [2, 4], rate), ("0.9", True, LONG, 10**400)),
+}
+
+
+@pytest.mark.parametrize("case", MISTYPED_ARGUMENTS)
+def test_arguments_of_the_wrong_type_raise_a_short_input_error(case):
+    # each ended in a TypeError, ValueError, AttributeError or OverflowError,
+    # ran a float or bool seed as an integer, or quoted a long value whole
+    call, values = MISTYPED_ARGUMENTS[case]
+    for value in values:
+        with pytest.raises(InputError) as info:
+            call(value)
+        assert len(str(info.value)) < 200, value
+
+
+def test_integer_seeds_of_any_kind_give_the_same_matrix():
+    # numpy integers and Python ints beyond 64 bits are seeds; floats and bools are not
+    expected = sample_matrix(GAUSS, 3, 4, 7).matrix
+    for seed in (np.int64(7), np.uint8(7), 7 + (1 << 64)):
+        assert np.array_equal(sample_matrix(GAUSS, 3, 4, seed).matrix, expected)
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
