@@ -131,11 +131,19 @@ def _column_tiles(family: SubspaceFamily, per_column: int | None = None, numbers
             yield g, start, bases[start : start + step]
 
 
+def _counts(k, p) -> tuple[int, int]:
+    """A member dimension k and a member count p as Python ints; InputError
+    unless each is an integer >= 1."""
+    k, p = _integer(k, "k must be an integer"), _integer(p, "p must be an integer")
+    if k < 1 or p < 1:
+        raise InputError("need k >= 1 and p >= 1")
+    return k, p
+
+
 def width_upper_bound(k: int, p: int) -> float:
     """Closed-form width bound 3(sqrt(ln p) + sqrt(k)) for p subspaces of
     dimension at most k."""
-    if k < 1 or p < 1:
-        raise InputError("need k >= 1 and p >= 1")
+    k, p = _counts(k, p)
     return 3.0 * (math.sqrt(math.log(p)) + math.sqrt(k))
 
 
@@ -156,8 +164,7 @@ def check_distortion(D: float) -> None:
 
 def required_m(k: int, p: int, D: float) -> int:
     """Target dimension 5(k + ln p / ln D), rounded up to an integer."""
-    if k < 1 or p < 1:
-        raise InputError("need k >= 1 and p >= 1")
+    k, p = _counts(k, p)
     check_distortion(D)
     value = 5.0 * (k + math.log(p) / math.log(D))
     nearest = round(value)
@@ -171,6 +178,7 @@ def required_m(k: int, p: int, D: float) -> int:
 def success_prob_bound(D: float, m: int) -> float:
     """Lower bound 1 - 2 D^(-m/5) on the embedding success probability, clamped to [0, 1]."""
     check_distortion(D)
+    m = _integer(m, "m must be an integer")
     if m < 1:
         raise InputError("m must be >= 1")
     return max(0.0, 1.0 - 2.0 * D ** (-m / 5.0))

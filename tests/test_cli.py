@@ -356,6 +356,19 @@ def test_trial_env_seed_override(tmp_path, monkeypatch):
     assert main(["trial", "--config", str(cfg), "--output", str(overridden)]) == 2
 
 
+@pytest.mark.parametrize(
+    "value, quoted",
+    [("oops", "'oops'"), ("x" * 100_000, "'" + "x" * 36 + "..."), ("\udcff" * 100, "'" + "\\udcff" * 6 + "...")],
+    ids=["short", "long", "undecodable-bytes"],
+)
+def test_malformed_env_seed_is_quoted_in_one_short_line(tmp_path, capsys, monkeypatch, value, quoted):
+    cfg = write_config(tmp_path / "cfg.json")
+    monkeypatch.setenv("SUBEMBED_SEED", value)
+    assert main(["trial", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: SUBEMBED_SEED must be an integer, got {quoted}\n" and len(err.encode()) < 200
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """The worker counts of the process pools started."""
@@ -1163,3 +1176,98 @@ def test_module_runs_as_a_script():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("usage: subembed")
+
+
+# ---------------------------------------------------------------- process exit
+
+# gc.freeze wrapped so that its calls are counted, and a handler registered
+# before the CLI, which therefore runs after every handler the CLI registers
+_FREEZE_PROBE = """
+import atexit, gc, json
+calls = []
+freeze = gc.freeze
+
+def counted():
+    calls.append(1)
+    freeze()
+
+gc.freeze = counted
+atexit.register(lambda: print(json.dumps([gc.get_freeze_count() > 0, len(calls)])))
+"""
+
+
+def test_main_freezes_the_heap_once_at_exit():
+    # the interpreter's shutdown collections then skip the import-time heap
+    code = _FREEZE_PROBE + """
+from subembed.cli import main
+for _ in range(2):
+    assert main(["constants", "--ensemble", "gaussian"]) == 0
+"""
+    assert _run_python(code) == [True, 1]
+
+
+def test_cli_import_freezes_nothing_at_exit():
+    assert _run_python(_FREEZE_PROBE + "import subembed.cli") == [False, 0]
+
+
+# the CLI in a child process that writes, at its exit, the pids of the pool
+# workers it started to the file named by its first argument
+_RECORDING_CHILD = """
+import atexit, json, sys
+from multiprocessing.process import BaseProcess
+started = []
+start = BaseProcess.start
+
+def recorded(self):
+    start(self)
+    started.append(self.pid)
+
+def report(path=sys.argv[1]):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(started, fh)
+
+BaseProcess.start = recorded
+atexit.register(report)
+from subembed.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["trial", "--config", "cfg.json", "--parallelism", "2", "--output", "trials.jsonl"], 0, ""),
+        (["sweep", "--config", "cfg.json", "--m-values", "2,4,7"], 0, ""),
+        (["embed-points", "--points", "dup.csv", "--D", "8", "--ensemble", "gaussian", "--seed", "1",
+          "--matrix-out", "gamma.csv"], 0, "warning: skipped 2 duplicate point pair(s)\n"),
+        (["trial", "--config", "bad.json", "--output", "trials.jsonl"], 2,
+         "error: bad.json: config key 'n' must be an integer, got the JSON string \"eight\"\n"),
+    ],
+    ids=["trial-parallel", "sweep", "embed-duplicates", "bad-config"],
+)
+def test_a_cli_process_writes_what_main_in_process_writes(tmp_path, capsys, monkeypatch, argv, code, err):
+    # the same relative arguments, once in a child process, which exits
+    # through the interpreter's shutdown, and once through main in this one
+    folders = {side: tmp_path / side for side in ("child", "in-process")}
+    for folder in folders.values():
+        folder.mkdir()
+        write_config(folder / "cfg.json", trials=6)
+        write_config(folder / "bad.json", n="eight")
+        (folder / "dup.csv").write_text("4,2\n0,0\n0,0\n1,0\n1,0\n")
+    workers = tmp_path / "workers.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subembed.__file__)))
+    child = subprocess.run([sys.executable, "-c", _RECORDING_CHILD, str(workers), *argv], cwd=folders["child"],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    monkeypatch.chdir(folders["in-process"])
+    assert main(argv) == child.returncode == code
+    captured = capsys.readouterr()
+    assert (child.stdout, child.stderr) == (captured.out, captured.err)
+    assert captured.err == err
+    files = {side: {p.name: p.read_bytes() for p in folder.iterdir()} for side, folder in folders.items()}
+    assert files["child"] == files["in-process"]
+    # the child joined every pool worker it started before it exited
+    pids = json.loads(workers.read_text())
+    assert bool(pids) == ("--parallelism" in argv)
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

@@ -270,6 +270,33 @@ def test_success_prob_bound_values():
             success_prob_bound(D, 3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: required_m(1, 2.5, 4.0),
+        lambda: required_m(True, 10**400, 4.0),
+        lambda: required_m("4", 2, 4.0),
+        lambda: required_m(4, "x" * 100_000, 4.0),
+        lambda: width_upper_bound("2", 3),
+        lambda: width_upper_bound(2, 3.0),
+        lambda: success_prob_bound(4.0, "5"),
+        lambda: success_prob_bound(4.0, 5.0),
+    ],
+    ids=["p-float", "k-bool", "k-string", "p-long-string", "width-k-string", "width-p-float", "m-string", "m-float"],
+)
+def test_formulas_take_integer_counts_only(call):
+    with pytest.raises(InputError) as info:
+        call()
+    assert "must be an integer" in str(info.value) and len(str(info.value)) < 200
+
+
+def test_formulas_keep_their_values_for_every_integer_type():
+    assert required_m(1, 10**400, 4.0) == 3327
+    assert required_m(np.int64(4), np.int64(16), 8.0) == 27
+    assert width_upper_bound(np.int32(4), 16) == width_upper_bound(4, 16)
+    assert success_prob_bound(8.0, np.int64(27)) == success_prob_bound(8.0, 27)
+
+
 # ------------------------------------------------- ensemble-level implications
 
 

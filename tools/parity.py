@@ -5,9 +5,9 @@ Runs the benchmark's commands (trial, sweep, embed-points, verify and width,
 at the sizes of ``perfbench.workloads.WORKLOADS``) on the inputs that
 ``perfbench.inputs.generate`` writes for each seed, and one more case,
 ``embed-duplicates`` (``DUPLICATES``), once with this checkout's ``src/``
-and once with REV's, and compares the sha256 of each command's exit status,
-standard output and output files. Both trees read the same input files and
-run with one BLAS thread.
+and once with REV's, and compares each command's exit status and the sha256
+of its standard output, standard error and output files. Both trees read the
+same input files and run with one BLAS thread.
 
 REV's ``src/`` is exported with ``git archive`` into a temporary directory,
 so no worktree is registered and a cut-short run leaves nothing in the
@@ -81,17 +81,19 @@ def sha256(path: str) -> str:
 
 def digests(src: str, out_dir: str, cases: dict) -> dict[str, str]:
     """Per command of every (workload, seed) case, run with src on
-    PYTHONPATH: its exit status and the sha256 of its stdout and of each
-    file it writes, keyed by workload, seed, command and file name."""
+    PYTHONPATH: its exit status and the sha256 of its stdout, its stderr and
+    each file it writes, keyed by workload, seed, command and file name."""
     env = child_env(src)
     found = {}
     for (name, seed), inp in cases.items():
         for cmd in CASES[name].commands(inp, os.path.join(out_dir, f"{name}-{seed}")):
             os.makedirs(os.path.dirname(cmd.stdout), exist_ok=True)
             with open(cmd.stdout, "wb") as out:
-                run = subprocess.run([sys.executable, "-c", CHILD, *cmd.argv], env=env, stdout=out)
+                run = subprocess.run([sys.executable, "-c", CHILD, *cmd.argv], env=env, stdout=out,
+                                     stderr=subprocess.PIPE)
             key = f"{name} seed {seed} {cmd.label}"
             found[f"{key} exit status"] = str(run.returncode)
+            found[f"{key} stderr"] = hashlib.sha256(run.stderr).hexdigest()
             for path in (cmd.stdout, *cmd.outputs):
                 found[f"{key} {os.path.basename(path)}"] = sha256(path)
     return found
