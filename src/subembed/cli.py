@@ -51,17 +51,16 @@ def load_matrix_csv(path) -> RandomMatrix:
     body = lines[1:]
     if len(body) != m:
         raise InputError(f"{path}: header says {m} rows, body has {len(body)}")
-    # every shape check comes before the allocation, whose size the header sets
+    # every shape check comes before the parse, whose size the header sets
     for i, line in enumerate(body):
         fields = line.count(",") + 1
         if fields != n:
             raise InputError(f"{path}: row {i} has {fields} fields, expected {n}")
-    rows = np.empty((m, n))
-    for i, line in enumerate(body):
-        try:
-            rows[i] = [float(f) for f in line.split(",")]
-        except ValueError as exc:
-            raise InputError(f"{path}: row {i}: {exc}") from exc
+    try:
+        # numpy's message names the 0-based row and the 1-based column
+        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise InputError(f"{path}: row {bad[0]}: entries must be finite")

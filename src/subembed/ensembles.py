@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, InputError, Record, _integer, describe_json, describe_keys
+from .errors import ConfigurationError, DimensionError, InputError, Record, _integer, describe_keys, describe_value
 from .geometry import _checked
 # derive_seed is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it there, alongside rng_from
@@ -42,7 +42,7 @@ class EnsembleSpec(Record):
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigurationError(f"ensemble kind must be one of {'|'.join(KINDS)}, got {describe_json(self.kind)}")
+            raise ConfigurationError(f"ensemble kind must be one of {'|'.join(KINDS)}, got {describe_value(self.kind)}")
 
     @classmethod
     def gaussian(cls) -> "EnsembleSpec":
@@ -68,7 +68,7 @@ class EnsembleSpec(Record):
             kind = SPHERE_SCALED
         if kind not in KINDS:
             raise ConfigurationError(
-                f"ensemble kind must be one of gaussian|sphere|iid_bounded, got {describe_json(kind)}"
+                f"ensemble kind must be one of gaussian|sphere|iid_bounded, got {describe_value(kind)}"
             )
         return cls(kind=kind)
 
@@ -244,7 +244,7 @@ def _sample_maps(spec: EnsembleSpec, seeds: np.ndarray, m: int, n: int) -> np.nd
     and one sampling pass: map t is ``sample_matrix(spec, m, n,
     seeds[t]).matrix`` bit for bit, whatever the other seeds."""
     if not isinstance(spec, EnsembleSpec):
-        raise InputError(f"spec must be an EnsembleSpec, got {describe_json(spec)}")
+        raise InputError(f"spec must be an EnsembleSpec, got {describe_value(spec)}")
     m, n = _integer(m, "m must be an integer"), _integer(n, "n must be an integer")
     if m < 1 or n < 1:
         raise DimensionError("m and n must be >= 1")

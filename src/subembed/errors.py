@@ -65,17 +65,17 @@ def _cut(text: str) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def describe_json(value) -> str:
-    """A value as an error message quotes it: a parsed JSON value by its
-    JSON type and a container's length or a scalar's text cut to 40
-    characters, so that no long or deeply nested value is written out
-    whole, and any other value by its Python type alone."""
+def describe_value(value) -> str:
+    """A value as an error message quotes it, for a file's reader and a
+    library caller alike: a list or dict as an array or object and its
+    length, a scalar by its JSON text cut to 40 characters, so that no long
+    or nested value is written out whole, and any other by its Python type."""
     if isinstance(value, (list, dict)):
-        return f"a JSON {'array' if isinstance(value, list) else 'object'} of length {len(value)}"
+        return f"{'an array' if isinstance(value, list) else 'an object'} of length {len(value)}"
     if not (value is None or isinstance(value, (bool, int, float, str))):
         return f"a Python {type(value).__name__}"
     kind = "string" if isinstance(value, str) else "literal" if value is None or isinstance(value, bool) else "number"
-    return f"the JSON {kind} {_cut(json.dumps(value))}"
+    return f"the {kind} {_cut(json.dumps(value))}"
 
 
 def _integer(value, message: str) -> int:
@@ -83,7 +83,7 @@ def _integer(value, message: str) -> int:
     is an integer. int() would take a float or a bool silently: 2.9 as 2,
     True as 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InputError(f"{message}, got {describe_json(value)}")
+        raise InputError(f"{message}, got {describe_value(value)}")
     return int(value)
 
 

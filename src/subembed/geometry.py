@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InputError, Record, _cut, describe_json, read_json
+from .errors import DegenerateInputError, DimensionError, InputError, Record, _cut, describe_value, read_json
 from .seeding import rng_from
 
 # numerical-rank cutoff relative to the largest singular value
@@ -265,7 +265,7 @@ def _member_spans(payload, quotes: int, letters: bool) -> list[np.ndarray]:
         raise InputError("family file 'members' must be a list")
     n = payload["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InputError(f"family file 'n' must be an integer >= 1, got {describe_json(n)}")
+        raise InputError(f"family file 'n' must be an integer >= 1, got {describe_value(n)}")
     keys = len(payload) + sum(len(entry) for entry in payload["members"] if isinstance(entry, dict))
     walk = letters or quotes > 2 * keys
     spans = []

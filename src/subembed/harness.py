@@ -26,7 +26,7 @@ import numpy as np
 from . import stats
 from .distortion import ScaleChoice, _certify_entries, _certify_maps, _certify_points
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
-from .errors import InputError, Record, _integer, describe_json
+from .errors import InputError, Record, _integer, describe_value
 from .geometry import SubspaceFamily, _checked, _family, _orthonormal_stacks, load_family_json
 from .seeding import derive_seed, derive_seeds, rng_from
 from .stats import _check_budget, check_distortion, required_m
@@ -94,7 +94,7 @@ class ExperimentConfig(Record):
             if value is None and name in ("m_override", "family_path"):
                 continue
             if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
-                raise InputError(f"config key {name!r} must be {what}, got {describe_json(value)}")
+                raise InputError(f"config key {name!r} must be {what}, got {describe_value(value)}")
             if kind is numbers.Integral:
                 object.__setattr__(self, name, int(value))
         try:
@@ -336,7 +336,7 @@ def sweep_m(
     if m_values[0] < 1:
         raise InputError(f"every m must be >= 1, got m={m_values[0]}")
     if isinstance(target_rate, bool) or not isinstance(target_rate, numbers.Real):
-        raise InputError(f"target_rate must be a number, got {describe_json(target_rate)}")
+        raise InputError(f"target_rate must be a number, got {describe_value(target_rate)}")
     if not 0.0 < target_rate < 1.0:
         raise InputError("target_rate must lie in (0, 1)")
     per_trial = _map_trials(config, m_values, parallelism)

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import InputError, Record, ResourceError, _cut, _integer, describe_json
+from .errors import InputError, Record, ResourceError, _cut, _integer, describe_value
 from .geometry import SubspaceFamily
 from .seeding import rng_from
 
@@ -156,7 +156,7 @@ def check_distortion(D: float) -> None:
     would pass silently through the comparisons they feed.
     """
     if isinstance(D, bool) or not isinstance(D, numbers.Real):
-        raise InputError(f"D must be a number, got {describe_json(D)}")
+        raise InputError(f"D must be a number, got {describe_value(D)}")
     # exact comparisons: NaN, infinity and an integer beyond float range all fail
     if not 1.0 < D <= sys.float_info.max:
         raise InputError(f"D must be finite and > 1, got {_cut(str(D))}")

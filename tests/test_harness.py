@@ -80,9 +80,9 @@ def test_config_fields_must_have_their_types():
     # a float would run as its floor (seed 1.5 as seed 1) or end in a bare TypeError
     for key, value, quoted in (("m_override", 2.5, "number 2.5"), ("n", 12.5, "number 12.5"),
                                ("trials", 2.5, "number 2.5"), ("seed", 1.5, "number 1.5"), ("p", True, "literal true")):
-        with pytest.raises(InputError, match=f"^config key '{key}' must be an integer, got the JSON {quoted}$"):
+        with pytest.raises(InputError, match=f"^config key '{key}' must be an integer, got the {quoted}$"):
             small_config(**{key: value})
-    with pytest.raises(InputError, match="^config key 'fixed_family' must be true or false, got the JSON string"):
+    with pytest.raises(InputError, match="^config key 'fixed_family' must be true or false, got the string"):
         small_config(fixed_family="false")
     # numpy integers pass, and run as the equal Python ints
     sizes = dict(n=12, k=2, p=4, trials=3, seed=99, m_override=5)

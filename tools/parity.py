@@ -3,11 +3,12 @@
 
 Runs the benchmark's commands (trial, sweep, embed-points, verify and width,
 at the sizes of ``perfbench.workloads.WORKLOADS``) on the inputs that
-``perfbench.inputs.generate`` writes for each seed, and one more case,
-``embed-duplicates`` (``DUPLICATES``), once with this checkout's ``src/``
-and once with REV's, and compares each command's exit status and the sha256
-of its standard output, standard error and output files. Both trees read the
-same input files and run with one BLAS thread.
+``perfbench.inputs.generate`` writes for each seed, one more case,
+``embed-duplicates`` (``DUPLICATES``), and, at the first seed only, the
+sizes of CI's paper-scale steps (``PAPER_SCALE``), once with this checkout's
+``src/`` and once with REV's, and compares each command's exit status and
+the sha256 of its standard output, standard error and output files. Both
+trees read the same input files and run with one BLAS thread.
 
 REV's ``src/`` is exported with ``git archive`` into a temporary directory,
 so no worktree is registered and a cut-short run leaves nothing in the
@@ -57,7 +58,23 @@ class DuplicatePoints(Workload):
 # required_m(1, 780, 2) = 54 to required_m(1, 760, 2) = 53, so metric_embed
 # certifies the map's first 53 rows in a second walk
 DUPLICATES = DuplicatePoints("embed-duplicates", "embed", "duplicates lower m", {"points": 20, "n": 4, "D": 2.0})
-CASES = {**WORKLOADS, DUPLICATES.name: DUPLICATES}
+
+# the sizes of CI's paper-scale steps: 8 trials, and a sweep over m = 40, 50,
+# 59, 70, of one fixed Haar family at n=1024, k=8, p=2000 with two workers;
+# verify and width on a 500-member family at n=256, k=8; 500 points in R^1024
+_HAAR = {"n": 1024, "k": 8, "p": 2000, "D": 8.0, "family_kind": "haar_random", "trials": 8}
+PAPER_SCALE = {
+    w.name: w
+    for w in (
+        Workload("paper-trial", "trial", "trials at paper scale", _HAAR, parallelism=2),
+        Workload("paper-sweep", "sweep", "a sweep at paper scale",
+                 {**_HAAR, "m_values": [40, 50, 59, 70], "target_rate": 0.9}, parallelism=2),
+        Workload("paper-verify-width", "verify_width", "a 500-member family file",
+                 {"n": 256, "k": 8, "p": 500, "D": 8.0, "draws": 1000}),
+        Workload("paper-embed", "embed", "500 points in R^1024", {"points": 500, "n": 1024, "D": 8.0}),
+    )
+}
+CASES = {**WORKLOADS, DUPLICATES.name: DUPLICATES, **PAPER_SCALE}
 
 
 def export_src(rev: str, dest: str) -> str | None:
@@ -102,7 +119,8 @@ def digests(src: str, out_dir: str, cases: dict) -> dict[str, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the git revision to compare this checkout against")
-    parser.add_argument("--seeds", default="1,2,3", help="comma-separated input seeds (default 1,2,3)")
+    parser.add_argument("--seeds", default="1,2,3",
+                        help="comma-separated input seeds (default 1,2,3); the paper-scale cases run at the first only")
     parser.add_argument("--workload", choices=[*CASES, "all"], default="all")
     args = parser.parse_args(argv)
     try:
@@ -114,7 +132,7 @@ def main(argv=None) -> int:
         cases = {
             (name, seed): CASES[name].generate(seed, os.path.join(work, "inputs", f"{name}-{seed}"))
             for name in names
-            for seed in seeds
+            for seed in (seeds[:1] if name in PAPER_SCALE else seeds)
         }
         base_src = export_src(args.base, os.path.join(work, "base"))
         if base_src is None:
