@@ -24,7 +24,7 @@ import numpy as np
 
 from .distortion import DistortionReport, choose_scale, family_distortion
 from .ensembles import EnsembleSpec, RandomMatrix, sample_matrix, theoretical_constants
-from .errors import InputError, SubembedError, _cut, _integer, describe_keys, read_json, read_text
+from .errors import InputError, SubembedError, _cut, _integer, describe_keys, naming, parse_json, read_text
 from .geometry import _checked, load_family_json
 from .harness import ExperimentConfig, metric_embed, run_trials, sweep_m
 from .stats import check_distortion, gaussian_width_mc, width_upper_bound
@@ -36,34 +36,35 @@ _JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)  # json.dumps would bu
 
 def load_matrix_csv(path) -> RandomMatrix:
     """Read the matrix CSV format: header line "m,n", then row-major rows."""
-    lines = [line.strip() for line in read_text(path).split("\n") if line.strip()]
-    if not lines:
-        raise InputError(f"{path}: empty matrix file")
-    header = lines[0].split(",")
-    if len(header) != 2:
-        raise InputError(f"{path}: header must be 'm,n'")
-    try:
-        m, n = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise InputError(f"{path}: non-integer header: {exc}") from exc
-    if m < 1 or n < 1:
-        raise InputError(f"{path}: header needs m >= 1 and n >= 1, got {m},{n}")
-    body = lines[1:]
-    if len(body) != m:
-        raise InputError(f"{path}: header says {m} rows, body has {len(body)}")
-    # every shape check comes before the parse, whose size the header sets
-    for i, line in enumerate(body):
-        fields = line.count(",") + 1
-        if fields != n:
-            raise InputError(f"{path}: row {i} has {fields} fields, expected {n}")
-    try:
-        # numpy's message names the 0-based row and the 1-based column
-        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise InputError(f"{path}: row {bad[0]}: entries must be finite")
+    with naming(path):
+        lines = [line.strip() for line in read_text(path).split("\n") if line.strip()]
+        if not lines:
+            raise InputError("empty matrix file")
+        header = lines[0].split(",")
+        if len(header) != 2:
+            raise InputError("header must be 'm,n'")
+        try:
+            m, n = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise InputError(f"non-integer header: {exc}") from exc
+        if m < 1 or n < 1:
+            raise InputError(f"header needs m >= 1 and n >= 1, got {m},{n}")
+        body = lines[1:]
+        if len(body) != m:
+            raise InputError(f"header says {m} rows, body has {len(body)}")
+        # every shape check comes before the parse, whose size the header sets
+        for i, line in enumerate(body):
+            fields = line.count(",") + 1
+            if fields != n:
+                raise InputError(f"row {i} has {fields} fields, expected {n}")
+        try:
+            # numpy's message names the 0-based row and the 1-based column
+            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise InputError(f"row {bad[0]}: entries must be finite")
     rows.setflags(write=False)
     return _checked(RandomMatrix, matrix=rows)
 
@@ -109,23 +110,21 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
     every value, naming the file; a null parallelism is 1. SUBEMBED_SEED in
     the environment overrides the config seed once the file's seed passed.
     """
-    payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise InputError(f"{path}: config must be a JSON object")
-    keys = set(ExperimentConfig._fields) | _CONFIG_OPTIONAL
-    unknown = set(payload) - keys
-    if unknown:
-        raise InputError(f"{path}: unknown config keys: {describe_keys(unknown)}")
-    missing = keys - _CONFIG_OPTIONAL - set(payload)
-    if missing:
-        raise InputError(f"{path}: missing config keys: {sorted(missing)}")
-    values = dict(payload, ensemble=EnsembleSpec.from_json_dict(payload["ensemble"]))
-    parallelism = values.pop("parallelism", None)
-    try:
+    with naming(path):
+        payload = parse_json(read_text(path))
+        if not isinstance(payload, dict):
+            raise InputError("config must be a JSON object")
+        keys = set(ExperimentConfig._fields) | _CONFIG_OPTIONAL
+        unknown = set(payload) - keys
+        if unknown:
+            raise InputError(f"unknown config keys: {describe_keys(unknown)}")
+        missing = keys - _CONFIG_OPTIONAL - set(payload)
+        if missing:
+            raise InputError(f"missing config keys: {sorted(missing)}")
+        values = dict(payload, ensemble=EnsembleSpec.from_json_dict(payload["ensemble"]))
+        parallelism = values.pop("parallelism", None)
         parallelism = 1 if parallelism is None else _integer(parallelism, "config key 'parallelism' must be an integer")
         config = ExperimentConfig(**values)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
     env_seed = os.environ.get("SUBEMBED_SEED")
     if env_seed is not None:
         try:

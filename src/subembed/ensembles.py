@@ -194,7 +194,7 @@ def _gaussian_rows(seeds: np.ndarray, n: int, attempt: int = 0) -> np.ndarray:
     radius += s
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    odd = np.fmod(q, 2.0) == 1.0
+    odd = (q == 1.0) | (q == 3.0)  # q is 0, 1, 2 or 3
     np.subtract(1.5, q, out=q)
     np.copysign(radius, q, out=radius)
     cos, sin = series[1], series[2]

@@ -1,8 +1,9 @@
-"""Exception hierarchy shared across the package, the input-file readers that
-map undecodable text or unparsable JSON onto it, short quotes of values and
-keys, the integer check of arguments, and the base class of the package's
-immutable records."""
+"""Exception hierarchy shared across the package, the naming of an input
+file in its errors, the readers that map undecodable text or unparsable
+JSON onto it, short quotes of values and keys, the integer check of
+arguments, and the base class of the package's immutable records."""
 
+import contextlib
 import inspect
 import json
 import numbers
@@ -32,33 +33,46 @@ class ResourceError(SubembedError):
     """A size or cardinality budget would be exceeded."""
 
 
-def read_text(path) -> str:
-    """The text of an input file, decoded as UTF-8.
-
-    Bytes that do not decode raise InputError naming the path; a path that
-    cannot be opened raises the OSError, whose filename the CLI reports.
-    """
+@contextlib.contextmanager
+def naming(path):
+    """Re-raises a SubembedError from inside as its own class, "<path>: " in front."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        yield
+    except SubembedError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def decode_text(data: bytes) -> str:
+    """An input file's bytes as its text: strict UTF-8, each \\r\\n or lone
+    \\r read as \\n, as open() reads text. Bytes that do not decode raise
+    InputError."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        raise InputError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def read_json(path) -> object:
-    """The value of a JSON input file, read as UTF-8 text; JSON that is
-    malformed, nested too deeply or holds an integer too long to parse
-    raises InputError naming the path."""
-    text = read_text(path)
+def read_text(path) -> str:
+    """The text of an input file, by ``decode_text``; a path that cannot be
+    opened raises the OSError, whose filename the CLI reports."""
+    with open(path, "rb") as fh:
+        return decode_text(fh.read())
+
+
+def parse_json(text: str) -> object:
+    """The value of an input file's JSON text; JSON that is malformed,
+    nested too deeply or holds an integer too long to parse raises
+    InputError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise InputError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
-        raise InputError(f"{path}: JSON nested too deeply to parse") from exc
+        raise InputError("JSON nested too deeply to parse") from exc
     except ValueError as exc:
         # Python's cap on the digits of an integer it converts from text
-        raise InputError(f"{path}: JSON number too long to parse") from exc
+        raise InputError("JSON number too long to parse") from exc
 
 
 def _cut(text: str) -> str:

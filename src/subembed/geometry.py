@@ -9,6 +9,7 @@ x - y ranges over its direction subspace, so no base point is kept.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -16,7 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InputError, Record, _cut, describe_value, read_json
+from .errors import (
+    DegenerateInputError, DimensionError, InputError, Record, _cut, decode_text, describe_value, naming, parse_json
+)
 from .seeding import rng_from
 
 # numerical-rank cutoff relative to the largest singular value
@@ -199,7 +202,11 @@ def _orthonormal_stacks(groups) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
             # with more columns than rows, U is n x n, narrower than the spans
             full = (s[:, -1] > RANK_RTOL * s[:, 0]) & (s[:, 0] > 2.0 * math.sqrt(j) * ZERO_NORM) & (j <= n)
             for c in np.flatnonzero(~full).tolist():
-                reduced[int(indices[lo + c])] = orthonormalize(chunk[c])
+                i = int(indices[lo + c])
+                try:
+                    reduced[i] = orthonormalize(chunk[c])
+                except DegenerateInputError as exc:
+                    raise DegenerateInputError(f"member {i}: {exc}") from exc
             chunk[..., : u.shape[2]] = u
     if not reduced:
         return tuple(groups)
@@ -324,22 +331,33 @@ def _read_spans(path) -> list[np.ndarray]:
     integer beyond 64 bits as a float, and sets no nesting limit of its own,
     so deep bytes would overflow the C stack: it reads only bytes that scan
     as shallow. json settles every file that orjson or the member checks
-    refuse, reading it again as strict UTF-8 text, so each exit-2 line is
-    json's. A file both read gives the same bits: each rounds a number to
-    the nearest float, as float() does with json's integers.
+    refuse, parsing the same bytes as strict UTF-8 text, so each exit-2 line
+    is json's. A file both read gives the same bits: each rounds a number to
+    the nearest float, as float() does with json's integers. A parsed JSON
+    value holds no reference cycles, so the collector is paused until the
+    parsed value is dropped: its passes over the tree would find nothing.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     shallow, quotes, letters = _scan(data)
-    if shallow:
-        import orjson  # here: its import costs milliseconds that commands reading no family file skip
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if shallow:
+            import orjson  # here: its import costs milliseconds that commands reading no family file skip
 
-        try:
-            return _member_spans(orjson.loads(data), quotes, letters)
-        except (orjson.JSONDecodeError, InputError):
-            pass
-    del data  # read again below
-    return _member_spans(read_json(path), quotes, letters)
+            try:
+                return _member_spans(orjson.loads(data), quotes, letters)
+            except (orjson.JSONDecodeError, InputError):
+                pass
+        text = decode_text(data)
+        del data  # the bytes dropped once decoded, and the text once parsed
+        payload = parse_json(text)
+        del text
+        return _member_spans(payload, quotes, letters)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_family_json(path) -> SubspaceFamily:
@@ -348,7 +366,8 @@ def load_family_json(path) -> SubspaceFamily:
     The members are validated and their spans read by ``_read_spans``, whose
     parsed file is freed before the spans are stacked per column count. The
     stacks are then orthonormalized in place with batched SVDs, building no
-    member objects.
+    member objects. Each error names the file.
     """
-    groups = _stacks(_read_spans(path))  # the groups now hold the only copy of the spans
-    return _family(_orthonormal_stacks(groups))
+    with naming(path):
+        groups = _stacks(_read_spans(path))  # the groups now hold the only copy of the spans
+        return _family(_orthonormal_stacks(groups))

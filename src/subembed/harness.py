@@ -26,7 +26,7 @@ import numpy as np
 from . import stats
 from .distortion import ScaleChoice, _certify_entries, _certify_maps, _certify_points
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
-from .errors import InputError, Record, _integer, describe_value
+from .errors import InputError, Record, _integer, describe_value, naming
 from .geometry import SubspaceFamily, _checked, _family, _orthonormal_stacks, load_family_json
 from .seeding import derive_seed, derive_seeds, rng_from
 from .stats import _check_budget, check_distortion, required_m
@@ -179,15 +179,14 @@ def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
     if config.family_kind == "k_sparse":
         return k_sparse_family(config.n, config.k, config.p)
     if config.family_kind == "user_file":
-        family = load_family_json(config.family_path)
-        if family.ambient_dim != config.n:
-            raise InputError(
-                f"family file ambient dim {family.ambient_dim} != config n {config.n}"
-            )
-        if family.size != config.p:
-            raise InputError(f"family file has {family.size} members, config says p={config.p}")
-        if family.max_dim > config.k:
-            raise InputError(f"family file max dim {family.max_dim} exceeds config k {config.k}")
+        family = load_family_json(config.family_path)  # which names the file in its own errors
+        with naming(config.family_path):
+            if family.ambient_dim != config.n:
+                raise InputError(f"family file ambient dim {family.ambient_dim} != config n {config.n}")
+            if family.size != config.p:
+                raise InputError(f"family file has {family.size} members, config says p={config.p}")
+            if family.max_dim > config.k:
+                raise InputError(f"family file max dim {family.max_dim} exceeds config k {config.k}")
         return family
     if config.fixed_family:
         fam_seed = derive_seed(config.seed, _FAMILY_STREAM)

@@ -817,6 +817,19 @@ def test_malformed_config_reports_line_and_column(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_count_as_text_mode_reads_them(tmp_path, capsys, end):
+    # the readers decode bytes themselves and still count a CRLF or a lone CR
+    # as one line end, as open() in text mode does
+    bad, mat = tmp_path / "bad.json", tmp_path / "m.csv"
+    bad.write_bytes(end.join(['{"n": 4,', "", ' "k": }']).encode())
+    mat.write_bytes(end.join(["2,2", "1,0", "0,x", ""]).encode())
+    assert main(["trial", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: malformed JSON at line 3, column 7: Expecting value\n"
+    assert main(["embed-points", "--points", str(mat), "--D", "8", "--ensemble", "gaussian", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {mat}: could not convert string 'x' to float64 at row 1, column 2.\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "width", "trial", "sweep"])
 def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     # arrays nested 5000 deep make json.loads raise RecursionError, not
@@ -989,7 +1002,7 @@ def test_long_n_beside_a_member_is_cut_in_one_short_line(tmp_path, capsys):
     assert main(["width", "--family", str(path), "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err == "error: member 0 does not match ambient dimension " + "1" * 37 + "...\n"
+    assert captured.err == f"error: {path}: member 0 does not match ambient dimension " + "1" * 37 + "...\n"
 
 
 @pytest.mark.parametrize(
@@ -1059,7 +1072,7 @@ def test_integer_entries_beyond_float_range_exit_2(tmp_path, capsys, command, ke
         "width": ["width", "--family", str(fam), "--seed", "1"],
     }[command]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: member 0 has non-finite entries\n"
+    assert capsys.readouterr().err == f"error: {fam}: member 0 has non-finite entries\n"
 
 
 def test_family_nested_beyond_the_c_stack_exits_2(tmp_path):
@@ -1181,6 +1194,73 @@ def test_unusable_paths_exit_2(tmp_path, capsys, case):
     assert ".tmp." not in err
     # no temporary file is left beside the output
     assert sorted(tmp_path.iterdir()) == before and list(folder.iterdir()) == []
+
+
+
+# (case, command, the file its error names, the error after that file's path)
+MALFORMED_INPUTS = [
+    ("ensemble-kind", "trial", "cfg.json",
+     'ensemble kind must be one of gaussian|sphere|iid_bounded, got the string "cauchy"'),
+    ("family-n-string", "width", "fam.json", 'family file \'n\' must be an integer >= 1, got the string "3"'),
+    ("family-member-dimension", "width", "fam.json", "member 1 does not match ambient dimension 2"),
+    ("family-no-members", "width", "fam.json", "a family needs at least one member"),
+    ("family-zero-member", "verify", "fam.json", "member 1: all spanning vectors are numerically zero"),
+    ("family-n-not-config-n", "trial", "fam.json", "family file ambient dim 2 != config n 3"),
+    ("family-truncated", "width", "fam.json", "malformed JSON at line 1, column 22: Expecting value"),
+    ("matrix-header", "verify", "m.csv", "header must be 'm,n'"),
+    ("matrix-field", "embed-points", "m.csv", "could not convert string 'x' to float64 at row 1, column 2."),
+]
+
+
+@pytest.mark.parametrize("case,command,named,message", MALFORMED_INPUTS, ids=[case[0] for case in MALFORMED_INPUTS])
+def test_malformed_input_file_errors_start_with_its_path(tmp_path, capsys, case, command, named, message):
+    # an error about the content of a config, family or matrix file exits 2
+    # with one line that starts with that file's path, and names it nowhere else
+    mat, fam, cfg = tmp_path / "m.csv", tmp_path / "fam.json", tmp_path / "cfg.json"
+    mat.write_text("2,2\n2,0\n0,1\n")
+    write_axes_family(fam)
+    write_config(cfg, n=3, k=1, p=2, trials=1, family_kind="user_file", family_path=str(fam))
+    if case == "ensemble-kind":
+        write_config(cfg, ensemble={"kind": "cauchy"})
+    elif case == "matrix-header":
+        mat.write_text("2;2\n2,0\n0,1\n")
+    elif case == "matrix-field":
+        mat.write_text("2,2\n2,0\n0,x\n")
+    elif case != "family-n-not-config-n":
+        fam.write_text({
+            "family-n-string": '{"n": "3", "members": [{"basis_columns": [[1, 0, 0]]}]}',
+            "family-member-dimension": '{"n": 2, "members": [{"basis_columns": [[1, 0]]}, {"basis_columns": [[1]]}]}',
+            "family-no-members": '{"n": 2, "members": []}',
+            "family-zero-member": '{"n": 2, "members": [{"basis_columns": [[1, 0]]}, {"basis_columns": [[0, 0]]}]}',
+            "family-truncated": '{"n": 2, "members": [',
+        }[case])
+    argv = {
+        "trial": ["trial", "--config", str(cfg)],
+        "width": ["width", "--family", str(fam), "--seed", "1"],
+        "verify": ["verify", "--matrix", str(mat), "--family", str(fam), "--D", "2"],
+        "embed-points": ["embed-points", "--points", str(mat), "--D", "8", "--ensemble", "gaussian", "--seed", "1"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    path = str(tmp_path / named)
+    assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
+    assert captured.err.count(path) == 1
+
+
+def test_environment_and_flag_errors_name_no_file(tmp_path, capsys, monkeypatch):
+    # SUBEMBED_SEED and the command line are no input file: their errors name none
+    cfg = write_config(tmp_path / "cfg.json")
+    mat = tmp_path / "m.csv"
+    mat.write_text("2,2\n2,0\n0,1\n")
+    monkeypatch.setenv("SUBEMBED_SEED", "x")
+    assert main(["trial", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: SUBEMBED_SEED must be an integer, got 'x'\n"
+    monkeypatch.delenv("SUBEMBED_SEED")
+    assert main(["sweep", "--config", str(cfg), "--m-values", "2,x"]) == 2
+    assert capsys.readouterr().err == "error: m_values must be integers: invalid literal for int() with base 10: 'x'\n"
+    assert main(["verify", "--matrix", str(mat), "--family", str(mat), "--D", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) not in err
 
 
 def test_missing_files_exit_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -479,9 +480,9 @@ def json_outcome(path):
 
 def fast_outcome(path):
     """load_outcome where neither json nor the text decoder may read the
-    file, so that orjson must read its bytes."""
-    with mock.patch.object(subembed.geometry, "read_json", side_effect=AssertionError("json read the file")), \
-            mock.patch.object(subembed.errors, "read_text", side_effect=AssertionError("the file was decoded")):
+    file's bytes, so that orjson must read them."""
+    with mock.patch.object(subembed.geometry, "parse_json", side_effect=AssertionError("json read the file")), \
+            mock.patch.object(subembed.geometry, "decode_text", side_effect=AssertionError("the file was decoded")):
         return load_outcome(path)
 
 
@@ -585,6 +586,65 @@ def test_family_bytes_load_the_stacks_json_loads(tmp_path, data, fast):
 
 
 @pytest.mark.parametrize(
+    "data,error",
+    [
+        (FAMILY_BYTES % b', "cl\\u00e9": 1', None),
+        (FAMILY_BYTES % (b', "x": ' + nested(62).encode()), None),
+        ((FAMILY_BYTES % b"").replace(b"0.5", b'"0.5"'),
+         "member 0: entries must be numbers, not true, false, strings or null"),
+        ((FAMILY_BYTES % b', "cl\\u00e9": 1').replace(b"0.5", b"NaN"), "member 0 has non-finite entries"),
+        ((FAMILY_BYTES % (b', "x": ' + nested(62).encode()))[:-1],
+         "malformed JSON at line 1, column 230: Expecting ',' delimiter"),
+    ],
+    ids=["backslash-in-a-key", "nested-65", "string-entry", "nan-beside-a-backslash", "nested-65-truncated"],
+)
+def test_a_family_file_json_settles_is_opened_once(tmp_path, data, error):
+    # orjson refuses a backslash and nesting 65 deep (the "x" list in the
+    # second member, 62 deep itself), and the member checks a string entry:
+    # json then parses the bytes already read, not the file again
+    path, plain = tmp_path / "fam.json", tmp_path / "plain.json"
+    path.write_bytes(data)
+    plain.write_bytes(FAMILY_BYTES % b"")
+    opened, real_open = [], open
+
+    def counted(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", counted):
+        outcome = load_outcome(path)
+    assert opened.count(str(path)) == 1
+    assert outcome == (load_outcome(plain) if error is None else ("InputError", f"{path}: {error}"))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_family_load_pauses_the_collector_and_restores_its_state(tmp_path, enabled):
+    # the collector is off while a parsed file is checked, by orjson's reading
+    # and json's alike, and left as it was after a load and an exit-2 load
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_bytes(FAMILY_BYTES % b"")
+    bad.write_bytes((FAMILY_BYTES % b"").replace(b"0.5", b'"0.5"'))
+    collecting, member_spans = [], subembed.geometry._member_spans
+
+    def spans(*args):
+        collecting.append(gc.isenabled())
+        return member_spans(*args)
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with mock.patch.object(subembed.geometry, "_member_spans", spans):
+            load_family_json(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(InputError):
+                load_family_json(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert collecting == [False] * 3  # the good file once, the bad one by orjson and then by json
+
+
+@pytest.mark.parametrize(
     "data",
     [
         FAMILY_BYTES % b', "k\xff": 1',
@@ -610,11 +670,11 @@ def test_integers_beyond_float_range_are_non_finite_entries(tmp_path, key):
     member[key] = [[1, 10**400]] if key == "basis_columns" else [0, -(10**400)]
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"n": 2, "members": [{"basis_columns": [[0, 1]]}, member]}))
-    assert load_outcome(path) == ("InputError", "member 1 has non-finite entries")
+    assert load_outcome(path) == ("InputError", f"{path}: member 1 has non-finite entries")
     # a string beside the overflow is still named as a non-number
     member[key] = [[1, 10**400, "x"]] if key == "basis_columns" else [0, "x", 10**400]
     path.write_text(json.dumps({"n": 2, "members": [member]}))
-    assert load_outcome(path)[1].startswith("member 0: entries must be numbers")
+    assert load_outcome(path)[1].startswith(f"{path}: member 0: entries must be numbers")
 
 
 def per_member_load(payload):
@@ -677,8 +737,9 @@ def test_load_rejects_numerically_zero_members(tmp_path, columns):
     path = tmp_path / "fam.json"
     members = [{"basis_columns": [[1.0, 0.0, 0.0]]}, {"basis_columns": columns}]
     path.write_text(json.dumps({"n": 3, "members": members}))
-    with pytest.raises(DegenerateInputError, match="numerically zero"):
+    with pytest.raises(DegenerateInputError) as err:
         load_family_json(path)
+    assert str(err.value) == f"{path}: member 1: all spanning vectors are numerically zero"
 
 
 def test_family_validation():

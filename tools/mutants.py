@@ -39,6 +39,7 @@ FLAG_TESTS = [
 ]
 FAMILY_FILE_TESTS = "tests/test_cli.py::test_malformed_family_file_exits_2"
 EMBED_TESTS = "tests/test_harness.py::test_metric_embed_"
+NAMED_TESTS = "tests/test_cli.py::test_malformed_input_file_errors_start_with_its_path"
 
 # name: (file, old text, new text, node ids of tests at least one of which must fail)
 MUTANTS = {
@@ -130,6 +131,13 @@ MUTANTS = {
         "brackets = b\"\".join(pieces[::2]).translate(None, b\"tf\")",
         "brackets = b\"\".join(pieces[::2])",
         ["tests/test_geometry.py::test_family_bytes_load_the_stacks_json_loads[true-false-outside-strings]"],
+    ),
+    # a family file's errors no longer name the file
+    "family-errors-unnamed": (
+        GEOMETRY,
+        "    with naming(path):\n        groups = _stacks(",
+        "    if True:\n        groups = _stacks(",
+        [NAMED_TESTS + "[family-n-string]", NAMED_TESTS + "[family-truncated]"],
     ),
 }
 
