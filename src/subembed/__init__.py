@@ -46,9 +46,7 @@ from .harness import (
 )
 from .seeding import derive_seed, normalize_seed
 from .stats import (
-    ConcentrationEstimate,
     WidthEstimate,
-    concentration_estimate,
     gaussian_width_mc,
     required_m,
     success_prob_bound,

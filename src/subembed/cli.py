@@ -3,9 +3,9 @@
 Subcommands: gen-matrix | verify | trial | sweep | embed-points | width |
 constants. All randomness flows from a single seed: the config key of
 trial and sweep, which the SUBEMBED_SEED environment variable overrides,
-or the --seed flag of the other subcommands, which it never does. Outputs
-are CSV/JSON only and are written atomically, so reruns with the same seed
-produce byte-identical files.
+or the --seed flag of gen-matrix, embed-points and width, which it never
+does. Outputs are CSV/JSON only and are written atomically, so reruns with
+the same seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -96,11 +96,24 @@ def _atomic_write(path, text: str) -> None:
             os.remove(tmp)
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to standard output and flush it. A failed write (a full
+    device, a pipe its reader closed) is reported like a failed output file,
+    and stdout is pointed at os.devnull so that the flush at exit succeeds."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError, ValueError):  # a stream with no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InputError(f"cannot write standard output: {exc.strerror}") from exc
+
+
 def _emit(text: str, output_path) -> None:
     if output_path:
         _atomic_write(output_path, text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
 
 
 def load_config(path) -> tuple[ExperimentConfig, int]:
@@ -181,7 +194,7 @@ def _cmd_verify(args) -> int:
     summary = _summary_json(report, scale)
     if args.summary_out:
         _atomic_write(args.summary_out, summary)
-    sys.stdout.write(summary)
+    _write_stdout(summary)
     return 1 if args.require_feasible and not scale.feasible else 0
 
 
@@ -253,10 +266,8 @@ def _cmd_width(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    spec = _parse_ensemble_flag(args)
-    constants = theoretical_constants(spec, seed=args.seed)
-    sys.stdout.write(f"alpha={constants.alpha:.4f} ({constants.alpha_source})\n")
-    sys.stdout.write(f"beta={constants.beta:.4f} ({constants.beta_source})\n")
+    constants = theoretical_constants(_parse_ensemble_flag(args))
+    _write_stdout(f"alpha={constants.alpha:.4f}\nbeta={constants.beta:.4f}\n")
     return 0
 
 
@@ -320,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     constants = subs.add_parser("constants", help="ensemble admissibility constants")
     _add_ensemble_flags(constants)
-    constants.add_argument("--seed", type=int, default=0)
     constants.set_defaults(func=_cmd_constants)
 
     return parser

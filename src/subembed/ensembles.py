@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, InputError, Record, _integer, describe_keys, describe_value
 from .geometry import _checked
-# derive_seed is not called here; it stays importable from this module
-# because perfbench/tracing.py wraps it there, alongside rng_from
+# derive_seed and rng_from are not called here; they stay importable from
+# this module because perfbench/tracing.py wraps both there
 from .seeding import derive_seed, derive_seeds, normalize_seed, rng_from, uniforms  # noqa: F401
-from .stats import _check_budget, concentration_estimate
+from .stats import _check_budget
 
 GAUSSIAN = "gaussian"
 SPHERE_SCALED = "sphere_scaled"
@@ -82,8 +82,6 @@ class EnsembleConstants(Record):
 
     alpha: float
     beta: float
-    alpha_source: str  # closed_form | empirical
-    beta_source: str
 
     def __post_init__(self):
         if self.beta < 1.0:
@@ -266,53 +264,20 @@ def sample_matrix(spec: EnsembleSpec, m: int, n: int, seed: int) -> RandomMatrix
     return _checked(RandomMatrix, matrix=rows)
 
 
-def _empirical_directional_alpha(seed: int) -> float:
-    """Worst observed concentration ratio C_eps(<X, a>)/eps over sampled directions.
+_CONSTANTS = {
+    GAUSSIAN: (math.sqrt(2.0 / math.pi), math.sqrt(8.0 / 3.0)),
+    SPHERE_SCALED: (2.0, 4.0),
+    IID_BOUNDED: (math.sqrt(2.0 / 3.0), 4.0 * UNIFORM_ENTRY_PSI2),
+}
 
-    Used where the composite concentration constant has no numeric closed
-    form (the i.i.d.-entry route goes through an unspecified universal
-    factor). Directions cover coordinate, diagonal and random cases in a
-    few ambient dimensions.
+
+def theoretical_constants(spec: EnsembleSpec) -> EnsembleConstants:
+    """The ensemble's (alpha, beta), each in closed form.
+
+    gaussian: (sqrt(2/pi), sqrt(8/3)). sphere_scaled: (2, 4), where alpha =
+    2 holds only from n = 3: at n = 1 the marginal is two atoms, at n = 2 it
+    follows the arcsine law, whose density is unbounded. iid_bounded:
+    (sqrt(2/3), 4 * UNIFORM_ENTRY_PSI2); by Ball's cube slicing every unit
+    marginal has density at most 1/sqrt(6), attained at (e1 + e2)/sqrt(2).
     """
-    n_samples = 200_000
-    eps_grid = (0.05, 0.1, 0.2)
-    worst = 0.0
-    for n in (1, 2, 8, 32):
-        rng = rng_from(seed, n)
-        draws = rng.uniform(-UNIFORM_HALF_WIDTH, UNIFORM_HALF_WIDTH, (n_samples, n))
-        directions = [np.eye(n)[0], np.full(n, 1.0 / math.sqrt(n))]
-        for _ in range(3 if n > 1 else 0):
-            d = rng.standard_normal(n)
-            directions.append(d / np.linalg.norm(d))
-        for a in directions:
-            samples = draws @ a
-            for eps in eps_grid:
-                est = concentration_estimate(samples, eps)
-                worst = max(worst, est.value / eps)
-    return worst
-
-
-def theoretical_constants(spec: EnsembleSpec, seed: int = 0) -> EnsembleConstants:
-    """The ensemble's (alpha, beta), closed-form where available.
-
-    gaussian: alpha = sqrt(2/pi), beta = sqrt(8/3). sphere_scaled:
-    alpha = 2, beta = 4. iid_bounded: beta = 4 * UNIFORM_ENTRY_PSI2, from the
-    psi_2 bound of its uniform entries, in closed form; alpha is an empirical
-    directional estimate (see _empirical_directional_alpha), reported with
-    source "empirical".
-    """
-    if spec.kind == GAUSSIAN:
-        return EnsembleConstants(
-            alpha=math.sqrt(2.0 / math.pi),
-            beta=math.sqrt(8.0 / 3.0),
-            alpha_source="closed_form",
-            beta_source="closed_form",
-        )
-    if spec.kind == SPHERE_SCALED:
-        return EnsembleConstants(alpha=2.0, beta=4.0, alpha_source="closed_form", beta_source="closed_form")
-    return EnsembleConstants(
-        alpha=_empirical_directional_alpha(seed),
-        beta=4.0 * UNIFORM_ENTRY_PSI2,
-        alpha_source="empirical",
-        beta_source="closed_form",
-    )
+    return EnsembleConstants(*_CONSTANTS[spec.kind])

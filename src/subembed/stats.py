@@ -1,8 +1,7 @@
 """Estimators and closed-form bounds used throughout the package.
 
-Covers empirical epsilon-concentration, Monte Carlo Gaussian width, the
-width bound, the embedding dimension formula and its success-probability
-bound.
+Covers the element budget, Monte Carlo Gaussian width, the width bound,
+the embedding dimension formula and its success-probability bound.
 """
 
 from __future__ import annotations
@@ -39,34 +38,12 @@ def _check_budget(what: str, count: int) -> None:
         raise ResourceError(f"{what} = {count} exceeds the element budget {DEFAULT_MAX_ELEMENTS}")
 
 
-class ConcentrationEstimate(Record):
-    """Empirical epsilon-concentration: max over centers L of P(|X - L| < eps)."""
-
-    epsilon: float
-    value: float
-    sample_count: int
-
-
 class WidthEstimate(Record):
     """Monte Carlo mean of max_{x in S} <g, x> over standard Gaussian g."""
 
     mean: float
     std_error: float
     n_draws: int
-
-
-def concentration_estimate(samples, epsilon: float) -> ConcentrationEstimate:
-    """Exact sliding-window maximum of P(|X - L| < eps) over all centers L."""
-    if epsilon <= 0.0:
-        raise InputError("epsilon must be positive")
-    x = np.sort(np.asarray(samples, dtype=float).reshape(-1))
-    if x.size == 0:
-        raise InputError("concentration_estimate needs a non-empty sample")
-    # points x_i..x_j fit in an open window of width 2*eps iff x_j - x_i < 2*eps
-    counts = np.searchsorted(x, x + 2.0 * epsilon, side="left") - np.arange(x.size)
-    return ConcentrationEstimate(
-        epsilon=float(epsilon), value=float(counts.max()) / x.size, sample_count=x.size
-    )
 
 
 def gaussian_width_mc(family: SubspaceFamily, n_draws: int, seed: int) -> WidthEstimate:

@@ -19,16 +19,17 @@ def bulk_rows():
 
 @pytest.fixture(scope="session")
 def concentration_rows():
-    """Larger per-kind samples (200k rows) for the concentration margins.
+    """Larger samples (200k rows) for the concentration margins, by (kind, n).
 
-    Ambient dimension 8: the scaled-sphere coordinate density diverges at
-    the support edge for n = 2, so the constant-2 concentration property
-    only holds from n = 3 up (at n = 3 the coordinate is exactly uniform).
+    Ambient dimension 8, and 2 as well for iid_bounded, whose worst
+    direction (e1 + e2)/sqrt(2) exists from n = 2. Not 2 for sphere_scaled:
+    its coordinate density diverges at the support edge for n = 2, so the
+    constant-2 concentration property only holds from n = 3 up (at n = 3
+    the coordinate is exactly uniform).
     """
     out = {}
-    for ki, kind in enumerate(("gaussian", "sphere_scaled")):
-        spec = EnsembleSpec(kind=kind)
-        out[kind] = sample_matrix(spec, 200_000, 8, derive_seed(707, ki)).matrix
+    for ki, (kind, n) in enumerate((("gaussian", 8), ("sphere_scaled", 8), ("iid_bounded", 2), ("iid_bounded", 8))):
+        out[(kind, n)] = sample_matrix(EnsembleSpec(kind=kind), 200_000, n, derive_seed(707, ki)).matrix
     return out
 
 

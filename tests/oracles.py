@@ -29,6 +29,7 @@ from subembed import (
 )
 from subembed.distortion import _row_norms, _svd_extremes
 from subembed.ensembles import _HALF_PI, _LN2, _SERIES, _SQRT_HALF, _sample_rows
+from subembed.errors import Record
 from subembed.geometry import _family
 from subembed.harness import _FAMILY_STREAM
 from subembed.seeding import derive_seed, normalize_seed, rng_from, uniforms
@@ -286,6 +287,28 @@ def verify_pointwise(
 
 
 # ---------------------------------------------------------------- paper lemmas
+
+
+class ConcentrationEstimate(Record):
+    """Empirical epsilon-concentration: max over centers L of P(|X - L| < eps)."""
+
+    epsilon: float
+    value: float
+    sample_count: int
+
+
+def concentration_estimate(samples, epsilon: float) -> ConcentrationEstimate:
+    """Exact sliding-window maximum of P(|X - L| < eps) over all centers L."""
+    if epsilon <= 0.0:
+        raise InputError("epsilon must be positive")
+    x = np.sort(np.asarray(samples, dtype=float).reshape(-1))
+    if x.size == 0:
+        raise InputError("concentration_estimate needs a non-empty sample")
+    # points x_i..x_j fit in an open window of width 2*eps iff x_j - x_i < 2*eps
+    counts = np.searchsorted(x, x + 2.0 * epsilon, side="left") - np.arange(x.size)
+    return ConcentrationEstimate(
+        epsilon=float(epsilon), value=float(counts.max()) / x.size, sample_count=x.size
+    )
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from subembed import (
     ExperimentConfig,
     Subspace,
     SubspaceFamily,
-    concentration_estimate,
     derive_seed,
     family_distortion,
     gaussian_width_mc,
@@ -32,6 +31,7 @@ from subembed.cli import main
 
 from oracles import (
     build_metric_family,
+    concentration_estimate,
     cross_family,
     psi2_estimate,
     small_ball_bound,

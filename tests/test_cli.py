@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -800,10 +801,55 @@ def test_constants_gaussian(capsys):
     assert "alpha=0.7979" in out and "beta=1.6330" in out
 
 
-def test_constants_iid_reports_empirical_alpha(capsys):
-    assert main(["constants", "--ensemble", "iid_bounded"]) == 0
-    out = capsys.readouterr().out
-    assert "(empirical)" in out and "beta=13.8564" in out
+def test_constants_iid_reports_closed_form_alpha(capsys):
+    # sqrt(2/3), Ball's bound on the density of a unit marginal, the same at every run
+    for _ in range(2):
+        assert main(["constants", "--ensemble", "iid_bounded"]) == 0
+        assert capsys.readouterr().out == "alpha=0.8165\nbeta=13.8564\n"
+
+
+def test_constants_takes_no_seed(capsys):
+    assert main(["constants", "--ensemble", "iid_bounded", "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def _run_cli_to(stdout, *argv):
+    # stdout block-buffered, as by default: the flush at exit then holds
+    # whatever a failed flush left behind
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subembed.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "subembed.cli", *argv], env=dict(env, PYTHONPATH=src),
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["constants", "trial", "verify"])
+@pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
+def test_a_failed_standard_output_write_exits_2_in_one_line(tmp_path, command, sink):
+    # a full device, or a pipe whose reader has gone, is a failed output: one
+    # line, exit 2, and no second error from the interpreter's flush at exit
+    fam = tmp_path / "fam.json"
+    fam.write_text('{"n": 2, "members": [{"basis_columns": [[1, 0]]}]}')
+    mat = tmp_path / "m.csv"
+    mat.write_text("1,2\n1,0\n")
+    argv = {
+        "constants": ["constants", "--ensemble", "gaussian"],
+        "trial": ["trial", "--config", str(write_config(tmp_path / "cfg.json"))],
+        "verify": ["verify", "--matrix", str(mat), "--family", str(fam), "--D", "2"],
+    }[command]
+    if sink == "full-device":
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            result = _run_cli_to(full, *argv)
+        reason = os.strerror(errno.ENOSPC)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = _run_cli_to(write_end, *argv)
+        finally:
+            os.close(write_end)
+        reason = os.strerror(errno.EPIPE)
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write standard output: {reason}\n"
 
 
 # ---------------------------------------------------------------- errors

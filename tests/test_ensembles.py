@@ -20,10 +20,10 @@ from subembed import (
 from subembed import ensembles
 from subembed.ensembles import UNIFORM_ENTRY_PSI2, UNIFORM_HALF_WIDTH
 from subembed.seeding import derive_seeds
-from subembed.stats import DEFAULT_MAX_ELEMENTS, concentration_estimate
+from subembed.stats import DEFAULT_MAX_ELEMENTS
 
 from conftest import ENSEMBLE_KINDS, unit_directions
-from oracles import gaussian_rows_reference, psi2_tail_check, sample_row
+from oracles import concentration_estimate, gaussian_rows_reference, psi2_tail_check, sample_row
 
 SQRT3 = math.sqrt(3.0)
 
@@ -244,16 +244,13 @@ def test_theoretical_constants_closed_forms():
     g = theoretical_constants(EnsembleSpec.gaussian())
     assert g.alpha == pytest.approx(math.sqrt(2 / math.pi), abs=1e-12)
     assert g.beta == pytest.approx(math.sqrt(8 / 3), abs=1e-12)
-    assert g.alpha_source == "closed_form" and g.beta_source == "closed_form"
 
     s = theoretical_constants(EnsembleSpec.sphere_scaled())
     assert (s.alpha, s.beta) == (2.0, 4.0)
 
     u = theoretical_constants(EnsembleSpec.iid_bounded())
+    assert u.alpha == math.sqrt(2 / 3)  # twice Ball's bound 1/sqrt(6) on a marginal's density
     assert u.beta == pytest.approx(8 * SQRT3, abs=1e-12)  # 4 * UNIFORM_ENTRY_PSI2
-    assert u.beta_source == "closed_form"
-    assert u.alpha_source == "empirical"
-    assert 3 / 8 <= u.alpha <= 1.5
 
 
 def test_isotropy_and_centering(bulk_rows):
@@ -270,7 +267,7 @@ def test_isotropy_and_centering(bulk_rows):
 def test_psi2_tails_against_theoretical_beta(bulk_rows):
     rng = np.random.default_rng(11)
     for kind in ENSEMBLE_KINDS:
-        beta = theoretical_constants(EnsembleSpec(kind=kind), seed=3).beta
+        beta = theoretical_constants(EnsembleSpec(kind=kind)).beta
         rows = bulk_rows[(kind, 8)]
         directions = np.vstack([np.eye(8)[:1], unit_directions(rng, 2, 8)])
         for a in directions:
@@ -278,18 +275,39 @@ def test_psi2_tails_against_theoretical_beta(bulk_rows):
 
 
 def test_concentration_bounded_by_alpha(concentration_rows):
-    # only the closed-form alphas are asserted (gaussian, sphere_scaled)
+    # a coordinate and two random directions of every kind; iid_bounded also
+    # on (e1 + e2)/sqrt(2), whose triangular marginal attains Ball's density
+    # bound at its peak, so there the estimate reaches alpha * eps but for
+    # the peak's slope across the window and the sampling error
     rng = np.random.default_rng(12)
-    for kind in ("gaussian", "sphere_scaled"):
+    for (kind, n), rows in concentration_rows.items():
         alpha = theoretical_constants(EnsembleSpec(kind=kind)).alpha
-        rows = concentration_rows[kind]
-        n = rows.shape[1]
         directions = np.vstack([np.eye(n)[:1], unit_directions(rng, 2, n)])
-        for a in directions:
+        tight = kind == "iid_bounded"
+        if tight:
+            worst = np.zeros(n)
+            worst[:2] = math.sqrt(0.5)
+            directions = np.vstack([worst, directions])
+        for i, a in enumerate(directions):
             samples = rows @ a
             for eps in (0.05, 0.1, 0.2):
                 value = concentration_estimate(samples, eps).value
-                assert value <= alpha * eps * 1.1, (kind, eps)
+                assert value <= alpha * eps * 1.1, (kind, n, i, eps)
+                if tight and i == 0:
+                    assert value >= alpha * eps * 0.9, (kind, n, eps)
+
+
+def test_sphere_alpha_holds_only_from_n_3():
+    # alpha = 2 needs a bounded marginal density: at n = 2 the coordinate
+    # sqrt(2) cos(theta) follows the arcsine law, whose density is unbounded
+    # at +-sqrt(2), while at n = 3 it is uniform on [-sqrt(3), sqrt(3)]
+    alpha = theoretical_constants(EnsembleSpec.sphere_scaled()).alpha
+    eps = 0.01
+    ratios = {}
+    for n in (2, 3):
+        rows = sample_matrix(EnsembleSpec.sphere_scaled(), 200_000, n, derive_seed(808, n)).matrix
+        ratios[n] = concentration_estimate(rows[:, 0], eps).value / eps
+    assert ratios[2] > alpha > ratios[3], ratios
 
 
 def test_iid_entries_use_declared_half_width():
@@ -301,9 +319,9 @@ def test_constants_floor_invariants_enforced():
     from subembed import EnsembleConstants
 
     with pytest.raises(ConfigurationError):
-        EnsembleConstants(alpha=0.2, beta=2.0, alpha_source="closed_form", beta_source="closed_form")
+        EnsembleConstants(alpha=0.2, beta=2.0)
     with pytest.raises(ConfigurationError):
-        EnsembleConstants(alpha=1.0, beta=0.9, alpha_source="closed_form", beta_source="closed_form")
+        EnsembleConstants(alpha=1.0, beta=0.9)
 
 
 def test_random_matrix_rejects_non_finite():

@@ -9,7 +9,6 @@ from subembed import (
     ResourceError,
     Subspace,
     SubspaceFamily,
-    concentration_estimate,
     family_distortion,
     gaussian_width_mc,
     k_sparse_family,
@@ -23,7 +22,7 @@ from subembed import stats
 from subembed.geometry import random_subspace
 from subembed.seeding import derive_seed, rng_from
 
-from oracles import psi2_estimate, psi2_tail_check, small_ball_bound, write_affine_family
+from oracles import concentration_estimate, psi2_estimate, psi2_tail_check, small_ball_bound, write_affine_family
 
 SQRT3 = math.sqrt(3.0)
 

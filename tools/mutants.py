@@ -31,6 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CACHES = "__pycache__"  # not copied: each copy compiles its own sources
 
 DISTORTION = "src/subembed/distortion.py"
+ENSEMBLES = "src/subembed/ensembles.py"
 GEOMETRY = "src/subembed/geometry.py"
 SCREEN_TESTS = "tests/test_distortion.py::"
 FLAG_TESTS = [
@@ -138,6 +139,13 @@ MUTANTS = {
         "    with naming(path):\n        groups = _stacks(",
         "    if True:\n        groups = _stacks(",
         [NAMED_TESTS + "[family-n-string]", NAMED_TESTS + "[family-truncated]"],
+    ),
+    # the iid-bounded alpha below the supremum that (e1 + e2)/sqrt(2) attains
+    "iid-alpha-below-sup": (
+        ENSEMBLES,
+        "math.sqrt(2.0 / 3.0)",
+        "math.sqrt(0.5)",
+        ["tests/test_ensembles.py::test_concentration_bounded_by_alpha"],
     ),
 }
 
