@@ -2,10 +2,10 @@
 
 Subcommands: gen-matrix | verify | trial | sweep | embed-points | width |
 constants. All randomness flows from a single seed: the config key of
-trial and sweep, which the SUBEMBED_SEED environment variable overrides,
-or the --seed flag of gen-matrix, embed-points and width, which it never
-does. Outputs are CSV/JSON only and are written atomically, so reruns with
-the same seed produce byte-identical files.
+trial and sweep, or the --seed flag of gen-matrix, embed-points and width.
+No environment variable changes an output. Outputs are CSV/JSON only and
+are written atomically, so reruns with the same seed produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ import numpy as np
 
 from .distortion import DistortionReport, choose_scale, family_distortion
 from .ensembles import EnsembleSpec, RandomMatrix, sample_matrix, theoretical_constants
-from .errors import InputError, SubembedError, _cut, _integer, describe_keys, naming, parse_json, read_text
+from .errors import InputError, SubembedError, describe_keys, naming, parse_json, read_text
 from .geometry import _checked, load_family_json
 from .harness import ExperimentConfig, metric_embed, run_trials, sweep_m
 from .stats import check_distortion, gaussian_width_mc, width_upper_bound
 
 # the keys a config file may leave out; it must name every other ExperimentConfig field
-_CONFIG_OPTIONAL = {"family_path", "m_override", "fixed_family", "parallelism"}
+_CONFIG_OPTIONAL = {"family_path", "m_override", "fixed_family"}
 _JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)  # json.dumps would build one each call
 
 
@@ -96,32 +96,35 @@ def _atomic_write(path, text: str) -> None:
             os.remove(tmp)
 
 
-def _write_stdout(text: str) -> None:
-    """Write text to standard output and flush it. A failed write (a full
-    device, a pipe its reader closed) is reported like a failed output file,
-    and stdout is pointed at os.devnull so that the flush at exit succeeds."""
+def _write_standard(name: str, text: str) -> None:
+    """Write text to sys.stdout or sys.stderr, as name says, and flush it. A
+    failed write (a full device, a pipe its reader closed) is reported like a
+    failed output file, and the stream is pointed at os.devnull so that the
+    flush at exit succeeds."""
+    stream = getattr(sys, name)
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        if text:  # even a write of "" fails on an unwritable stream
+            stream.write(text)
+        stream.flush()
     except OSError as exc:
         with contextlib.suppress(OSError, ValueError):  # a stream with no descriptor
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise InputError(f"cannot write standard output: {exc.strerror}") from exc
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        what = "output" if name == "stdout" else "error"
+        raise InputError(f"cannot write standard {what}: {exc.strerror}") from exc
 
 
 def _emit(text: str, output_path) -> None:
     if output_path:
         _atomic_write(output_path, text)
     else:
-        _write_stdout(text)
+        _write_standard("stdout", text)
 
 
-def load_config(path) -> tuple[ExperimentConfig, int]:
-    """Parse and validate a config JSON file; returns (config, parallelism).
+def load_config(path) -> ExperimentConfig:
+    """Parse and validate a config JSON file.
 
     The schema is closed: unknown keys are rejected. ExperimentConfig checks
-    every value, naming the file; a null parallelism is 1. SUBEMBED_SEED in
-    the environment overrides the config seed once the file's seed passed.
+    every value, naming the file. The file alone sets the config.
     """
     with naming(path):
         payload = parse_json(read_text(path))
@@ -134,18 +137,7 @@ def load_config(path) -> tuple[ExperimentConfig, int]:
         missing = keys - _CONFIG_OPTIONAL - set(payload)
         if missing:
             raise InputError(f"missing config keys: {sorted(missing)}")
-        values = dict(payload, ensemble=EnsembleSpec.from_json_dict(payload["ensemble"]))
-        parallelism = values.pop("parallelism", None)
-        parallelism = 1 if parallelism is None else _integer(parallelism, "config key 'parallelism' must be an integer")
-        config = ExperimentConfig(**values)
-    env_seed = os.environ.get("SUBEMBED_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise InputError(f"SUBEMBED_SEED must be an integer, got {_cut(repr(env_seed))}") from exc
-        config = ExperimentConfig(**dict(values, seed=seed))
-    return config, parallelism
+        return ExperimentConfig(**dict(payload, ensemble=EnsembleSpec.from_json_dict(payload["ensemble"])))
 
 
 def _parse_ensemble_flag(args) -> EnsembleSpec:
@@ -191,30 +183,24 @@ def _cmd_verify(args) -> int:
     scale = choose_scale(report, args.D)
     if args.report_csv:
         _atomic_write(args.report_csv, _report_csv(report))
-    summary = _summary_json(report, scale)
-    if args.summary_out:
-        _atomic_write(args.summary_out, summary)
-    _write_stdout(summary)
+    _write_standard("stdout", _summary_json(report, scale))
     return 1 if args.require_feasible and not scale.feasible else 0
 
 
 def _cmd_trial(args) -> int:
-    config, parallelism = load_config(args.config)
-    parallelism = parallelism if args.parallelism is None else args.parallelism
-    results = run_trials(config, parallelism=parallelism)
+    results = run_trials(load_config(args.config), parallelism=args.parallelism)
     text = "".join(_json_line(r.to_json_dict()) for r in results)
     _emit(text, args.output)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    config, parallelism = load_config(args.config)
-    parallelism = parallelism if args.parallelism is None else args.parallelism
+    config = load_config(args.config)
     try:
         m_values = [int(tok) for tok in args.m_values.split(",") if tok]
     except ValueError as exc:
         raise InputError(f"m_values must be integers: {exc}") from exc
-    result = sweep_m(config, m_values, args.target_rate, parallelism=parallelism)
+    result = sweep_m(config, m_values, args.target_rate, parallelism=args.parallelism)
     lines = ["m,trials,successes,success_rate,mean_achieved_distortion"]
     for e in result.entries:
         lines.append(f"{e.m},{e.trials},{e.successes},{e.success_rate:.17g},{e.mean_achieved_distortion:.17g}")
@@ -236,7 +222,7 @@ def _cmd_embed_points(args) -> int:
             gamma, p, achieved, scale = metric_embed(points, args.D, spec, args.seed)
         finally:
             for warning in caught:
-                sys.stderr.write(f"warning: {warning.message}\n")
+                _write_standard("stderr", f"warning: {warning.message}\n")
     if args.matrix_out:
         store_matrix_csv(gamma, args.matrix_out)
     summary = {
@@ -267,7 +253,7 @@ def _cmd_width(args) -> int:
 
 def _cmd_constants(args) -> int:
     constants = theoretical_constants(_parse_ensemble_flag(args))
-    _write_stdout(f"alpha={constants.alpha:.4f}\nbeta={constants.beta:.4f}\n")
+    _write_standard("stdout", f"alpha={constants.alpha:.4f}\nbeta={constants.beta:.4f}\n")
     return 0
 
 
@@ -295,14 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--family", required=True)
     verify.add_argument("--D", type=float, required=True)
     verify.add_argument("--require-feasible", action="store_true")
-    verify.add_argument("--summary-out", default=None)
     verify.add_argument("--report-csv", default=None)
     verify.set_defaults(func=_cmd_verify)
 
     trial = subs.add_parser("trial", help="run embedding trials from a config")
     trial.add_argument("--config", required=True)
     trial.add_argument("--output", default=None)
-    trial.add_argument("--parallelism", type=int, default=None)
+    trial.add_argument("--parallelism", type=int, default=1)
     trial.set_defaults(func=_cmd_trial)
 
     sweep = subs.add_parser("sweep", help="success rate across target dimensions m")
@@ -310,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--m-values", required=True, help="comma-separated increasing list")
     sweep.add_argument("--target-rate", type=float, default=0.9)
     sweep.add_argument("--output", default=None)
-    sweep.add_argument("--parallelism", type=int, default=None)
+    sweep.add_argument("--parallelism", type=int, default=1)
     sweep.set_defaults(func=_cmd_sweep)
 
     embed = subs.add_parser("embed-points", help="embed an N-point set at distortion D")
@@ -340,23 +325,26 @@ def dispatch(argv) -> int:
     """Parse argv and run one subcommand; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse ignores a failed write of its usage message; this flush
+            # reports it, where the interpreter's flush at exit would exit 120
+            _write_standard("stderr", "")
+            return int(exc.code) if exc.code is not None else 0
         return args.func(args)
     except FileNotFoundError as exc:
-        sys.stderr.write(f"error: file not found: {exc.filename}\n")
-        return 2
+        message = f"file not found: {exc.filename}"
     except OSError as exc:
         # a directory or an unreadable file where an input file was named
         if exc.filename is None:
             raise
-        sys.stderr.write(f"error: {exc.filename}: {exc.strerror}\n")
-        return 2
+        message = f"{exc.filename}: {exc.strerror}"
     except SubembedError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        message = str(exc)
+    with contextlib.suppress(InputError):  # standard error is unwritable: the exit code alone reports
+        _write_standard("stderr", f"error: {message}\n")
+    return 2
 
 
 def main(argv=None) -> int:

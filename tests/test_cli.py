@@ -316,17 +316,15 @@ def test_verify_report_csv(tmp_path, capsys):
     mat.write_text("2,2\n2,0\n0,1\n")
     fam = write_axes_family(tmp_path / "fam.json")
     report = tmp_path / "report.csv"
-    summary_path = tmp_path / "summary.json"
-    code = main([
-        "verify", "--matrix", str(mat), "--family", str(fam), "--D", "2",
-        "--report-csv", str(report), "--summary-out", str(summary_path),
-    ])
-    assert code == 0
+    argv = ["verify", "--matrix", str(mat), "--family", str(fam), "--D", "2", "--report-csv", str(report)]
+    assert main(argv) == 0
     lines = report.read_text().strip().splitlines()
     assert lines[0] == "member_index,sigma_min,sigma_max"
     assert lines[1].startswith("0,2,2")
-    assert json.loads(summary_path.read_text())["feasible"] is True
-    assert capsys.readouterr().out == summary_path.read_text()
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+    # the summary has one destination, standard output
+    assert main(argv + ["--summary-out", str(tmp_path / "summary.json")]) == 2
+    assert "unrecognized arguments: --summary-out" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- trial/sweep
@@ -357,11 +355,15 @@ def test_trial_below_k_writes_valid_json(tmp_path):
 
 
 def test_env_seed_never_overrides_a_seed_flag(tmp_path, monkeypatch):
-    # SUBEMBED_SEED overrides the seed of a trial or sweep config only
+    # SUBEMBED_SEED is read by no command: neither a seed flag nor a
+    # config's seed is overridden, and every command writes the same bytes
     points = tmp_path / "pts.csv"
     store_matrix_csv(np.random.default_rng(2).standard_normal((20, 5)), points)
     fam = write_axes_family(tmp_path / "fam.json")
+    cfg = write_config(tmp_path / "cfg.json")
     commands = {
+        "trial": ["trial", "--config", str(cfg), "--output"],
+        "sweep": ["sweep", "--config", str(cfg), "--m-values", "2,4,8", "--output"],
         "gen-matrix": ["gen-matrix", "--ensemble", "gaussian", "--m", "4", "--n", "3", "--seed", "7", "--output"],
         "embed-points": ["embed-points", "--points", str(points), "--D", "6", "--ensemble", "gaussian",
                          "--seed", "7", "--summary-out", str(tmp_path / "summary.json"), "--matrix-out"],
@@ -378,30 +380,6 @@ def test_env_seed_never_overrides_a_seed_flag(tmp_path, monkeypatch):
     unset = written("unset")
     monkeypatch.setenv("SUBEMBED_SEED", "12345")
     assert written("set") == unset
-
-
-def test_trial_env_seed_override(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path / "cfg.json")
-    base, overridden = tmp_path / "base.jsonl", tmp_path / "env.jsonl"
-    assert main(["trial", "--config", str(cfg), "--output", str(base)]) == 0
-    monkeypatch.setenv("SUBEMBED_SEED", "12345")
-    assert main(["trial", "--config", str(cfg), "--output", str(overridden)]) == 0
-    assert base.read_bytes() != overridden.read_bytes()
-    monkeypatch.setenv("SUBEMBED_SEED", "oops")
-    assert main(["trial", "--config", str(cfg), "--output", str(overridden)]) == 2
-
-
-@pytest.mark.parametrize(
-    "value, quoted",
-    [("oops", "'oops'"), ("x" * 100_000, "'" + "x" * 36 + "..."), ("\udcff" * 100, "'" + "\\udcff" * 6 + "...")],
-    ids=["short", "long", "undecodable-bytes"],
-)
-def test_malformed_env_seed_is_quoted_in_one_short_line(tmp_path, capsys, monkeypatch, value, quoted):
-    cfg = write_config(tmp_path / "cfg.json")
-    monkeypatch.setenv("SUBEMBED_SEED", value)
-    assert main(["trial", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: SUBEMBED_SEED must be an integer, got {quoted}\n" and len(err.encode()) < 200
 
 
 @pytest.fixture
@@ -460,8 +438,7 @@ if "numpy.ma" in sys.modules:
 from subembed import EnsembleSpec, ExperimentConfig, build_family
 from subembed.cli import main
 loaded = []
-for argv in (["verify", "--matrix", {str(mat)!r}, "--family", {str(fam)!r}, "--D", "50",
-              "--summary-out", {str(tmp_path / "s.json")!r}],
+for argv in (["verify", "--matrix", {str(mat)!r}, "--family", {str(fam)!r}, "--D", "50"],
              ["width", "--family", {str(fam)!r}, "--seed", "1", "--draws", "50",
               "--output", {str(tmp_path / "w.json")!r}]):
     assert main(argv) == 0
@@ -498,17 +475,13 @@ def test_default_trial_run_starts_no_process_pool(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("parallelism", [0, -1])
 def test_parallelism_below_one_exits_2(tmp_path, capsys, parallelism):
-    flag_cfg = write_config(tmp_path / "flag.json")
-    key_cfg = write_config(tmp_path / "key.json", parallelism=parallelism)
+    cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
     for command in (["trial"], ["sweep", "--m-values", "2,4"]):
-        for argv in (
-            command + ["--config", str(flag_cfg), "--parallelism", str(parallelism)],
-            command + ["--config", str(key_cfg)],
-        ):
-            assert main(argv + ["--output", str(out)]) == 2, argv
-            assert "parallelism must be >= 1" in capsys.readouterr().err
-            assert not out.exists()
+        argv = command + ["--config", str(cfg), "--parallelism", str(parallelism), "--output", str(out)]
+        assert main(argv) == 2, argv
+        assert "parallelism must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "width", "haar", "k_sparse", "embed-points"])
@@ -813,13 +786,15 @@ def test_constants_takes_no_seed(capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
-def _run_cli_to(stdout, *argv):
-    # stdout block-buffered, as by default: the flush at exit then holds
-    # whatever a failed flush left behind
+def _run_cli_to(stdout, *argv, stderr=subprocess.PIPE, unbuffered=False):
+    # stdout block-buffered and stderr line-buffered, as by default: the
+    # flush at exit then holds whatever a failed flush left behind
     src = os.path.dirname(os.path.dirname(os.path.abspath(subembed.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "subembed.cli", *argv], env=dict(env, PYTHONPATH=src),
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+                          stdout=stdout, stderr=stderr, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("command", ["constants", "trial", "verify"])
@@ -850,6 +825,25 @@ def test_a_failed_standard_output_write_exits_2_in_one_line(tmp_path, command, s
         reason = os.strerror(errno.EPIPE)
     assert result.returncode == 2
     assert result.stderr == f"error: cannot write standard output: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", ["error-line", "warning", "usage"])
+def test_an_unwritable_standard_error_exits_2(tmp_path, case, unbuffered):
+    # every write to stderr is flushed where it is made: on a full device the
+    # run exits 2, not 120 from the interpreter's flush at exit, nor 1 from a
+    # traceback it cannot print; argparse's usage message is flushed too
+    points = tmp_path / "duplicates.csv"
+    points.write_text("4,2\n0,0\n0,0\n1,0\n1,0\n")
+    argv = {
+        "error-line": ["verify", "--matrix", str(tmp_path / "missing.csv"), "--family", "x", "--D", "2"],
+        "warning": ["embed-points", "--points", str(points), "--D", "8", "--ensemble", "gaussian", "--seed", "1"],
+        "usage": ["verify", "--summary-out", "x"],
+    }[case]
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        result = _run_cli_to(subprocess.PIPE, *argv, stderr=full, unbuffered=unbuffered)
+    assert result.returncode == 2 and result.stdout == ""
 
 
 # ---------------------------------------------------------------- errors
@@ -946,7 +940,6 @@ def test_distortion_is_checked_before_any_input_is_read(tmp_path, capsys, monkey
     [
         ("n", "abc", 2),
         ("seed", "x", 2),
-        ("parallelism", "two", 2),
         ("D", "eight", 2),
         ("n", 12.7, 2),
         ("m_override", 2.5, 2),
@@ -1001,11 +994,14 @@ def test_the_config_record_checks_each_field_as_the_cli_reports_it(tmp_path, cap
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
-def test_config_seed_is_checked_when_the_environment_overrides_it(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SUBEMBED_SEED", "5")
-    cfg = write_config(tmp_path / "cfg.json", seed="x")
-    assert main(["trial", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f'error: {cfg}: config key \'seed\' must be an integer, got the string "x"\n'
+@pytest.mark.parametrize("value", [2, "two", None])
+def test_parallelism_is_no_config_key(tmp_path, capsys, value):
+    # --parallelism alone sets the worker count: a config naming it is refused
+    cfg = write_config(tmp_path / "cfg.json", parallelism=value)
+    out = tmp_path / "out.jsonl"
+    assert main(["trial", "--config", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config keys: ['parallelism']\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1146,10 +1142,9 @@ def test_file_writing_commands_name_their_encoding(tmp_path):
     points.write_text("3,2\n0,0\n1,0\n0,2\n")
     fam, cfg = write_axes_family(tmp_path / "fam.json"), write_config(tmp_path / "cfg.json")
     out = {name: str(tmp_path / name) for name in
-           ("r.csv", "s.json", "t.jsonl", "sw.csv", "w.json", "g.csv", "e.json", "gm.csv", "family.json")}
+           ("r.csv", "t.jsonl", "sw.csv", "w.json", "g.csv", "e.json", "gm.csv", "family.json")}
     commands = [
-        ["verify", "--matrix", str(mat), "--family", str(fam), "--D", "8", "--report-csv", out["r.csv"],
-         "--summary-out", out["s.json"]],
+        ["verify", "--matrix", str(mat), "--family", str(fam), "--D", "8", "--report-csv", out["r.csv"]],
         ["trial", "--config", str(cfg), "--output", out["t.jsonl"]],
         ["sweep", "--config", str(cfg), "--m-values", "2,6", "--output", out["sw.csv"]],
         ["width", "--family", str(fam), "--seed", "1", "--draws", "10", "--output", out["w.json"]],
@@ -1230,8 +1225,8 @@ def test_unusable_paths_exit_2(tmp_path, capsys, case):
         "matrix-utf16": (["verify", "--matrix", str(utf16), "--family", str(fam), "--D", "2"], utf16),
         "output-dir": (gen + [str(folder)], folder),
         "output-missing-dir": (gen + [str(missing)], missing),
-        "summary-out-dir": (["verify", "--matrix", str(mat), "--family", str(fam), "--D", "2",
-                             "--summary-out", str(folder)], folder),
+        "summary-out-dir": (["embed-points", "--points", str(mat), "--D", "8", "--ensemble", "gaussian",
+                             "--seed", "1", "--summary-out", str(folder)], folder),
     }[case]
     before = sorted(tmp_path.iterdir())
     assert main(argv) == 2
@@ -1294,14 +1289,14 @@ def test_malformed_input_file_errors_start_with_its_path(tmp_path, capsys, case,
 
 
 def test_environment_and_flag_errors_name_no_file(tmp_path, capsys, monkeypatch):
-    # SUBEMBED_SEED and the command line are no input file: their errors name none
+    # the command line is no input file: its errors name none; no command
+    # reads the environment, so a malformed SUBEMBED_SEED is no error at all
     cfg = write_config(tmp_path / "cfg.json")
     mat = tmp_path / "m.csv"
     mat.write_text("2,2\n2,0\n0,1\n")
     monkeypatch.setenv("SUBEMBED_SEED", "x")
-    assert main(["trial", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == "error: SUBEMBED_SEED must be an integer, got 'x'\n"
-    monkeypatch.delenv("SUBEMBED_SEED")
+    assert main(["trial", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
     assert main(["sweep", "--config", str(cfg), "--m-values", "2,x"]) == 2
     assert capsys.readouterr().err == "error: m_values must be integers: invalid literal for int() with base 10: 'x'\n"
     assert main(["verify", "--matrix", str(mat), "--family", str(mat), "--D", "0.5"]) == 2

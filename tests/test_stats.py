@@ -163,10 +163,12 @@ def member_loop_draws(family, n_draws, seed):
 
 
 def tiled_family(rng, n, signed_coordinates):
-    """Members of dimension 1, 3 and 9, each stack one member longer than a
-    column tile holds: 3 does not divide the tile's column budget, and 9
-    columns take numpy's pairwise-summation path."""
-    per_tile = {k: stats.WIDTH_TILE_ENTRIES // (max(n, stats.WIDTH_BLOCK_ROWS) * k) for k in (1, 3, 9)}
+    """Members of dimension 1, 3, 8 and 9, each stack one member longer than
+    a column tile holds: 3 does not divide the tile's column budget, and 8
+    or more columns take numpy's pairwise-summation path, which sums 8
+    squares as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) where 7 or fewer are
+    summed in order; perfbench's verify-width family has members of dimension 8."""
+    per_tile = {k: stats.WIDTH_TILE_ENTRIES // (max(n, stats.WIDTH_BLOCK_ROWS) * k) for k in (1, 3, 8, 9)}
     assert per_tile[3] * 3 * max(n, stats.WIDTH_BLOCK_ROWS) != stats.WIDTH_TILE_ENTRIES
     members = []
     for k, count in per_tile.items():

@@ -31,6 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CACHES = "__pycache__"  # not copied: each copy compiles its own sources
 
 DISTORTION = "src/subembed/distortion.py"
+CLI = "src/subembed/cli.py"
 ENSEMBLES = "src/subembed/ensembles.py"
 GEOMETRY = "src/subembed/geometry.py"
 SCREEN_TESTS = "tests/test_distortion.py::"
@@ -146,6 +147,13 @@ MUTANTS = {
         "math.sqrt(2.0 / 3.0)",
         "math.sqrt(0.5)",
         ["tests/test_ensembles.py::test_concentration_bounded_by_alpha"],
+    ),
+    # a standard-stream write left unflushed: argparse's failed usage message waits for the flush at exit
+    "stderr-unflushed": (
+        CLI,
+        "            stream.write(text)\n        stream.flush()\n",
+        "            stream.write(text)\n",
+        ["tests/test_cli.py::test_an_unwritable_standard_error_exits_2[usage-buffered]"],
     ),
 }
 
