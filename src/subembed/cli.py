@@ -328,18 +328,12 @@ def dispatch(argv) -> int:
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
-            # argparse ignores a failed write of its usage message; this flush
-            # reports it, where the interpreter's flush at exit would exit 120
+            # argparse ignores a failed write of its help or usage; these
+            # flushes report it, where the interpreter's flush at exit exits 120
+            _write_standard("stdout", "")
             _write_standard("stderr", "")
             return int(exc.code) if exc.code is not None else 0
         return args.func(args)
-    except FileNotFoundError as exc:
-        message = f"file not found: {exc.filename}"
-    except OSError as exc:
-        # a directory or an unreadable file where an input file was named
-        if exc.filename is None:
-            raise
-        message = f"{exc.filename}: {exc.strerror}"
     except SubembedError as exc:
         message = str(exc)
     with contextlib.suppress(InputError):  # standard error is unwritable: the exit code alone reports

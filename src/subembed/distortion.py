@@ -381,7 +381,7 @@ def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
     The column tiles are walked once. Each tile's Grams (``_tile_bounds``,
     with each map's Frobenius norm over its first m rows) fold its floor and
     ceiling into the running ones, and its pairs whose interval reaches them
-    get their exact product, from the family's own stack, and SVD at once. A
+    get their exact product, from the tile's own bases, and SVD at once. A
     running floor is never above the final one, nor a running ceiling below
     it, so every pair that can hold its map's family extreme is kept, and
     the Grams never decide a value. When m is below the family's largest
@@ -406,16 +406,15 @@ def _grid_extremes(maps: np.ndarray, family: SubspaceFamily, m_values) -> tuple[
     # a tile's transposed copy, its wide product, its Grams, their eigenvalues,
     # the pairs' intervals and masks: at most n + T*(M + s*(k + 4)) numbers a column
     per_column = n + T * (M + s * (family.max_dim + 4))
-    for g, start, tile in _column_tiles(family, per_column, sum(bases.size for _, bases in family.stacks)):
+    for tile in _column_tiles(family, per_column, sum(bases.size for _, bases in family.stacks)):
         below, above, tile_floor, tile_ceiling = _tile_bounds(maps, tile, tile.shape[2] * delta, m_values)
         np.maximum(floor, tile_floor, out=floor)
         np.minimum(ceiling, tile_ceiling, out=ceiling)
-        bases = family.stacks[g][1][start : start + len(tile)]
         for j, m in enumerate(m_values):
             # below max_dim every sigma_min is 0, and no pair is kept for it
             at_m = ceiling[j, :, None] if m >= family.max_dim else -np.inf
             keep = _reach(below[j], above[j], floor[j, :, None], at_m)
-            for rows, _, products in _kept_products(maps[:, :m], bases, keep):
+            for rows, _, products in _kept_products(maps[:, :m], tile, keep):
                 pair_lo, pair_hi = _svd_extremes(products)
                 np.minimum.at(lo[j], rows, pair_lo)
                 np.maximum.at(hi[j], rows, pair_hi)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, the naming of an input
-file in its errors, the readers that map undecodable text or unparsable
-JSON onto it, short quotes of values and keys, the integer check of
-arguments, and the base class of the package's immutable records."""
+file in its errors, the one reader of input files and the decoders that map
+a failed read, bad UTF-8 or bad JSON onto it, short quotes of values and
+keys, the integer check of arguments, and the immutable records' base class."""
 
 import contextlib
 import inspect
@@ -53,11 +53,19 @@ def decode_text(data: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def read_bytes(path) -> bytes:
+    """An input file's bytes, from the package's one open() of an input file;
+    a failed open or read raises InputError with the reason alone."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise InputError(getattr(exc, "strerror", None) or str(exc)) from exc
+
+
 def read_text(path) -> str:
-    """The text of an input file, by ``decode_text``; a path that cannot be
-    opened raises the OSError, whose filename the CLI reports."""
-    with open(path, "rb") as fh:
-        return decode_text(fh.read())
+    """The text of an input file, by ``read_bytes`` and ``decode_text``."""
+    return decode_text(read_bytes(path))
 
 
 def parse_json(text: str) -> object:

@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DegenerateInputError, DimensionError, InputError, Record, _cut, decode_text, describe_value, naming, parse_json
+    DegenerateInputError, DimensionError, InputError, Record, _cut, decode_text, describe_value, naming, parse_json,
+    read_bytes
 )
 from .seeding import rng_from
 
@@ -324,7 +325,7 @@ def _read_spans(path) -> list[np.ndarray]:
     """A family file's member spans, read by orjson, or by json where
     orjson's reading is refused.
 
-    The file is read once, as bytes, and ``_scan`` passes over them once.
+    The file is read once, by ``read_bytes``, and ``_scan`` passes over it once.
     orjson reads them several times faster than json reads text, checks
     their UTF-8 itself and holds no decoded copy. It refuses NaN, Infinity,
     numbers beyond float range, invalid UTF-8 and lone surrogates, reads an
@@ -337,8 +338,7 @@ def _read_spans(path) -> list[np.ndarray]:
     value holds no reference cycles, so the collector is paused until the
     parsed value is dropped: its passes over the tree would find nothing.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_bytes(path)
     shallow, quotes, letters = _scan(data)
     enabled = gc.isenabled()
     gc.disable()

@@ -80,7 +80,7 @@ def _width_draws(family: SubspaceFamily, n_draws: int, seed: int) -> np.ndarray:
     for start in range(0, n_draws, WIDTH_BLOCK_ROWS):
         g = rng.standard_normal((min(WIDTH_BLOCK_ROWS, n_draws - start), n))
         best = vals[start : start + len(g)]
-        for _, _, bases in _column_tiles(family):
+        for bases in _column_tiles(family):
             prod = g @ bases.transpose(1, 0, 2).reshape(n, -1)
             np.square(prod, out=prod)
             sq_norms = np.add.reduce(prod.reshape(len(g), -1, bases.shape[2]), axis=2)
@@ -94,18 +94,17 @@ def _tile_entries(numbers: int) -> int:
 
 
 def _column_tiles(family: SubspaceFamily, per_column: int | None = None, numbers: int = 0):
-    """(stack position, first member, slice) for the (count, n, k) stack
-    slices read as tiles of whole members: at most _tile_entries(numbers) //
-    per_column columns of the n x (count*k) bases a tile, or one member, for
-    a family of that many numbers. per_column is the numbers a column costs;
-    by default max(n, WIDTH_BLOCK_ROWS), which keeps a tile and its product
-    with a block of draws each within WIDTH_TILE_ENTRIES."""
+    """The (count, n, k) stack slices read as tiles of whole members: at most
+    _tile_entries(numbers) // per_column columns of the n x (count*k) bases a
+    tile, or one member, for a family of that many numbers. per_column is the
+    numbers a column costs; by default max(n, WIDTH_BLOCK_ROWS), which keeps a
+    tile and its product with a block of draws each within WIDTH_TILE_ENTRIES."""
     if per_column is None:
         per_column = max(family.ambient_dim, WIDTH_BLOCK_ROWS)
-    for g, (_, bases) in enumerate(family.stacks):
+    for _, bases in family.stacks:
         step = max(1, _tile_entries(numbers) // (per_column * bases.shape[2]))
         for start in range(0, len(bases), step):
-            yield g, start, bases[start : start + step]
+            yield bases[start : start + step]
 
 
 def _counts(k, p) -> tuple[int, int]:

@@ -828,6 +828,17 @@ def test_a_failed_standard_output_write_exits_2_in_one_line(tmp_path, command, s
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("argv", [["--help"], ["trial", "--help"]], ids=["help", "trial-help"])
+def test_help_to_a_full_standard_output_exits_2(argv):
+    # argparse ignores its failed write of the help; the flush after it
+    # reports the failure, where the interpreter's flush at exit would exit 120
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        result = _run_cli_to(full, *argv)
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("case", ["error-line", "warning", "usage"])
 def test_an_unwritable_standard_error_exits_2(tmp_path, case, unbuffered):
@@ -1200,12 +1211,20 @@ def test_user_file_runs_match_serial_bytes(tmp_path, pools):
     assert outputs[0] == outputs[1]
     assert pools == [2, 2]
 
+PROC_MEM = "/proc/self/mem"  # opens, but its first page cannot be read
+needs_proc_mem = pytest.mark.skipif(not os.path.exists(PROC_MEM), reason=f"no {PROC_MEM} to read")
+
+
 @pytest.mark.parametrize(
     "case",
     ["family-dir", "config-dir", "matrix-dir", "family-utf16", "config-utf16", "matrix-utf16",
-     "output-dir", "output-missing-dir", "summary-out-dir"],
+     "output-dir", "output-missing-dir", "summary-out-dir",
+     "config-missing", "matrix-missing", "points-missing", "family-missing",
+     *(pytest.param(case, marks=needs_proc_mem) for case in ("config-mem", "matrix-mem", "points-mem", "family-mem"))],
 )
 def test_unusable_paths_exit_2(tmp_path, capsys, case):
+    # an input file that cannot be read is named first in its error line,
+    # as a malformed one is; an output is named in its "cannot write" line
     mat = tmp_path / "m.csv"
     mat.write_text("2,2\n2,0\n0,1\n")
     fam = write_axes_family(tmp_path / "fam.json")
@@ -1216,6 +1235,7 @@ def test_unusable_paths_exit_2(tmp_path, capsys, case):
     utf16.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
     missing = tmp_path / "no" / "x.csv"
     gen = ["gen-matrix", "--ensemble", "gaussian", "--m", "2", "--n", "2", "--seed", "1", "--output"]
+    embed = ["embed-points", "--D", "8", "--ensemble", "gaussian", "--seed", "1", "--points"]
     argv, named = {
         "family-dir": (["verify", "--matrix", str(mat), "--family", str(folder), "--D", "2"], folder),
         "config-dir": (["trial", "--config", str(folder)], folder),
@@ -1225,16 +1245,51 @@ def test_unusable_paths_exit_2(tmp_path, capsys, case):
         "matrix-utf16": (["verify", "--matrix", str(utf16), "--family", str(fam), "--D", "2"], utf16),
         "output-dir": (gen + [str(folder)], folder),
         "output-missing-dir": (gen + [str(missing)], missing),
-        "summary-out-dir": (["embed-points", "--points", str(mat), "--D", "8", "--ensemble", "gaussian",
-                             "--seed", "1", "--summary-out", str(folder)], folder),
+        "summary-out-dir": (embed + [str(mat), "--summary-out", str(folder)], folder),
+        "config-missing": (["trial", "--config", str(missing)], missing),
+        "matrix-missing": (["verify", "--matrix", str(missing), "--family", str(fam), "--D", "2"], missing),
+        "points-missing": (embed + [str(missing)], missing),
+        "family-missing": (["width", "--family", str(missing), "--seed", "1"], missing),
+        "config-mem": (["sweep", "--config", PROC_MEM, "--m-values", "2"], PROC_MEM),
+        "matrix-mem": (["verify", "--matrix", PROC_MEM, "--family", str(fam), "--D", "2"], PROC_MEM),
+        "points-mem": (embed + [PROC_MEM], PROC_MEM),
+        "family-mem": (["verify", "--matrix", str(mat), "--family", PROC_MEM, "--D", "2"], PROC_MEM),
     }[case]
     before = sorted(tmp_path.iterdir())
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
+    if not case.startswith(("output", "summary-out")):
+        assert err.startswith(f"error: {named}: ")
     assert ".tmp." not in err
     # no temporary file is left beside the output
     assert sorted(tmp_path.iterdir()) == before and list(folder.iterdir()) == []
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_a_family_path_holding_nul_exits_2(tmp_path, capsys, parallelism):
+    # open() refuses the path with a ValueError, not an OSError: it is still
+    # an input file that cannot be read, serially and in a pool worker alike
+    named = str(tmp_path / "fam\u0000.json")
+    cfg = write_config(tmp_path / "cfg.json", n=3, k=1, p=2, family_kind="user_file", family_path=named)
+    assert main(["trial", "--config", str(cfg), "--parallelism", parallelism]) == 2
+    assert capsys.readouterr().err == f"error: {named}: embedded null byte\n"
+
+
+@pytest.mark.parametrize(
+    "case", ["missing", "dir", "nul", pytest.param("mem", marks=needs_proc_mem)],
+)
+@pytest.mark.parametrize("loader", ["load_config", "load_matrix_csv", "load_family_json"])
+def test_library_loaders_raise_input_error_on_an_unreadable_file(tmp_path, loader, case):
+    path, reason = {
+        "missing": (str(tmp_path / "missing"), os.strerror(errno.ENOENT)),
+        "dir": (str(tmp_path), os.strerror(errno.EISDIR)),
+        "nul": (str(tmp_path / "a\u0000b"), "embedded null byte"),
+        "mem": (PROC_MEM, os.strerror(errno.EIO)),
+    }[case]
+    with pytest.raises(subembed.InputError) as info:
+        getattr(subembed.cli, loader)(path)
+    assert str(info.value) == f"{path}: {reason}"
 
 
 
@@ -1250,6 +1305,15 @@ MALFORMED_INPUTS = [
     ("family-truncated", "width", "fam.json", "malformed JSON at line 1, column 22: Expecting value"),
     ("matrix-header", "verify", "m.csv", "header must be 'm,n'"),
     ("matrix-field", "embed-points", "m.csv", "could not convert string 'x' to float64 at row 1, column 2."),
+    ("matrix-empty", "verify", "m.csv", "empty matrix file"),
+    ("matrix-header-word", "embed-points", "m.csv", "non-integer header: invalid literal for int() with base 10: 'a'"),
+    ("config-array", "trial", "cfg.json", "config must be a JSON object"),
+    ("config-no-seed", "trial", "cfg.json", "missing config keys: ['seed']"),
+    ("config-ensemble-number", "trial", "cfg.json", "ensemble descriptor must be an object"),
+    ("config-p-zero", "trial", "cfg.json", "p must be >= 1"),
+    ("family-array", "width", "fam.json", "family file must be an object with keys 'n' and 'members'"),
+    ("family-members-object", "verify", "fam.json", "family file 'members' must be a list"),
+    ("family-size-not-config-p", "trial", "fam.json", "family file has 2 members, config says p=3"),
 ]
 
 
@@ -1263,10 +1327,24 @@ def test_malformed_input_file_errors_start_with_its_path(tmp_path, capsys, case,
     write_config(cfg, n=3, k=1, p=2, trials=1, family_kind="user_file", family_path=str(fam))
     if case == "ensemble-kind":
         write_config(cfg, ensemble={"kind": "cauchy"})
-    elif case == "matrix-header":
-        mat.write_text("2;2\n2,0\n0,1\n")
-    elif case == "matrix-field":
-        mat.write_text("2,2\n2,0\n0,x\n")
+    elif case == "config-ensemble-number":
+        write_config(cfg, ensemble=3)
+    elif case == "config-p-zero":
+        write_config(cfg, p=0)
+    elif case == "config-no-seed":
+        cfg.write_text(json.dumps({key: value for key, value in json.loads(cfg.read_text()).items() if key != "seed"}))
+    elif case == "config-array":
+        cfg.write_text("[]")
+    elif case.startswith("matrix-"):
+        mat.write_text({
+            "matrix-header": "2;2\n2,0\n0,1\n",
+            "matrix-field": "2,2\n2,0\n0,x\n",
+            "matrix-empty": "\n \n",
+            "matrix-header-word": "a,2\n2,0\n",
+        }[case])
+    elif case == "family-size-not-config-p":
+        fam.write_text('{"n": 3, "members": [{"basis_columns": [[1, 0, 0]]}, {"basis_columns": [[0, 1, 0]]}]}')
+        write_config(cfg, n=3, k=1, p=3, trials=1, family_kind="user_file", family_path=str(fam))
     elif case != "family-n-not-config-n":
         fam.write_text({
             "family-n-string": '{"n": "3", "members": [{"basis_columns": [[1, 0, 0]]}]}',
@@ -1274,6 +1352,8 @@ def test_malformed_input_file_errors_start_with_its_path(tmp_path, capsys, case,
             "family-no-members": '{"n": 2, "members": []}',
             "family-zero-member": '{"n": 2, "members": [{"basis_columns": [[1, 0]]}, {"basis_columns": [[0, 0]]}]}',
             "family-truncated": '{"n": 2, "members": [',
+            "family-array": "[]",
+            "family-members-object": '{"n": 2, "members": {}}',
         }[case])
     argv = {
         "trial": ["trial", "--config", str(cfg)],

@@ -56,6 +56,12 @@ def test_extremes_diagonal_and_identity():
         subspace_extremes(RandomMatrix(np.eye(2)), Subspace(np.eye(3)[:, :1]))
 
 
+def test_family_distortion_needs_the_family_in_the_maps_domain():
+    with pytest.raises(DimensionError) as info:
+        family_distortion(RandomMatrix(np.eye(3)), k_sparse_family(2, 1, 2))
+    assert str(info.value) == "family ambient dim 2 != matrix cols 3"
+
+
 def test_extremes_sandwich_sampled_values():
     for i in range(5):
         gamma = sample_matrix(EnsembleSpec.gaussian(), 8, 16, 300 + i)
@@ -778,13 +784,14 @@ def test_wide_screen_slack_covers_the_wide_product_error(monkeypatch):
     family = SubspaceFamily.from_stack(np.concatenate([kernel[:1], second[None], others])[:, :, None])
     shift = np.zeros((family.size, n, 1))
     shift[0, :, 0] = aim
-    real = distortion._column_tiles
+    real = distortion._tile_bounds
 
-    def moved(family, *sizes):
-        for g, start, tile in real(family, *sizes):
-            yield g, start, tile + shift[start : start + len(tile)]
+    def moved(maps, tile, *rest):
+        # the screen sees the moved bases; the kept pairs' products use the tile
+        assert len(tile) == family.size  # one tile: the shift lines up with it
+        return real(maps, tile + shift, *rest)
 
-    monkeypatch.setattr(distortion, "_column_tiles", moved)
+    monkeypatch.setattr(distortion, "_tile_bounds", moved)
     exact = family_distortion(RandomMatrix(gamma), family)
     assert exact.family_sigma_min == exact.per_subspace[0][0]
     assert seen > 1.5 * exact.per_subspace[1][0] > 1.5 * exact.per_subspace[0][0]

@@ -90,6 +90,13 @@ def test_orthonormalize_degenerate_and_idempotent():
     assert np.allclose(projector(sub), projector(again), atol=1e-10)
 
 
+@pytest.mark.parametrize("spanning", [np.ones(3), np.empty((3, 0))], ids=["vector", "no-columns"])
+def test_orthonormalize_needs_a_matrix_with_columns(spanning):
+    with pytest.raises(DimensionError) as info:
+        orthonormalize(spanning)
+    assert str(info.value) == "expected an n x j matrix with j >= 1"
+
+
 def test_subspace_rejects_non_orthonormal_basis():
     with pytest.raises(InputError):
         Subspace(np.array([[1.0], [1.0]]))

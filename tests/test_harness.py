@@ -58,6 +58,22 @@ def small_config(**overrides):
 # ---------------------------------------------------------------- config
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: k_sparse_family(3, 4, 1), "need 1 <= k <= n, got k=4, n=3"),
+        (lambda: k_sparse_family(3, 1, 0), "p must be >= 1"),
+        (lambda: sweep_m(small_config(), 5, 0.9), "m_values must be integers: 'int' object is not iterable"),
+        (lambda: metric_embed(np.zeros((1, 3)), 4.0, GAUSS, 1), "need at least 2 points, given as an N x n array"),
+    ],
+    ids=["sparse-k-above-n", "sparse-p-zero", "sweep-m-values-scalar", "embed-one-point"],
+)
+def test_harness_argument_errors(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_config_validation():
     with pytest.raises(InputError):
         small_config(k=0)

@@ -27,6 +27,20 @@ from oracles import concentration_estimate, psi2_estimate, psi2_tail_check, smal
 SQRT3 = math.sqrt(3.0)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: gaussian_width_mc(k_sparse_family(3, 1, 2), 1, 1), "n_draws must be >= 2"),
+        (lambda: success_prob_bound(2.0, 0), "m must be >= 1"),
+    ],
+    ids=["width-one-draw", "bound-m-zero"],
+)
+def test_stats_argument_errors(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------- psi2
 
 

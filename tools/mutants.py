@@ -34,6 +34,7 @@ DISTORTION = "src/subembed/distortion.py"
 CLI = "src/subembed/cli.py"
 ENSEMBLES = "src/subembed/ensembles.py"
 GEOMETRY = "src/subembed/geometry.py"
+ERRORS = "src/subembed/errors.py"
 SCREEN_TESTS = "tests/test_distortion.py::"
 FLAG_TESTS = [
     SCREEN_TESTS + "test_flagged_tile_keeps_every_pair_of_its_maps_and_no_more",
@@ -42,6 +43,7 @@ FLAG_TESTS = [
 FAMILY_FILE_TESTS = "tests/test_cli.py::test_malformed_family_file_exits_2"
 EMBED_TESTS = "tests/test_harness.py::test_metric_embed_"
 NAMED_TESTS = "tests/test_cli.py::test_malformed_input_file_errors_start_with_its_path"
+UNUSABLE_TESTS = "tests/test_cli.py::test_unusable_paths_exit_2"
 
 # name: (file, old text, new text, node ids of tests at least one of which must fail)
 MUTANTS = {
@@ -66,12 +68,12 @@ MUTANTS = {
         "np.sqrt(m_values)[:, None])[:, :, None]\n        delta[...] = 0.0\n",
         [SCREEN_TESTS + "test_wide_screen_slack_covers_the_wide_product_error"],
     ),
-    # the kept pairs' exact products taken from the screened tile, not the family's stack
-    "products-from-the-tile": (
+    # the kept pairs' exact products formed from every row of the maps, not their first m
+    "products-over-every-row": (
         DISTORTION,
-        "bases = family.stacks[g][1][start : start + len(tile)]",
-        "bases = tile",
-        [SCREEN_TESTS + "test_wide_screen_slack_covers_the_wide_product_error"],
+        "_kept_products(maps[:, :m], tile, keep)",
+        "_kept_products(maps, tile, keep)",
+        [SCREEN_TESTS + "test_grid_screen_across_column_tiles"],
     ),
     # a tile beyond the slack's range, or with a non-finite Gram, screened as any other
     "no-tile-flag": (
@@ -154,6 +156,20 @@ MUTANTS = {
         "            stream.write(text)\n        stream.flush()\n",
         "            stream.write(text)\n",
         ["tests/test_cli.py::test_an_unwritable_standard_error_exits_2[usage-buffered]"],
+    ),
+    # argparse's failed write of the help left for the interpreter's flush at exit, which exits 120
+    "help-stdout-unflushed": (
+        CLI,
+        '            _write_standard("stdout", "")\n',
+        "",
+        ["tests/test_cli.py::test_help_to_a_full_standard_output_exits_2"],
+    ),
+    # an input file that cannot be read raises its OSError past the CLI's error line
+    "read-error-escapes": (
+        ERRORS,
+        "        raise InputError(getattr(exc, \"strerror\", None) or str(exc)) from exc\n",
+        "        raise\n",
+        [UNUSABLE_TESTS + "[config-missing]", UNUSABLE_TESTS + "[family-missing]"],
     ),
 }
 
