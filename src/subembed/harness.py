@@ -1,12 +1,13 @@
 """Experiment harness: embedding trials, phase-transition sweeps over m,
 and n-point metric embeddings.
 
-Every trial is a pure function of (config, trial_index): the family, the
-sampled map and all Monte Carlo draws derive their seeds from the single
-config seed, so trials can run in any order or in parallel without
-changing results. One executor, ``_trial_range``, runs every range of
-consecutive trials with one family build: a serial run is one range, a
-pooled run one range per worker process, and ``run_trial`` a range of one.
+Every trial is a pure function of (config, trial_index): a run embeds one
+family, built from the config alone, and the sampled maps and all Monte
+Carlo draws derive their seeds from the single config seed, so trials can
+run in any order or in parallel without changing results. One executor,
+``_trial_range``, runs every range of consecutive trials with one family
+build: a serial run is one range, a pooled run one range per worker
+process, and ``run_trial`` a range of one.
 Every certificate, and what it holds, is computed in ``distortion``: the
 harness samples the maps, sizes blocks by ``_certify_entries`` and reports.
 """
@@ -70,9 +71,10 @@ _FIELD_TYPES = {
 class ExperimentConfig(Record):
     """Inputs of one experiment: geometry sizes, ensemble, trial count, seed.
 
-    ``fixed_family`` selects quenched statistics (one family, fresh maps per
-    trial, the faithful reading of the embedding guarantee) over annealed
-    ones (fresh family per trial); it only affects haar_random families.
+    Statistics are quenched, the faithful reading of the embedding
+    guarantee: every trial embeds the run's one family with a fresh map.
+    ``fixed_family`` has one legal value, True; False, which once drew a
+    fresh family per trial, is refused.
     """
 
     n: int
@@ -97,6 +99,8 @@ class ExperimentConfig(Record):
                 raise InputError(f"config key {name!r} must be {what}, got {describe_value(value)}")
             if kind is numbers.Integral:
                 object.__setattr__(self, name, int(value))
+        if not self.fixed_family:
+            raise InputError("config key 'fixed_family' must be true: annealed trials were removed")
         try:
             object.__setattr__(self, "D", float(self.D))
         except OverflowError as exc:
@@ -174,8 +178,8 @@ def k_sparse_family(n: int, k: int, p: int) -> SubspaceFamily:
     return _family(((np.arange(p), bases),))
 
 
-def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
-    """The family a given trial embeds; fresh per trial only in annealed haar mode."""
+def build_family(config: ExperimentConfig) -> SubspaceFamily:
+    """The one family every trial of the config embeds."""
     if config.family_kind == "k_sparse":
         return k_sparse_family(config.n, config.k, config.p)
     if config.family_kind == "user_file":
@@ -188,10 +192,7 @@ def build_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
             if family.max_dim > config.k:
                 raise InputError(f"family file max dim {family.max_dim} exceeds config k {config.k}")
         return family
-    if config.fixed_family:
-        fam_seed = derive_seed(config.seed, _FAMILY_STREAM)
-    else:
-        fam_seed = derive_seed(config.seed, _FAMILY_STREAM, trial_index)
+    fam_seed = derive_seed(config.seed, _FAMILY_STREAM)
     # member l is random_subspace(n, k, derive_seed(fam_seed, l)), orthonormalized in one batch
     _check_budget("p*n*k", config.p * config.n * config.k)
     draws = np.empty((config.p, config.n, config.k))
@@ -246,14 +247,11 @@ def _block_results(
 
 def _trial_range(config: ExperimentConfig, m_values, trials: range) -> list[list[TrialResult]]:
     """The results of a nonempty range of consecutive trials at every m of
-    m_values, in trial order. The range's one family is built once and its
+    m_values, in trial order. The config's family is built once and the
     trials certified in blocks of _block_size, sized (and checked) from the
-    config by what a block holds; annealed haar trials each embed their own
-    family, so each is built and certified alone."""
+    config by what a block holds."""
     size = _block_size(config, max(m_values), len(m_values))
-    if config.family_kind == "haar_random" and not config.fixed_family:
-        return [_block_results(config, range(t, t + 1), build_family(config, t), m_values)[0] for t in trials]
-    family = build_family(config, trials.start)
+    family = build_family(config)
     return [
         trial
         for lo in range(trials.start, trials.stop, size)

@@ -115,13 +115,13 @@ def batched_metric_family(points) -> SubspaceFamily:
     return _family(((np.arange(len(diffs)), diffs[:, :, None]),))
 
 
-def per_member_haar_family(config: ExperimentConfig, trial_index: int) -> SubspaceFamily:
-    """The haar_random family of a trial, built one member at a time: member
-    l is random_subspace(n, k, derive_seed(fam_seed, l)), from the family
-    seed build_family derives for the trial. build_family orthonormalizes
-    the same draws in one batch and must match this bit for bit."""
-    path = (_FAMILY_STREAM,) if config.fixed_family else (_FAMILY_STREAM, trial_index)
-    fam_seed = derive_seed(config.seed, *path)
+def per_member_haar_family(config: ExperimentConfig) -> SubspaceFamily:
+    """The haar_random family of a config, built one member at a time:
+    member l is random_subspace(n, k, derive_seed(fam_seed, l)), from the
+    family seed derive_seed(config.seed, _FAMILY_STREAM). build_family
+    orthonormalizes the same draws in one batch and must match this bit for
+    bit."""
+    fam_seed = derive_seed(config.seed, _FAMILY_STREAM)
     return SubspaceFamily.from_subspaces(
         random_subspace(config.n, config.k, derive_seed(fam_seed, l)) for l in range(config.p)
     )
@@ -391,6 +391,78 @@ def psi2_tail_check(samples, beta: float, ts=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0)) -> 
         if p_hat > bound + slack:
             return False
     return True
+
+
+# ---------------------------------------------------------------- exact laws
+
+
+def chi2_sf(x, m: int) -> np.ndarray:
+    """P(chi^2_m > x) elementwise, in closed form: exp(-x/2) times a finite
+    series for even m, and erfc(sqrt(x/2)) plus such a term for odd m. It is
+    the upper tail itself, not 1 - CDF, so it keeps its relative accuracy
+    where it is tiny."""
+    x = np.asarray(x, dtype=float)
+    half = 0.5 * x
+    total = np.zeros_like(x)
+    if m % 2 == 0:
+        # sum over i < m/2 of (x/2)^i / i!
+        term = np.ones_like(x)
+        for i in range(m // 2):
+            total += term
+            term = term * half / (i + 1)
+        return np.exp(-half) * total
+    # sqrt(2/pi) exp(-x/2) times the sum over 1 <= i <= (m-1)/2 of x^(i-1/2) / (2i-1)!!
+    term = np.sqrt(x)
+    for i in range(1, (m + 1) // 2):
+        total += term
+        term = term * x / (2 * i + 1)
+    erfc = np.frompyfunc(math.erfc, 1, 1)(np.sqrt(half)).astype(float)
+    return erfc + math.sqrt(2.0 / math.pi) * np.exp(-half) * total
+
+
+def coordinate_lines_failure(m: int, p: int, D: float, intervals: int = 4000) -> float:
+    """The exact probability that a Gaussian map of m rows is infeasible at D
+    on p coordinate lines (a k_sparse family at k = 1).
+
+    A line's squared length under the map is its column's squared norm, so
+    the p of them are iid chi^2_m, and the map is feasible iff the largest is
+    at most D^2 times the smallest. With S chi^2_m's upper tail and f its
+    density, the smallest at x has density p f(x) S(x)^(p-1), so
+
+        P(infeasible) = p * integral of f(x) [S(x)^(p-1) - (S(x) - S(D^2 x))^(p-1)] dx.
+
+    Formed as this difference, not as 1 - P(feasible), it keeps its accuracy
+    where infeasibility is rare. x = u^2 turns f(x) dx into chi_m's density
+    u^(m-1) exp(-u^2/2) / (2^(m/2-1) Gamma(m/2)), smooth in u, which
+    Simpson's rule integrates over [0, sqrt(m) + 10].
+    """
+    u = np.linspace(0.0, math.sqrt(m) + 10.0, intervals + 1)
+    x = u * u
+    density = np.exp((m - 1) * np.log(u, where=u > 0, out=np.full_like(u, -np.inf)) - 0.5 * x
+                     - (0.5 * m - 1.0) * math.log(2.0) - math.lgamma(0.5 * m))
+    tail, far = chi2_sf(x, m), chi2_sf(D * D * x, m)
+    # S^(p-1) - (S - S_far)^(p-1) = S^(p-1) (1 - (1 - S_far/S)^(p-1)); S_far <= S
+    # but for rounding where both are near 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(tail > 0.0, np.minimum(far / tail, 1.0), 0.0)
+        gap = -np.expm1((p - 1) * np.log1p(-ratio))
+    integrand = p * density * tail ** (p - 1) * gap
+    weights = np.ones(intervals + 1)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    return float((u[1] - u[0]) / 3.0 * (weights @ integrand))
+
+
+def binomial_two_sided_p(successes: int, trials: int, prob: float) -> float:
+    """The exact two-sided binomial p-value of a count: the probability under
+    Binomial(trials, prob) of every count no likelier than the observed one
+    (the rule of scipy's binomtest, with its relative tolerance of 1e-7 on
+    ties). No normal approximation, which misleads in the tails."""
+    if not 0.0 < prob < 1.0:
+        raise InputError(f"prob must lie in (0, 1), got {prob}")
+    k = np.arange(trials + 1)
+    log_choose = np.concatenate(([0.0], np.cumsum(np.log((trials - k[:-1]) / k[1:]))))
+    pmf = np.exp(log_choose + k * math.log(prob) + (trials - k) * math.log1p(-prob))
+    return float(min(1.0, pmf[pmf <= pmf[successes] * (1.0 + 1e-7)].sum()))
 
 
 @dataclass(frozen=True)

@@ -443,7 +443,7 @@ for argv in (["verify", "--matrix", {str(mat)!r}, "--family", {str(fam)!r}, "--D
               "--output", {str(tmp_path / "w.json")!r}]):
     assert main(argv) == 0
     loaded.append("numpy.ma" in sys.modules)
-build_family(ExperimentConfig(n=6, k=2, p=5, D=4.0, ensemble=EnsembleSpec.gaussian()), 0)
+build_family(ExperimentConfig(n=6, k=2, p=5, D=4.0, ensemble=EnsembleSpec.gaussian()))
 loaded.append("numpy.ma" in sys.modules)
 print(json.dumps(loaded))
 """
@@ -634,7 +634,6 @@ def test_sweep_parallel_flag_matches_serial_bytes(tmp_path, pools):
     inputs = {
         "k_sparse": {"family_kind": "k_sparse"},
         "haar_random": {"family_kind": "haar_random"},
-        "annealed": {"family_kind": "haar_random", "fixed_family": False},
     }
     for name, overrides in inputs.items():
         cfg = write_config(tmp_path / f"{name}.json", trials=6, **overrides)
@@ -647,7 +646,7 @@ def test_sweep_parallel_flag_matches_serial_bytes(tmp_path, pools):
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
-    assert pools == [2, 3, 2, 3, 2, 3]
+    assert pools == [2, 3, 2, 3]
 
 
 # ---------------------------------------------------------------- embed/width
@@ -961,7 +960,8 @@ def test_distortion_is_checked_before_any_input_is_read(tmp_path, capsys, monkey
         pytest.param("D", 10**400, 2, id="D-beyond-float-2"),
         ("D", 8, 0),
         ("m_override", None, 0),
-        ("fixed_family", False, 0),
+        # annealed trials were removed: true is the key's one value
+        ("fixed_family", False, 2),
     ],
 )
 def test_config_values_must_have_their_json_type(tmp_path, capsys, key, value, code):
@@ -969,8 +969,24 @@ def test_config_values_must_have_their_json_type(tmp_path, capsys, key, value, c
     out = tmp_path / "out.jsonl"
     assert main(["trial", "--config", str(cfg), "--output", str(out)]) == code
     if code:
-        assert f"config key {key!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: config key {key!r}") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trial", "sweep"])
+def test_fixed_family_true_runs_as_an_absent_key(tmp_path, command):
+    outputs = []
+    for name, extra in (("absent", {}), ("true", {"fixed_family": True})):
+        cfg = write_config(tmp_path / f"{name}.json", **extra)
+        out = tmp_path / f"{name}.out"
+        argv = {
+            "trial": ["trial", "--config", str(cfg)],
+            "sweep": ["sweep", "--config", str(cfg), "--m-values", "2,4,8"],
+        }[command]
+        assert main(argv + ["--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # one mistyped value for each ExperimentConfig field; family_path's is a file

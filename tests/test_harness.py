@@ -37,7 +37,10 @@ import subembed.stats as stats
 
 from oracles import (
     batched_metric_family,
+    binomial_two_sided_p,
     build_metric_family,
+    chi2_sf,
+    coordinate_lines_failure,
     lower_bound_study,
     per_member_haar_family,
     verify_pointwise,
@@ -100,6 +103,10 @@ def test_config_fields_must_have_their_types():
             small_config(**{key: value})
     with pytest.raises(InputError, match="^config key 'fixed_family' must be true or false, got the string"):
         small_config(fixed_family="false")
+    # annealed trials, a fresh family per trial, were removed: True is the one value
+    with pytest.raises(InputError, match="^config key 'fixed_family' must be true: annealed trials were removed$"):
+        small_config(fixed_family=False)
+    assert small_config(fixed_family=True) == small_config()
     # numpy integers pass, and run as the equal Python ints
     sizes = dict(n=12, k=2, p=4, trials=3, seed=99, m_override=5)
     cfg = small_config(**{key: np.int64(value) for key, value in sizes.items()})
@@ -135,7 +142,7 @@ def test_k_sparse_family_stack_equals_sparse_subspace_bases(p):
 def test_k_sparse_family_in_a_large_ambient_space():
     # 3.2 MB of bases; cutting them from an n x n identity would take 298 GiB
     cfg = small_config(family_kind="k_sparse", n=200_000, k=1, p=2, trials=1)
-    (indices, bases), = build_family(cfg, 0).stacks
+    (indices, bases), = build_family(cfg).stacks
     assert indices.tolist() == [0, 1] and bases.shape == (2, 200_000, 1)
     assert np.flatnonzero(bases).tolist() == [0, 200_001] and bases.sum() == 2.0
     assert run_trial(cfg, 0).m_used == cfg.m
@@ -153,37 +160,28 @@ def test_k_sparse_member_beyond_the_budget_is_refused_before_counting(monkeypatc
 
 # (1024, 8, 300) spans three batched-SVD chunks
 @pytest.mark.parametrize("n, k, p", [(12, 2, 4), (9, 9, 3), (64, 4, 16), (256, 8, 200), (1024, 8, 300)])
-@pytest.mark.parametrize("fixed", [True, False])
-def test_haar_build_matches_per_member_reference(n, k, p, fixed):
-    cfg = small_config(n=n, k=k, p=p, fixed_family=fixed)
-    for t in (0, 2):
-        fam, ref = build_family(cfg, t), per_member_haar_family(cfg, t)
-        assert len(fam.stacks) == len(ref.stacks) == 1
-        (indices, bases), (ref_indices, ref_bases) = fam.stacks[0], ref.stacks[0]
-        assert np.array_equal(indices, ref_indices) and np.array_equal(bases, ref_bases)
+def test_haar_build_matches_per_member_reference(n, k, p):
+    cfg = small_config(n=n, k=k, p=p)
+    fam, ref = build_family(cfg), per_member_haar_family(cfg)
+    assert len(fam.stacks) == len(ref.stacks) == 1
+    (indices, bases), (ref_indices, ref_bases) = fam.stacks[0], ref.stacks[0]
+    assert np.array_equal(indices, ref_indices) and np.array_equal(bases, ref_bases)
 
 
-@pytest.mark.parametrize("fixed", [True, False])
-def test_haar_family_file_matches_per_member_reference(tmp_path, fixed):
-    cfg = small_config(n=64, k=4, p=16, fixed_family=fixed)
-    store_family_json(build_family(cfg, 1), tmp_path / "fam.json")
-    store_family_json(per_member_haar_family(cfg, 1), tmp_path / "ref.json")
+def test_haar_family_file_matches_per_member_reference(tmp_path):
+    cfg = small_config(n=64, k=4, p=16)
+    store_family_json(build_family(cfg), tmp_path / "fam.json")
+    store_family_json(per_member_haar_family(cfg), tmp_path / "ref.json")
     assert (tmp_path / "fam.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_quenched_family_is_trial_independent():
-    cfg = small_config(fixed_family=True)
-    fam0 = build_family(cfg, 0)
-    fam3 = build_family(cfg, 3)
-    for a, b in zip(fam0.members, fam3.members):
+    # build_family takes no trial: every build of a config is the one family
+    cfg = small_config()
+    first, second = build_family(cfg), build_family(cfg)
+    assert first is not second
+    for a, b in zip(first.members, second.members):
         assert np.array_equal(a.basis, b.basis)
-
-
-def test_annealed_family_changes_per_trial():
-    cfg = small_config(fixed_family=False)
-    fam0 = build_family(cfg, 0)
-    fam1 = build_family(cfg, 1)
-    assert not np.allclose(fam0.members[0].basis, fam1.members[0].basis)
 
 
 def test_user_file_family_checks(tmp_path):
@@ -191,13 +189,13 @@ def test_user_file_family_checks(tmp_path):
     path = tmp_path / "fam.json"
     store_family_json(fam, path)
     cfg = small_config(n=6, k=2, p=3, family_kind="user_file", family_path=str(path))
-    loaded = build_family(cfg, 0)
+    loaded = build_family(cfg)
     assert loaded.size == 3
     # a path object is a family_path too
-    assert build_family(small_config(n=6, k=2, p=3, family_kind="user_file", family_path=path), 0).size == 3
+    assert build_family(small_config(n=6, k=2, p=3, family_kind="user_file", family_path=path)).size == 3
     bad = small_config(n=6, k=2, p=5, family_kind="user_file", family_path=str(path))
     with pytest.raises(InputError):
-        build_family(bad, 0)
+        build_family(bad)
 
 
 # ---------------------------------------------------------------- trials
@@ -250,41 +248,38 @@ def block_budget(config, trials, rows, grid):
     return tile + trials * per_trial
 
 
-def test_trial_range_builds_a_fixed_family_once_per_range(monkeypatch):
+def test_trial_range_builds_a_fixed_family_once_per_range(monkeypatch, tmp_path):
     builds = []
     real = harness.build_family
 
-    def counted(config, trial_index):
-        builds.append(trial_index)
-        return real(config, trial_index)
+    def counted(config):
+        builds.append(config)
+        return real(config)
 
     monkeypatch.setattr(harness, "build_family", counted)
-    fixed = small_config(trials=3)
-    # blocks of one trial, at every grid below
-    budget = min(block_budget(fixed, 1, fixed.m, 1), block_budget(fixed, 1, 4, 2))
-    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", budget)
-    assert harness._block_size(fixed, fixed.m, 1) == harness._block_size(fixed, 4, 2) == 1
-    first = harness._trial_range(fixed, (fixed.m,), range(3))
-    assert builds == [0]  # one build for the range's three blocks
-    assert [trial[0] for trial in first] == run_trials(fixed)
-    sweeps = [harness._trial_range(fixed, (2, 4), block) for block in (range(0, 2), range(2, 3))]
-    assert builds == [0, 0, 0, 2]  # the serial run_trials above built its own
-    assert [trial for block in sweeps for trial in block] == [
-        harness._block_results(fixed, range(t, t + 1), real(fixed, t), (2, 4))[0] for t in range(3)
-    ]
-    builds.clear()
-    annealed = small_config(trials=3, fixed_family=False)
-    results = harness._trial_range(annealed, (annealed.m,), range(3))
-    assert builds == [0, 1, 2]  # a fresh family per trial
-    assert results == [
-        harness._block_results(annealed, range(t, t + 1), real(annealed, t), (annealed.m,))[0] for t in range(3)
-    ]
+    user_file = {"family_path": mixed_dimension_file(tmp_path / "f.json"), "n": 9, "k": 3, "p": 5}
+    for kind in harness.FAMILY_KINDS:
+        builds.clear()
+        cfg = small_config(trials=3, family_kind=kind, **(user_file if kind == "user_file" else {}))
+        # blocks of one trial, at every grid below
+        budget = min(block_budget(cfg, 1, cfg.m, 1), block_budget(cfg, 1, 4, 2))
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", budget)
+        assert harness._block_size(cfg, cfg.m, 1) == harness._block_size(cfg, 4, 2) == 1
+        first = harness._trial_range(cfg, (cfg.m,), range(3))
+        assert builds == [cfg], kind  # one build for the range's three blocks
+        assert [trial[0] for trial in first] == run_trials(cfg)
+        sweeps = [harness._trial_range(cfg, (2, 4), block) for block in (range(0, 2), range(2, 3))]
+        assert builds == [cfg] * 4, kind  # the serial run_trials above built its own
+        family = real(cfg)
+        assert [trial for block in sweeps for trial in block] == [
+            harness._block_results(cfg, range(t, t + 1), family, (2, 4))[0] for t in range(3)
+        ]
 
 
 def reference_trial(config, t, m_values):
     """One trial run alone: its own family, one sample_matrix per m, then
     family_distortion and choose_scale."""
-    family = build_family(config, t)
+    family = build_family(config)
     out = []
     for m in m_values:
         gamma = sample_matrix(config.ensemble, m, config.n, derive_seed(config.seed, 2, t))
@@ -302,13 +297,12 @@ def mixed_dimension_file(path, n=9, dims=(2, 1, 3, 1, 2)):
 
 @pytest.mark.parametrize("per_block", [1, 2, 3, 7])
 @pytest.mark.parametrize("kind", ["gaussian", "sphere_scaled", "iid_bounded"])
-@pytest.mark.parametrize("family", ["fixed", "annealed", "user_file"])
+@pytest.mark.parametrize("family", ["fixed", "user_file"])
 def test_block_core_equals_trials_run_alone(monkeypatch, tmp_path, per_block, kind, family):
     from subembed import harness
 
     overrides = {
         "fixed": {},
-        "annealed": {"fixed_family": False},
         "user_file": {"family_kind": "user_file", "family_path": mixed_dimension_file(tmp_path / "f.json"), "n": 9},
     }[family]
     cfg = small_config(ensemble=EnsembleSpec(kind=kind), trials=7, k=3, p=5, **overrides)
@@ -326,9 +320,7 @@ def test_block_core_equals_trials_run_alone(monkeypatch, tmp_path, per_block, ki
     monkeypatch.setattr(harness, "_certify_maps", recorded)
     expected = [reference_trial(cfg, t, m_values) for t in range(cfg.trials)]
     assert harness._map_trials(cfg, m_values, 1) == expected
-    # annealed runs pass _certify_maps one map at a time, since each trial embeds its own family
-    size = 1 if family == "annealed" else per_block
-    assert certified == [min(size, cfg.trials - lo) for lo in range(0, cfg.trials, size)]
+    assert certified == [min(per_block, cfg.trials - lo) for lo in range(0, cfg.trials, per_block)]
     alone = [reference_trial(cfg, t, (cfg.m,))[0] for t in range(cfg.trials)]
     assert run_trials(cfg) == alone
     assert [run_trial(cfg, t) for t in range(cfg.trials)] == alone  # the range of one
@@ -339,7 +331,7 @@ def test_block_size_at_paper_scale_comes_from_the_config(monkeypatch):
     # budget: a twelfth of p*n*k less one tile over the numbers a trial holds,
     # so p=2000 (m=59) gets (1365333 - 512000) // 60476 = 14 trials a block,
     # and p=10^4 (m=63) (6826666 - 2560000) // 64576 = 66
-    def no_build(config, trial_index):
+    def no_build(config):
         raise AssertionError("a family was built")
 
     monkeypatch.setattr(harness, "build_family", no_build)
@@ -366,7 +358,7 @@ def test_block_holds_at_most_its_budget(sizes, m_values, per_block):
     # the sweep's grid of 10 values of m on all C(64, 2) sparse members
     cfg = small_config(D=8.0, trials=100, **sizes)
     m_values = m_values or (cfg.m,)
-    family = build_family(cfg, 0)
+    family = build_family(cfg)
     size = harness._block_size(cfg, max(m_values), len(m_values))
     assert size == per_block
     budget = max(harness._BLOCK_ENTRIES, cfg.p * cfg.n * cfg.k // harness._BLOCK_FAMILY_SHARE)
@@ -509,14 +501,13 @@ def test_parallel_runs_match_serial_under_start_method(monkeypatch, method):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, mp_context=context, **kwargs)
 
-    configs = [small_config(trials=5), small_config(trials=5, fixed_family=False)]
+    trial_config = small_config(trials=5)
     sweep_config = small_config(trials=5, family_kind="k_sparse")
-    serial = [repr(run_trials(cfg)) for cfg in configs] + [repr(sweep_m(sweep_config, [1, 3, 8], 0.5))]
+    serial = [repr(run_trials(trial_config)), repr(sweep_m(sweep_config, [1, 3, 8], 0.5))]
     monkeypatch.setattr(harness, "ProcessPoolExecutor", ContextPool)
-    pooled = [repr(run_trials(cfg, parallelism=2)) for cfg in configs]
-    pooled.append(repr(sweep_m(sweep_config, [1, 3, 8], 0.5, parallelism=3)))
+    pooled = [repr(run_trials(trial_config, parallelism=2)), repr(sweep_m(sweep_config, [1, 3, 8], 0.5, parallelism=3))]
     assert pooled == serial
-    assert started == [2, 2, 3]
+    assert started == [2, 3]
 
 
 def test_sweep_rank_deficiency_below_k():
@@ -559,6 +550,39 @@ def test_sweep_minimal_m_grows_when_D_shrinks():
     # at D=2 the target rate is not reached anywhere on a grid that already
     # suffices for D=4, so its minimal m is strictly larger
     assert res2.minimal_m is None or res2.minimal_m > res4.minimal_m
+
+
+def test_chi2_tail_and_coordinate_lines_law():
+    # the two closed forms of chi^2_m's tail start from erfc and exp and
+    # step by S_{m+2}(x) = S_m(x) + (x/2)^(m/2) exp(-x/2) / Gamma(m/2 + 1)
+    x = np.array([0.0, 0.01, 0.5, 3.0, 12.0, 60.0, 300.0])
+    assert np.allclose(chi2_sf(x, 1), [math.erfc(math.sqrt(v / 2)) for v in x], rtol=1e-14, atol=0)
+    assert np.allclose(chi2_sf(x, 2), np.exp(-x / 2), rtol=1e-14, atol=0)
+    for m in range(1, 16):
+        step = np.exp(0.5 * m * np.log(x / 2, where=x > 0, out=np.full_like(x, -np.inf)) - x / 2
+                      - math.lgamma(m / 2 + 1))
+        assert np.allclose(chi2_sf(x, m + 2), chi2_sf(x, m) + step, rtol=1e-12, atol=0), m
+    # scipy.stats' chi2 and quad, computed offline: the law at p = 64, D = 4
+    for m, failure in ((6, 0.6464190554556131), (8, 0.24394503284560123), (10, 0.06916824183343685),
+                       (24, 2.898297111232224e-06)):
+        assert coordinate_lines_failure(m, 64, 4.0) == pytest.approx(failure, rel=1e-9), m
+    assert binomial_two_sided_p(700, 2000, 0.354) == pytest.approx(0.7258289977092045, rel=1e-9)
+    assert binomial_two_sided_p(10, 2000, 0.354) == 0.0
+
+
+def test_sweep_on_coordinate_lines_matches_the_exact_law():
+    # at k = 1 a k_sparse family is the p coordinate lines, whose squared
+    # lengths under a Gaussian map are the map's iid chi^2_m squared column
+    # norms: each m's feasible count must pass an exact two-sided binomial
+    # test against the law, Bonferroni-corrected over the grid (its m share
+    # trials) so that a correct tree fails with probability at most 1e-6
+    m_values = (5, 6, 8, 10, 12, 16)
+    cfg = ExperimentConfig(n=64, k=1, p=64, D=4.0, ensemble=GAUSS, family_kind="k_sparse", trials=2000, seed=14)
+    sweep = sweep_m(cfg, m_values, 0.9)
+    for entry in sweep.entries:
+        law = 1.0 - coordinate_lines_failure(entry.m, cfg.p, cfg.D)
+        p_value = binomial_two_sided_p(entry.successes, entry.trials, law)
+        assert p_value > 1e-6 / len(m_values), (entry, law, p_value)
 
 
 # ---------------------------------------------------------------- metric embed
@@ -792,7 +816,7 @@ def test_metric_embed_memory_stays_bounded(points, limit_mb):
 
 def test_verify_pointwise_zero_violations_on_feasible_trial():
     cfg = small_config(n=16, k=3, p=4, trials=1, m_override=14)
-    fam = build_family(cfg, 0)
+    fam = build_family(cfg)
     gamma = sample_matrix(cfg.ensemble, 14, 16, derive_seed(cfg.seed, 2, 0))
     report = family_distortion(gamma, fam)
     from subembed import choose_scale

@@ -35,6 +35,7 @@ CLI = "src/subembed/cli.py"
 ENSEMBLES = "src/subembed/ensembles.py"
 GEOMETRY = "src/subembed/geometry.py"
 ERRORS = "src/subembed/errors.py"
+HARNESS = "src/subembed/harness.py"
 SCREEN_TESTS = "tests/test_distortion.py::"
 FLAG_TESTS = [
     SCREEN_TESTS + "test_flagged_tile_keeps_every_pair_of_its_maps_and_no_more",
@@ -170,6 +171,23 @@ MUTANTS = {
         "        raise InputError(getattr(exc, \"strerror\", None) or str(exc)) from exc\n",
         "        raise\n",
         [UNUSABLE_TESTS + "[config-missing]", UNUSABLE_TESTS + "[family-missing]"],
+    ),
+    # each range of trials embeds a family of its own, seeded by where the range starts
+    "family-per-range": (
+        HARNESS,
+        "    family = build_family(config)\n",
+        "    family = build_family(ExperimentConfig(**{**vars(config), \"seed\": config.seed + trials.start}))\n",
+        [
+            "tests/test_harness.py::test_run_trials_parallel_matches_serial",
+            "tests/test_cli.py::test_trial_parallel_flag_matches_serial_bytes",
+        ],
+    ),
+    # Box-Muller's second entry of each pair a copy of the first: half as many distinct columns
+    "sampler-pairs-equal": (
+        ENSEMBLES,
+        "    np.multiply(radius, np.where(odd, cos, sin), out=rows[:, 1::2])\n",
+        "    np.multiply(radius, np.where(odd, cos, sin), out=rows[:, 1::2])\n    rows[:, 1::2] = rows[:, 0::2]\n",
+        ["tests/test_harness.py::test_sweep_on_coordinate_lines_matches_the_exact_law"],
     ),
 }
 
