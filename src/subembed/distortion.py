@@ -40,11 +40,11 @@ class ScaleChoice(Record):
 
 
 def _certify_entries(n: int, k: int, p: int, rows: int, grid: int) -> tuple[int, int]:
-    """The numbers ``_certify_maps`` holds for maps of this many rows at grid
+    """The numbers ``_grid_extremes`` holds for maps of this many rows at grid
     values of m over p members of dimension at most k in R^n: per map, its
     rows with their squared norms (rows*(n + 1)) and its Frobenius norms
     (grid); and one transient tile with its Grams, the pairs' intervals,
-    masks and chunks of kept pairs (``_grid_extremes``)."""
+    masks and chunks of kept pairs."""
     return rows * (n + 1) + grid, _tile_entries(p * n * k)
 
 
@@ -92,7 +92,7 @@ def _svd_extremes(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #   two products need, and ||Gamma_m||_F is summed from squares with
 #   m*n*2^-1074 added for squares lost to underflow; a map whose squares
 #   overflow reads inf, so every pair of it is kept at that m.) The bound is
-#   loose only for a map with a few large columns, and _certify_maps sees
+#   loose only for a map with a few large columns, and _grid_extremes sees
 #   only maps sampled by ensembles, whose entries are bounded. Weyl gives
 #   |sigma - sigma'| <= delta, so |sigma^2 - sigma'^2| <= delta*(2*sigma' +
 #   delta), and sigma'^2 <= |lambda_max| + r.
@@ -191,11 +191,10 @@ def _gram_distances(x: np.ndarray, sq: np.ndarray, a: int, b: int, tau: float):
     return np.sqrt(np.maximum(d2 - slack, 0.0)), np.sqrt(d2 + slack)
 
 
-def _certify_points(pts: np.ndarray, matrix: np.ndarray, D: float) -> tuple[int, float, ScaleChoice]:
-    """(p, achieved_distortion, choose_scale at D), bit for bit, of an m x n
-    matrix over the directions of the p pairs of an (N, n) point set more
-    than the duplicate threshold, 1e-12 times its largest point norm or 1,
-    apart.
+def _certify_points(pts: np.ndarray, matrix: np.ndarray) -> tuple[int, float, float]:
+    """(p, sigma_min, sigma_max), bit for bit, of an m x n matrix over the
+    directions of the p pairs of an (N, n) point set more than the duplicate
+    threshold, 1e-12 times its largest point norm or 1, apart.
 
     The points are scaled by 2^-e, 2^e above their largest entry, and
     centred. The pairs (i, j), i < j, are walked once, in triu_indices order,
@@ -253,8 +252,7 @@ def _certify_points(pts: np.ndarray, matrix: np.ndarray, D: float) -> tuple[int,
             pair_lo, pair_hi = _svd_extremes(matrix @ units[:, :, None])
             lo, hi = np.minimum(lo, pair_lo.min()), np.maximum(hi, pair_hi.max())
         a = b
-    lo, hi = float(lo), float(hi)
-    return p, _achieved(lo, hi), _scale(lo, hi, D)
+    return p, float(lo), float(hi)
 
 
 def _gram_extremes(wide: np.ndarray, m_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -442,26 +440,12 @@ def _achieved(sigma_min: float, sigma_max: float) -> float:
 
 
 def _scale(sigma_min: float, sigma_max: float, D: float) -> ScaleChoice:
-    """``choose_scale`` on the family's extremes, D already checked."""
+    """``choose_scale`` on the family's extremes, D already checked: the one
+    place a certificate meets D. Feasible means sigma_min > 0 and sigma_max
+    <= D * sigma_min, a product; the ratio sigma_max / sigma_min rounds, and
+    near the boundary it can decide the other way."""
     feasible = sigma_min > 0.0 and sigma_max <= D * sigma_min
     return _checked(ScaleChoice, feasible=feasible, D=float(D), L=sigma_max if feasible else None)
-
-
-def _certify_maps(
-    maps: np.ndarray, family: SubspaceFamily, D: float, m_values=None
-) -> list[list[tuple[float, ScaleChoice]]]:
-    """Per m of the strictly increasing m_values (default: the maps' row
-    count), (achieved_distortion, choose_scale at D) for each map of a
-    (T, M, n) stack over the family, from its first m rows: bit for bit what
-    ``family_distortion`` and ``choose_scale`` give for that map alone,
-    without building the per-member extremes into a report. D is already
-    checked."""
-    m_values = (maps.shape[1],) if m_values is None else tuple(m_values)
-    lo, hi = _grid_extremes(maps[:, : m_values[-1]], family, m_values)
-    return [
-        [(_achieved(sigma_min, sigma_max), _scale(sigma_min, sigma_max, D)) for sigma_min, sigma_max in zip(*at_m)]
-        for at_m in zip(lo.tolist(), hi.tolist())
-    ]
 
 
 def family_distortion(gamma: RandomMatrix, family: SubspaceFamily) -> DistortionReport:

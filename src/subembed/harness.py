@@ -8,8 +8,10 @@ run in any order or in parallel without changing results. One executor,
 ``_trial_range``, runs every range of consecutive trials with one family
 build: a serial run is one range, a pooled run one range per worker
 process, and ``run_trial`` a range of one.
-Every certificate, and what it holds, is computed in ``distortion``: the
-harness samples the maps, sizes blocks by ``_certify_entries`` and reports.
+Every certificate is computed in ``distortion`` as a family's extremes
+(sigma_min, sigma_max), which meet D only in ``distortion._scale``: the
+harness samples the maps, sizes blocks by ``_certify_entries``, carries
+each (trial, m)'s extremes and decides them at D when it reports.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import stats
-from .distortion import ScaleChoice, _certify_entries, _certify_maps, _certify_points
+from .distortion import ScaleChoice, _achieved, _certify_entries, _certify_points, _grid_extremes, _scale
 from .ensembles import EnsembleSpec, RandomMatrix, _sample_maps, sample_matrix
 from .errors import InputError, Record, _integer, describe_value, naming
 from .geometry import SubspaceFamily, _checked, _family, _orthonormal_stacks, load_family_json
@@ -218,50 +220,49 @@ def _block_size(config: ExperimentConfig, rows: int, grid: int) -> int:
     return max(1, budget // per_trial)
 
 
-def _block_results(
-    config: ExperimentConfig, trials: range, family: SubspaceFamily, m_values
-) -> list[list[TrialResult]]:
+def _block_extremes(config: ExperimentConfig, trials: range, family: SubspaceFamily, m_values) -> np.ndarray:
     """Consecutive trials embedding one family at every m of the strictly
-    increasing m_values: per trial, its results in m_values order.
+    increasing m_values: a (2, s, T) array of each (trial, m)'s family
+    sigma_min and sigma_max.
 
     Every row seed of the block comes from one vectorized derivation and
     every map from one sampling pass, with max(m_values) rows (rows never
-    depend on m). ``_certify_maps`` then certifies all maps over the whole
-    grid at once, each (trial, m) decided by choose_scale's rule, bit for bit
-    as for each trial run alone at each m. Besides the family, the block
-    holds what ``_block_size`` counts.
+    depend on m). ``_grid_extremes`` then certifies all maps over the whole
+    grid at once, bit for bit as for each trial run alone at each m.
+    Besides the family, the block holds what ``_block_size`` counts.
     """
     seeds = derive_seeds(derive_seed(config.seed, _GAMMA_STREAM), len(trials), start=trials.start)
     maps = _sample_maps(config.ensemble, seeds, max(m_values), config.n)
-    per_m = _certify_maps(maps, family, config.D, m_values)
-    # the fields are already valid, so each result skips __init__
-    return [
-        [
-            _checked(TrialResult, trial_index=t, m_used=m, feasible=scale.feasible, achieved_distortion=achieved,
-                     L=scale.L)
-            for m, (achieved, scale) in zip(m_values, outcomes)
-        ]
-        for t, outcomes in zip(trials, zip(*per_m))
-    ]
+    return np.array(_grid_extremes(maps, family, m_values))
 
 
-def _trial_range(config: ExperimentConfig, m_values, trials: range) -> list[list[TrialResult]]:
-    """The results of a nonempty range of consecutive trials at every m of
-    m_values, in trial order. The config's family is built once and the
-    trials certified in blocks of _block_size, sized (and checked) from the
-    config by what a block holds."""
+def _trial_range(config: ExperimentConfig, m_values, trials: range) -> np.ndarray:
+    """The (2, s, T) extremes of a nonempty range of consecutive trials at
+    every m of m_values, in trial order. The config's family is built once
+    and the trials certified in blocks of _block_size, sized (and checked)
+    from the config by what a block holds."""
     size = _block_size(config, max(m_values), len(m_values))
     family = build_family(config)
-    return [
-        trial
+    blocks = [
+        _block_extremes(config, range(lo, min(lo + size, trials.stop)), family, m_values)
         for lo in range(trials.start, trials.stop, size)
-        for trial in _block_results(config, range(lo, min(lo + size, trials.stop)), family, m_values)
     ]
+    return np.concatenate(blocks, axis=2)
+
+
+def _trial_result(D: float, t: int, m: int, sigma_min: float, sigma_max: float) -> TrialResult:
+    """Trial t's result at m, decided at D from its family extremes."""
+    scale = _scale(sigma_min, sigma_max, D)
+    # the fields are already valid, so the result skips __init__
+    return _checked(TrialResult, trial_index=t, m_used=m, feasible=scale.feasible,
+                    achieved_distortion=_achieved(sigma_min, sigma_max), L=scale.L)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """Sample a map, certify its distortion over the family, pick the scale."""
-    return _trial_range(config, (config.m,), range(trial_index, trial_index + 1))[0][0]
+    m = config.m
+    sigma_min, sigma_max = _trial_range(config, (m,), range(trial_index, trial_index + 1))[:, 0, 0].tolist()
+    return _trial_result(config.D, trial_index, m, sigma_min, sigma_max)
 
 
 def __getattr__(name):
@@ -276,9 +277,9 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _map_trials(config: ExperimentConfig, m_values, parallelism: int) -> list[list[TrialResult]]:
-    """Every trial's results at each m in m_values, in trial order: one
-    range of all trials when serial, or min(parallelism, trials)
+def _map_trials(config: ExperimentConfig, m_values, parallelism: int) -> np.ndarray:
+    """The (2, s, T) extremes of every trial at each m in m_values, in trial
+    order: one range of all trials when serial, or min(parallelism, trials)
     consecutive ranges of near-equal length, one per worker process."""
     parallelism = _integer(parallelism, "parallelism must be an integer")
     if parallelism < 1:
@@ -289,13 +290,14 @@ def _map_trials(config: ExperimentConfig, m_values, parallelism: int) -> list[li
     ranges = [range(w * config.trials // workers, (w + 1) * config.trials // workers) for w in range(workers)]
     # looked up on the module, so that the first pool imports the class
     with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-        per_range = pool.map(partial(_trial_range, config, m_values), ranges)
-        return [trial for results in per_range for trial in results]
+        return np.concatenate(list(pool.map(partial(_trial_range, config, m_values), ranges)), axis=2)
 
 
 def run_trials(config: ExperimentConfig, parallelism: int = 1) -> list[TrialResult]:
     """All config.trials trials, optionally across processes; order-stable."""
-    return [trial[0] for trial in _map_trials(config, (config.m,), parallelism)]
+    m = config.m
+    lo, hi = _map_trials(config, (m,), parallelism)[:, 0].tolist()
+    return [_trial_result(config.D, t, m, *extremes) for t, extremes in enumerate(zip(lo, hi))]
 
 
 def _pav_nondecreasing(values, weights) -> list[float]:
@@ -336,12 +338,10 @@ def sweep_m(
         raise InputError(f"target_rate must be a number, got {describe_value(target_rate)}")
     if not 0.0 < target_rate < 1.0:
         raise InputError("target_rate must lie in (0, 1)")
-    per_trial = _map_trials(config, m_values, parallelism)
     entries = []
-    for j, m in enumerate(m_values):
-        results = [trial[j] for trial in per_trial]
-        successes = sum(r.feasible for r in results)
-        finite = [r.achieved_distortion for r in results if math.isfinite(r.achieved_distortion)]
+    for m, lo, hi in zip(m_values, *_map_trials(config, m_values, parallelism).tolist()):
+        successes = sum(_scale(a, b, config.D).feasible for a, b in zip(lo, hi))
+        finite = [achieved for achieved in map(_achieved, lo, hi) if math.isfinite(achieved)]
         mean_achieved = float(np.mean(finite)) if finite else math.inf
         entries.append(SweepEntry(m, config.trials, successes, successes / config.trials, mean_achieved))
     smoothed = _pav_nondecreasing([e.success_rate for e in entries], [float(e.trials) for e in entries])
@@ -377,7 +377,7 @@ def metric_embed(
     # coincide, and are walked with none of the map's columns
     rows = max(1, min(required_m(1, pairs, D), stats.DEFAULT_MAX_ELEMENTS // max(n, 1)))
     gamma = sample_matrix(ensemble, rows, max(n, 1), derive_seed(seed, _GAMMA_STREAM))
-    p, achieved, scale = _certify_points(pts, gamma.matrix[:, :n], D)
+    p, sigma_min, sigma_max = _certify_points(pts, gamma.matrix[:, :n])
     skipped = pairs - p
     if skipped:
         warnings.warn(f"skipped {skipped} duplicate point pair(s)")
@@ -387,5 +387,5 @@ def metric_embed(
     _check_budget("m*n", m * n)  # more rows than the budget allowed
     if m < rows:
         gamma = _checked(RandomMatrix, matrix=gamma.matrix[:m])
-        _, achieved, scale = _certify_points(pts, gamma.matrix, D)
-    return gamma, p, achieved, scale
+        _, sigma_min, sigma_max = _certify_points(pts, gamma.matrix)
+    return gamma, p, _achieved(sigma_min, sigma_max), _scale(sigma_min, sigma_max, D)

@@ -440,16 +440,69 @@ def coordinate_lines_failure(m: int, p: int, D: float, intervals: int = 4000) ->
     x = u * u
     density = np.exp((m - 1) * np.log(u, where=u > 0, out=np.full_like(u, -np.inf)) - 0.5 * x
                      - (0.5 * m - 1.0) * math.log(2.0) - math.lgamma(0.5 * m))
-    tail, far = chi2_sf(x, m), chi2_sf(D * D * x, m)
-    # S^(p-1) - (S - S_far)^(p-1) = S^(p-1) (1 - (1 - S_far/S)^(p-1)); S_far <= S
-    # but for rounding where both are near 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(tail > 0.0, np.minimum(far / tail, 1.0), 0.0)
-        gap = -np.expm1((p - 1) * np.log1p(-ratio))
-    integrand = p * density * tail ** (p - 1) * gap
+    integrand = p * density * _spread_beyond(chi2_sf(x, m), chi2_sf(D * D * x, m), p)
     weights = np.ones(intervals + 1)
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
     return float((u[1] - u[0]) / 3.0 * (weights @ integrand))
+
+
+def _spread_beyond(tail, far, p: int) -> np.ndarray:
+    """S^(p-1) - (S - S_far)^(p-1), with S = tail and S_far = far the upper
+    tails at the smallest of p iid lengths and at D^2 times it: the chance
+    that the other p - 1 all lie above the smallest, less the chance that
+    they all lie within D^2 times it. Formed as S^(p-1) (1 - (1 -
+    S_far/S)^(p-1)), so it keeps its accuracy where it is tiny; S_far <= S
+    but for rounding where both are near 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(tail > 0.0, np.minimum(far / tail, 1.0), 0.0)
+        return tail ** (p - 1) * -np.expm1((p - 1) * np.log1p(-ratio))
+
+
+def uniform_squares_sf(m: int, points: int = 4001, nodes: int = 48) -> tuple[np.ndarray, np.ndarray]:
+    """(t, S): P(T_m > t) on a grid of t over [0, m], T_m = V_1^2 + ... + V_m^2
+    with V_i iid uniform on [0, 1].
+
+    S_0 is 0 on the grid (T_0 = 0), and S_{j+1}(t) = integral over [0, 1] of
+    S_j(t - v^2) dv, where S_j = 1 below 0: v above min(1, sqrt t) gives
+    1 - min(1, sqrt t) at once, and the rest, v in [0, min(1, sqrt t)], takes
+    Gauss-Legendre nodes in the angle a of v = min(1, sqrt t) sin(a), a in
+    [0, pi/2], which keeps the integrand smooth where t - v^2 nears 0. The
+    grid is uniform in sqrt(t), where S_1 = 1 - sqrt(t) is linear, and S_j
+    is read between its points linearly. The tail is carried itself, never
+    formed as 1 - CDF, so no cancellation loses it where it is small.
+    """
+    root = np.linspace(0.0, math.sqrt(m), points)
+    t = root * root
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    angle = 0.25 * math.pi * (x + 1.0)
+    top = np.minimum(1.0, root)
+    v = top[:, None] * np.sin(angle)
+    weights = top[:, None] * (0.25 * math.pi * w * np.cos(angle))
+    below = np.sqrt(np.maximum(t[:, None] - v * v, 0.0))
+    tail = np.zeros(points)
+    for _ in range(m):
+        tail = (1.0 - top) + (weights * np.interp(below, root, tail)).sum(axis=1)
+    return t, tail
+
+
+def uniform_lines_failure(m: int, p: int, D: float, points: int = 4001, nodes: int = 48) -> float:
+    """The exact probability that an iid_bounded map of m rows is infeasible
+    at D on p coordinate lines (a k_sparse family at k = 1), to the accuracy
+    of ``uniform_squares_sf``.
+
+    A line's squared length is its column's squared norm, 3 T_m with T_m as
+    in ``uniform_squares_sf`` (entries uniform on [-sqrt(3), sqrt(3)]); the
+    3 cancels in the ratio of the largest to the smallest. As in
+    ``coordinate_lines_failure``,
+
+        P(infeasible) = p * integral of [S^(p-1) - (S - S(D^2 x))^(p-1)] (-dS(x)),
+
+    here summed over the grid's intervals at their midpoints.
+    """
+    t, tail = uniform_squares_sf(m, points, nodes)
+    mid = 0.5 * (tail[1:] + tail[:-1])
+    far = np.interp(D * D * 0.5 * (t[1:] + t[:-1]), t, tail, right=0.0)
+    return float(p * ((tail[:-1] - tail[1:]) @ _spread_beyond(mid, far, p)))
 
 
 def binomial_two_sided_p(successes: int, trials: int, prob: float) -> float:

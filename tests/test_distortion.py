@@ -26,9 +26,10 @@ import subembed.distortion as distortion
 import subembed.stats as stats
 from subembed.distortion import (
     DistortionReport,
-    _certify_maps,
+    _achieved,
     _family_extremes,
     _grid_extremes,
+    _scale,
     _svd_extremes,
 )
 from subembed.ensembles import KINDS
@@ -161,23 +162,31 @@ def test_block_of_maps_certifies_like_each_map_alone(n, m, maps, dims, seed):
         for i, sub in enumerate(subs):
             s = np.linalg.svd(gamma.matrix @ sub.basis, compute_uv=False)
             assert (lo[t, i], hi[t, i]) == (0.0 if m < sub.dim else s[-1], s[0])
-    # each map's outcome is the one family_distortion and choose_scale give it alone
+    # each map's extremes are the ones family_distortion gives it alone
     fam = SubspaceFamily.from_subspaces(subs)
-    [outcomes] = _certify_maps(np.stack([g.matrix for g in gammas]), fam, 3.0)
-    reports = [family_distortion(gamma, fam) for gamma in gammas]
-    assert outcomes == [(r.achieved_distortion, choose_scale(r, 3.0)) for r in reports]
+    (lo,), (hi,) = _grid_extremes(np.stack([g.matrix for g in gammas]), fam, (m,))
+    assert_extremes_of_reports(lo, hi, [family_distortion(gamma, fam) for gamma in gammas], 3.0)
+
+
+def assert_extremes_of_reports(lo, hi, reports, D):
+    # the screened extremes of each map are its report's, bit for bit, and
+    # _achieved and _scale decide them at D as the report and choose_scale do
+    assert lo.tolist() == [r.family_sigma_min for r in reports]
+    assert hi.tolist() == [r.family_sigma_max for r in reports]
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    assert [_achieved(a, b) for a, b in pairs] == [r.achieved_distortion for r in reports]
+    assert [_scale(a, b, D) for a, b in pairs] == [choose_scale(r, D) for r in reports]
 
 
 # ---------------------------------------------------------------- Gram screen
 
 
 def assert_screen_is_exact(maps, family, D=3.0):
-    # per map, _certify_maps gives what family_distortion and choose_scale
-    # do; at every m from 1 to the maps' rows, screened as one grid, each
+    # per map, _grid_extremes at the maps' rows gives what family_distortion
+    # does; at every m from 1 to the maps' rows, screened as one grid, each
     # map's extremes are the min and max of every pair's
-    outcomes = _certify_maps(maps, family, D)
-    reports = [family_distortion(RandomMatrix(gamma), family) for gamma in maps]
-    assert outcomes == [[(r.achieved_distortion, choose_scale(r, D)) for r in reports]]
+    (lo,), (hi,) = _grid_extremes(maps, family, (maps.shape[1],))
+    assert_extremes_of_reports(lo, hi, [family_distortion(RandomMatrix(gamma), family) for gamma in maps], D)
     grid = range(1, maps.shape[1] + 1)
     screened_lo, screened_hi = _grid_extremes(maps, family, grid)
     for j, m in enumerate(grid):
@@ -323,7 +332,7 @@ def test_screen_gram_overflow_keeps_every_pair(monkeypatch):
     family = coordinate_family(5)
     maps = np.stack([np.random.default_rng(3).standard_normal((6, 5)) * 2.0**600])
     counts = gathered_pairs(monkeypatch)
-    _certify_maps(maps, family, 3.0)
+    _grid_extremes(maps, family, (6,))
     assert counts == [5, 10]
 
 
@@ -336,7 +345,7 @@ def test_screen_eigenvalue_overflow_keeps_every_pair_of_its_map(monkeypatch):
     gamma = overflowing_twin_columns(np.random.default_rng(3).standard_normal((6, 5)))
     assert_screen_is_exact(gamma[None], family)
     counts = gathered_pairs(monkeypatch)
-    _certify_maps(gamma[None], family, 3.0)
+    _grid_extremes(gamma[None], family, (6,))
     assert counts == [5, 10]
 
 
@@ -347,7 +356,7 @@ def test_screen_keeps_every_pair_beyond_its_size_range(monkeypatch):
     monkeypatch.setattr(distortion, "_SCREEN_MAX_MK", 5)
     assert_screen_is_exact(maps, family)
     counts = gathered_pairs(monkeypatch)
-    _certify_maps(maps, family, 3.0)
+    _grid_extremes(maps, family, (6,))
     assert counts == [5, 10]
 
 
@@ -359,7 +368,7 @@ def test_screen_runs_the_svd_on_few_pairs(monkeypatch):
     for kind in KINDS:
         maps = np.stack([sample_matrix(EnsembleSpec(kind), 12, 32, 40 + t).matrix for t in range(3)])
         counts.clear()
-        _certify_maps(maps, family, 8.0)
+        _grid_extremes(maps, family, (12,))
         assert sum(counts) <= 4 * len(maps), kind
 
 
@@ -495,11 +504,11 @@ def test_grid_certification_matches_each_m_alone(n, maps, dims, repeats, grid, s
     )
     subs = [random_subspace(n, min(k, n), derive_seed(seed, 99, i)) for i, k in enumerate(dims)]
     family = SubspaceFamily.from_subspaces(subs + subs[:repeats])
-    outcomes = _certify_maps(gammas, family, 3.0, grid)
-    assert len(outcomes) == len(grid)
-    for m, at_m in zip(grid, outcomes):
+    lo, hi = _grid_extremes(gammas, family, grid)
+    assert lo.shape == hi.shape == (len(grid), maps)
+    for m, lo_m, hi_m in zip(grid, lo, hi):
         reports = [family_distortion(RandomMatrix(gamma[:m]), family) for gamma in gammas]
-        assert at_m == [(r.achieved_distortion, choose_scale(r, 3.0)) for r in reports]
+        assert_extremes_of_reports(lo_m, hi_m, reports, 3.0)
 
 
 @pytest.mark.parametrize("kind", ["haar", "k_sparse"])
@@ -522,7 +531,9 @@ def test_negative_zero_entries_certify_like_positive_zeros(kind):
         maps[1, :, case % n] = 0.0
         negative = np.where(maps == 0.0, -0.0, maps)
         assert np.signbit(negative[maps == 0.0]).all() and not np.signbit(maps[maps == 0.0]).any()
-        assert repr(_certify_maps(maps, family, 4.0, grid)) == repr(_certify_maps(negative, family, 4.0, grid))
+        assert repr(np.array(_grid_extremes(maps, family, grid)).tolist()) == repr(
+            np.array(_grid_extremes(negative, family, grid)).tolist()
+        )
         for plus, minus in zip(maps, negative):
             assert repr(family_distortion(RandomMatrix(plus), family)) == repr(
                 family_distortion(RandomMatrix(minus), family)
@@ -700,7 +711,7 @@ def test_screen_keeps_both_pairs_of_a_near_tie(monkeypatch):
     gamma /= np.linalg.norm(gamma, axis=0)
     gamma *= np.array([2.0, 2.0 * math.sqrt(1.0 - 1e-10), 1.0, 0.5])
     tiles, kept = record_screen(monkeypatch)
-    _certify_maps(gamma[None], family, 3.0)
+    _grid_extremes(gamma[None], family, (6,))
     [(_, _, keep)] = kept
     assert keep.tolist() == [[True, True, False, True]]
     assert_screen_is_exact(gamma[None], family)
@@ -833,11 +844,9 @@ def test_grid_screen_counts_its_growth_steps_in_the_size_range(monkeypatch):
     maps = np.random.default_rng(3).standard_normal((1, 6, 5))
     monkeypatch.setattr(distortion, "_SCREEN_MAX_MK", 7)
     counts = gathered_pairs(monkeypatch)
-    outcomes = _certify_maps(maps, family, 3.0, (2, 4, 6))
+    lo, hi = _grid_extremes(maps, family, (2, 4, 6))
     assert counts[0] < 5 and counts[1] < 5 and counts[2:] == [5]
-    assert outcomes[2] == [
-        (r.achieved_distortion, choose_scale(r, 3.0)) for r in [family_distortion(RandomMatrix(maps[0]), family)]
-    ]
+    assert_extremes_of_reports(lo[2], hi[2], [family_distortion(RandomMatrix(maps[0]), family)], 3.0)
 
 
 # ---------------------------------------------------------------- certificate boundary
@@ -849,26 +858,45 @@ def ulps_from(x, steps):
     return x
 
 
-@pytest.mark.parametrize("D", [8.0, 3.0, 1.5, 1.0000001])
-@pytest.mark.parametrize("steps", [-2, -1, 0, 1, 2])
-def test_boundary_diagonal_maps_at_D_and_nearby_ulps(D, steps):
-    # a diagonal map with entries from 1 to exactly D +- steps ULPs, on every
-    # coordinate subspace of dimension 1 and 2: its restrictions are
-    # diagonal, their singular values exact, and the certificate must read
-    # feasible exactly when the distortion is at most D
-    achieved = ulps_from(D, steps)
+# (D, sigma_min, sigma_max, feasible, id): entries from 1 to exactly D +-
+# steps ULPs, feasible exactly when the distortion is at most D; and
+# extremes at which sigma_max <= D * sigma_min and sigma_max / sigma_min <= D
+# round apart (with sigma_min = 1 the two always agree), where the
+# certificate follows the product (README Notes)
+BOUNDARY_CASES = [
+    *((D, 1.0, ulps_from(D, steps), steps <= 0, f"{steps}-{D}")
+      for steps in (-2, -1, 0, 1, 2) for D in (8.0, 3.0, 1.5, 1.0000001)),
+    (3.0, 1.6067566809382403, 4.820270042814721, True, "product-only-3.0"),
+    (3.0, 1.218576947211251, 3.6557308416337535, False, "ratio-only-3.0"),
+    (1.5, 0.8904218394031187, 1.3356327591046782, True, "product-only-1.5"),
+    (1.5, 1.1868000135091126, 1.780200020263669, False, "ratio-only-1.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "D, sigma_min, sigma_max, feasible", [case[:4] for case in BOUNDARY_CASES], ids=[case[4] for case in BOUNDARY_CASES]
+)
+def test_boundary_diagonal_maps_at_D_and_nearby_ulps(D, sigma_min, sigma_max, feasible):
+    # a diagonal map with entries spread from sigma_min to sigma_max, on
+    # every coordinate subspace of dimension 1 and 2: its restrictions are
+    # diagonal, their singular values exact, so its family extremes are
+    # exactly these, and the certificate must read feasible as given
+    assert (sigma_max <= D * sigma_min) is feasible
+    assert (sigma_max / sigma_min <= D) is (feasible if sigma_min == 1.0 else not feasible)
     n = 5
     diagonal = np.zeros((n + 2, n))
-    diagonal[np.arange(n), np.arange(n)] = np.linspace(1.0, achieved, n)[[3, 0, 4, 1, 2]]
+    diagonal[np.arange(n), np.arange(n)] = np.linspace(sigma_min, sigma_max, n)[[3, 0, 4, 1, 2]]
     maps = np.stack([diagonal, -diagonal[::-1]])
     family = coordinate_family(n)
     report = family_distortion(RandomMatrix(diagonal), family)
-    assert (report.family_sigma_min, report.family_sigma_max) == (1.0, achieved)
-    assert report.achieved_distortion == achieved
+    assert (report.family_sigma_min, report.family_sigma_max) == (sigma_min, sigma_max)
+    assert report.achieved_distortion == sigma_max / sigma_min
     scale = choose_scale(report, D)
-    assert scale.feasible is (steps <= 0)
-    assert scale.L == (achieved if steps <= 0 else None)
-    assert _certify_maps(maps, family, D) == [[(achieved, scale)] * 2]
+    assert scale.feasible is feasible
+    assert scale.L == (sigma_max if feasible else None)
+    (lo,), (hi,) = _grid_extremes(maps, family, (n + 2,))
+    assert lo.tolist() == [sigma_min] * 2 and hi.tolist() == [sigma_max] * 2
+    assert _scale(sigma_min, sigma_max, D) == scale
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -884,10 +912,11 @@ def test_boundary_scaling_by_power_of_two_scales_L_exactly(j, m, dims, D, seed):
     family = SubspaceFamily.from_subspaces(
         [random_subspace(8, k, derive_seed(seed, 7, i)) for i, k in enumerate(dims)]
     )
-    [base] = _certify_maps(maps, family, D)
-    [scaled] = _certify_maps(maps * 2.0**j, family, D)
-    for (achieved, scale), (scaled_achieved, scaled_scale) in zip(base, scaled):
-        assert scaled_achieved == achieved
+    (lo,), (hi,) = _grid_extremes(maps, family, (m,))
+    (scaled_lo,), (scaled_hi,) = _grid_extremes(maps * 2.0**j, family, (m,))
+    for a, b, scaled_a, scaled_b in zip(lo.tolist(), hi.tolist(), scaled_lo.tolist(), scaled_hi.tolist()):
+        scale, scaled_scale = _scale(a, b, D), _scale(scaled_a, scaled_b, D)
+        assert _achieved(scaled_a, scaled_b) == _achieved(a, b)
         assert scaled_scale.feasible == scale.feasible
         assert scaled_scale.L == (None if scale.L is None else scale.L * 2.0**j)
 

@@ -43,6 +43,8 @@ from oracles import (
     coordinate_lines_failure,
     lower_bound_study,
     per_member_haar_family,
+    uniform_lines_failure,
+    uniform_squares_sf,
     verify_pointwise,
     write_affine_family,
 )
@@ -267,23 +269,31 @@ def test_trial_range_builds_a_fixed_family_once_per_range(monkeypatch, tmp_path)
         assert harness._block_size(cfg, cfg.m, 1) == harness._block_size(cfg, 4, 2) == 1
         first = harness._trial_range(cfg, (cfg.m,), range(3))
         assert builds == [cfg], kind  # one build for the range's three blocks
-        assert [trial[0] for trial in first] == run_trials(cfg)
+        assert first.shape == (2, 1, 3) and first.dtype == float
+        decided = [harness._trial_result(cfg.D, t, cfg.m, a, b) for t, (a, b) in enumerate(zip(*first[:, 0].tolist()))]
+        assert decided == run_trials(cfg)
         sweeps = [harness._trial_range(cfg, (2, 4), block) for block in (range(0, 2), range(2, 3))]
         assert builds == [cfg] * 4, kind  # the serial run_trials above built its own
+        assert [block.shape for block in sweeps] == [(2, 2, 2), (2, 2, 1)]
         family = real(cfg)
-        assert [trial for block in sweeps for trial in block] == [
-            harness._block_results(cfg, range(t, t + 1), family, (2, 4))[0] for t in range(3)
-        ]
+        alone = [harness._block_extremes(cfg, range(t, t + 1), family, (2, 4)) for t in range(3)]
+        assert np.concatenate(sweeps, axis=2).tolist() == np.concatenate(alone, axis=2).tolist()
+
+
+def reference_reports(config, t, m_values):
+    """One trial run alone: its own family, one sample_matrix per m, then
+    family_distortion."""
+    family = build_family(config)
+    return [
+        family_distortion(sample_matrix(config.ensemble, m, config.n, derive_seed(config.seed, 2, t)), family)
+        for m in m_values
+    ]
 
 
 def reference_trial(config, t, m_values):
-    """One trial run alone: its own family, one sample_matrix per m, then
-    family_distortion and choose_scale."""
-    family = build_family(config)
+    """reference_reports' trial decided by choose_scale."""
     out = []
-    for m in m_values:
-        gamma = sample_matrix(config.ensemble, m, config.n, derive_seed(config.seed, 2, t))
-        report = family_distortion(gamma, family)
+    for m, report in zip(m_values, reference_reports(config, t, m_values)):
         scale = choose_scale(report, config.D)
         out.append(TrialResult(t, m, scale.feasible, report.achieved_distortion, scale.L))
     return out
@@ -311,15 +321,21 @@ def test_block_core_equals_trials_run_alone(monkeypatch, tmp_path, per_block, ki
     monkeypatch.setattr(harness, "_BLOCK_ENTRIES", block_budget(cfg, per_block, max(m_values), len(m_values)))
     assert harness._block_size(cfg, max(m_values), len(m_values)) == per_block
     certified = []
-    real = harness._certify_maps
+    real = harness._grid_extremes
 
-    def recorded(maps, family, D, grid=None):
+    def recorded(maps, family, grid):
         certified.append(len(maps))
-        return real(maps, family, D, grid)
+        return real(maps, family, grid)
 
-    monkeypatch.setattr(harness, "_certify_maps", recorded)
-    expected = [reference_trial(cfg, t, m_values) for t in range(cfg.trials)]
-    assert harness._map_trials(cfg, m_values, 1) == expected
+    monkeypatch.setattr(harness, "_grid_extremes", recorded)
+    # each (trial, m)'s extremes are its reference's family extremes, bit for bit
+    expected = [
+        [[r.family_sigma_min, r.family_sigma_max] for r in reference_reports(cfg, t, m_values)]
+        for t in range(cfg.trials)
+    ]
+    extremes = harness._map_trials(cfg, m_values, 1)
+    assert extremes.shape == (2, len(m_values), cfg.trials)
+    assert extremes.transpose(2, 1, 0).tolist() == expected
     assert certified == [min(per_block, cfg.trials - lo) for lo in range(0, cfg.trials, per_block)]
     alone = [reference_trial(cfg, t, (cfg.m,))[0] for t in range(cfg.trials)]
     assert run_trials(cfg) == alone
@@ -362,10 +378,10 @@ def test_block_holds_at_most_its_budget(sizes, m_values, per_block):
     size = harness._block_size(cfg, max(m_values), len(m_values))
     assert size == per_block
     budget = max(harness._BLOCK_ENTRIES, cfg.p * cfg.n * cfg.k // harness._BLOCK_FAMILY_SHARE)
-    harness._block_results(cfg, range(size), family, m_values)  # numpy's lazy set-up
+    harness._block_extremes(cfg, range(size), family, m_values)  # numpy's lazy set-up
     tracemalloc.start()
     try:
-        harness._block_results(cfg, range(size), family, m_values)
+        harness._block_extremes(cfg, range(size), family, m_values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -386,21 +402,21 @@ def test_sweep_matches_individual_trials():
 
 def test_sweep_certifies_each_block_once_over_its_whole_grid(monkeypatch):
     # a block's maps are sampled once with max(m) rows and handed, with the
-    # whole grid, to one _certify_maps call: blocks of 2, 2 and 1 trials
+    # whole grid, to one _grid_extremes call: blocks of 2, 2 and 1 trials
     cfg = small_config(trials=5, family_kind="k_sparse")
     m_values = (2, 4, 7)
     monkeypatch.setattr(harness, "_BLOCK_ENTRIES", block_budget(cfg, 2, 7, len(m_values)))
     calls = []
-    real = harness._certify_maps
+    real = harness._grid_extremes
 
-    def recorded(maps, family, D, grid=None):
+    def recorded(maps, family, grid):
         calls.append((maps.shape, grid))
-        return real(maps, family, D, grid)
+        return real(maps, family, grid)
 
-    monkeypatch.setattr(harness, "_certify_maps", recorded)
+    monkeypatch.setattr(harness, "_grid_extremes", recorded)
     sweep = sweep_m(cfg, m_values, 0.5)
     assert calls == [((2, 7, cfg.n), m_values), ((2, 7, cfg.n), m_values), ((1, 7, cfg.n), m_values)]
-    monkeypatch.setattr(harness, "_certify_maps", real)
+    monkeypatch.setattr(harness, "_grid_extremes", real)
     assert sweep == sweep_m(cfg, m_values, 0.5)
 
 
@@ -581,6 +597,37 @@ def test_sweep_on_coordinate_lines_matches_the_exact_law():
     sweep = sweep_m(cfg, m_values, 0.9)
     for entry in sweep.entries:
         law = 1.0 - coordinate_lines_failure(entry.m, cfg.p, cfg.D)
+        p_value = binomial_two_sided_p(entry.successes, entry.trials, law)
+        assert p_value > 1e-6 / len(m_values), (entry, law, p_value)
+
+
+def test_uniform_squares_tail_and_uniform_lines_law():
+    # for t <= 1, T_m <= t is the part of the ball of radius sqrt(t) in the
+    # unit cube's positive orthant: F_m(t) = (pi t)^(m/2) / (2^m Gamma(m/2 + 1))
+    for m in (2, 3, 5, 8, 16):
+        t, tail = uniform_squares_sf(m)
+        inside = t <= 1.0
+        volume = (math.pi * t[inside]) ** (m / 2) / (2**m * math.gamma(m / 2 + 1))
+        error = np.abs(1.0 - tail[inside] - volume)
+        assert error.max() <= 2e-7, m
+        assert (error <= 3e-4 * volume)[volume > 1e-6].all(), m
+    # the law at p = 64, D = 4 from a grid 4 times finer with twice the nodes
+    for m, law in ((2, 0.0039974476018771465), (3, 0.16339125282675004), (4, 0.5415266331699935),
+                   (5, 0.8113384231104326), (6, 0.9312796288673281), (8, 0.9918397121226578)):
+        assert 1.0 - uniform_lines_failure(m, 64, 4.0) == pytest.approx(law, rel=3e-4), m
+
+
+def test_uniform_sweep_on_coordinate_lines_matches_the_exact_law():
+    # the iid_bounded twin of the Gaussian law test: each column's squared
+    # norm is 3 T_m, with T_m a sum of m iid squared uniforms on [0, 1], so
+    # each m's feasible count must pass the same Bonferroni-corrected exact
+    # binomial test against uniform_lines_failure
+    m_values = (2, 3, 4, 5, 6, 8)
+    cfg = ExperimentConfig(n=64, k=1, p=64, D=4.0, ensemble=EnsembleSpec.iid_bounded(), family_kind="k_sparse",
+                           trials=2000, seed=14)
+    sweep = sweep_m(cfg, m_values, 0.9)
+    for entry in sweep.entries:
+        law = 1.0 - uniform_lines_failure(entry.m, cfg.p, cfg.D)
         p_value = binomial_two_sided_p(entry.successes, entry.trials, law)
         assert p_value > 1e-6 / len(m_values), (entry, law, p_value)
 

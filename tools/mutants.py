@@ -189,6 +189,27 @@ MUTANTS = {
         "    np.multiply(radius, np.where(odd, cos, sin), out=rows[:, 1::2])\n    rows[:, 1::2] = rows[:, 0::2]\n",
         ["tests/test_harness.py::test_sweep_on_coordinate_lines_matches_the_exact_law"],
     ),
+    # feasibility read from the ratio, which rounds apart from the product near D
+    "scale-by-ratio": (
+        DISTORTION,
+        "sigma_max <= D * sigma_min",
+        "sigma_max / sigma_min <= D",
+        [SCREEN_TESTS + "test_boundary_diagonal_maps_at_D_and_nearby_ulps"],
+    ),
+    # a map of distortion exactly D refused
+    "scale-strict": (
+        DISTORTION,
+        "sigma_max <= D * sigma_min",
+        "sigma_max < D * sigma_min",
+        [SCREEN_TESTS + "test_boundary_diagonal_maps_at_D_and_nearby_ulps"],
+    ),
+    # each uniform entry of a row repeated: half as many distinct columns
+    "iid-pairs-equal": (
+        ENSEMBLES,
+        "    return UNIFORM_HALF_WIDTH * (2.0 * uniforms(seeds, n) - 1.0)\n",
+        "    return UNIFORM_HALF_WIDTH * (2.0 * np.repeat(uniforms(seeds, (n + 1) // 2), 2, axis=1)[:, :n] - 1.0)\n",
+        ["tests/test_harness.py::test_uniform_sweep_on_coordinate_lines_matches_the_exact_law"],
+    ),
 }
 
 
